@@ -27,7 +27,8 @@
 //! no row wrap-around, since a per-dim violation that stays inside the
 //! linear allocation still reads the wrong row.
 
-use mpix_codegen::bytecode::{powi, CoeffSrc};
+use mpix_codegen::arith;
+use mpix_codegen::bytecode::CoeffSrc;
 use mpix_codegen::{CompiledCluster, Op};
 use mpix_dmp::regions::{region_box, remainder_boxes, Region};
 use mpix_symbolic::Context;
@@ -456,7 +457,8 @@ pub fn check_fusion_invariance(
 }
 
 /// Interpret a compiled program at one point with the executor's exact
-/// arithmetic (separate mul/add roundings for the fused ops). Mutates
+/// arithmetic ([`arith`]: FTZ/DAZ, separate mul/add roundings for the
+/// fused ops). Mutates
 /// `buffers` on stores (same-point reads of fresh writes must see them)
 /// and returns the stored `(stream, value)` sequence. Errors on stack
 /// underflow or out-of-bounds access instead of panicking, so the fuzz
@@ -538,26 +540,26 @@ pub fn eval_program(
             Op::Add => {
                 let y = stack.pop().ok_or_else(|| underflow(2))?;
                 let x = stack.pop().ok_or_else(|| underflow(2))?;
-                stack.push(x + y);
+                stack.push(arith::add(x, y));
             }
             Op::Mul => {
                 let y = stack.pop().ok_or_else(|| underflow(2))?;
                 let x = stack.pop().ok_or_else(|| underflow(2))?;
-                stack.push(x * y);
+                stack.push(arith::mul(x, y));
             }
             Op::Pow(n) => {
                 let x = stack.pop().ok_or_else(|| underflow(1))?;
-                stack.push(powi(x, n));
+                stack.push(arith::powi(x, n));
             }
             Op::Call(f) => {
                 let x = stack.pop().ok_or_else(|| underflow(1))?;
-                stack.push(f.apply_f32(x));
+                stack.push(arith::call(f, x));
             }
             Op::MulAdd => {
                 let y = stack.pop().ok_or_else(|| underflow(3))?;
                 let x = stack.pop().ok_or_else(|| underflow(3))?;
                 let acc = stack.last_mut().ok_or_else(|| underflow(3))?;
-                *acc += x * y;
+                *acc = arith::mul_add(*acc, x, y);
             }
             Op::LoadMul {
                 coeff: c,
@@ -565,7 +567,7 @@ pub fn eval_program(
                 off,
             } => {
                 let (s, i) = idx(stream, off)?;
-                stack.push(coeff(c)? * buffers[s][i]);
+                stack.push(arith::mul(coeff(c)?, buffers[s][i]));
             }
             Op::LoadMulAdd {
                 coeff: c,
@@ -573,9 +575,10 @@ pub fn eval_program(
                 off,
             } => {
                 let (s, i) = idx(stream, off)?;
-                let v = coeff(c)? * buffers[s][i];
+                let v = buffers[s][i];
+                let c = coeff(c)?;
                 let acc = stack.last_mut().ok_or_else(|| underflow(1))?;
-                *acc += v;
+                *acc = arith::mul_add(*acc, c, v);
             }
         }
     }

@@ -9,8 +9,12 @@
 //! (so the bounds are sound, not merely asymptotic):
 //!
 //! * one rounding event on a value with exact range `V` and incoming
-//!   error `e` yields `e + u·(|V| + e)` where `u` is the unit roundoff
-//!   of the compute precision;
+//!   error `e` yields `e + u·(|V| + e) + 2⁻¹²⁶` where `u` is the unit
+//!   roundoff of the compute precision and the absolute term covers the
+//!   flush to zero of a tiny result ([`FLUSH_ERR`]);
+//! * an operand whose computed range reaches the subnormal band gains
+//!   [`FLUSH_ERR`] before it propagates — the kernel arithmetic reads
+//!   subnormal operands as zero;
 //! * `x·y` propagates `|x|·e_y + |y|·e_x + e_x·e_y` before rounding;
 //! * division, `sqrt`, `exp` use derivative bounds over the interval
 //!   (going unbounded — honestly — when the argument can reach the
@@ -76,6 +80,14 @@ pub const STORAGE_REL_THRESHOLD: f64 = 1e-2;
 /// Wire-vs-native bound ratio above which demotion is flagged (`MPX018`).
 pub const WIRE_RATIO_THRESHOLD: f64 = 4.0;
 
+/// Absolute error of one flush in the kernel arithmetic
+/// (`mpix_codegen::arith`, FTZ/DAZ on every backend): a tiny result
+/// becomes zero and a subnormal operand reads as zero, each moving the
+/// value by less than 2⁻¹²⁶. Applied at every storage precision — exact
+/// for f32 and bf16 (same exponent range), an over-approximation for
+/// f64.
+pub const FLUSH_ERR: f64 = f32::MIN_POSITIVE as f64;
+
 /// The paired abstract value: exact-value interval + absolute error
 /// bound. `err = +∞` means "no bound provable".
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -117,9 +129,31 @@ fn safe_add(a: f64, b: f64) -> f64 {
 }
 
 /// Error after one rounding event on exact range `val` with incoming
-/// error `err`, at unit roundoff `u`.
+/// error `err`, at unit roundoff `u`: the relative rounding term plus
+/// the absolute flush of a tiny result.
 fn round_err(val: Interval, err: f64, u: f64) -> f64 {
-    safe_add(err, safe_mul(u, safe_add(val.mag(), err)))
+    safe_add(
+        safe_add(err, safe_mul(u, safe_add(val.mag(), err))),
+        FLUSH_ERR,
+    )
+}
+
+/// Whether the computed value of `x` can be subnormal.
+fn may_be_subnormal(x: ErrVal) -> bool {
+    x.val.min_mag() - x.err < FLUSH_ERR && x.val.mag() + x.err > 0.0
+}
+
+/// An arithmetic operand after the DAZ read: a computed value that can
+/// be subnormal may be read as zero, one more [`FLUSH_ERR`] of error.
+fn daz(x: ErrVal) -> ErrVal {
+    if may_be_subnormal(x) {
+        ErrVal {
+            val: x.val,
+            err: safe_add(x.err, FLUSH_ERR),
+        }
+    } else {
+        x
+    }
 }
 
 /// Representation error of storing the exact value `c` at roundoff `u`
@@ -132,6 +166,7 @@ fn repr_err(c: f64, u: f64) -> f64 {
 /// `x + y`; `round` says whether the result is rounded (false only for
 /// the virtual intermediate of a contracted FMA).
 fn ev_add(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
+    let (x, y) = (daz(x), daz(y));
     let val = x.val.add(y.val);
     let err = safe_add(x.err, y.err);
     ErrVal {
@@ -142,6 +177,7 @@ fn ev_add(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
 
 /// `x · y` with the full (second-order kept) propagation term.
 fn ev_mul(x: ErrVal, y: ErrVal, u: f64, round: bool) -> ErrVal {
+    let (x, y) = (daz(x), daz(y));
     let val = x.val.mul(y.val);
     let prop = safe_add(
         safe_add(safe_mul(x.val.mag(), y.err), safe_mul(y.val.mag(), x.err)),
@@ -168,6 +204,7 @@ fn recip_interval(v: Interval) -> Interval {
 
 /// `1 / x`: unbounded when the argument can reach zero within its error.
 fn ev_recip(x: ErrVal, u: f64) -> ErrVal {
+    let x = daz(x);
     let val = recip_interval(x.val);
     let m = x.val.min_mag();
     if m <= x.err || m == 0.0 {
@@ -207,16 +244,20 @@ fn ev_pow(x: ErrVal, n: i32, u: f64) -> ErrVal {
 }
 
 /// Elementary functions: derivative-bound propagation plus `2u` per
-/// call (libm results are faithful, not correctly rounded).
+/// call (libm results are faithful, not correctly rounded), with the
+/// DAZ read of the argument and the flush of a tiny result.
 fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
     match f {
-        UnaryFn::Abs => ErrVal {
-            val: Interval {
-                lo: x.val.min_mag(),
-                hi: x.val.mag(),
-            },
-            err: x.err,
-        },
+        UnaryFn::Abs => {
+            let x = daz(x);
+            ErrVal {
+                val: Interval {
+                    lo: x.val.min_mag(),
+                    hi: x.val.mag(),
+                },
+                err: safe_add(x.err, FLUSH_ERR),
+            }
+        }
         UnaryFn::Sqrt => {
             if x.val.hi < 0.0 {
                 return ErrVal::unknown(); // NaN; MPX003 territory
@@ -233,12 +274,23 @@ fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
             } else {
                 f64::INFINITY // derivative unbounded at 0
             };
+            // A flushed argument x̂ < 2⁻¹²⁶ moves the root by √x̂ < 2⁻⁶³
+            // (the derivative bound would be unbounded there).
+            let daz = if may_be_subnormal(x) {
+                FLUSH_ERR.sqrt()
+            } else {
+                0.0
+            };
             ErrVal {
                 val,
-                err: safe_add(round_err(val, prop, u), safe_mul(u, val.mag())),
+                err: safe_add(
+                    safe_add(round_err(val, prop, u), safe_mul(u, val.mag())),
+                    daz,
+                ),
             }
         }
         UnaryFn::Exp => {
+            let x = daz(x);
             let val = Interval {
                 lo: x.val.lo.exp(),
                 hi: x.val.hi.exp(),
@@ -251,10 +303,12 @@ fn ev_func(f: UnaryFn, x: ErrVal, u: f64) -> ErrVal {
             }
         }
         UnaryFn::Sin | UnaryFn::Cos => {
+            let x = daz(x);
             let val = Interval { lo: -1.0, hi: 1.0 };
             ErrVal {
                 val,
-                err: safe_add(x.err, 2.0 * u), // |d sin| ≤ 1; 2u call slack
+                // |d sin| ≤ 1; 2u call slack; result flush.
+                err: safe_add(safe_add(x.err, 2.0 * u), FLUSH_ERR),
             }
         }
     }
@@ -976,6 +1030,42 @@ mod tests {
         );
         assert!(field0.get("storage").and_then(|s| s.get("bf16")).is_some());
         assert!(field0.get("wire").and_then(|s| s.get("f16")).is_some());
+    }
+
+    #[test]
+    fn bound_covers_a_result_flushed_to_zero() {
+        // u[t+1] = 0.5·u[t] on data just above 2⁻¹²⁶: the exact product
+        // lies below it and the kernel arithmetic returns zero — an
+        // absolute error no relative term bounds.
+        let (ctx, u) = ctx_1d(1);
+        let cl = store_cluster(u, IExpr::Mul(vec![IExpr::Const(0.5), load(u, 0, 0)]));
+        let x = f32::MIN_POSITIVE * 1.5;
+        let assume = FpAssumptions::default().with_field(u, x as f64, x as f64);
+        let bound = analyze(&ctx, &[cl], FpConfig::shipped(), &assume).fields[&u].abs;
+        let computed = mpix_codegen::arith::mul(0.5, x);
+        assert_eq!(computed, 0.0);
+        let observed = (computed as f64 - 0.5 * x as f64).abs();
+        assert!(
+            observed > 0.0 && observed <= bound,
+            "{observed:e} > {bound:e}"
+        );
+        assert!(bound < 2.0 * FLUSH_ERR, "{bound:e}");
+    }
+
+    #[test]
+    fn bound_covers_a_subnormal_operand_read_as_zero() {
+        // u[t+1] = 2⁶⁰·u[t] on subnormal data: the DAZ read turns the
+        // operand into zero, an error the coefficient amplifies.
+        let (ctx, u) = ctx_1d(1);
+        let k = 2f32.powi(60);
+        let cl = store_cluster(u, IExpr::Mul(vec![IExpr::Const(k as f64), load(u, 0, 0)]));
+        let x = f32::MIN_POSITIVE * 0.5;
+        let assume = FpAssumptions::default().with_field(u, 0.0, x as f64);
+        let bound = analyze(&ctx, &[cl], FpConfig::shipped(), &assume).fields[&u].abs;
+        let computed = mpix_codegen::arith::mul(k, x);
+        assert_eq!(computed, 0.0);
+        let observed = (computed as f64 - k as f64 * x as f64).abs();
+        assert!(observed <= bound, "{observed:e} > {bound:e}");
     }
 
     #[test]

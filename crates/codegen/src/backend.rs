@@ -212,8 +212,7 @@ pub fn create_lowering(backend: Backend) -> Result<Box<dyn Lowering>, BackendErr
 /// across backends.
 pub struct BytecodeLowering;
 
-/// Interpreter kernel — delegates to the executor's strip/scalar
-/// evaluation paths.
+/// Interpreter kernel — delegates to the executor's strip engine.
 pub struct BytecodeKernel;
 
 impl Lowering for BytecodeLowering {
@@ -232,9 +231,7 @@ impl Lowering for BytecodeLowering {
 
 impl ClusterKernel for BytecodeKernel {
     fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-        executor::exec_box(
-            l.cc, bx, buffers, l.strides, l.halos, l.resolved, l.scalars, l.params, l.block, l.vw,
-        );
+        executor::exec_box(l, bx, buffers);
     }
 
     fn exec_box_mixed(
@@ -244,10 +241,7 @@ impl ClusterKernel for BytecodeKernel {
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
-        executor::exec_box_mixed(
-            l.cc, bx, reads, writes, l.strides, l.halos, l.resolved, l.scalars, l.params, l.block,
-            l.vw,
-        );
+        executor::exec_box_mixed(l, bx, reads, writes);
     }
 }
 

@@ -8,6 +8,8 @@
 
 use mpix_symbolic::{FieldId, UnaryFn};
 
+use crate::arith;
+
 use mpix_ir::cluster::{Cluster, Stmt};
 use mpix_ir::iexpr::IExpr;
 
@@ -185,7 +187,10 @@ impl Op {
     /// unfused originals. A hypothetical FMA-contracting backend
     /// ([`RoundingModel::FMA_CONTRACTED`]) would round the fused pair
     /// once; the analysis models that distinctly, which is why the
-    /// count is declared here rather than assumed.
+    /// count is declared here rather than assumed. Every event also
+    /// carries the kernel arithmetic's flush to zero ([`crate::arith`]):
+    /// a tiny result becomes zero, an absolute error below 2⁻¹²⁶ that
+    /// the analysis adds per event.
     pub fn rounding_events(self, model: RoundingModel) -> usize {
         match self {
             Op::Add | Op::Mul | Op::Call(_) | Op::LoadMul { .. } => 1,
@@ -285,6 +290,52 @@ impl CompiledCluster {
         max as usize
     }
 
+    /// Which ops push a value that may be subnormal — straight from
+    /// memory or a pool (`Load`, `Const`, `Scalar`, `Param`, or a `Temp`
+    /// holding such a value) — that arithmetic then consumes. The
+    /// interpreter applies the DAZ read of [`crate::arith`] at those
+    /// pushes, so every arithmetic op sees flushed operands; a value a
+    /// move consumes (`Store`, `SetTemp`, `Pow(1)` on its way to one)
+    /// keeps its bits.
+    pub fn daz_pushes(&self) -> Vec<bool> {
+        let mut daz = vec![false; self.ops.len()];
+        // Per stack value and per temp: the op that pushed the raw value
+        // it holds, `None` once it is an arithmetic result.
+        let mut stack: Vec<Option<usize>> = Vec::with_capacity(self.max_stack);
+        let mut temps: Vec<Option<Option<usize>>> = vec![None; self.num_temps];
+        for (i, &op) in self.ops.iter().enumerate() {
+            let operands = match op {
+                Op::MulAdd => 3,
+                Op::Add | Op::Mul => 2,
+                Op::Pow(1) => 0,
+                Op::Pow(_) | Op::Call(_) | Op::LoadMulAdd { .. } => 1,
+                _ => 0,
+            };
+            for _ in 0..operands {
+                if let Some(Some(j)) = stack.pop() {
+                    daz[j] = true;
+                }
+            }
+            match op {
+                Op::Const(_) | Op::Scalar(_) | Op::Param(_) | Op::Load { .. } => {
+                    stack.push(Some(i))
+                }
+                // A temp not yet set at this point is treated as raw.
+                Op::Temp(k) => stack.push(match temps[k as usize] {
+                    Some(None) => None,
+                    _ => Some(i),
+                }),
+                Op::SetTemp(k) => temps[k as usize] = stack.pop(),
+                Op::Store { .. } => {
+                    stack.pop();
+                }
+                Op::Pow(1) => {}
+                _ => stack.push(None),
+            }
+        }
+        daz
+    }
+
     /// Visit every op in program order with its index and the stack depth
     /// *before* the op executes. The iteration hook the bytecode lints
     /// (`mpix-analysis::lint`) walk the program with, so they track
@@ -356,7 +407,8 @@ pub fn fuse_cluster(mut cc: CompiledCluster) -> CompiledCluster {
 }
 
 /// Fold constant subexpressions in the flat program: any `Const Const
-/// Add/Mul`, `Const Pow`, or `Const Call` collapses to one `Const`.
+/// Add/Mul`, `Const Pow`, or `Const Call` collapses to one `Const`,
+/// computed in the kernel arithmetic the unfolded ops would run in.
 /// Iterates to a fixpoint so nested constant chains fold completely.
 ///
 /// Public so the verification passes (`mpix-analysis`) can establish the
@@ -370,16 +422,16 @@ pub fn fold_constants(cc: &mut CompiledCluster) {
         while i < cc.ops.len() {
             let folded = match (cc.ops.get(i), cc.ops.get(i + 1), cc.ops.get(i + 2)) {
                 (Some(&Op::Const(a)), Some(&Op::Const(b)), Some(Op::Add)) => {
-                    Some((cc.consts[a as usize] + cc.consts[b as usize], 3))
+                    Some((arith::add(cc.consts[a as usize], cc.consts[b as usize]), 3))
                 }
                 (Some(&Op::Const(a)), Some(&Op::Const(b)), Some(Op::Mul)) => {
-                    Some((cc.consts[a as usize] * cc.consts[b as usize], 3))
+                    Some((arith::mul(cc.consts[a as usize], cc.consts[b as usize]), 3))
                 }
                 (Some(&Op::Const(a)), Some(&Op::Pow(n)), _) => {
-                    Some((powi(cc.consts[a as usize], n), 2))
+                    Some((arith::powi(cc.consts[a as usize], n), 2))
                 }
                 (Some(&Op::Const(a)), Some(&Op::Call(fx)), _) => {
-                    Some((fx.apply_f32(cc.consts[a as usize]), 2))
+                    Some((arith::call(fx, cc.consts[a as usize]), 2))
                 }
                 _ => None,
             };
@@ -574,8 +626,9 @@ pub fn compile_cluster(cl: &Cluster) -> CompiledCluster {
 /// index of the evaluation point in stream `slot`'s buffer;
 /// `resolved_offsets[k]` the linear delta of offset entry `k`.
 ///
-/// This is the scalar reference interpreter; the executor uses a
-/// specialized inner loop built on the same instruction set.
+/// The scalar reference entry point: the executor's strip engine at one
+/// lane, so it shares every op's kernel arithmetic ([`crate::arith`])
+/// with the interpreter paths the executor runs.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_point(
     cc: &CompiledCluster,
@@ -587,82 +640,29 @@ pub fn eval_point(
     temps: &mut [f32],
     stack: &mut [f32],
 ) {
-    let mut sp = 0usize;
-    for op in &cc.ops {
-        match *op {
-            Op::Const(i) => {
-                stack[sp] = cc.consts[i as usize];
-                sp += 1;
-            }
-            Op::Scalar(i) => {
-                stack[sp] = scalar_values[i as usize];
-                sp += 1;
-            }
-            Op::Param(i) => {
-                stack[sp] = param_values[i as usize];
-                sp += 1;
-            }
-            Op::Temp(i) => {
-                stack[sp] = temps[i as usize];
-                sp += 1;
-            }
-            Op::SetTemp(i) => {
-                sp -= 1;
-                temps[i as usize] = stack[sp];
-            }
-            Op::Load { stream, off } => {
-                let idx = bases[stream as usize] as isize + resolved_offsets[off as usize];
-                stack[sp] = buffers[stream as usize][idx as usize];
-                sp += 1;
-            }
-            Op::Store { stream } => {
-                sp -= 1;
-                let idx = bases[stream as usize];
-                buffers[stream as usize][idx] = stack[sp];
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Pow(n) => {
-                let v = stack[sp - 1];
-                stack[sp - 1] = powi(v, n);
-            }
-            Op::Call(fx) => {
-                stack[sp - 1] = fx.apply_f32(stack[sp - 1]);
-            }
-            Op::MulAdd => {
-                sp -= 2;
-                stack[sp - 1] += stack[sp] * stack[sp + 1];
-            }
-            Op::LoadMul { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalar_values, param_values);
-                let idx = bases[stream as usize] as isize + resolved_offsets[off as usize];
-                stack[sp] = c * buffers[stream as usize][idx as usize];
-                sp += 1;
-            }
-            Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalar_values, param_values);
-                let idx = bases[stream as usize] as isize + resolved_offsets[off as usize];
-                stack[sp - 1] += c * buffers[stream as usize][idx as usize];
-            }
-        }
-    }
-}
-
-/// `f32` integer power, matching `Pow` semantics (negative = reciprocal).
-#[inline]
-pub fn powi(v: f32, n: i32) -> f32 {
-    match n {
-        2 => v * v,
-        -1 => 1.0 / v,
-        -2 => 1.0 / (v * v),
-        _ => v.powi(n),
-    }
+    let launch = crate::backend::Launch {
+        cc,
+        strides: &[],
+        halos: &[],
+        resolved: resolved_offsets,
+        scalars: scalar_values,
+        params: param_values,
+        block: 0,
+        vw: 0,
+    };
+    let mut acc = crate::executor::FlatAccess(buffers);
+    let prep = crate::executor::prepare(&launch, None::<(_, &crate::executor::FlatAccess)>);
+    crate::executor::eval_strip::<1>(
+        cc,
+        &prep,
+        &mut acc,
+        bases,
+        resolved_offsets,
+        scalar_values,
+        param_values,
+        temps.as_chunks_mut::<1>().0,
+        stack.as_chunks_mut::<1>().0,
+    );
 }
 
 #[cfg(test)]
@@ -781,14 +781,6 @@ mod tests {
         let w = if rs == 0 { &bufs[1] } else { &bufs[0] };
         assert_eq!(w[1], 12.0);
         assert_eq!(temps[0], 6.0);
-    }
-
-    #[test]
-    fn pow_variants() {
-        assert_eq!(powi(3.0, 2), 9.0);
-        assert_eq!(powi(2.0, -1), 0.5);
-        assert_eq!(powi(2.0, -2), 0.25);
-        assert_eq!(powi(2.0, 3), 8.0);
     }
 
     #[test]

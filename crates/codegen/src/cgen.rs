@@ -6,6 +6,9 @@
 //! `#pragma omp simd aligned(…)` on the vector dimension, aligned array
 //! accesses shifted by each field's halo (`u[t1][x + 2][y + 2]`), and
 //! halo-exchange call sites where `HaloUpdate`/`HaloWait` nodes sit.
+//! Like Devito's, the kernel opens by switching the FPU to
+//! flush-to-zero/denormals-are-zero, the arithmetic every backend
+//! implements ([`crate::arith`]).
 //!
 //! The emitted C is for inspection and golden-testing; execution happens
 //! in [`crate::executor`] (see DESIGN.md for the substitution rationale).
@@ -22,7 +25,7 @@ const DIMS: [&str; 3] = ["x", "y", "z"];
 
 /// Emit a complete C kernel for a lowered IET.
 pub fn emit_c(iet: &Node, ctx: &Context) -> String {
-    let mut out = String::new();
+    let mut out = String::from("#include <xmmintrin.h>\n#include <pmmintrin.h>\n\n");
     let mut em = Emitter {
         ctx,
         out: &mut out,
@@ -55,6 +58,11 @@ impl Emitter<'_> {
                 self.line(&format!("void {name}(const int time_m, const int time_M)"));
                 self.line("{");
                 self.indent += 1;
+                // The kernel arithmetic (`crate::arith`), set the way
+                // Devito's generated operators set it.
+                self.line("/* Flush denormal numbers to zero in hardware */");
+                self.line("_MM_SET_DENORMALS_ZERO_MODE(_MM_DENORMALS_ZERO_ON);");
+                self.line("_MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);");
                 self.num_params = params.iter().map(|(i, _)| i + 1).max().unwrap_or(0);
                 for (i, def) in params {
                     let d = c_expr(def, self.ctx, self.num_params);

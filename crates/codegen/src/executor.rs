@@ -20,8 +20,9 @@ use mpix_san::San;
 use mpix_symbolic::{Context, FieldId};
 use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
+use crate::arith;
 use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
-use crate::bytecode::{compile_cluster, fuse_cluster, powi, CompiledCluster, Op};
+use crate::bytecode::{compile_cluster, fuse_cluster, CoeffSrc, CompiledCluster, Op};
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
 pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -718,7 +719,9 @@ pub(crate) fn collect_compiled(n: &Node, out: &mut Vec<CompiledCluster>) {
     }
 }
 
-/// Evaluate a grid-invariant expression (parameter definitions).
+/// Evaluate a grid-invariant expression (parameter definitions) in the
+/// kernel arithmetic, as the generated C does after its FTZ/DAZ
+/// prologue.
 pub fn eval_invariant(e: &IExpr, scalars: &HashMap<String, f32>, params: &[f32]) -> f32 {
     match e {
         IExpr::Const(c) => *c as f32,
@@ -726,13 +729,16 @@ pub fn eval_invariant(e: &IExpr, scalars: &HashMap<String, f32>, params: &[f32])
             .get(s)
             .unwrap_or_else(|| panic!("missing runtime scalar {s:?}")),
         IExpr::Param(i) => params[*i],
-        IExpr::Add(xs) => xs.iter().map(|x| eval_invariant(x, scalars, params)).sum(),
+        IExpr::Add(xs) => xs
+            .iter()
+            .map(|x| eval_invariant(x, scalars, params))
+            .fold(-0.0, arith::add),
         IExpr::Mul(xs) => xs
             .iter()
             .map(|x| eval_invariant(x, scalars, params))
-            .product(),
-        IExpr::Pow(b, n) => powi(eval_invariant(b, scalars, params), *n),
-        IExpr::Func(fx, b) => fx.apply_f32(eval_invariant(b, scalars, params)),
+            .fold(1.0, arith::mul),
+        IExpr::Pow(b, n) => arith::powi(eval_invariant(b, scalars, params), *n),
+        IExpr::Func(fx, b) => arith::call(*fx, eval_invariant(b, scalars, params)),
         IExpr::Load(_) | IExpr::Temp(_) => panic!("not grid-invariant"),
     }
 }
@@ -741,120 +747,42 @@ pub fn eval_invariant(e: &IExpr, scalars: &HashMap<String, f32>, params: &[f32])
 // Inner loops
 // ---------------------------------------------------------------------------
 
-/// Execute the compiled body over every point of `bx` (owned-local
-/// coordinates). Applies loop blocking on the outermost two dimensions
-/// when `block > 0`. This is the bytecode backend's whole-buffer entry
-/// point (`backend::BytecodeKernel` delegates here).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_box(
-    cc: &CompiledCluster,
-    bx: &BoxNd,
-    buffers: &mut [&mut [f32]],
-    strides: &[Vec<usize>],
-    halos: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    block: usize,
-    vw: usize,
-) {
-    let nd = bx.len();
-    if block > 0 && nd >= 2 {
-        // Tile the two outermost dims (cache blocking; the innermost
-        // stays contiguous for vectorization, as in the generated C).
-        let (r0, r1) = (bx[0].clone(), bx[1].clone());
-        let mut x0 = r0.start;
-        while x0 < r0.end {
-            let x1 = (x0 + block).min(r0.end);
-            let mut y0 = r1.start;
-            while y0 < r1.end {
-                let y1 = (y0 + block).min(r1.end);
-                let mut tile = bx.clone();
-                tile[0] = x0..x1;
-                tile[1] = y0..y1;
-                exec_box_flat(
-                    cc, &tile, buffers, strides, halos, resolved, scalars, params, vw,
-                );
-                y0 = y1;
-            }
-            x0 = x1;
-        }
-    } else {
-        exec_box_flat(
-            cc, bx, buffers, strides, halos, resolved, scalars, params, vw,
-        );
+/// Split `bx` into loop-blocking tiles: `block`-edged tiles over the two
+/// outermost dimensions (the innermost stays contiguous for
+/// vectorization, as in the generated C), or `bx` itself when blocking
+/// is off. Every backend walks boxes in this order.
+pub(crate) fn tiles(bx: &BoxNd, block: usize) -> Vec<BoxNd> {
+    if block == 0 || bx.len() < 2 {
+        return vec![bx.clone()];
     }
+    let mut v = Vec::new();
+    let (r0, r1) = (bx[0].clone(), bx[1].clone());
+    let mut x0 = r0.start;
+    while x0 < r0.end {
+        let x1 = (x0 + block).min(r0.end);
+        let mut y0 = r1.start;
+        while y0 < r1.end {
+            let y1 = (y0 + block).min(r1.end);
+            let mut t = bx.clone();
+            t[0] = x0..x1;
+            t[1] = y0..y1;
+            v.push(t);
+            y0 = y1;
+        }
+        x0 = x1;
+    }
+    v
 }
 
-/// Unblocked execution: iterate outer dims with an odometer, run the
-/// contiguous innermost dimension with incrementing bases — in strips of
-/// `vw` lanes when a vector width is selected, point-by-point otherwise.
-#[allow(clippy::too_many_arguments)]
-fn exec_box_flat(
-    cc: &CompiledCluster,
-    bx: &BoxNd,
-    buffers: &mut [&mut [f32]],
-    strides: &[Vec<usize>],
-    halos: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    vw: usize,
-) {
-    if vw > 1 {
-        let mut acc = FlatAccess(buffers);
-        exec_strips_box(
-            vw, cc, bx, &mut acc, strides, halos, resolved, scalars, params,
-        );
-        return;
-    }
-    let nd = bx.len();
-    let nstreams = cc.streams.len();
-    let inner = bx[nd - 1].clone();
-    if inner.is_empty() {
-        return;
-    }
-    let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
-    if bx[..nd - 1].iter().any(|r| r.is_empty()) {
-        return;
-    }
-    let mut bases = vec![0usize; nstreams];
-    let mut temps = vec![0.0f32; cc.num_temps];
-    let mut stack = vec![0.0f32; cc.max_stack.max(4)];
-    loop {
-        // Base linear index per stream at the inner-loop start.
-        for s in 0..nstreams {
-            let mut base = 0usize;
-            for d in 0..nd - 1 {
-                base += (outer[d] + halos[s]) * strides[s][d];
-            }
-            base += (inner.start + halos[s]) * strides[s][nd - 1];
-            bases[s] = base;
-        }
-        for _ in inner.clone() {
-            eval_point_fast(
-                cc, buffers, &bases, resolved, scalars, params, &mut temps, &mut stack,
-            );
-            for b in bases.iter_mut() {
-                *b += 1; // innermost stride is 1 for every stream
-            }
-        }
-        // Odometer over outer dims.
-        if nd == 1 {
-            return;
-        }
-        let mut d = nd - 1;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            outer[d] += 1;
-            if outer[d] < bx[d].end {
-                break;
-            }
-            outer[d] = bx[d].start;
-        }
+/// Execute the compiled body over every point of `bx` (owned-local
+/// coordinates) with whole-buffer bindings, tile by tile. This is the
+/// bytecode backend's single-threaded entry point
+/// (`backend::BytecodeKernel` delegates here).
+pub(crate) fn exec_box(l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+    let mut acc = FlatAccess(buffers);
+    let prep = prepare(l, Some((bx, &acc)));
+    for tile in tiles(bx, l.block) {
+        exec_strips_box(l, &prep, &tile, &mut acc);
     }
 }
 
@@ -999,275 +927,16 @@ fn exec_box_threaded(
 /// path). Written streams index relative to their slab offset. This is
 /// the bytecode backend's split-binding entry point
 /// (`backend::BytecodeKernel` delegates here).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_box_mixed(
-    cc: &CompiledCluster,
+    l: &Launch<'_>,
     bx: &BoxNd,
     reads: &mut [Option<&[f32]>],
     writes: &mut [Option<(&mut [f32], usize)>],
-    strides: &[Vec<usize>],
-    halos: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    block: usize,
-    vw: usize,
 ) {
-    // Reuse the tiling driver by flattening through a closure-free copy
-    // of exec_box_flat with binding-aware loads/stores.
-    let nd = bx.len();
-    let tiles: Vec<BoxNd> = if block > 0 && nd >= 2 {
-        let mut v = Vec::new();
-        let (r0, r1) = (bx[0].clone(), bx[1].clone());
-        let mut x0 = r0.start;
-        while x0 < r0.end {
-            let x1 = (x0 + block).min(r0.end);
-            let mut y0 = r1.start;
-            while y0 < r1.end {
-                let y1 = (y0 + block).min(r1.end);
-                let mut t = bx.clone();
-                t[0] = x0..x1;
-                t[1] = y0..y1;
-                v.push(t);
-                y0 = y1;
-            }
-            x0 = x1;
-        }
-        v
-    } else {
-        vec![bx.clone()]
-    };
-
-    let nstreams = cc.streams.len();
-    let mut temps = vec![0.0f32; cc.num_temps];
-    let mut stack = vec![0.0f32; cc.max_stack.max(4)];
-    let mut bases = vec![0usize; nstreams];
-    for tile in tiles {
-        if tile.iter().any(|r| r.is_empty()) {
-            continue;
-        }
-        if vw > 1 {
-            let mut acc = MixedAccess {
-                reads: &*reads,
-                writes: &mut *writes,
-            };
-            exec_strips_box(
-                vw, cc, &tile, &mut acc, strides, halos, resolved, scalars, params,
-            );
-            continue;
-        }
-        let inner = tile[nd - 1].clone();
-        let mut outer: Vec<usize> = tile[..nd - 1].iter().map(|r| r.start).collect();
-        loop {
-            for s in 0..nstreams {
-                let mut base = 0usize;
-                for d in 0..nd - 1 {
-                    base += (outer[d] + halos[s]) * strides[s][d];
-                }
-                base += (inner.start + halos[s]) * strides[s][nd - 1];
-                bases[s] = base;
-            }
-            for _ in inner.clone() {
-                eval_point_mixed(
-                    cc, reads, writes, &bases, resolved, scalars, params, &mut temps, &mut stack,
-                );
-                for b in bases.iter_mut() {
-                    *b += 1;
-                }
-            }
-            if nd == 1 {
-                break;
-            }
-            let mut d = nd - 1;
-            let mut done = false;
-            loop {
-                if d == 0 {
-                    done = true;
-                    break;
-                }
-                d -= 1;
-                outer[d] += 1;
-                if outer[d] < tile[d].end {
-                    break;
-                }
-                outer[d] = tile[d].start;
-            }
-            if done {
-                break;
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn eval_point_fast(
-    cc: &CompiledCluster,
-    buffers: &mut [&mut [f32]],
-    bases: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    temps: &mut [f32],
-    stack: &mut [f32],
-) {
-    let mut sp = 0usize;
-    for op in &cc.ops {
-        match *op {
-            Op::Const(i) => {
-                stack[sp] = cc.consts[i as usize];
-                sp += 1;
-            }
-            Op::Scalar(i) => {
-                stack[sp] = scalars[i as usize];
-                sp += 1;
-            }
-            Op::Param(i) => {
-                stack[sp] = params[i as usize];
-                sp += 1;
-            }
-            Op::Temp(i) => {
-                stack[sp] = temps[i as usize];
-                sp += 1;
-            }
-            Op::SetTemp(i) => {
-                sp -= 1;
-                temps[i as usize] = stack[sp];
-            }
-            Op::Load { stream, off } => {
-                let idx = bases[stream as usize] as isize + resolved[off as usize];
-                stack[sp] = buffers[stream as usize][idx as usize];
-                sp += 1;
-            }
-            Op::Store { stream } => {
-                sp -= 1;
-                buffers[stream as usize][bases[stream as usize]] = stack[sp];
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Pow(n) => {
-                stack[sp - 1] = powi(stack[sp - 1], n);
-            }
-            Op::Call(fx) => {
-                stack[sp - 1] = fx.apply_f32(stack[sp - 1]);
-            }
-            Op::MulAdd => {
-                sp -= 2;
-                stack[sp - 1] += stack[sp] * stack[sp + 1];
-            }
-            Op::LoadMul { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let idx = bases[stream as usize] as isize + resolved[off as usize];
-                stack[sp] = c * buffers[stream as usize][idx as usize];
-                sp += 1;
-            }
-            Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let idx = bases[stream as usize] as isize + resolved[off as usize];
-                stack[sp - 1] += c * buffers[stream as usize][idx as usize];
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn eval_point_mixed(
-    cc: &CompiledCluster,
-    reads: &[Option<&[f32]>],
-    writes: &mut [Option<(&mut [f32], usize)>],
-    bases: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    temps: &mut [f32],
-    stack: &mut [f32],
-) {
-    let mut sp = 0usize;
-    for op in &cc.ops {
-        match *op {
-            Op::Const(i) => {
-                stack[sp] = cc.consts[i as usize];
-                sp += 1;
-            }
-            Op::Scalar(i) => {
-                stack[sp] = scalars[i as usize];
-                sp += 1;
-            }
-            Op::Param(i) => {
-                stack[sp] = params[i as usize];
-                sp += 1;
-            }
-            Op::Temp(i) => {
-                stack[sp] = temps[i as usize];
-                sp += 1;
-            }
-            Op::SetTemp(i) => {
-                sp -= 1;
-                temps[i as usize] = stack[sp];
-            }
-            Op::Load { stream, off } => {
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp] = match (&reads[s], &writes[s]) {
-                    (Some(r), _) => r[idx],
-                    (None, Some((w, base_off))) => w[idx - *base_off],
-                    (None, None) => unreachable!("unbound stream"),
-                };
-                sp += 1;
-            }
-            Op::Store { stream } => {
-                sp -= 1;
-                let s = stream as usize;
-                let (w, base_off) = writes[s].as_mut().expect("store to unbound stream");
-                w[bases[s] - *base_off] = stack[sp];
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Pow(n) => {
-                stack[sp - 1] = powi(stack[sp - 1], n);
-            }
-            Op::Call(fx) => {
-                stack[sp - 1] = fx.apply_f32(stack[sp - 1]);
-            }
-            Op::MulAdd => {
-                sp -= 2;
-                stack[sp - 1] += stack[sp] * stack[sp + 1];
-            }
-            Op::LoadMul { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp] = c * match (&reads[s], &writes[s]) {
-                    (Some(r), _) => r[idx],
-                    (None, Some((w, base_off))) => w[idx - *base_off],
-                    (None, None) => unreachable!("unbound stream"),
-                };
-                sp += 1;
-            }
-            Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp - 1] += c * match (&reads[s], &writes[s]) {
-                    (Some(r), _) => r[idx],
-                    (None, Some((w, base_off))) => w[idx - *base_off],
-                    (None, None) => unreachable!("unbound stream"),
-                };
-            }
-        }
+    let mut acc = MixedAccess { reads, writes };
+    let prep = prepare(l, Some((bx, &acc)));
+    for tile in tiles(bx, l.block) {
+        exec_strips_box(l, &prep, &tile, &mut acc);
     }
 }
 
@@ -1279,15 +948,16 @@ fn eval_point_mixed(
 // compiled op executes over a strip of `W` contiguous innermost-loop
 // points at once. Dispatch cost is amortized `W`-fold and every per-op
 // inner loop is a fixed-trip-count `f32` loop over `[f32; W]` lane
-// registers that LLVM autovectorizes. Lane arithmetic is performed in
-// the identical order and rounding as the scalar interpreter (no FMA
-// contraction, no reassociation), so strip results are bitwise equal to
-// scalar results on every operator.
+// registers that LLVM autovectorizes. The scalar interpreter is the
+// same engine at `W = 1`. Lane arithmetic goes through the kernel
+// arithmetic of [`crate::arith`] (FTZ/DAZ, mul-then-add with two
+// roundings, no reassociation), so results are bitwise equal at every
+// width and to the JIT.
 
 /// Uniform view over the executor's two buffer-binding styles: the
 /// single-threaded path binds whole buffers per stream, the threaded
 /// path binds shared read slices plus per-worker write slabs.
-trait StreamAccess {
+pub(crate) trait StreamAccess {
     /// `w` contiguous values of stream `s` starting at linear `idx`.
     fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32];
     /// Mutable run of stream `s` starting at linear `idx` (stores only
@@ -1296,7 +966,7 @@ trait StreamAccess {
 }
 
 /// Whole-buffer bindings (single-threaded path).
-struct FlatAccess<'a, 'b>(&'b mut [&'a mut [f32]]);
+pub(crate) struct FlatAccess<'a, 'b>(pub(crate) &'b mut [&'a mut [f32]]);
 
 impl StreamAccess for FlatAccess<'_, '_> {
     #[inline]
@@ -1310,7 +980,7 @@ impl StreamAccess for FlatAccess<'_, '_> {
 }
 
 /// Read-slice / write-slab bindings (threaded path). Written streams
-/// index relative to their slab offset, as in [`eval_point_mixed`].
+/// index relative to their slab offset.
 struct MixedAccess<'r, 'w, 'b> {
     reads: &'b [Option<&'r [f32]>],
     writes: &'b mut [Option<(&'w mut [f32], usize)>],
@@ -1332,13 +1002,197 @@ impl StreamAccess for MixedAccess<'_, '_, '_> {
     }
 }
 
+/// What the strip engine needs to know about one op beyond the op
+/// itself, resolved once per launch by [`prepare`].
+#[derive(Clone, Copy)]
+pub(crate) enum Prep {
+    /// The default: flushed arithmetic, pushes copied as they are.
+    Plain,
+    /// A push arithmetic consumes: apply the DAZ read here.
+    Flush,
+    /// An `Add` of two coarse values ([`arith::is_coarse`]): the sum
+    /// cannot be tiny, so it needs no flush.
+    Coarse,
+    /// The coefficient of a `LoadMul`/`LoadMulAdd`.
+    Coeff(arith::Coeff),
+    /// The coefficient of a `LoadMul`/`LoadMulAdd` whose plain product
+    /// is exact on every value the launch can load (see
+    /// [`arith::Coeff::plain_for`]).
+    Times(f32),
+    /// [`Prep::Times`] where every product is coarse too; a
+    /// `LoadMulAdd` into a coarse accumulator then needs no flush.
+    TimesCoarse(f32),
+}
+
+/// Resolve the per-op [`Prep`] table of one launch. With `scan` — the
+/// launch box and its bindings — streams the cluster only reads are
+/// scanned over the range the box loads, so ops on data that holds no
+/// subnormal and no operand of a tiny product skip those tests, and
+/// sums of coarse values skip the flush.
+pub(crate) fn prepare(l: &Launch<'_>, scan: Option<(&BoxNd, &impl StreamAccess)>) -> Vec<Prep> {
+    let cc = l.cc;
+    let smallest: Vec<Option<u32>> = match scan {
+        Some((bx, acc)) => (0..cc.streams.len())
+            .map(|s| smallest_loaded(l, bx, acc, s))
+            .collect(),
+        None => vec![None; cc.streams.len()],
+    };
+    let value = |src: CoeffSrc| src.value(&cc.consts, l.scalars, l.params);
+    // Whether each stack value and temp is coarse, op by op.
+    let mut stack: Vec<bool> = Vec::with_capacity(cc.max_stack);
+    let mut temps = vec![false; cc.num_temps];
+    let pop = |stack: &mut Vec<bool>| stack.pop().unwrap_or(false);
+    let daz = cc.daz_pushes();
+    let mut prep = Vec::with_capacity(cc.ops.len());
+    for (i, &op) in cc.ops.iter().enumerate() {
+        let flush = if daz[i] { Prep::Flush } else { Prep::Plain };
+        let p = match op {
+            Op::Const(_) | Op::Scalar(_) | Op::Param(_) => {
+                stack.push(arith::is_coarse(value(op.as_coeff().unwrap())));
+                flush
+            }
+            Op::Temp(k) => {
+                stack.push(temps[k as usize]);
+                flush
+            }
+            Op::SetTemp(k) => {
+                temps[k as usize] = pop(&mut stack);
+                Prep::Plain
+            }
+            Op::Load { stream, .. } => {
+                let m = smallest[stream as usize];
+                stack.push(m.is_some_and(|m| arith::is_coarse(f32::from_bits(m))));
+                match m {
+                    Some(m) if arith::normal_or_zero(m) => Prep::Plain,
+                    _ => flush,
+                }
+            }
+            Op::Store { .. } => {
+                pop(&mut stack);
+                Prep::Plain
+            }
+            Op::Add => {
+                let coarse = pop(&mut stack) & pop(&mut stack);
+                stack.push(coarse);
+                if coarse {
+                    Prep::Coarse
+                } else {
+                    Prep::Plain
+                }
+            }
+            Op::Pow(1) => Prep::Plain,
+            Op::LoadMul { coeff, stream, .. } | Op::LoadMulAdd { coeff, stream, .. } => {
+                // Accumulating into a value that is not coarse.
+                let fine_acc = matches!(op, Op::LoadMulAdd { .. }) && !pop(&mut stack);
+                let k = arith::Coeff::new(value(coeff));
+                let m = smallest[stream as usize];
+                let p = match m.and_then(|m| k.plain_for(m)) {
+                    Some(c) if arith::is_coarse(c.abs() * f32::from_bits(m.unwrap())) => {
+                        Prep::TimesCoarse(c)
+                    }
+                    Some(c) => Prep::Times(c),
+                    None => Prep::Coeff(k),
+                };
+                stack.push(matches!(p, Prep::TimesCoarse(_)) && !fine_acc);
+                match p {
+                    Prep::TimesCoarse(c) if fine_acc => Prep::Times(c),
+                    p => p,
+                }
+            }
+            // Products of computed values and elementary functions.
+            _ => {
+                for _ in 0..op.stack_effect().unsigned_abs() + 1 {
+                    pop(&mut stack);
+                }
+                stack.push(false);
+                Prep::Plain
+            }
+        };
+        prep.push(p);
+    }
+    prep
+}
+
+/// [`arith::smallest_nonzero_bits`] over the range of stream `s` a
+/// launch over `bx` loads from; `None` for streams the cluster writes
+/// (their values change during the launch) and where that range is
+/// much longer than the box, so the scan never costs more than a
+/// fraction of the launch.
+fn smallest_loaded(l: &Launch<'_>, bx: &BoxNd, acc: &impl StreamAccess, s: usize) -> Option<u32> {
+    let cc = l.cc;
+    let points = box_len(bx);
+    if cc.written[s] || points == 0 {
+        return None;
+    }
+    let offsets = cc.ops.iter().filter_map(|op| match *op {
+        Op::Load { stream, off }
+        | Op::LoadMul { stream, off, .. }
+        | Op::LoadMulAdd { stream, off, .. }
+            if stream as usize == s =>
+        {
+            Some(l.resolved[off as usize])
+        }
+        _ => None,
+    });
+    let (lo, hi) = offsets.fold(None, |r: Option<(isize, isize)>, o| match r {
+        None => Some((o, o)),
+        Some((lo, hi)) => Some((lo.min(o), hi.max(o))),
+    })?;
+    let corner = |at: &dyn Fn(&std::ops::Range<usize>) -> usize| {
+        bx.iter()
+            .zip(&l.strides[s])
+            .map(|(r, st)| (at(r) + l.halos[s]) * st)
+            .sum::<usize>() as isize
+    };
+    let start = corner(&|r| r.start) + lo;
+    let len = (corner(&|r| r.end - 1) + hi + 1 - start) as usize;
+    if len > 8 * points {
+        return None;
+    }
+    Some(arith::smallest_nonzero_bits(acc.load_run(
+        s,
+        start as usize,
+        len,
+    )))
+}
+
+/// `c · x` for each lane of `src`, handed to `put`: the plain product
+/// where the launch proved it exact, the masked one otherwise.
+#[inline(always)]
+fn scaled_lanes<const W: usize>(prep: Prep, src: &[f32], mut put: impl FnMut(usize, f32)) {
+    match prep {
+        Prep::Times(c) | Prep::TimesCoarse(c) => {
+            for l in 0..W {
+                put(l, c * src[l]);
+            }
+        }
+        Prep::Coeff(k) => {
+            for l in 0..W {
+                put(l, k.times(src[l]));
+            }
+        }
+        _ => unreachable!("fused op without a prepared coefficient"),
+    }
+}
+
+/// Flush `lanes` in place when `prep` asks for the DAZ read.
+#[inline(always)]
+fn daz_lanes(prep: Prep, lanes: &mut [f32]) {
+    if let Prep::Flush = prep {
+        for v in lanes {
+            *v = arith::flush(*v);
+        }
+    }
+}
+
 /// Execute the compiled body once over `W` contiguous innermost points.
 /// `bases[s]` is the linear index of lane 0 in stream `s`; lanes `l`
 /// live at `bases[s] + l` (innermost stride is 1 for every stream).
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-#[inline]
-fn eval_strip<const W: usize>(
+#[inline(always)]
+pub(crate) fn eval_strip<const W: usize>(
     cc: &CompiledCluster,
+    prep: &[Prep],
     acc: &mut impl StreamAccess,
     bases: &[usize],
     resolved: &[isize],
@@ -1347,33 +1201,40 @@ fn eval_strip<const W: usize>(
     temps: &mut [[f32; W]],
     stack: &mut [[f32; W]],
 ) {
+    // Invariant pushes, flushed once per strip when arithmetic reads them.
+    let splat = |i: usize, v: f32| match prep[i] {
+        Prep::Flush => [arith::flush(v); W],
+        _ => [v; W],
+    };
     let mut sp = 0usize;
-    for op in &cc.ops {
+    for (i, op) in cc.ops.iter().enumerate() {
         match *op {
-            Op::Const(i) => {
-                stack[sp] = [cc.consts[i as usize]; W];
+            Op::Const(k) => {
+                stack[sp] = splat(i, cc.consts[k as usize]);
                 sp += 1;
             }
-            Op::Scalar(i) => {
-                stack[sp] = [scalars[i as usize]; W];
+            Op::Scalar(k) => {
+                stack[sp] = splat(i, scalars[k as usize]);
                 sp += 1;
             }
-            Op::Param(i) => {
-                stack[sp] = [params[i as usize]; W];
+            Op::Param(k) => {
+                stack[sp] = splat(i, params[k as usize]);
                 sp += 1;
             }
-            Op::Temp(i) => {
-                stack[sp] = temps[i as usize];
+            Op::Temp(k) => {
+                stack[sp] = temps[k as usize];
+                daz_lanes(prep[i], &mut stack[sp]);
                 sp += 1;
             }
-            Op::SetTemp(i) => {
+            Op::SetTemp(k) => {
                 sp -= 1;
-                temps[i as usize] = stack[sp];
+                temps[k as usize] = stack[sp];
             }
             Op::Load { stream, off } => {
                 let s = stream as usize;
                 let idx = (bases[s] as isize + resolved[off as usize]) as usize;
                 stack[sp].copy_from_slice(acc.load_run(s, idx, W));
+                daz_lanes(prep[i], &mut stack[sp]);
                 sp += 1;
             }
             Op::Store { stream } => {
@@ -1384,170 +1245,93 @@ fn eval_strip<const W: usize>(
             Op::Add => {
                 sp -= 1;
                 let (lo, hi) = stack.split_at_mut(sp);
-                for l in 0..W {
-                    lo[sp - 1][l] += hi[0][l];
+                if let Prep::Coarse = prep[i] {
+                    for l in 0..W {
+                        lo[sp - 1][l] += hi[0][l];
+                    }
+                } else {
+                    for l in 0..W {
+                        lo[sp - 1][l] = arith::add_flushed(lo[sp - 1][l], hi[0][l]);
+                    }
                 }
             }
             Op::Mul => {
                 sp -= 1;
                 let (lo, hi) = stack.split_at_mut(sp);
                 for l in 0..W {
-                    lo[sp - 1][l] *= hi[0][l];
+                    lo[sp - 1][l] = arith::mul_flushed(lo[sp - 1][l], hi[0][l]);
                 }
             }
             Op::Pow(n) => {
                 for v in stack[sp - 1].iter_mut() {
-                    *v = powi(*v, n);
+                    *v = arith::powi(*v, n);
                 }
             }
             Op::Call(fx) => {
                 for v in stack[sp - 1].iter_mut() {
-                    *v = fx.apply_f32(*v);
+                    *v = arith::call(fx, *v);
                 }
             }
             Op::MulAdd => {
                 sp -= 2;
                 let (lo, hi) = stack.split_at_mut(sp);
                 for l in 0..W {
-                    lo[sp - 1][l] += hi[0][l] * hi[1][l];
+                    let p = arith::mul_flushed(hi[0][l], hi[1][l]);
+                    lo[sp - 1][l] = arith::add_flushed(lo[sp - 1][l], p);
                 }
             }
-            Op::LoadMul { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
+            Op::LoadMul { stream, off, .. } => {
                 let s = stream as usize;
                 let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                let src = acc.load_run(s, idx, W);
-                for l in 0..W {
-                    stack[sp][l] = c * src[l];
+                let top = &mut stack[sp];
+                scaled_lanes::<W>(prep[i], acc.load_run(s, idx, W), |l, p| top[l] = p);
+                sp += 1;
+            }
+            Op::LoadMulAdd { stream, off, .. } => {
+                let s = stream as usize;
+                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
+                let (top, src) = (&mut stack[sp - 1], acc.load_run(s, idx, W));
+                match prep[i] {
+                    // Coarse accumulator plus coarse products: exact as is.
+                    Prep::TimesCoarse(c) => {
+                        for l in 0..W {
+                            top[l] += c * src[l];
+                        }
+                    }
+                    p => scaled_lanes::<W>(p, src, |l, v| top[l] = arith::add_flushed(top[l], v)),
                 }
-                sp += 1;
-            }
-            Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                let src = acc.load_run(s, idx, W);
-                for l in 0..W {
-                    stack[sp - 1][l] += c * src[l];
-                }
-            }
-        }
-    }
-}
-
-/// Scalar single-point evaluation through a [`StreamAccess`] — the
-/// remainder path when the inner extent is not a multiple of the strip
-/// width. Identical arithmetic to [`eval_point_fast`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn eval_point_access(
-    cc: &CompiledCluster,
-    acc: &mut impl StreamAccess,
-    bases: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    temps: &mut [f32],
-    stack: &mut [f32],
-) {
-    let mut sp = 0usize;
-    for op in &cc.ops {
-        match *op {
-            Op::Const(i) => {
-                stack[sp] = cc.consts[i as usize];
-                sp += 1;
-            }
-            Op::Scalar(i) => {
-                stack[sp] = scalars[i as usize];
-                sp += 1;
-            }
-            Op::Param(i) => {
-                stack[sp] = params[i as usize];
-                sp += 1;
-            }
-            Op::Temp(i) => {
-                stack[sp] = temps[i as usize];
-                sp += 1;
-            }
-            Op::SetTemp(i) => {
-                sp -= 1;
-                temps[i as usize] = stack[sp];
-            }
-            Op::Load { stream, off } => {
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp] = acc.load_run(s, idx, 1)[0];
-                sp += 1;
-            }
-            Op::Store { stream } => {
-                sp -= 1;
-                let s = stream as usize;
-                acc.store_run(s, bases[s], 1)[0] = stack[sp];
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Pow(n) => {
-                stack[sp - 1] = powi(stack[sp - 1], n);
-            }
-            Op::Call(fx) => {
-                stack[sp - 1] = fx.apply_f32(stack[sp - 1]);
-            }
-            Op::MulAdd => {
-                sp -= 2;
-                stack[sp - 1] += stack[sp] * stack[sp + 1];
-            }
-            Op::LoadMul { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp] = c * acc.load_run(s, idx, 1)[0];
-                sp += 1;
-            }
-            Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff.value(&cc.consts, scalars, params);
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp - 1] += c * acc.load_run(s, idx, 1)[0];
             }
         }
     }
 }
 
 /// Strip-execute a whole box: odometer over the outer dims, strips of
-/// `W` along the contiguous innermost dim, scalar remainder at each
-/// row's tail. Monomorphized per supported width by
+/// `W` along the contiguous innermost dim, single points (`W = 1`) at
+/// each row's tail. Monomorphized per supported width by
 /// [`exec_strips_box`]'s dispatch.
-#[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn exec_strips_box_w<const W: usize>(
-    cc: &CompiledCluster,
+    l: &Launch<'_>,
+    prep: &[Prep],
     bx: &BoxNd,
     acc: &mut impl StreamAccess,
-    strides: &[Vec<usize>],
-    halos: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
 ) {
     let nd = bx.len();
     if bx.iter().any(|r| r.is_empty()) {
         return;
     }
+    let (cc, strides, halos) = (l.cc, l.strides, l.halos);
+    let (resolved, scalars, params) = (l.resolved, l.scalars, l.params);
     let nstreams = cc.streams.len();
     let inner = bx[nd - 1].clone();
     let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
     let mut bases = vec![0usize; nstreams];
     // Lane registers (SoA: one [f32; W] per stack slot / temp), plus the
-    // scalar registers for the per-row remainder points.
+    // one-lane registers for the per-row remainder points.
     let mut temps = vec![[0.0f32; W]; cc.num_temps];
     let mut stack = vec![[0.0f32; W]; cc.max_stack.max(4)];
-    let mut stemps = vec![0.0f32; cc.num_temps];
-    let mut sstack = vec![0.0f32; cc.max_stack.max(4)];
+    let mut stemps = vec![[0.0f32; 1]; cc.num_temps];
+    let mut sstack = vec![[0.0f32; 1]; cc.max_stack.max(4)];
     loop {
         for s in 0..nstreams {
             let mut base = 0usize;
@@ -1561,7 +1345,7 @@ fn exec_strips_box_w<const W: usize>(
         let mut i = 0;
         while i + W <= n {
             eval_strip::<W>(
-                cc, acc, &bases, resolved, scalars, params, &mut temps, &mut stack,
+                cc, prep, acc, &bases, resolved, scalars, params, &mut temps, &mut stack,
             );
             for b in bases.iter_mut() {
                 *b += W;
@@ -1569,8 +1353,9 @@ fn exec_strips_box_w<const W: usize>(
             i += W;
         }
         while i < n {
-            eval_point_access(
+            eval_strip::<1>(
                 cc,
+                prep,
                 acc,
                 &bases,
                 resolved,
@@ -1603,23 +1388,43 @@ fn exec_strips_box_w<const W: usize>(
     }
 }
 
-/// Runtime-width dispatch into the monomorphized strip engines.
-#[allow(clippy::too_many_arguments)]
-fn exec_strips_box(
-    vw: usize,
-    cc: &CompiledCluster,
+/// Runtime-width dispatch into the monomorphized strip engines; widths
+/// 0 and 1 select the scalar interpreter. Hosts with AVX2 run an AVX2
+/// build of the engines: the FTZ/DAZ masks of [`crate::arith`] cost a
+/// measurable share of interpreter time at SSE2's 4-wide lanes.
+fn exec_strips_box(l: &Launch<'_>, prep: &[Prep], bx: &BoxNd, acc: &mut impl StreamAccess) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected on this host.
+        return unsafe { exec_strips_box_avx2(l, prep, bx, acc) };
+    }
+    exec_strips_box_any(l, prep, bx, acc)
+}
+
+/// [`exec_strips_box`] compiled for AVX2: the same code, so the same
+/// IEEE results, in 8-wide registers with three-operand forms.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exec_strips_box_avx2(
+    l: &Launch<'_>,
+    prep: &[Prep],
     bx: &BoxNd,
     acc: &mut impl StreamAccess,
-    strides: &[Vec<usize>],
-    halos: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
 ) {
-    match vw {
-        8 => exec_strips_box_w::<8>(cc, bx, acc, strides, halos, resolved, scalars, params),
-        16 => exec_strips_box_w::<16>(cc, bx, acc, strides, halos, resolved, scalars, params),
-        32 => exec_strips_box_w::<32>(cc, bx, acc, strides, halos, resolved, scalars, params),
+    exec_strips_box_any(l, prep, bx, acc)
+}
+
+#[inline(always)]
+fn exec_strips_box_any(l: &Launch<'_>, prep: &[Prep], bx: &BoxNd, acc: &mut impl StreamAccess) {
+    match l.vw {
+        0 | 1 => exec_strips_box_w::<1>(l, prep, bx, acc),
+        8 => exec_strips_box_w::<8>(l, prep, bx, acc),
+        16 => exec_strips_box_w::<16>(l, prep, bx, acc),
+        32 => exec_strips_box_w::<32>(l, prep, bx, acc),
         other => unreachable!("unsupported vector width {other} (validated earlier)"),
     }
 }

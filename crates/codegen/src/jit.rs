@@ -3,7 +3,9 @@
 //!
 //! The generated function mirrors the strip interpreter exactly — an
 //! 8-lane vector loop plus a scalar tail, evaluating the same ops in
-//! the same order with the same mul-then-add rounding (no FMA) — so its
+//! the same order with the same mul-then-add rounding (no FMA) under the
+//! same flush-to-zero arithmetic ([`crate::arith`]: the hardware's
+//! MXCSR FTZ|DAZ mode here, its emulation in the interpreter) — so its
 //! results are bitwise identical to the bytecode oracle on every input.
 //! That is a *structural* property: each bytecode op maps to a fixed
 //! AVX sequence whose lane arithmetic is the IEEE operation the
@@ -19,15 +21,17 @@
 //!
 //! ```text
 //! rdi = &RowArgs { streams: *const *mut f32, n: u64,
-//!                  bank: *const f32, temps: *mut f32 }
+//!                  bank: *const f32, temps: *mut f32,
+//!                  saved_csr: u64, kernel_csr: u64 }
 //!
-//! prologue: rsi=streams rdx=n r8=bank r9=temps
+//! prologue: saved_csr = MXCSR; MXCSR = saved_csr | FTZ | DAZ
+//!           rsi=streams rdx=n r8=bank r9=temps
 //!           r10/r11 = two hottest stream pointers
 //!           ymm15 = bank[0] (1.0, when Pow ops need it)
 //!           rcx = 0
 //! vec:      while rcx+8 <= n: 8-wide body, rcx += 8
 //! tail:     while rcx < n: scalar body (ss ops), rcx += 1
-//!           vzeroupper; ret
+//!           MXCSR = saved_csr; vzeroupper; ret
 //! ```
 //!
 //! The *bank* is `[1.0, consts…, scalars…, params…]` — every
@@ -52,6 +56,7 @@ use mpix_dmp::regions::BoxNd;
 use mpix_ir::iet::Node;
 use mpix_symbolic::Context;
 
+use crate::arith;
 use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch, Lowering};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 
@@ -74,13 +79,18 @@ const SCRATCH: Ymm = Ymm(12);
 const ONE: Ymm = Ymm(15);
 
 /// Arguments for one generated row call. Field order is baked into the
-/// generated prologue — keep in sync with `emit_prologue`.
+/// generated prologue — keep in sync with `codegen_row_fn`.
 #[repr(C)]
 struct RowArgs {
     streams: *const *mut f32,
     n: u64,
     bank: *const f32,
     temps: *mut f32,
+    /// Scratch for the MXCSR switch: the prologue stores the caller's
+    /// MXCSR in the low half of `saved_csr` and the kernel's (caller's
+    /// | FTZ | DAZ) in `kernel_csr`; the epilogue reloads `saved_csr`.
+    saved_csr: u64,
+    kernel_csr: u64,
 }
 
 /// What the structural analysis of a cluster decided.
@@ -299,31 +309,9 @@ fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut 
     // 8-lane memory slots for temporaries (the scalar tail uses lane 0).
     let mut temps = vec![0.0f32; cc.num_temps * 8];
 
-    let tiles: Vec<BoxNd> = if l.block > 0 && nd >= 2 {
-        let mut v = Vec::new();
-        let (r0, r1) = (bx[0].clone(), bx[1].clone());
-        let mut x0 = r0.start;
-        while x0 < r0.end {
-            let x1 = (x0 + l.block).min(r0.end);
-            let mut y0 = r1.start;
-            while y0 < r1.end {
-                let y1 = (y0 + l.block).min(r1.end);
-                let mut t = bx.clone();
-                t[0] = x0..x1;
-                t[1] = y0..y1;
-                v.push(t);
-                y0 = y1;
-            }
-            x0 = x1;
-        }
-        v
-    } else {
-        vec![bx.clone()]
-    };
-
     let nstreams = cc.streams.len();
     let mut streams = vec![std::ptr::null_mut::<f32>(); nstreams];
-    for tile in tiles {
+    for tile in crate::executor::tiles(bx, l.block) {
         if tile.iter().any(|r| r.is_empty()) {
             continue;
         }
@@ -344,6 +332,8 @@ fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut 
                 n,
                 bank: bank.as_ptr(),
                 temps: temps.as_mut_ptr(),
+                saved_csr: 0,
+                kernel_csr: 0,
             };
             // SAFETY: the generated function implements the
             // `extern "C" fn(*mut u8)` row ABI; every address it forms
@@ -388,7 +378,14 @@ fn codegen_row_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> O
         i32::try_from(r.checked_mul(4)?).ok()?;
     }
     let mut a = Asm::new();
-    // Prologue — must match the `RowArgs` field order.
+    // Prologue — must match the `RowArgs` field order. First switch to
+    // the kernel arithmetic (FTZ|DAZ, see `crate::arith`); `rdi` stays
+    // live to the epilogue, which restores the caller's MXCSR.
+    a.stmxcsr(Reg::Rdi, 32); // saved_csr
+    a.mov_r_m(Reg::Rax, Reg::Rdi, 32);
+    a.or_r_imm(Reg::Rax, arith::MXCSR_FTZ_DAZ as i32);
+    a.mov_m_r(Reg::Rdi, 40, Reg::Rax); // kernel_csr
+    a.ldmxcsr(Reg::Rdi, 40);
     a.mov_r_m(Reg::Rsi, Reg::Rdi, 0); // streams
     a.mov_r_m(Reg::Rdx, Reg::Rdi, 8); // n
     a.mov_r_m(Reg::R8, Reg::Rdi, 16); // bank
@@ -424,6 +421,7 @@ fn codegen_row_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> O
     a.jmp(tail);
 
     a.bind(done);
+    a.ldmxcsr(Reg::Rdi, 32);
     a.vzeroupper();
     a.ret();
     Some(a)

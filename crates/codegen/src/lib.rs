@@ -15,6 +15,9 @@
 //! * [`jit`] — lowers the same compiled clusters to native x86-64 AVX
 //!   machine code at runtime (the paper's JIT compilation step made
 //!   real), bitwise-equivalent to the bytecode engine by construction.
+//! * [`arith`] — the FTZ/DAZ kernel arithmetic every backend
+//!   implements (hardware mode in the JIT, emulated in the
+//!   interpreter).
 //! * [`executor`] — runs the lowered IET on a rank: rotating time
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
@@ -29,6 +32,7 @@
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::manual_is_multiple_of)]
 
+pub mod arith;
 pub mod backend;
 pub mod bytecode;
 pub mod cgen;

@@ -11,8 +11,9 @@
 //!   RBP/R12-class registers.
 //! * Vector instructions always use the 3-byte `C4` VEX prefix, 256-bit
 //!   (`L=1`) for the packed `ps` forms and `L=0` for the scalar `ss`
-//!   forms. No legacy-SSE encodings are emitted, so `vzeroupper` before
-//!   `ret` is the only transition-penalty concern.
+//!   forms. No legacy-SSE register ops are emitted (`stmxcsr`/`ldmxcsr`
+//!   touch only MXCSR), so `vzeroupper` before `ret` is the only
+//!   transition-penalty concern.
 //! * Three-operand AVX ops follow the VEX convention
 //!   `op dst, src1, src2/mem`: `dst` in ModRM.reg, `src1` in `vvvv`,
 //!   `src2` in ModRM.rm.
@@ -217,6 +218,13 @@ impl Asm {
         self.modrm_rr(dst.num(), src.num());
     }
 
+    /// `mov qword [base + disp], src`.
+    pub fn mov_m_r(&mut self, base: Reg, disp: i32, src: Reg) {
+        self.rex_w(src.num(), 0, base.num());
+        self.code.push(0x89);
+        self.mem(src.num(), base.num(), None, disp);
+    }
+
     /// `lea dst, [base + disp]`.
     pub fn lea(&mut self, dst: Reg, base: Reg, disp: i32) {
         self.rex_w(dst.num(), 0, base.num());
@@ -229,6 +237,14 @@ impl Asm {
         self.rex_w(0, 0, reg.num());
         self.code.push(0x81);
         self.modrm_rr(0, reg.num());
+        self.code.extend_from_slice(&imm.to_le_bytes());
+    }
+
+    /// `or reg, imm32` (sign-extended).
+    pub fn or_r_imm(&mut self, reg: Reg, imm: i32) {
+        self.rex_w(0, 0, reg.num());
+        self.code.push(0x81);
+        self.modrm_rr(1, reg.num());
         self.code.extend_from_slice(&imm.to_le_bytes());
     }
 
@@ -251,6 +267,29 @@ impl Asm {
         self.rex_w(reg.num(), 0, reg.num());
         self.code.push(0x31);
         self.modrm_rr(reg.num(), reg.num());
+    }
+
+    // ---- MXCSR ------------------------------------------------------
+
+    /// `stmxcsr dword [base + disp]` — store the SSE/AVX control and
+    /// status register.
+    pub fn stmxcsr(&mut self, base: Reg, disp: i32) {
+        self.mxcsr_op(3, base, disp);
+    }
+
+    /// `ldmxcsr dword [base + disp]` — load the SSE/AVX control and
+    /// status register.
+    pub fn ldmxcsr(&mut self, base: Reg, disp: i32) {
+        self.mxcsr_op(2, base, disp);
+    }
+
+    /// `0F AE /ext` with a memory operand (REX.B only for r8–r15).
+    fn mxcsr_op(&mut self, ext: u8, base: Reg, disp: i32) {
+        if base.num() >= 8 {
+            self.code.push(0x41);
+        }
+        self.code.extend_from_slice(&[0x0F, 0xAE]);
+        self.mem(ext, base.num(), None, disp);
     }
 
     // ---- AVX: moves and broadcast -----------------------------------
@@ -442,6 +481,30 @@ mod tests {
         let mut a = Asm::new();
         a.mov_r_m(Reg::Rdx, Reg::Rdi, 24);
         assert_eq!(a.finish(), vec![0x48, 0x8B, 0x94, 0x27, 24, 0, 0, 0]);
+
+        // stmxcsr [rdi + 32] ; ldmxcsr [r9 + 40]
+        let mut a = Asm::new();
+        a.stmxcsr(Reg::Rdi, 32);
+        a.ldmxcsr(Reg::R9, 40);
+        assert_eq!(
+            a.finish(),
+            vec![
+                0x0F, 0xAE, 0x9C, 0x27, 32, 0, 0, 0, //
+                0x41, 0x0F, 0xAE, 0x94, 0x21, 40, 0, 0, 0,
+            ]
+        );
+
+        // or rax, 0x8040 ; mov [rdi + 40], rax
+        let mut a = Asm::new();
+        a.or_r_imm(Reg::Rax, 0x8040);
+        a.mov_m_r(Reg::Rdi, 40, Reg::Rax);
+        assert_eq!(
+            a.finish(),
+            vec![
+                0x48, 0x81, 0xC8, 0x40, 0x80, 0, 0, //
+                0x48, 0x89, 0x84, 0x27, 40, 0, 0, 0,
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`asm::Asm`] — instruction builder: GP moves/arithmetic, rel32
 //!   branches with labels, and the 256-bit/scalar AVX ops a
 //!   finite-difference kernel body needs (`vmovups`, `vbroadcastss`,
-//!   `vaddps`/`vmulps`/`vdivps` and their `ss` forms).
+//!   `vaddps`/`vmulps`/`vdivps` and their `ss` forms), plus
+//!   `stmxcsr`/`ldmxcsr` to switch the rounding/flush mode.
 //! * [`memory::ExecMem`] — `mmap`(RW) → copy → `mprotect`(RX) via raw
 //!   syscalls (no libc dependency), unmapped on drop.
 //! * [`CompiledModule`] — a finalized function: owns its executable

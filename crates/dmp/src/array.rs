@@ -161,17 +161,19 @@ impl DistArray {
     /// only its share (Listing 2). Requires no communication.
     pub fn fill_global_slice(&mut self, ranges: &[Range<usize>], value: f32) {
         if let Some(local_box) = self.local_intersection(ranges) {
-            let halo = self.halo;
-            let padded: BoxNd = local_box
-                .iter()
-                .map(|r| r.start + halo..r.end + halo)
-                .collect();
-            // Collect offsets first: for_each_index borrows self immutably.
-            let mut offsets = Vec::with_capacity(box_len(&padded));
-            for_each_index(&padded, |idx| offsets.push(self.lin(idx)));
-            for off in offsets {
-                self.data[off] = value;
-            }
+            // One contiguous padded row per outer index.
+            let nd = local_box.len();
+            let inner = local_box[nd - 1].clone();
+            let (halo, strides, data) = (self.halo, &self.strides, &mut self.data);
+            for_each_index(&local_box[..nd - 1].to_vec(), |outer| {
+                let row: usize = outer
+                    .iter()
+                    .chain([&inner.start])
+                    .zip(strides)
+                    .map(|(&i, &s)| (i + halo) * s)
+                    .sum();
+                data[row..row + inner.len()].fill(value);
+            });
         }
     }
 

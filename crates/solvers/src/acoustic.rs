@@ -95,6 +95,32 @@ mod tests {
     }
 
     #[test]
+    fn material_fills_match_the_profile_on_every_rank() {
+        let spec = ModelSpec::new(&[10, 9, 8]).with_nbl(2);
+        let op = operator(&spec, 4);
+        let opts = ApplyOptions::default().with_dt(spec.stable_dt(0.4));
+        let s2 = spec.clone();
+        let out = op.run(
+            &opts.with_ranks(4),
+            move |ws| init_workspace(&s2, ws),
+            |ws| (ws.gather("damp"), ws.gather("m")),
+        );
+        let (damp, m) = &out.results[0];
+        let shape = spec.padded_shape();
+        let mut i = 0;
+        for x in 0..shape[0] {
+            for y in 0..shape[1] {
+                for z in 0..shape[2] {
+                    let want = spec.damping_at(&[x, y, z]) as f32;
+                    assert_eq!(damp[i].to_bits(), want.to_bits(), "damp at {x},{y},{z}");
+                    assert_eq!(m[i], spec.m() as f32);
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
     fn serial_vs_distributed_equivalence_3d() {
         let spec = ModelSpec::new(&[10, 9, 8]).with_nbl(2);
         let op = operator(&spec, 4);

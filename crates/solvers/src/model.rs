@@ -5,7 +5,10 @@
 //! 40-point absorbing boundary condition (ABC) layer; we mirror that
 //! with a configurable `nbl` and the standard quadratic damping profile.
 
+use std::ops::Range;
+
 use mpix_core::Workspace;
+use mpix_dmp::regions::for_each_index;
 use mpix_symbolic::Grid;
 
 /// A model specification: interior shape, boundary layer, velocities.
@@ -114,32 +117,31 @@ impl ModelSpec {
             .fill_global_slice(&ranges, value as f32);
     }
 
-    /// Fill the damping field from the ABC profile.
+    /// Fill the damping field from the ABC profile over this rank's
+    /// owned region, one contiguous inner row at a time.
     pub fn fill_damping(&self, ws: &mut Workspace, name: &str) {
-        let shape = self.padded_shape();
-        // Iterate only this rank's owned region via global indices.
         let arr = ws.field_data_mut(name, 0);
-        let nd = shape.len();
-        let decomp = arr.decomp().clone();
-        let coords = arr.coords().to_vec();
-        let ranges: Vec<std::ops::Range<usize>> =
-            (0..nd).map(|d| decomp.owned_range(d, coords[d])).collect();
-        let mut idx: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        loop {
-            arr.set_global(&idx, self.damping_at(&idx) as f32);
-            let mut d = nd;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < ranges[d].end {
-                    break;
-                }
-                idx[d] = ranges[d].start;
+        let nd = arr.padded_shape().len();
+        let halo = arr.halo();
+        let strides = arr.strides().to_vec();
+        let owned: Vec<Range<usize>> = (0..nd)
+            .map(|d| arr.decomp().owned_range(d, arr.coords()[d]))
+            .collect();
+        let inner = owned[nd - 1].clone();
+        let data = arr.raw_mut();
+        let mut idx = vec![0usize; nd];
+        for_each_index(&owned[..nd - 1].to_vec(), |outer| {
+            let mut row = halo * strides[nd - 1];
+            for d in 0..nd - 1 {
+                idx[d] = outer[d];
+                row += (outer[d] - owned[d].start + halo) * strides[d];
             }
-        }
+            let row = &mut data[row..row + inner.len()];
+            for (v, i) in row.iter_mut().zip(inner.clone()) {
+                idx[nd - 1] = i;
+                *v = self.damping_at(&idx) as f32;
+            }
+        });
     }
 
     /// Physical coordinates of the padded-domain centre (source
