@@ -36,8 +36,6 @@ pub const MXCSR_FTZ_DAZ: u32 = 0x8040;
 const SIGN: u32 = 0x8000_0000;
 /// Bit pattern of `f32::MIN_POSITIVE` (2⁻¹²⁶).
 const MIN_NORMAL_BITS: u32 = 0x0080_0000;
-/// Bit pattern of 2⁻¹⁰⁰, the smallest coarse magnitude ([`is_coarse`]).
-const COARSE_MIN_BITS: u32 = 0x0D80_0000;
 /// 2²⁴: lifts a tiny product or quotient into the normal range.
 const SCALE: f32 = 16_777_216.0;
 /// Bit pattern of `f32::MIN_POSITIVE · SCALE` = 2⁻¹⁰².
@@ -149,45 +147,11 @@ impl Coeff {
         }
     }
 
-    /// The coefficient itself when the plain product `c · x` is already
-    /// exact for every operand whose magnitude bits are at least
-    /// `smallest` (see [`smallest_nonzero_bits`]): no such operand is
-    /// subnormal or makes a tiny product.
-    pub fn plain_for(self, smallest: u32) -> Option<f32> {
-        (smallest >= self.min_x).then_some(self.c)
-    }
-
     /// `c · x` under FTZ/DAZ, bitwise equal to [`mul`]`(c, x)`.
     #[inline(always)]
     pub fn times(self, x: f32) -> f32 {
         self.c * zero_below(x, x, self.min_x)
     }
-}
-
-/// Magnitude bits of the smallest nonzero value in `xs`, subnormals
-/// included (`+∞`'s bits when every value is zero). Every value of `xs`
-/// is zero or at least this large, which lets a launch prove the DAZ
-/// read and the coefficient tininess test no-ops on data it only reads.
-pub fn smallest_nonzero_bits(xs: &[f32]) -> u32 {
-    // Zero maps to u32::MAX, so the minimum picks the smallest nonzero.
-    match xs.iter().map(|&x| mag_bits(x).wrapping_sub(1)).min() {
-        Some(m) if m != u32::MAX => m + 1,
-        _ => f32::INFINITY.to_bits(),
-    }
-}
-
-/// Whether `x` is *coarse*: zero or at least 2⁻¹⁰⁰ in magnitude (or not
-/// finite). Finite coarse values lie on the 2⁻¹²³ grid, and a rounded
-/// sum of grid values stays on it, so a sum of coarse values — and of
-/// such sums — is never tiny and its flush is a no-op.
-pub fn is_coarse(x: f32) -> bool {
-    x == 0.0 || mag_bits(x) >= COARSE_MIN_BITS
-}
-
-/// Whether values whose magnitude bits are at least `smallest` are free
-/// of subnormals.
-pub fn normal_or_zero(smallest: u32) -> bool {
-    smallest >= MIN_NORMAL_BITS
 }
 
 /// `v^n`, the `Pow` op: `v·v`, `1/v` and `1/(v·v)` for the exponents
@@ -325,28 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn smallest_nonzero_ignores_zeros() {
-        let inf = f32::INFINITY.to_bits();
-        assert_eq!(smallest_nonzero_bits(&[]), inf);
-        assert_eq!(smallest_nonzero_bits(&[0.0, -0.0]), inf);
-        assert_eq!(smallest_nonzero_bits(&[0.0, -3.0, 2.0]), 2f32.to_bits());
-        let sub = MIN * 0.5;
-        assert_eq!(smallest_nonzero_bits(&[1.0, -sub, 0.0]), sub.to_bits());
-        assert!(!normal_or_zero(smallest_nonzero_bits(&[1.0, sub])));
-        assert!(normal_or_zero(smallest_nonzero_bits(&[1.0, -MIN, 0.0])));
-        // A plain product is claimed exact only above the threshold.
-        let k = Coeff::new(0.5);
-        assert_eq!(k.plain_for(smallest_nonzero_bits(&[4.0 * MIN])), Some(0.5));
-        assert_eq!(k.plain_for(smallest_nonzero_bits(&[MIN])), None);
-    }
-
-    #[test]
     fn div_and_pow_flush() {
         assert_eq!(div(MIN, 2.0).to_bits(), 0);
         assert_eq!(div(1.0, MIN * 0.5), f32::INFINITY); // DAZ divisor
         assert_eq!(powi(MIN * 0.5, -1), f32::INFINITY);
         assert_eq!(powi(1e-20, 2).to_bits(), 0);
         assert_eq!(powi(1e-20, 3).to_bits(), 0);
+        assert_eq!(powi(3.0, 2), 9.0);
+        assert_eq!(powi(2.0, -1), 0.5);
+        assert_eq!(powi(2.0, -2), 0.25);
+        assert_eq!(powi(2.0, 3), 8.0);
         assert_eq!(powi(2.0, 5), 32.0);
         assert_eq!(powi(2.0, -3), 0.125);
         let sub = MIN * 0.25;

@@ -20,6 +20,7 @@ use mpix_symbolic::Context;
 
 use crate::bytecode::CompiledCluster;
 use crate::executor;
+use crate::interp::{self, Program};
 use crate::jit::JitLowering;
 
 /// An execution/emission backend for compiled clusters.
@@ -212,8 +213,15 @@ pub fn create_lowering(backend: Backend) -> Result<Box<dyn Lowering>, BackendErr
 /// across backends.
 pub struct BytecodeLowering;
 
-/// Interpreter kernel — delegates to the executor's strip engine.
-pub struct BytecodeKernel;
+/// Interpreter kernel: the cluster's register program ([`interp`]),
+/// translated once here and run by the strip engine.
+pub struct BytecodeKernel(Program);
+
+impl BytecodeKernel {
+    pub fn new(cc: &CompiledCluster) -> BytecodeKernel {
+        BytecodeKernel(Program::new(cc))
+    }
+}
 
 impl Lowering for BytecodeLowering {
     fn backend(&self) -> Backend {
@@ -224,14 +232,14 @@ impl Lowering for BytecodeLowering {
         bytecode_listing(iet)
     }
 
-    fn compile(&self, _cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
-        Box::new(BytecodeKernel)
+    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
+        Box::new(BytecodeKernel::new(cc))
     }
 }
 
 impl ClusterKernel for BytecodeKernel {
     fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-        executor::exec_box(l, bx, buffers);
+        interp::exec_box(&self.0, l, bx, buffers);
     }
 
     fn exec_box_mixed(
@@ -241,7 +249,7 @@ impl ClusterKernel for BytecodeKernel {
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
-        executor::exec_box_mixed(l, bx, reads, writes);
+        interp::exec_box_mixed(&self.0, l, bx, reads, writes);
     }
 }
 
@@ -285,8 +293,8 @@ impl Lowering for CLowering {
         crate::cgen::emit_c(iet, ctx)
     }
 
-    fn compile(&self, _cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
-        Box::new(BytecodeKernel)
+    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
+        Box::new(BytecodeKernel::new(cc))
     }
 }
 

@@ -624,12 +624,12 @@ pub fn compile_cluster(cl: &Cluster) -> CompiledCluster {
 
 /// Evaluate one point of a compiled cluster. `bases[slot]` is the linear
 /// index of the evaluation point in stream `slot`'s buffer;
-/// `resolved_offsets[k]` the linear delta of offset entry `k`.
+/// `resolved_offsets[k]` the linear delta of offset entry `k`; `temps`
+/// holds the temporaries' values before and after.
 ///
-/// The scalar reference entry point: the executor's strip engine at one
-/// lane, so it shares every op's kernel arithmetic ([`crate::arith`])
-/// with the interpreter paths the executor runs.
-#[allow(clippy::too_many_arguments)]
+/// The scalar reference entry point: the interpreter at one lane, so it
+/// shares every op's kernel arithmetic ([`crate::arith`]) with the
+/// interpreter paths the executor runs.
 pub fn eval_point(
     cc: &CompiledCluster,
     buffers: &mut [&mut [f32]],
@@ -638,7 +638,6 @@ pub fn eval_point(
     scalar_values: &[f32],
     param_values: &[f32],
     temps: &mut [f32],
-    stack: &mut [f32],
 ) {
     let launch = crate::backend::Launch {
         cc,
@@ -650,19 +649,8 @@ pub fn eval_point(
         block: 0,
         vw: 0,
     };
-    let mut acc = crate::executor::FlatAccess(buffers);
-    let prep = crate::executor::prepare(&launch, None::<(_, &crate::executor::FlatAccess)>);
-    crate::executor::eval_strip::<1>(
-        cc,
-        &prep,
-        &mut acc,
-        bases,
-        resolved_offsets,
-        scalar_values,
-        param_values,
-        temps.as_chunks_mut::<1>().0,
-        stack.as_chunks_mut::<1>().0,
-    );
+    let prog = crate::interp::Program::new(cc);
+    crate::interp::eval_point(&prog, &launch, buffers, bases, temps);
 }
 
 #[cfg(test)]
@@ -727,17 +715,7 @@ mod tests {
             bufs.push(&mut write);
             bufs.push(&mut read);
         }
-        let mut stack = [0.0f32; 16];
-        eval_point(
-            &cc,
-            &mut bufs,
-            &bases,
-            &resolved,
-            &[],
-            &[],
-            &mut [],
-            &mut stack,
-        );
+        eval_point(&cc, &mut bufs, &bases, &resolved, &[], &[], &mut []);
         let w = if read_slot == 0 { &bufs[1] } else { &bufs[0] };
         assert_eq!(w[3], 3.0);
     }
@@ -762,22 +740,12 @@ mod tests {
         let rs = cc.stream_slot(FieldId(0), 0).unwrap();
         let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
         let mut temps = vec![0.0f32; 1];
-        let mut stack = [0.0f32; 16];
         let mut bufs: Vec<&mut [f32]> = if rs == 0 {
             vec![&mut read, &mut write]
         } else {
             vec![&mut write, &mut read]
         };
-        eval_point(
-            &cc,
-            &mut bufs,
-            &[1, 1],
-            &resolved,
-            &[],
-            &[],
-            &mut temps,
-            &mut stack,
-        );
+        eval_point(&cc, &mut bufs, &[1, 1], &resolved, &[], &[], &mut temps);
         let w = if rs == 0 { &bufs[1] } else { &bufs[0] };
         assert_eq!(w[1], 12.0);
         assert_eq!(temps[0], 6.0);
@@ -823,22 +791,12 @@ mod tests {
         let rs = cc.stream_slot(FieldId(0), 0).unwrap();
         let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
         let mut temps = vec![0.0f32; cc.num_temps];
-        let mut stack = vec![0.0f32; cc.max_stack.max(4)];
         let mut bufs: Vec<&mut [f32]> = if rs == 0 {
             vec![&mut read, &mut write]
         } else {
             vec![&mut write, &mut read]
         };
-        eval_point(
-            cc,
-            &mut bufs,
-            &[at, at],
-            &resolved,
-            &[],
-            &[],
-            &mut temps,
-            &mut stack,
-        );
+        eval_point(cc, &mut bufs, &[at, at], &resolved, &[], &[], &mut temps);
         write[at]
     }
 

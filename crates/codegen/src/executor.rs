@@ -22,7 +22,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
 use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
-use crate::bytecode::{compile_cluster, fuse_cluster, CoeffSrc, CompiledCluster, Op};
+use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
 pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -774,18 +774,6 @@ pub(crate) fn tiles(bx: &BoxNd, block: usize) -> Vec<BoxNd> {
     v
 }
 
-/// Execute the compiled body over every point of `bx` (owned-local
-/// coordinates) with whole-buffer bindings, tile by tile. This is the
-/// bytecode backend's single-threaded entry point
-/// (`backend::BytecodeKernel` delegates here).
-pub(crate) fn exec_box(l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-    let mut acc = FlatAccess(buffers);
-    let prep = prepare(l, Some((bx, &acc)));
-    for tile in tiles(bx, l.block) {
-        exec_strips_box(l, &prep, &tile, &mut acc);
-    }
-}
-
 /// Threaded execution: split the outermost dimension across workers. The
 /// written buffers are *not* split (each worker re-binds the full
 /// buffers), so this function moves buffers into thread-disjoint slabs:
@@ -921,512 +909,6 @@ fn exec_box_threaded(
         }
     });
     let _ = nd;
-}
-
-/// Like [`exec_box`] but with per-stream read/write bindings (threaded
-/// path). Written streams index relative to their slab offset. This is
-/// the bytecode backend's split-binding entry point
-/// (`backend::BytecodeKernel` delegates here).
-pub(crate) fn exec_box_mixed(
-    l: &Launch<'_>,
-    bx: &BoxNd,
-    reads: &mut [Option<&[f32]>],
-    writes: &mut [Option<(&mut [f32], usize)>],
-) {
-    let mut acc = MixedAccess { reads, writes };
-    let prep = prepare(l, Some((bx, &acc)));
-    for tile in tiles(bx, l.block) {
-        exec_strips_box(l, &prep, &tile, &mut acc);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane-vectorized strip engine
-// ---------------------------------------------------------------------------
-//
-// The runtime analogue of the generated C's `#pragma omp simd`: each
-// compiled op executes over a strip of `W` contiguous innermost-loop
-// points at once. Dispatch cost is amortized `W`-fold and every per-op
-// inner loop is a fixed-trip-count `f32` loop over `[f32; W]` lane
-// registers that LLVM autovectorizes. The scalar interpreter is the
-// same engine at `W = 1`. Lane arithmetic goes through the kernel
-// arithmetic of [`crate::arith`] (FTZ/DAZ, mul-then-add with two
-// roundings, no reassociation), so results are bitwise equal at every
-// width and to the JIT.
-
-/// Uniform view over the executor's two buffer-binding styles: the
-/// single-threaded path binds whole buffers per stream, the threaded
-/// path binds shared read slices plus per-worker write slabs.
-pub(crate) trait StreamAccess {
-    /// `w` contiguous values of stream `s` starting at linear `idx`.
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32];
-    /// Mutable run of stream `s` starting at linear `idx` (stores only
-    /// target written streams).
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32];
-}
-
-/// Whole-buffer bindings (single-threaded path).
-pub(crate) struct FlatAccess<'a, 'b>(pub(crate) &'b mut [&'a mut [f32]]);
-
-impl StreamAccess for FlatAccess<'_, '_> {
-    #[inline]
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
-        &self.0[s][idx..idx + w]
-    }
-    #[inline]
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
-        &mut self.0[s][idx..idx + w]
-    }
-}
-
-/// Read-slice / write-slab bindings (threaded path). Written streams
-/// index relative to their slab offset.
-struct MixedAccess<'r, 'w, 'b> {
-    reads: &'b [Option<&'r [f32]>],
-    writes: &'b mut [Option<(&'w mut [f32], usize)>],
-}
-
-impl StreamAccess for MixedAccess<'_, '_, '_> {
-    #[inline]
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
-        match (&self.reads[s], &self.writes[s]) {
-            (Some(r), _) => &r[idx..idx + w],
-            (None, Some((wb, off))) => &wb[idx - *off..idx - *off + w],
-            (None, None) => unreachable!("unbound stream"),
-        }
-    }
-    #[inline]
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
-        let (wb, off) = self.writes[s].as_mut().expect("store to unbound stream");
-        &mut wb[idx - *off..idx - *off + w]
-    }
-}
-
-/// What the strip engine needs to know about one op beyond the op
-/// itself, resolved once per launch by [`prepare`].
-#[derive(Clone, Copy)]
-pub(crate) enum Prep {
-    /// The default: flushed arithmetic, pushes copied as they are.
-    Plain,
-    /// A push arithmetic consumes: apply the DAZ read here.
-    Flush,
-    /// An `Add` of two coarse values ([`arith::is_coarse`]): the sum
-    /// cannot be tiny, so it needs no flush.
-    Coarse,
-    /// The coefficient of a `LoadMul`/`LoadMulAdd`.
-    Coeff(arith::Coeff),
-    /// The coefficient of a `LoadMul`/`LoadMulAdd` whose plain product
-    /// is exact on every value the launch can load (see
-    /// [`arith::Coeff::plain_for`]).
-    Times(f32),
-    /// [`Prep::Times`] where every product is coarse too; a
-    /// `LoadMulAdd` into a coarse accumulator then needs no flush.
-    TimesCoarse(f32),
-}
-
-/// Resolve the per-op [`Prep`] table of one launch. With `scan` — the
-/// launch box and its bindings — streams the cluster only reads are
-/// scanned over the range the box loads, so ops on data that holds no
-/// subnormal and no operand of a tiny product skip those tests, and
-/// sums of coarse values skip the flush.
-pub(crate) fn prepare(l: &Launch<'_>, scan: Option<(&BoxNd, &impl StreamAccess)>) -> Vec<Prep> {
-    let cc = l.cc;
-    let smallest: Vec<Option<u32>> = match scan {
-        Some((bx, acc)) => (0..cc.streams.len())
-            .map(|s| smallest_loaded(l, bx, acc, s))
-            .collect(),
-        None => vec![None; cc.streams.len()],
-    };
-    let value = |src: CoeffSrc| src.value(&cc.consts, l.scalars, l.params);
-    // Whether each stack value and temp is coarse, op by op.
-    let mut stack: Vec<bool> = Vec::with_capacity(cc.max_stack);
-    let mut temps = vec![false; cc.num_temps];
-    let pop = |stack: &mut Vec<bool>| stack.pop().unwrap_or(false);
-    let daz = cc.daz_pushes();
-    let mut prep = Vec::with_capacity(cc.ops.len());
-    for (i, &op) in cc.ops.iter().enumerate() {
-        let flush = if daz[i] { Prep::Flush } else { Prep::Plain };
-        let p = match op {
-            Op::Const(_) | Op::Scalar(_) | Op::Param(_) => {
-                stack.push(arith::is_coarse(value(op.as_coeff().unwrap())));
-                flush
-            }
-            Op::Temp(k) => {
-                stack.push(temps[k as usize]);
-                flush
-            }
-            Op::SetTemp(k) => {
-                temps[k as usize] = pop(&mut stack);
-                Prep::Plain
-            }
-            Op::Load { stream, .. } => {
-                let m = smallest[stream as usize];
-                stack.push(m.is_some_and(|m| arith::is_coarse(f32::from_bits(m))));
-                match m {
-                    Some(m) if arith::normal_or_zero(m) => Prep::Plain,
-                    _ => flush,
-                }
-            }
-            Op::Store { .. } => {
-                pop(&mut stack);
-                Prep::Plain
-            }
-            Op::Add => {
-                let coarse = pop(&mut stack) & pop(&mut stack);
-                stack.push(coarse);
-                if coarse {
-                    Prep::Coarse
-                } else {
-                    Prep::Plain
-                }
-            }
-            Op::Pow(1) => Prep::Plain,
-            Op::LoadMul { coeff, stream, .. } | Op::LoadMulAdd { coeff, stream, .. } => {
-                // Accumulating into a value that is not coarse.
-                let fine_acc = matches!(op, Op::LoadMulAdd { .. }) && !pop(&mut stack);
-                let k = arith::Coeff::new(value(coeff));
-                let m = smallest[stream as usize];
-                let p = match m.and_then(|m| k.plain_for(m)) {
-                    Some(c) if arith::is_coarse(c.abs() * f32::from_bits(m.unwrap())) => {
-                        Prep::TimesCoarse(c)
-                    }
-                    Some(c) => Prep::Times(c),
-                    None => Prep::Coeff(k),
-                };
-                stack.push(matches!(p, Prep::TimesCoarse(_)) && !fine_acc);
-                match p {
-                    Prep::TimesCoarse(c) if fine_acc => Prep::Times(c),
-                    p => p,
-                }
-            }
-            // Products of computed values and elementary functions.
-            _ => {
-                for _ in 0..op.stack_effect().unsigned_abs() + 1 {
-                    pop(&mut stack);
-                }
-                stack.push(false);
-                Prep::Plain
-            }
-        };
-        prep.push(p);
-    }
-    prep
-}
-
-/// [`arith::smallest_nonzero_bits`] over the range of stream `s` a
-/// launch over `bx` loads from; `None` for streams the cluster writes
-/// (their values change during the launch) and where that range is
-/// much longer than the box, so the scan never costs more than a
-/// fraction of the launch.
-fn smallest_loaded(l: &Launch<'_>, bx: &BoxNd, acc: &impl StreamAccess, s: usize) -> Option<u32> {
-    let cc = l.cc;
-    let points = box_len(bx);
-    if cc.written[s] || points == 0 {
-        return None;
-    }
-    let offsets = cc.ops.iter().filter_map(|op| match *op {
-        Op::Load { stream, off }
-        | Op::LoadMul { stream, off, .. }
-        | Op::LoadMulAdd { stream, off, .. }
-            if stream as usize == s =>
-        {
-            Some(l.resolved[off as usize])
-        }
-        _ => None,
-    });
-    let (lo, hi) = offsets.fold(None, |r: Option<(isize, isize)>, o| match r {
-        None => Some((o, o)),
-        Some((lo, hi)) => Some((lo.min(o), hi.max(o))),
-    })?;
-    let corner = |at: &dyn Fn(&std::ops::Range<usize>) -> usize| {
-        bx.iter()
-            .zip(&l.strides[s])
-            .map(|(r, st)| (at(r) + l.halos[s]) * st)
-            .sum::<usize>() as isize
-    };
-    let start = corner(&|r| r.start) + lo;
-    let len = (corner(&|r| r.end - 1) + hi + 1 - start) as usize;
-    if len > 8 * points {
-        return None;
-    }
-    Some(arith::smallest_nonzero_bits(acc.load_run(
-        s,
-        start as usize,
-        len,
-    )))
-}
-
-/// `c · x` for each lane of `src`, handed to `put`: the plain product
-/// where the launch proved it exact, the masked one otherwise.
-#[inline(always)]
-fn scaled_lanes<const W: usize>(prep: Prep, src: &[f32], mut put: impl FnMut(usize, f32)) {
-    match prep {
-        Prep::Times(c) | Prep::TimesCoarse(c) => {
-            for l in 0..W {
-                put(l, c * src[l]);
-            }
-        }
-        Prep::Coeff(k) => {
-            for l in 0..W {
-                put(l, k.times(src[l]));
-            }
-        }
-        _ => unreachable!("fused op without a prepared coefficient"),
-    }
-}
-
-/// Flush `lanes` in place when `prep` asks for the DAZ read.
-#[inline(always)]
-fn daz_lanes(prep: Prep, lanes: &mut [f32]) {
-    if let Prep::Flush = prep {
-        for v in lanes {
-            *v = arith::flush(*v);
-        }
-    }
-}
-
-/// Execute the compiled body once over `W` contiguous innermost points.
-/// `bases[s]` is the linear index of lane 0 in stream `s`; lanes `l`
-/// live at `bases[s] + l` (innermost stride is 1 for every stream).
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn eval_strip<const W: usize>(
-    cc: &CompiledCluster,
-    prep: &[Prep],
-    acc: &mut impl StreamAccess,
-    bases: &[usize],
-    resolved: &[isize],
-    scalars: &[f32],
-    params: &[f32],
-    temps: &mut [[f32; W]],
-    stack: &mut [[f32; W]],
-) {
-    // Invariant pushes, flushed once per strip when arithmetic reads them.
-    let splat = |i: usize, v: f32| match prep[i] {
-        Prep::Flush => [arith::flush(v); W],
-        _ => [v; W],
-    };
-    let mut sp = 0usize;
-    for (i, op) in cc.ops.iter().enumerate() {
-        match *op {
-            Op::Const(k) => {
-                stack[sp] = splat(i, cc.consts[k as usize]);
-                sp += 1;
-            }
-            Op::Scalar(k) => {
-                stack[sp] = splat(i, scalars[k as usize]);
-                sp += 1;
-            }
-            Op::Param(k) => {
-                stack[sp] = splat(i, params[k as usize]);
-                sp += 1;
-            }
-            Op::Temp(k) => {
-                stack[sp] = temps[k as usize];
-                daz_lanes(prep[i], &mut stack[sp]);
-                sp += 1;
-            }
-            Op::SetTemp(k) => {
-                sp -= 1;
-                temps[k as usize] = stack[sp];
-            }
-            Op::Load { stream, off } => {
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                stack[sp].copy_from_slice(acc.load_run(s, idx, W));
-                daz_lanes(prep[i], &mut stack[sp]);
-                sp += 1;
-            }
-            Op::Store { stream } => {
-                sp -= 1;
-                let s = stream as usize;
-                acc.store_run(s, bases[s], W).copy_from_slice(&stack[sp]);
-            }
-            Op::Add => {
-                sp -= 1;
-                let (lo, hi) = stack.split_at_mut(sp);
-                if let Prep::Coarse = prep[i] {
-                    for l in 0..W {
-                        lo[sp - 1][l] += hi[0][l];
-                    }
-                } else {
-                    for l in 0..W {
-                        lo[sp - 1][l] = arith::add_flushed(lo[sp - 1][l], hi[0][l]);
-                    }
-                }
-            }
-            Op::Mul => {
-                sp -= 1;
-                let (lo, hi) = stack.split_at_mut(sp);
-                for l in 0..W {
-                    lo[sp - 1][l] = arith::mul_flushed(lo[sp - 1][l], hi[0][l]);
-                }
-            }
-            Op::Pow(n) => {
-                for v in stack[sp - 1].iter_mut() {
-                    *v = arith::powi(*v, n);
-                }
-            }
-            Op::Call(fx) => {
-                for v in stack[sp - 1].iter_mut() {
-                    *v = arith::call(fx, *v);
-                }
-            }
-            Op::MulAdd => {
-                sp -= 2;
-                let (lo, hi) = stack.split_at_mut(sp);
-                for l in 0..W {
-                    let p = arith::mul_flushed(hi[0][l], hi[1][l]);
-                    lo[sp - 1][l] = arith::add_flushed(lo[sp - 1][l], p);
-                }
-            }
-            Op::LoadMul { stream, off, .. } => {
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                let top = &mut stack[sp];
-                scaled_lanes::<W>(prep[i], acc.load_run(s, idx, W), |l, p| top[l] = p);
-                sp += 1;
-            }
-            Op::LoadMulAdd { stream, off, .. } => {
-                let s = stream as usize;
-                let idx = (bases[s] as isize + resolved[off as usize]) as usize;
-                let (top, src) = (&mut stack[sp - 1], acc.load_run(s, idx, W));
-                match prep[i] {
-                    // Coarse accumulator plus coarse products: exact as is.
-                    Prep::TimesCoarse(c) => {
-                        for l in 0..W {
-                            top[l] += c * src[l];
-                        }
-                    }
-                    p => scaled_lanes::<W>(p, src, |l, v| top[l] = arith::add_flushed(top[l], v)),
-                }
-            }
-        }
-    }
-}
-
-/// Strip-execute a whole box: odometer over the outer dims, strips of
-/// `W` along the contiguous innermost dim, single points (`W = 1`) at
-/// each row's tail. Monomorphized per supported width by
-/// [`exec_strips_box`]'s dispatch.
-#[inline(always)]
-fn exec_strips_box_w<const W: usize>(
-    l: &Launch<'_>,
-    prep: &[Prep],
-    bx: &BoxNd,
-    acc: &mut impl StreamAccess,
-) {
-    let nd = bx.len();
-    if bx.iter().any(|r| r.is_empty()) {
-        return;
-    }
-    let (cc, strides, halos) = (l.cc, l.strides, l.halos);
-    let (resolved, scalars, params) = (l.resolved, l.scalars, l.params);
-    let nstreams = cc.streams.len();
-    let inner = bx[nd - 1].clone();
-    let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
-    let mut bases = vec![0usize; nstreams];
-    // Lane registers (SoA: one [f32; W] per stack slot / temp), plus the
-    // one-lane registers for the per-row remainder points.
-    let mut temps = vec![[0.0f32; W]; cc.num_temps];
-    let mut stack = vec![[0.0f32; W]; cc.max_stack.max(4)];
-    let mut stemps = vec![[0.0f32; 1]; cc.num_temps];
-    let mut sstack = vec![[0.0f32; 1]; cc.max_stack.max(4)];
-    loop {
-        for s in 0..nstreams {
-            let mut base = 0usize;
-            for d in 0..nd - 1 {
-                base += (outer[d] + halos[s]) * strides[s][d];
-            }
-            base += (inner.start + halos[s]) * strides[s][nd - 1];
-            bases[s] = base;
-        }
-        let n = inner.len();
-        let mut i = 0;
-        while i + W <= n {
-            eval_strip::<W>(
-                cc, prep, acc, &bases, resolved, scalars, params, &mut temps, &mut stack,
-            );
-            for b in bases.iter_mut() {
-                *b += W;
-            }
-            i += W;
-        }
-        while i < n {
-            eval_strip::<1>(
-                cc,
-                prep,
-                acc,
-                &bases,
-                resolved,
-                scalars,
-                params,
-                &mut stemps,
-                &mut sstack,
-            );
-            for b in bases.iter_mut() {
-                *b += 1;
-            }
-            i += 1;
-        }
-        // Odometer over outer dims.
-        if nd == 1 {
-            return;
-        }
-        let mut d = nd - 1;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            outer[d] += 1;
-            if outer[d] < bx[d].end {
-                break;
-            }
-            outer[d] = bx[d].start;
-        }
-    }
-}
-
-/// Runtime-width dispatch into the monomorphized strip engines; widths
-/// 0 and 1 select the scalar interpreter. Hosts with AVX2 run an AVX2
-/// build of the engines: the FTZ/DAZ masks of [`crate::arith`] cost a
-/// measurable share of interpreter time at SSE2's 4-wide lanes.
-fn exec_strips_box(l: &Launch<'_>, prep: &[Prep], bx: &BoxNd, acc: &mut impl StreamAccess) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just detected on this host.
-        return unsafe { exec_strips_box_avx2(l, prep, bx, acc) };
-    }
-    exec_strips_box_any(l, prep, bx, acc)
-}
-
-/// [`exec_strips_box`] compiled for AVX2: the same code, so the same
-/// IEEE results, in 8-wide registers with three-operand forms.
-///
-/// # Safety
-///
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exec_strips_box_avx2(
-    l: &Launch<'_>,
-    prep: &[Prep],
-    bx: &BoxNd,
-    acc: &mut impl StreamAccess,
-) {
-    exec_strips_box_any(l, prep, bx, acc)
-}
-
-#[inline(always)]
-fn exec_strips_box_any(l: &Launch<'_>, prep: &[Prep], bx: &BoxNd, acc: &mut impl StreamAccess) {
-    match l.vw {
-        0 | 1 => exec_strips_box_w::<1>(l, prep, bx, acc),
-        8 => exec_strips_box_w::<8>(l, prep, bx, acc),
-        16 => exec_strips_box_w::<16>(l, prep, bx, acc),
-        32 => exec_strips_box_w::<32>(l, prep, bx, acc),
-        other => unreachable!("unsupported vector width {other} (validated earlier)"),
-    }
 }
 
 // ---------------------------------------------------------------------------

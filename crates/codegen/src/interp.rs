@@ -1,0 +1,745 @@
+//! The bytecode interpreter: each compiled cluster translated once, when
+//! its kernel is compiled, into a register program, then executed over
+//! strips of `W` contiguous innermost-loop points.
+//!
+//! The translation is the runtime analogue of the generated C's
+//! `#pragma omp simd` loop body. Stack slots, temporaries and the
+//! launch-invariant pushes (constants, scalars, parameters) all become
+//! registers of one file of `[f32; W]` lane registers, so `Temp`,
+//! `SetTemp` and constant pushes cost nothing per strip: a pushed temp
+//! or constant is read where it lives, and a value a `SetTemp` pops is
+//! written straight into the temp's register by the instruction that
+//! computes it. What is left are the loads, the stores and the
+//! arithmetic, each a fixed-trip-count loop over `W` lanes that LLVM
+//! autovectorizes. The scalar interpreter is the same engine at `W = 1`.
+//!
+//! Lane arithmetic is the kernel arithmetic of [`crate::arith`]
+//! (FTZ/DAZ, mul-then-add with two roundings, no reassociation), so
+//! results are bitwise equal at every width and to the JIT. DAZ is
+//! applied where the stack program pushed a raw value (a load, a
+//! constant or a temp holding one) that arithmetic consumes
+//! ([`CompiledCluster::daz_pushes`]); arithmetic results are already
+//! flushed.
+
+use mpix_dmp::regions::BoxNd;
+use mpix_symbolic::UnaryFn;
+
+use crate::arith;
+use crate::backend::Launch;
+use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
+use crate::executor::tiles;
+
+/// One register-program instruction. Register operands index the
+/// kernel's register file; `stream`/`off` are the compiled cluster's
+/// stream slots and offset-table entries, `k` a fused coefficient slot.
+#[derive(Clone, Copy, Debug)]
+enum Ins {
+    /// `dst ← load`, with the DAZ read when arithmetic consumes it.
+    Load {
+        dst: u32,
+        stream: u32,
+        off: u32,
+        daz: bool,
+    },
+    Store {
+        src: u32,
+        stream: u32,
+    },
+    /// `dst ← src` with the DAZ read: a raw temp read by arithmetic.
+    Flush {
+        dst: u32,
+        src: u32,
+    },
+    Copy {
+        dst: u32,
+        src: u32,
+    },
+    Add {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    Mul {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    /// `dst ← acc + x·y`.
+    MulAdd {
+        dst: u32,
+        acc: u32,
+        x: u32,
+        y: u32,
+    },
+    Pow {
+        dst: u32,
+        src: u32,
+        n: i32,
+    },
+    Call {
+        dst: u32,
+        src: u32,
+        f: UnaryFn,
+    },
+    /// `dst ← c_k · load`.
+    LoadMul {
+        dst: u32,
+        k: u32,
+        stream: u32,
+        off: u32,
+    },
+    /// `dst ← acc + c_k · load`.
+    LoadMulAdd {
+        dst: u32,
+        acc: u32,
+        k: u32,
+        stream: u32,
+        off: u32,
+    },
+}
+
+/// A compiled cluster translated for the interpreter. Built once per
+/// kernel by [`Program::new`]; everything that depends on a launch's
+/// values is resolved per launch by [`Program::coeffs`].
+pub(crate) struct Program {
+    ins: Vec<Ins>,
+    /// Size of the register file.
+    nregs: usize,
+    /// Launch-invariant registers: `(register, source, DAZ-read)`.
+    consts: Vec<(u32, CoeffSrc, bool)>,
+    /// Coefficient source of each fused slot `k`.
+    coeffs: Vec<CoeffSrc>,
+    /// Whether no stream is both loaded and stored, so evaluating a
+    /// point twice stores the same bits twice.
+    rerun_safe: bool,
+}
+
+/// One value on the simulated stack: the register holding it and, when
+/// an instruction wrote it into the stack slot's own register, that
+/// instruction (a `SetTemp` may then retarget it to the temp).
+#[derive(Clone, Copy)]
+struct Entry {
+    reg: u32,
+    producer: Option<usize>,
+}
+
+impl Ins {
+    /// The register this instruction writes, if any.
+    fn dst_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Ins::Store { .. } => None,
+            Ins::Load { dst, .. }
+            | Ins::Flush { dst, .. }
+            | Ins::Copy { dst, .. }
+            | Ins::Add { dst, .. }
+            | Ins::Mul { dst, .. }
+            | Ins::MulAdd { dst, .. }
+            | Ins::Pow { dst, .. }
+            | Ins::Call { dst, .. }
+            | Ins::LoadMul { dst, .. }
+            | Ins::LoadMulAdd { dst, .. } => Some(dst),
+        }
+    }
+
+    fn dst(mut self) -> Option<u32> {
+        self.dst_mut().copied()
+    }
+
+    /// Every register this instruction reads or writes.
+    fn regs(self) -> impl Iterator<Item = u32> {
+        let (a, b, c, d) = match self {
+            Ins::Load { dst, .. } | Ins::LoadMul { dst, .. } => (Some(dst), None, None, None),
+            Ins::Store { src, .. } => (Some(src), None, None, None),
+            Ins::Flush { dst, src }
+            | Ins::Copy { dst, src }
+            | Ins::Pow { dst, src, .. }
+            | Ins::Call { dst, src, .. } => (Some(dst), Some(src), None, None),
+            Ins::LoadMulAdd { dst, acc, .. } => (Some(dst), Some(acc), None, None),
+            Ins::Add { dst, a, b } | Ins::Mul { dst, a, b } => (Some(dst), Some(a), Some(b), None),
+            Ins::MulAdd { dst, acc, x, y } => (Some(dst), Some(acc), Some(x), Some(y)),
+        };
+        [a, b, c, d].into_iter().flatten()
+    }
+}
+
+impl Program {
+    /// Translate `cc`. Registers: the launch-invariant ones first, then
+    /// one per temp, then one per stack slot. Each instruction writes
+    /// the register of the stack slot its result occupies, except that
+    /// a value a `SetTemp` pops is written to the temp directly when no
+    /// instruction in between touches the temp.
+    pub(crate) fn new(cc: &CompiledCluster) -> Program {
+        let daz = cc.daz_pushes();
+        let mut consts: Vec<(u32, CoeffSrc, bool)> = Vec::new();
+        for (i, op) in cc.ops.iter().enumerate() {
+            if let Some(src) = op.as_coeff() {
+                if !consts.iter().any(|&(_, s, d)| (s, d) == (src, daz[i])) {
+                    consts.push((consts.len() as u32, src, daz[i]));
+                }
+            }
+        }
+        let temp0 = consts.len();
+        let slot0 = temp0 + cc.num_temps;
+        let nregs = slot0 + cc.max_stack.max(1);
+        let slot = |depth: usize| (slot0 + depth) as u32;
+        let temp = |k: u32| (temp0 + k as usize) as u32;
+
+        // One fused-coefficient slot per distinct source.
+        fn slot_of(coeffs: &mut Vec<CoeffSrc>, key: CoeffSrc) -> u32 {
+            match coeffs.iter().position(|&c| c == key) {
+                Some(k) => k as u32,
+                None => {
+                    coeffs.push(key);
+                    coeffs.len() as u32 - 1
+                }
+            }
+        }
+        let mut ins: Vec<Ins> = Vec::with_capacity(cc.ops.len());
+        let mut coeffs = Vec::new();
+        // Index of the last instruction touching each register.
+        let mut touched: Vec<Option<usize>> = vec![None; nregs];
+        let mut stack: Vec<Entry> = Vec::with_capacity(cc.max_stack);
+        fn emit(ins: &mut Vec<Ins>, touched: &mut [Option<usize>], i: Ins) -> Entry {
+            for r in i.regs() {
+                touched[r as usize] = Some(ins.len());
+            }
+            ins.push(i);
+            Entry {
+                reg: i.dst().unwrap_or(u32::MAX),
+                producer: Some(ins.len() - 1),
+            }
+        }
+        for (i, &op) in cc.ops.iter().enumerate() {
+            let top = slot(stack.len());
+            match op {
+                Op::Const(_) | Op::Scalar(_) | Op::Param(_) => {
+                    let key = (op.as_coeff().expect("a lane-invariant push"), daz[i]);
+                    let reg = consts.iter().find(|&&(_, s, d)| (s, d) == key);
+                    let reg = reg.expect("every push has its register").0;
+                    stack.push(Entry {
+                        reg,
+                        producer: None,
+                    });
+                }
+                Op::Temp(k) if daz[i] => {
+                    let src = temp(k);
+                    stack.push(emit(&mut ins, &mut touched, Ins::Flush { dst: top, src }));
+                }
+                Op::Temp(k) => stack.push(Entry {
+                    reg: temp(k),
+                    producer: None,
+                }),
+                Op::SetTemp(k) => {
+                    let e = stack.pop().expect("balanced program");
+                    let t = temp(k);
+                    // Stack values still reading the temp's old value
+                    // move to their own slots first.
+                    for d in 0..stack.len() {
+                        if stack[d].reg == t {
+                            let c = Ins::Copy {
+                                dst: slot(d),
+                                src: t,
+                            };
+                            stack[d] = emit(&mut ins, &mut touched, c);
+                        }
+                    }
+                    match e.producer {
+                        Some(j) if touched[t as usize].is_none_or(|last| last <= j) => {
+                            *ins[j]
+                                .dst_mut()
+                                .expect("a stack value's producer writes it") = t;
+                            touched[t as usize] = Some(j);
+                        }
+                        _ if e.reg == t => {}
+                        _ => {
+                            emit(&mut ins, &mut touched, Ins::Copy { dst: t, src: e.reg });
+                        }
+                    }
+                }
+                Op::Load { stream, off } => {
+                    let l = Ins::Load {
+                        dst: top,
+                        stream,
+                        off,
+                        daz: daz[i],
+                    };
+                    stack.push(emit(&mut ins, &mut touched, l));
+                }
+                Op::Store { stream } => {
+                    let src = stack.pop().expect("balanced program").reg;
+                    emit(&mut ins, &mut touched, Ins::Store { src, stream });
+                }
+                Op::Pow(1) => {}
+                Op::Pow(_) | Op::Call(_) => {
+                    let src = stack.pop().expect("balanced program").reg;
+                    let dst = slot(stack.len());
+                    let u = match op {
+                        Op::Pow(n) => Ins::Pow { dst, src, n },
+                        Op::Call(f) => Ins::Call { dst, src, f },
+                        _ => unreachable!(),
+                    };
+                    stack.push(emit(&mut ins, &mut touched, u));
+                }
+                Op::Add | Op::Mul => {
+                    let b = stack.pop().expect("balanced program").reg;
+                    let a = stack.pop().expect("balanced program").reg;
+                    let dst = slot(stack.len());
+                    let bin = match op {
+                        Op::Add => Ins::Add { dst, a, b },
+                        _ => Ins::Mul { dst, a, b },
+                    };
+                    stack.push(emit(&mut ins, &mut touched, bin));
+                }
+                Op::MulAdd => {
+                    let y = stack.pop().expect("balanced program").reg;
+                    let x = stack.pop().expect("balanced program").reg;
+                    let acc = stack.pop().expect("balanced program").reg;
+                    let dst = slot(stack.len());
+                    let ma = Ins::MulAdd { dst, acc, x, y };
+                    stack.push(emit(&mut ins, &mut touched, ma));
+                }
+                Op::LoadMul { coeff, stream, off } => {
+                    let k = slot_of(&mut coeffs, coeff);
+                    let lm = Ins::LoadMul {
+                        dst: top,
+                        k,
+                        stream,
+                        off,
+                    };
+                    stack.push(emit(&mut ins, &mut touched, lm));
+                }
+                Op::LoadMulAdd { coeff, stream, off } => {
+                    let acc = stack.pop().expect("balanced program").reg;
+                    let k = slot_of(&mut coeffs, coeff);
+                    let lma = Ins::LoadMulAdd {
+                        dst: slot(stack.len()),
+                        acc,
+                        k,
+                        stream,
+                        off,
+                    };
+                    stack.push(emit(&mut ins, &mut touched, lma));
+                }
+            }
+        }
+        let rerun_safe = !ins.iter().any(|i| match *i {
+            Ins::Load { stream, .. }
+            | Ins::LoadMul { stream, .. }
+            | Ins::LoadMulAdd { stream, .. } => cc.written[stream as usize],
+            _ => false,
+        });
+        Program {
+            ins,
+            nregs,
+            consts,
+            coeffs,
+            rerun_safe,
+        }
+    }
+
+    /// Each fused coefficient's value for one launch, prepared for the
+    /// lane loops ([`arith::Coeff`]).
+    fn coeffs(&self, l: &Launch<'_>) -> Vec<arith::Coeff> {
+        self.coeffs
+            .iter()
+            .map(|&src| arith::Coeff::new(src.value(&l.cc.consts, l.scalars, l.params)))
+            .collect()
+    }
+
+    /// A register file for one box: every register zero except the
+    /// launch-invariant ones.
+    fn registers<const W: usize>(&self, l: &Launch<'_>) -> Vec<[f32; W]> {
+        let mut regs = vec![[0.0f32; W]; self.nregs];
+        for &(r, src, daz) in &self.consts {
+            let v = src.value(&l.cc.consts, l.scalars, l.params);
+            regs[r as usize] = [if daz { arith::flush(v) } else { v }; W];
+        }
+        regs
+    }
+}
+
+/// Uniform view over the executor's two buffer-binding styles: the
+/// single-threaded path binds whole buffers per stream, the threaded
+/// path binds shared read slices plus per-worker write slabs.
+pub(crate) trait StreamAccess {
+    /// `w` contiguous values of stream `s` starting at linear `idx`.
+    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32];
+    /// Mutable run of stream `s` starting at linear `idx` (stores only
+    /// target written streams).
+    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32];
+}
+
+/// Whole-buffer bindings (single-threaded path).
+pub(crate) struct FlatAccess<'a, 'b>(pub(crate) &'b mut [&'a mut [f32]]);
+
+impl StreamAccess for FlatAccess<'_, '_> {
+    #[inline]
+    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
+        &self.0[s][idx..idx + w]
+    }
+    #[inline]
+    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
+        &mut self.0[s][idx..idx + w]
+    }
+}
+
+/// Read-slice / write-slab bindings (threaded path). Written streams
+/// index relative to their slab offset.
+struct MixedAccess<'r, 'w, 'b> {
+    reads: &'b [Option<&'r [f32]>],
+    writes: &'b mut [Option<(&'w mut [f32], usize)>],
+}
+
+impl StreamAccess for MixedAccess<'_, '_, '_> {
+    #[inline]
+    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
+        match (&self.reads[s], &self.writes[s]) {
+            (Some(r), _) => &r[idx..idx + w],
+            (None, Some((wb, off))) => &wb[idx - *off..idx - *off + w],
+            (None, None) => unreachable!("unbound stream"),
+        }
+    }
+    #[inline]
+    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
+        let (wb, off) = self.writes[s].as_mut().expect("store to unbound stream");
+        &mut wb[idx - *off..idx - *off + w]
+    }
+}
+
+/// Execute `prog` over every point of `bx` (owned-local coordinates)
+/// with whole-buffer bindings, tile by tile: the bytecode backend's
+/// single-threaded entry point.
+pub(crate) fn exec_box(prog: &Program, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+    let mut acc = FlatAccess(buffers);
+    let coeffs = prog.coeffs(l);
+    for tile in tiles(bx, l.block) {
+        exec_strips_box(prog, l, &coeffs, &tile, &mut acc);
+    }
+}
+
+/// Like [`exec_box`] but with per-stream read/write bindings (threaded
+/// path). Written streams index relative to their slab offset.
+pub(crate) fn exec_box_mixed(
+    prog: &Program,
+    l: &Launch<'_>,
+    bx: &BoxNd,
+    reads: &mut [Option<&[f32]>],
+    writes: &mut [Option<(&mut [f32], usize)>],
+) {
+    let mut acc = MixedAccess { reads, writes };
+    let coeffs = prog.coeffs(l);
+    for tile in tiles(bx, l.block) {
+        exec_strips_box(prog, l, &coeffs, &tile, &mut acc);
+    }
+}
+
+/// Evaluate `prog` at one point with whole-buffer bindings: `bases[s]`
+/// is the point's linear index in stream `s`. `temps` holds the temps'
+/// values before and after.
+pub(crate) fn eval_point(
+    prog: &Program,
+    l: &Launch<'_>,
+    buffers: &mut [&mut [f32]],
+    bases: &[usize],
+    temps: &mut [f32],
+) {
+    let mut acc = FlatAccess(buffers);
+    let coeffs = prog.coeffs(l);
+    let mut regs = prog.registers::<1>(l);
+    let temp0 = prog.consts.len();
+    for (r, &t) in regs[temp0..].iter_mut().zip(temps.iter()) {
+        *r = [t];
+    }
+    eval_strip::<1>(&prog.ins, &coeffs, &mut acc, bases, l.resolved, &mut regs);
+    for (t, r) in temps.iter_mut().zip(&regs[temp0..]) {
+        *t = r[0];
+    }
+}
+
+/// `[f(0), …, f(W − 1)]`.
+#[inline(always)]
+fn lanes<const W: usize>(f: impl Fn(usize) -> f32) -> [f32; W] {
+    let mut r = [0.0f32; W];
+    for l in 0..W {
+        r[l] = f(l);
+    }
+    r
+}
+
+/// Execute the program once over `W` contiguous innermost points.
+/// `bases[s]` is the linear index of lane 0 in stream `s`; lanes `l`
+/// live at `bases[s] + l` (innermost stride is 1 for every stream).
+#[inline(always)]
+fn eval_strip<const W: usize>(
+    ins: &[Ins],
+    coeffs: &[arith::Coeff],
+    acc: &mut impl StreamAccess,
+    bases: &[usize],
+    resolved: &[isize],
+    regs: &mut [[f32; W]],
+) {
+    let at = |s: u32, off: u32| (bases[s as usize] as isize + resolved[off as usize]) as usize;
+    for &i in ins {
+        match i {
+            Ins::Load {
+                dst,
+                stream,
+                off,
+                daz,
+            } => {
+                let src = acc.load_run(stream as usize, at(stream, off), W);
+                regs[dst as usize] = if daz {
+                    lanes(|l| arith::flush(src[l]))
+                } else {
+                    lanes(|l| src[l])
+                };
+            }
+            Ins::Store { src, stream } => {
+                let s = stream as usize;
+                acc.store_run(s, bases[s], W)
+                    .copy_from_slice(&regs[src as usize]);
+            }
+            Ins::Flush { dst, src } => {
+                let v = regs[src as usize];
+                regs[dst as usize] = lanes(|l| arith::flush(v[l]));
+            }
+            Ins::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
+            Ins::Add { dst, a, b } => {
+                let (x, y) = (regs[a as usize], regs[b as usize]);
+                regs[dst as usize] = lanes(|l| arith::add_flushed(x[l], y[l]));
+            }
+            Ins::Mul { dst, a, b } => {
+                let (x, y) = (regs[a as usize], regs[b as usize]);
+                regs[dst as usize] = lanes(|l| arith::mul_flushed(x[l], y[l]));
+            }
+            Ins::MulAdd { dst, acc, x, y } => {
+                let (a, x, y) = (regs[acc as usize], regs[x as usize], regs[y as usize]);
+                regs[dst as usize] =
+                    lanes(|l| arith::add_flushed(a[l], arith::mul_flushed(x[l], y[l])));
+            }
+            Ins::Pow { dst, src, n } => {
+                let v = regs[src as usize];
+                regs[dst as usize] = lanes(|l| arith::powi(v[l], n));
+            }
+            Ins::Call { dst, src, f } => {
+                let v = regs[src as usize];
+                regs[dst as usize] = lanes(|l| arith::call(f, v[l]));
+            }
+            Ins::LoadMul {
+                dst,
+                k,
+                stream,
+                off,
+            } => {
+                let src = acc.load_run(stream as usize, at(stream, off), W);
+                let c = coeffs[k as usize];
+                regs[dst as usize] = lanes(|l| c.times(src[l]));
+            }
+            Ins::LoadMulAdd {
+                dst,
+                acc: a,
+                k,
+                stream,
+                off,
+            } => {
+                let src = acc.load_run(stream as usize, at(stream, off), W);
+                let (c, a) = (coeffs[k as usize], regs[a as usize]);
+                regs[dst as usize] = lanes(|l| arith::add_flushed(a[l], c.times(src[l])));
+            }
+        }
+    }
+}
+
+/// Strip-execute a whole box: odometer over the outer dims, strips of
+/// `W` along the contiguous innermost dim. A row's tail is one more
+/// strip overlapping the last, or single points (`W = 1`) where the row
+/// is shorter than a strip or the program is not safe to rerun. Monomorphized per supported width by
+/// [`exec_strips_box`]'s dispatch.
+#[inline(always)]
+fn exec_strips_box_w<const W: usize>(
+    prog: &Program,
+    l: &Launch<'_>,
+    coeffs: &[arith::Coeff],
+    bx: &BoxNd,
+    acc: &mut impl StreamAccess,
+) {
+    let nd = bx.len();
+    if bx.iter().any(|r| r.is_empty()) {
+        return;
+    }
+    let (strides, halos, resolved) = (l.strides, l.halos, l.resolved);
+    let nstreams = l.cc.streams.len();
+    let inner = bx[nd - 1].clone();
+    let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
+    let mut bases = vec![0usize; nstreams];
+    // Lane registers, plus one-lane registers for the row-tail points.
+    let mut regs = prog.registers::<W>(l);
+    let mut sregs = prog.registers::<1>(l);
+    loop {
+        for s in 0..nstreams {
+            let mut base = 0usize;
+            for d in 0..nd - 1 {
+                base += (outer[d] + halos[s]) * strides[s][d];
+            }
+            base += (inner.start + halos[s]) * strides[s][nd - 1];
+            bases[s] = base;
+        }
+        let n = inner.len();
+        let mut i = 0;
+        while i + W <= n {
+            eval_strip::<W>(&prog.ins, coeffs, acc, &bases, resolved, &mut regs);
+            for b in bases.iter_mut() {
+                *b += W;
+            }
+            i += W;
+        }
+        if i < n && n >= W && prog.rerun_safe {
+            // The row's last `W` points as one strip: the points it
+            // repeats read the same inputs, so they are rewritten with
+            // the same bits.
+            let back = W - (n - i);
+            for b in bases.iter_mut() {
+                *b -= back;
+            }
+            eval_strip::<W>(&prog.ins, coeffs, acc, &bases, resolved, &mut regs);
+            i = n;
+        }
+        while i < n {
+            eval_strip::<1>(&prog.ins, coeffs, acc, &bases, resolved, &mut sregs);
+            for b in bases.iter_mut() {
+                *b += 1;
+            }
+            i += 1;
+        }
+        // Odometer over outer dims.
+        if nd == 1 {
+            return;
+        }
+        let mut d = nd - 1;
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            outer[d] += 1;
+            if outer[d] < bx[d].end {
+                break;
+            }
+            outer[d] = bx[d].start;
+        }
+    }
+}
+
+/// Runtime-width dispatch into the monomorphized strip engines; widths
+/// 0 and 1 select the scalar interpreter.
+fn exec_strips_box(
+    prog: &Program,
+    l: &Launch<'_>,
+    coeffs: &[arith::Coeff],
+    bx: &BoxNd,
+    acc: &mut impl StreamAccess,
+) {
+    match l.vw {
+        0 | 1 => exec_strips_box_w::<1>(prog, l, coeffs, bx, acc),
+        8 => exec_strips_box_w::<8>(prog, l, coeffs, bx, acc),
+        16 => exec_strips_box_w::<16>(prog, l, coeffs, bx, acc),
+        32 => exec_strips_box_w::<32>(prog, l, coeffs, bx, acc),
+        other => unreachable!("unsupported vector width {other} (validated earlier)"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpix_symbolic::FieldId;
+
+    fn launch<'a>(cc: &'a CompiledCluster, strides: &'a [Vec<usize>], vw: usize) -> Launch<'a> {
+        Launch {
+            cc,
+            strides,
+            halos: &[0, 0],
+            resolved: &[0, 1],
+            scalars: &[],
+            params: &[],
+            block: 0,
+            vw,
+        }
+    }
+
+    #[test]
+    fn temp_set_again_while_pushed_keeps_the_pushed_value() {
+        // out = tmp0 + tmp0 where the first read precedes tmp0's second
+        // SetTemp: the pushed value must be the first one.
+        let one = CoeffSrc::Const(0);
+        let cc = CompiledCluster {
+            ops: vec![
+                Op::LoadMul {
+                    coeff: one,
+                    stream: 0,
+                    off: 0,
+                },
+                Op::SetTemp(0),
+                Op::Temp(0),
+                Op::LoadMul {
+                    coeff: one,
+                    stream: 0,
+                    off: 1,
+                },
+                Op::SetTemp(0),
+                Op::Temp(0),
+                Op::Add,
+                Op::Store { stream: 1 },
+            ],
+            consts: vec![1.0],
+            scalars: vec![],
+            streams: vec![(FieldId(0), 0), (FieldId(1), 1)],
+            written: vec![false, true],
+            offsets: vec![(0, vec![0]), (0, vec![1])],
+            num_temps: 1,
+            max_stack: 2,
+        };
+        let (mut x, mut out) = (vec![1.5f32, 2.25], vec![0.0f32]);
+        let mut temps = [0.0f32];
+        let l = launch(&cc, &[], 0);
+        eval_point(
+            &Program::new(&cc),
+            &l,
+            &mut [&mut x, &mut out],
+            &[0, 0],
+            &mut temps,
+        );
+        assert_eq!(out[0], 3.75);
+        assert_eq!(temps[0], 2.25);
+    }
+
+    #[test]
+    fn programs_that_read_what_they_store_never_rerun_a_point() {
+        // u += 1 in place: a point evaluated twice would gain 2.
+        let cc = CompiledCluster {
+            ops: vec![
+                Op::Load { stream: 0, off: 0 },
+                Op::Const(0),
+                Op::Add,
+                Op::Store { stream: 0 },
+            ],
+            consts: vec![1.0],
+            scalars: vec![],
+            streams: vec![(FieldId(0), 1)],
+            written: vec![true],
+            offsets: vec![(0, vec![0])],
+            num_temps: 0,
+            max_stack: 2,
+        };
+        let prog = Program::new(&cc);
+        assert!(!prog.rerun_safe);
+        let (strides, bx): (_, BoxNd) = ([vec![1]], std::iter::once(0..13).collect());
+        for vw in [0, 8, 16] {
+            let mut u: Vec<f32> = (0..13).map(|i| i as f32).collect();
+            exec_box(&prog, &launch(&cc, &strides, vw), &bx, &mut [&mut u]);
+            assert!(
+                u.iter().enumerate().all(|(i, &v)| v == i as f32 + 1.0),
+                "vw={vw}: {u:?}"
+            );
+        }
+    }
+}

@@ -198,7 +198,7 @@ impl Lowering for JitLowering {
             ctx: self.ctx,
             plan: JitPlan::analyze(cc),
             modules: Mutex::new(HashMap::new()),
-            fallback: BytecodeKernel,
+            fallback: BytecodeKernel::new(cc),
         })
     }
 }

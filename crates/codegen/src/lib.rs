@@ -18,6 +18,8 @@
 //! * [`arith`] — the FTZ/DAZ kernel arithmetic every backend
 //!   implements (hardware mode in the JIT, emulated in the
 //!   interpreter).
+//! * `interp` — the bytecode interpreter: each compiled cluster
+//!   translated into a register program run over lane strips.
 //! * [`executor`] — runs the lowered IET on a rank: rotating time
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
@@ -37,6 +39,7 @@ pub mod backend;
 pub mod bytecode;
 pub mod cgen;
 pub mod executor;
+mod interp;
 pub mod jit;
 
 pub use backend::{

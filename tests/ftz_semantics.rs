@@ -88,10 +88,10 @@ fn edge_operator() -> EdgeOp {
     }
 }
 
-/// Operand pairs free of subnormals whose smallest magnitudes sit on the
-/// interpreter's per-launch thresholds: `0.5·a` just at 2⁻¹²⁶ (the
-/// plain-product bound) and `3·b` cancelling `0.5·a` near 2⁻¹⁰⁰ (the
-/// bound under which sums keep their flush).
+/// Operand pairs free of subnormals at the edges of the interpreter's
+/// emulation: `0.5·a` just at 2⁻¹²⁶ (the threshold of a prepared
+/// coefficient) and `3·b` cancelling `0.5·a` near 2⁻¹⁰⁰ and down to
+/// 2⁻¹⁴⁸ (sums of normal products that must still flush).
 fn graded_pairs() -> Vec<(f32, f32)> {
     let mut v = vec![(0.0, 0.0), (2f32.powi(-125), 2f32.powi(-99))];
     for k in 0..6u32 {
