@@ -32,11 +32,14 @@
 //! A separate check ([`check_tag_windows`]) proves the executor's
 //! per-buffer tag windows (`mpix_codegen::halo_tag_base`) are mutually
 //! disjoint, wide enough for the mode's densest tag layout (`3^nd`
-//! codes), and clear of the sparse-sampling tag space.
+//! codes), and clear of the sparse tag window
+//! (`mpix_codegen::sparse_tag`), which in turn ends below the
+//! collectives' tags.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use mpix_codegen::executor::SPARSE_TAG_BASE;
 use mpix_codegen::halo_tag_base;
 use mpix_comm::comm::RESERVED_TAG_BASE;
 use mpix_comm::{CartComm, Tag, Universe};
@@ -97,17 +100,32 @@ pub fn exchange_keys(plan: &IrHaloPlan) -> Vec<(FieldId, i32, usize)> {
 /// Prove the per-buffer tag windows are collision-free.
 ///
 /// The executor gives each `(field, time offset)` buffer the 64-tag
-/// window starting at [`halo_tag_base`]. Three obligations: distinct
-/// buffers get distinct windows; the densest mode layout (`3^nd`
-/// diagonal codes, `2*nd` basic face tags) fits inside 64 tags; and no
-/// window reaches the sparse-sampling tag space at
-/// `RESERVED_TAG_BASE / 2`.
+/// window starting at [`halo_tag_base`], and each of a workspace's
+/// `nsparse` sparse ops one tag from `SPARSE_TAG_BASE`
+/// (`RESERVED_TAG_BASE / 2`) up. Four obligations: distinct buffers get
+/// distinct windows; the densest mode layout (`3^nd` diagonal codes,
+/// `2*nd` basic face tags) fits inside 64 tags; no window reaches the
+/// sparse window; and the sparse window ends at or below the
+/// collectives' `RESERVED_TAG_BASE`.
 pub fn check_tag_windows(
     ctx: &Context,
     keys: &[(FieldId, i32, usize)],
     nd: usize,
+    nsparse: usize,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let sparse_end = u64::from(SPARSE_TAG_BASE) + nsparse as u64;
+    if sparse_end > u64::from(RESERVED_TAG_BASE) {
+        diags.push(Diagnostic::error(
+            PASS,
+            "sparse ops".to_string(),
+            format!(
+                "sparse tag window {SPARSE_TAG_BASE}..{sparse_end} for {nsparse} sparse ops \
+                 overlaps the collective tags starting at {RESERVED_TAG_BASE}: a receiver \
+                 combine would cross-match collective traffic"
+            ),
+        ));
+    }
     let width = (2 * nd).max(3usize.pow(nd as u32)) as u32;
     let mut bases: BTreeMap<u32, (FieldId, i32)> = BTreeMap::new();
     for &(f, toff, _) in keys {
@@ -124,15 +142,14 @@ pub fn check_tag_windows(
                 ),
             ));
         }
-        if base + 64 > RESERVED_TAG_BASE / 2 {
+        if base + 64 > SPARSE_TAG_BASE {
             diags.push(Diagnostic::error(
                 PASS,
                 loc.clone(),
                 format!(
-                    "tag window {base}..{} overlaps the sparse-sampling tag space \
-                     starting at {}",
+                    "tag window {base}..{} overlaps the sparse tag window starting at \
+                     {SPARSE_TAG_BASE}",
                     base + 64,
-                    RESERVED_TAG_BASE / 2
                 ),
             ));
         }
@@ -476,6 +493,7 @@ pub fn match_schedule(plans: &[RankPlan], sctx: &ScheduleCtx, location: &str) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpix_codegen::executor::MAX_SPARSE_OPS;
 
     fn ctx2(global: [usize; 2], dims: [usize; 2], halo: usize, radius: usize) -> ScheduleCtx {
         ScheduleCtx {
@@ -564,14 +582,31 @@ mod tests {
         let u = ctx.add_time_function("u", &g, 4, 2);
         let v = ctx.add_time_function("v", &g, 4, 2);
         let clean = vec![(u.id(), 0i32, 2usize), (v.id(), 1, 2)];
-        assert!(check_tag_windows(&ctx, &clean, 2).is_empty());
+        assert!(check_tag_windows(&ctx, &clean, 2, MAX_SPARSE_OPS).is_empty());
         // Same field, time offsets 8 apart: rem_euclid folds them onto the
         // same window — exactly the collision the check must flag.
         let colliding = vec![(u.id(), 0, 2), (u.id(), 8, 2)];
-        let diags = check_tag_windows(&ctx, &colliding, 2);
+        let diags = check_tag_windows(&ctx, &colliding, 2, 1);
         assert!(
             diags.iter().any(|d| d.explanation.contains("collides")),
             "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn sparse_window_ends_below_the_collective_tags() {
+        let ctx = Context::new();
+        assert!(check_tag_windows(&ctx, &[], 3, MAX_SPARSE_OPS).is_empty());
+        let diags = check_tag_windows(&ctx, &[], 3, MAX_SPARSE_OPS + 1);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.explanation.contains("overlaps the collective tags")),
+            "{diags:?}"
+        );
+        assert_eq!(
+            mpix_codegen::sparse_tag(MAX_SPARSE_OPS - 1),
+            RESERVED_TAG_BASE - 1
         );
     }
 }

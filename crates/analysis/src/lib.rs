@@ -278,7 +278,12 @@ pub fn verify_operator(
 
     // Pass 2: comm schedules, per mode × topology × exchange key.
     let keys = comm_schedule::exchange_keys(plan);
-    diags.extend(comm_schedule::check_tag_windows(ctx, &keys, nd));
+    diags.extend(comm_schedule::check_tag_windows(
+        ctx,
+        &keys,
+        nd,
+        mpix_codegen::executor::MAX_SPARSE_OPS,
+    ));
     for &mode in &cfg.modes {
         for &p in &cfg.ranks {
             if p < 2 {

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
 use mpix_dmp::regions::{region_box, Region};
-use mpix_dmp::{Decomposition, DistArray, SparsePoints};
+use mpix_dmp::{Decomposition, DistArray, SparsePlan, SparsePoints};
 
 fn bench_decomp(c: &mut Criterion) {
     let dc = Decomposition::new(&[1024, 1024, 1024], &[16, 8, 8]);
@@ -57,20 +57,21 @@ fn bench_sparse(c: &mut Criterion) {
             .collect(),
         vec![1.0, 1.0, 1.0],
     );
-    c.bench_function("sparse_inject_64_points", |b| {
-        b.iter(|| {
-            for p in 0..pts.len() {
-                if pts.is_owner(p, &dc, &[0, 0, 0]) {
-                    pts.inject(p, 1.0, &mut arr);
-                }
-            }
-        })
+    c.bench_function("sparse_plan_build_64_points", |b| {
+        b.iter(|| SparsePlan::build(&pts, &arr).len())
     });
-    c.bench_function("sparse_ownership_64_points", |b| {
+    let mut plan = SparsePlan::build(&pts, &arr);
+    c.bench_function("sparse_inject_step_64_points", |b| {
+        b.iter(|| plan.inject(arr.raw_mut(), |_| 1.0))
+    });
+    // Sampling one step of a long run; the end-of-run combine is
+    // message traffic, measured by the end-to-end benchmark.
+    plan.begin_run(1);
+    let mut row = vec![f32::NAN; pts.len()];
+    c.bench_function("sparse_sample_step_64_points", |b| {
         b.iter(|| {
-            (0..pts.len())
-                .map(|p| pts.owner_coords(p, &dc).len())
-                .sum::<usize>()
+            plan.sample(arr.raw(), 0, &mut row);
+            row[0]
         })
     });
 }

@@ -10,9 +10,10 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use mpix_comm::comm::RESERVED_TAG_BASE;
 use mpix_comm::CartComm;
 use mpix_dmp::regions::{box_len, region_box, remainder_boxes, BoxNd, Region};
-use mpix_dmp::{DistArray, FullExchange, HaloExchange, HaloMode, SparsePoints};
+use mpix_dmp::{DistArray, FullExchange, HaloExchange, HaloMode, SparsePlan};
 use mpix_ir::iet::{Node, RegionKind};
 use mpix_ir::iexpr::IExpr;
 use mpix_ir::passes::MpiMode;
@@ -80,14 +81,15 @@ impl FieldState {
     }
 }
 
-/// Sparse operations appended to every time step (sources/receivers).
+/// Sparse operations appended to every time step (sources/receivers),
+/// each over a [`SparsePlan`] built for this rank and the field's layout.
 pub enum SparseOp {
     /// Add `signal[t] * weights` into `field`'s `t + time_offset` buffer
     /// around each point (multilinear injection).
     Inject {
         field: FieldId,
         time_offset: i32,
-        points: SparsePoints,
+        plan: SparsePlan,
         /// One amplitude per time step, shared by all points.
         signal: Vec<f32>,
         /// Per-point scale factor (e.g. `dt²/m` at the source).
@@ -99,16 +101,17 @@ pub enum SparseOp {
     InjectTraces {
         field: FieldId,
         time_offset: i32,
-        points: SparsePoints,
+        plan: SparsePlan,
         traces: Vec<Vec<f32>>,
         scale: Vec<f32>,
     },
     /// Sample `field` at each point into `samples[t][p]` (NaN on ranks
-    /// that do not own the point).
+    /// that are not the point's primary owner). Shared points are
+    /// combined at the end of each run, under [`sparse_tag`].
     Sample {
         field: FieldId,
         time_offset: i32,
-        points: SparsePoints,
+        plan: SparsePlan,
         samples: Vec<Vec<f32>>,
     },
 }
@@ -388,6 +391,13 @@ impl OperatorExec {
         match n {
             Node::TimeLoop { body } => {
                 let first_loop = self.loops_before_time_loop();
+                let steps = nt.max(0) as usize;
+                for op in sparse.iter_mut() {
+                    if let SparseOp::Sample { plan, samples, .. } = op {
+                        plan.begin_run(steps);
+                        samples.extend((0..steps).map(|_| vec![f32::NAN; plan.len()]));
+                    }
+                }
                 for t in t0..t0 + nt {
                     st.t = t;
                     st.loop_idx = first_loop;
@@ -395,8 +405,9 @@ impl OperatorExec {
                     for c in body {
                         self.exec_node(c, st, sparse, t0, nt);
                     }
-                    self.exec_sparse(st, sparse);
+                    self.exec_sparse(st, sparse, (t - t0) as usize, steps);
                 }
+                self.combine_samples(st, sparse, steps);
             }
             Node::HaloUpdate {
                 exchanges,
@@ -488,9 +499,11 @@ impl OperatorExec {
         n
     }
 
-    fn exec_sparse(&self, st: &mut ExecState<'_>, sparse: &mut [SparseOp]) {
+    /// Sparse ops of step `k` of a run of `steps` steps, whose sample
+    /// rows are the last `steps` rows of each receiver's `samples`.
+    fn exec_sparse(&self, st: &mut ExecState<'_>, sparse: &mut [SparseOp], k: usize, steps: usize) {
         let step = st.t;
-        for (si, op) in sparse.iter_mut().enumerate() {
+        for op in sparse.iter_mut() {
             let section = match op {
                 SparseOp::Inject { .. } | SparseOp::InjectTraces { .. } => Section::Source,
                 SparseOp::Sample { .. } => Section::Receiver,
@@ -500,7 +513,7 @@ impl OperatorExec {
                 SparseOp::Inject {
                     field,
                     time_offset,
-                    points,
+                    plan,
                     signal,
                     scale,
                 } => {
@@ -508,58 +521,51 @@ impl OperatorExec {
                     let amp = signal.get(idx).copied().unwrap_or(0.0);
                     let fs = &mut st.fields[field.0 as usize];
                     let b = fs.buffer_index(step, *time_offset);
-                    let arr = &mut fs.buffers[b];
-                    let coords = arr.coords().to_vec();
-                    let decomp = arr.decomp().clone();
-                    for p in 0..points.len() {
-                        if points.is_owner(p, &decomp, &coords) {
-                            let s = scale.get(p).copied().unwrap_or(1.0);
-                            points.inject(p, (amp * s) as f64, arr);
-                        }
-                    }
+                    plan.inject(fs.buffers[b].raw_mut(), |p| {
+                        (amp * scale.get(p).copied().unwrap_or(1.0)) as f64
+                    });
                 }
                 SparseOp::InjectTraces {
                     field,
                     time_offset,
-                    points,
+                    plan,
                     traces,
                     scale,
                 } => {
                     let fs = &mut st.fields[field.0 as usize];
                     let b = fs.buffer_index(step, *time_offset);
-                    let arr = &mut fs.buffers[b];
-                    let coords = arr.coords().to_vec();
-                    let decomp = arr.decomp().clone();
-                    for p in 0..points.len() {
-                        if points.is_owner(p, &decomp, &coords) {
-                            let idx = (step as usize).min(traces[p].len().saturating_sub(1));
-                            let amp = traces[p].get(idx).copied().unwrap_or(0.0);
-                            let s = scale.get(p).copied().unwrap_or(1.0);
-                            points.inject(p, (amp * s) as f64, arr);
-                        }
-                    }
+                    plan.inject(fs.buffers[b].raw_mut(), |p| {
+                        let idx = (step as usize).min(traces[p].len().saturating_sub(1));
+                        let amp = traces[p].get(idx).copied().unwrap_or(0.0);
+                        (amp * scale.get(p).copied().unwrap_or(1.0)) as f64
+                    });
                 }
                 SparseOp::Sample {
                     field,
                     time_offset,
-                    points,
+                    plan,
                     samples,
                 } => {
                     let fs = &st.fields[field.0 as usize];
                     let b = fs.buffer_index(step, *time_offset);
-                    let arr = &fs.buffers[b];
-                    let mut row = vec![f32::NAN; points.len()];
-                    for p in 0..points.len() {
-                        let tag =
-                            mpix_comm::comm::RESERVED_TAG_BASE / 2 + (si * points.len() + p) as u32;
-                        if let Some(v) = points.interpolate(p, arr, st.cart, tag) {
-                            row[p] = v as f32;
-                        }
-                    }
-                    samples.push(row);
+                    let row = samples.len() - steps + k;
+                    plan.sample(fs.buffers[b].raw(), k, &mut samples[row]);
                 }
             }
             st.tracer.end(sp);
+        }
+    }
+
+    /// End of run: combine every receiver's shared-point partials (one
+    /// message per secondary → primary pair) into the run's sample rows.
+    fn combine_samples(&self, st: &mut ExecState<'_>, sparse: &mut [SparseOp], steps: usize) {
+        for (si, op) in sparse.iter_mut().enumerate() {
+            if let SparseOp::Sample { plan, samples, .. } = op {
+                let sp = st.tracer.begin(Section::Receiver);
+                let rows = samples.len() - steps;
+                plan.combine(st.cart.comm(), sparse_tag(si), &mut samples[rows..]);
+                st.tracer.end(sp);
+            }
         }
     }
 
@@ -944,6 +950,25 @@ struct ExecState<'a> {
 /// same formula the executor uses.
 pub fn halo_tag_base(field: u32, toff: i32) -> u32 {
     (field * 8 + toff.rem_euclid(8) as u32) * 64
+}
+
+/// First tag of the sparse window, which sits between the halo windows
+/// and the collectives' [`RESERVED_TAG_BASE`].
+pub const SPARSE_TAG_BASE: u32 = RESERVED_TAG_BASE / 2;
+
+/// Most sparse ops one workspace may hold: one tag each, up to the
+/// collectives' tags.
+pub const MAX_SPARSE_OPS: usize = (RESERVED_TAG_BASE - SPARSE_TAG_BASE) as usize;
+
+/// The one message tag of sparse op `si`: the end-of-run receiver
+/// combine sends under it. Public so the verification passes can prove
+/// the window clear of the halo and collective tags.
+pub fn sparse_tag(si: usize) -> u32 {
+    assert!(
+        si < MAX_SPARSE_OPS,
+        "sparse op {si} outside the {MAX_SPARSE_OPS}-tag sparse window"
+    );
+    SPARSE_TAG_BASE + si as u32
 }
 
 impl ExecState<'_> {

@@ -57,6 +57,6 @@ pub use mpix_trace::{Diagnostic, PerfSummary, Section, Severity, TraceLevel, Tra
 pub mod prelude {
     pub use crate::{Applied, ApplyOptions, Backend, Operator, PerfSummary, TraceLevel, Workspace};
     pub use mpix_comm::{CartComm, Comm, Universe};
-    pub use mpix_dmp::{Decomposition, DistArray, HaloMode, SparsePoints};
+    pub use mpix_dmp::{Decomposition, DistArray, HaloMode, SparsePlan, SparsePoints};
     pub use mpix_symbolic::{Context, Eq, Expr, FieldHandle, Grid, Stagger};
 }

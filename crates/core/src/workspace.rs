@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use mpix_codegen::executor::{ExecStats, FieldState, SparseOp};
 use mpix_comm::CartComm;
-use mpix_dmp::{Decomposition, DistArray, SparsePoints};
+use mpix_dmp::{Decomposition, DistArray, SparsePlan, SparsePoints};
 use mpix_symbolic::{Context, FieldId, Grid};
 
 /// Everything one rank needs to run an operator: the Cartesian
@@ -103,6 +103,12 @@ impl Workspace {
         self.field_data(name, time).gather_global(self.cart.comm())
     }
 
+    /// Precompute `points` against a field's layout on this rank (every
+    /// time buffer of a field shares it).
+    fn plan(&self, field: FieldId, points: &SparsePoints) -> SparsePlan {
+        SparsePlan::build(points, &self.fields[field.0 as usize].buffers[0])
+    }
+
     /// Register a source injection executed after each time step: adds
     /// `signal[t] * scale[p]` into `field`'s `t+1` buffer around every
     /// point.
@@ -114,10 +120,11 @@ impl Workspace {
         scale: Vec<f32>,
     ) {
         let field = self.field_id(field_name);
+        let plan = self.plan(field, &points);
         self.sparse.push(SparseOp::Inject {
             field,
             time_offset: 1,
-            points,
+            plan,
             signal,
             scale,
         });
@@ -134,10 +141,11 @@ impl Workspace {
     ) {
         assert_eq!(traces.len(), points.len(), "one trace per point");
         let field = self.field_id(field_name);
+        let plan = self.plan(field, &points);
         self.sparse.push(SparseOp::InjectTraces {
             field,
             time_offset: 1,
-            points,
+            plan,
             traces,
             scale,
         });
@@ -148,17 +156,18 @@ impl Workspace {
     /// [`Workspace::take_samples`].
     pub fn add_receivers(&mut self, field_name: &str, points: SparsePoints) -> usize {
         let field = self.field_id(field_name);
+        let plan = self.plan(field, &points);
         self.sparse.push(SparseOp::Sample {
             field,
             time_offset: 1,
-            points,
+            plan,
             samples: Vec::new(),
         });
         self.sparse.len() - 1
     }
 
     /// Extract recorded receiver samples (`samples[t][p]`, NaN on ranks
-    /// that do not own point `p`).
+    /// that are not point `p`'s primary owner).
     pub fn take_samples(&mut self, handle: usize) -> Vec<Vec<f32>> {
         match &mut self.sparse[handle] {
             SparseOp::Sample { samples, .. } => std::mem::take(samples),

@@ -127,32 +127,30 @@ impl DistArray {
         self.set_padded(&padded, v);
     }
 
-    /// Does this rank own the given global point?
-    pub fn owns_global(&self, idx: &[usize]) -> bool {
-        (0..self.decomp.ndim())
-            .all(|d| self.decomp.owned_range(d, self.coords[d]).contains(&idx[d]))
+    /// Padded-linear offset of a global point in this rank's storage;
+    /// `None` on non-owning ranks.
+    pub fn global_offset(&self, idx: &[usize]) -> Option<usize> {
+        let mut off = 0;
+        for d in 0..self.decomp.ndim() {
+            let owned = self.decomp.owned_range(d, self.coords[d]);
+            if !owned.contains(&idx[d]) {
+                return None;
+            }
+            off += (idx[d] - owned.start + self.halo) * self.strides[d];
+        }
+        Some(off)
     }
 
     /// Write a single global point; no-op on non-owning ranks.
     pub fn set_global(&mut self, idx: &[usize], v: f32) {
-        if !self.owns_global(idx) {
-            return;
+        if let Some(off) = self.global_offset(idx) {
+            self.data[off] = v;
         }
-        let local: Vec<usize> = (0..idx.len())
-            .map(|d| idx[d] - self.decomp.owned_range(d, self.coords[d]).start)
-            .collect();
-        self.set_local(&local, v);
     }
 
     /// Read a single global point; `None` on non-owning ranks.
     pub fn get_global(&self, idx: &[usize]) -> Option<f32> {
-        if !self.owns_global(idx) {
-            return None;
-        }
-        let local: Vec<usize> = (0..idx.len())
-            .map(|d| idx[d] - self.decomp.owned_range(d, self.coords[d]).start)
-            .collect();
-        Some(self.get_local(&local))
+        self.global_offset(idx).map(|off| self.data[off])
     }
 
     /// Fill a global slice with a constant — the distributed equivalent
@@ -210,40 +208,46 @@ impl DistArray {
     }
 
     /// Gather the full global array onto every rank (root gathers, then
-    /// broadcasts). This is the support behind user-side global reads; it
-    /// is deliberately simple — inspection, not a hot path.
+    /// broadcasts). This is the support behind user-side global reads.
+    /// Both sides move whole innermost rows: each rank packs its owned
+    /// box row by row, and the root copies each rank's rows into place.
     pub fn gather_global(&self, comm: &Comm) -> Vec<f32> {
         let nd = self.decomp.ndim();
+        let inner = self.local_shape[nd - 1];
         let mut flat = Vec::with_capacity(self.local_shape.iter().product());
-        let local_box: BoxNd = self
-            .local_shape
-            .iter()
-            .map(|&n| self.halo..self.halo + n)
-            .collect();
-        for_each_index(&local_box, |idx| flat.push(self.get_padded(idx)));
+        let outer: BoxNd = self.local_shape[..nd - 1].iter().map(|&n| 0..n).collect();
+        for_each_index(&outer, |idx| {
+            let row: usize = idx
+                .iter()
+                .chain([&0])
+                .zip(&self.strides)
+                .map(|(&i, &s)| (i + self.halo) * s)
+                .sum();
+            flat.extend_from_slice(&self.data[row..row + inner]);
+        });
 
         let gathered = comm.gather_f32(0, &flat);
-        let global_shape = self.decomp.global_shape().to_vec();
+        let global_shape = self.decomp.global_shape();
         let total: usize = global_shape.iter().product();
         let assembled = if let Some(parts) = gathered {
-            // Root assembles in global coordinates.
+            // Root assembles in global coordinates, one row at a time.
             let mut out = vec![0.0f32; total];
-            let dims = self.decomp.dims().to_vec();
-            for rank in 0..comm.size() {
-                let coords = mpix_comm::CartComm::coords_of(&dims, rank);
-                let starts: Vec<usize> = (0..nd)
-                    .map(|d| self.decomp.owned_range(d, coords[d]).start)
+            let dims = self.decomp.dims();
+            for (rank, part) in parts.iter().enumerate() {
+                let coords = mpix_comm::CartComm::coords_of(dims, rank);
+                let owned: BoxNd = (0..nd)
+                    .map(|d| self.decomp.owned_range(d, coords[d]))
                     .collect();
-                let shape = self.decomp.local_shape(&coords);
-                let b: BoxNd = shape.iter().map(|&n| 0..n).collect();
+                let n = owned[nd - 1].len();
                 let mut k = 0;
-                for_each_index(&b, |idx| {
-                    let mut off = 0;
-                    for d in 0..nd {
-                        off = off * global_shape[d] + (starts[d] + idx[d]);
-                    }
-                    out[off] = parts[rank][k];
-                    k += 1;
+                for_each_index(&owned[..nd - 1].to_vec(), |idx| {
+                    let row = idx
+                        .iter()
+                        .chain([&owned[nd - 1].start])
+                        .zip(global_shape)
+                        .fold(0, |off, (&i, &g)| off * g + i);
+                    out[row..row + n].copy_from_slice(&part[k..k + n]);
+                    k += n;
                 });
             }
             out
@@ -501,6 +505,53 @@ mod tests {
         let want: Vec<f32> = (0..16).map(|v| v as f32).collect();
         for got in out {
             assert_eq!(got, want);
+        }
+    }
+
+    /// Gather a `shape` array whose value at each global point is its
+    /// row-major index, over every rank of `dims`; check it on each rank.
+    fn check_gather(shape: &[usize], dims: &[usize]) {
+        let p: usize = dims.iter().product();
+        let out = Universe::run(p, |comm| {
+            let dc = Arc::new(Decomposition::new(shape, dims));
+            let coords = mpix_comm::CartComm::coords_of(dims, comm.rank());
+            let mut a = DistArray::new(dc, &coords, 2);
+            let global: BoxNd = shape.iter().map(|&n| 0..n).collect();
+            let mut k = 0;
+            for_each_index(&global, |idx| {
+                a.set_global(idx, k as f32);
+                k += 1;
+            });
+            a.gather_global(&comm)
+        });
+        let want: Vec<f32> = (0..shape.iter().product::<usize>())
+            .map(|v| v as f32)
+            .collect();
+        for (rank, got) in out.into_iter().enumerate() {
+            assert_eq!(got, want, "{shape:?} over {dims:?}, rank {rank}");
+        }
+    }
+
+    #[test]
+    fn gather_global_one_dimensional_and_uneven() {
+        for p in 1..=4 {
+            check_gather(&[7], &[p]);
+            check_gather(&[12], &[p]);
+        }
+        for dims in [
+            [1, 1],
+            [2, 1],
+            [1, 2],
+            [3, 1],
+            [1, 3],
+            [2, 2],
+            [4, 1],
+            [1, 4],
+        ] {
+            check_gather(&[7, 5], &dims);
+        }
+        for dims in [[1, 1, 1], [2, 1, 1], [1, 3, 1], [1, 2, 2], [2, 1, 2]] {
+            check_gather(&[5, 3, 4], &dims);
         }
     }
 

@@ -24,7 +24,9 @@
 //!   (field, mode, radius) — so steady-state exchanges allocate nothing.
 //! * [`sparse`] — off-the-grid sparse points (sources/receivers):
 //!   ownership assignment with replication at shared boundaries (Fig. 3),
-//!   multilinear injection and interpolation.
+//!   and the per-rank [`SparsePlan`] that runs multilinear injection and
+//!   interpolation over precomputed offsets, combining shared receiver
+//!   partials once per run.
 
 // Numerical kernels index several arrays with one loop variable; the
 // clippy suggestion (iterators + zip) hurts clarity in stencil code.
@@ -43,4 +45,4 @@ pub use halo::{
     BasicExchange, DiagonalExchange, FullExchange, FullToken, HaloExchange, HaloMode, HaloPlan,
 };
 pub use regions::{remainder_boxes, BoxNd, Region};
-pub use sparse::SparsePoints;
+pub use sparse::{SparsePlan, SparsePoints};

@@ -9,8 +9,14 @@
 //! exactly its owning rank, so replicated execution never double-writes;
 //! interpolation sums per-rank partial contributions and combines them on
 //! the point's primary owner.
+//!
+//! [`SparsePoints`] holds the geometry; [`SparsePlan`] precomputes it
+//! once per rank and array layout, so the per-step work is a loop over
+//! offsets and the cross-rank combine happens once per run.
 
-use mpix_comm::{CartComm, Tag};
+use std::ops::Range;
+
+use mpix_comm::{CartComm, Comm, Tag};
 
 use crate::array::DistArray;
 use crate::decomp::Decomposition;
@@ -100,20 +106,6 @@ impl SparsePoints {
         }
     }
 
-    /// Is point `p` replicated on the rank with Cartesian `coords`?
-    pub fn is_owner(&self, p: usize, decomp: &Decomposition, coords: &[usize]) -> bool {
-        self.owner_coords(p, decomp).iter().any(|c| c == coords)
-    }
-
-    /// The *primary* owner (lowest coordinate tuple) — the rank that
-    /// combines interpolation partials.
-    pub fn primary_owner(&self, p: usize, decomp: &Decomposition) -> Vec<usize> {
-        self.owner_coords(p, decomp)
-            .into_iter()
-            .min()
-            .expect("every point has at least one owner")
-    }
-
     /// Multilinear corner weights of point `p`: `(corner offsets, weight)`
     /// for each of the `2^nd` surrounding nodes.
     pub fn corner_weights(&self, p: usize, global_shape: &[usize]) -> Vec<(Vec<usize>, f64)> {
@@ -138,52 +130,248 @@ impl SparsePoints {
         }
         out
     }
+}
 
-    /// Inject `value * weight` into the grid around point `p`. Each node
-    /// is written only by its owner, so calling this on every replicated
-    /// rank performs the global injection exactly once per node.
-    pub fn inject(&self, p: usize, value: f64, arr: &mut DistArray) {
-        let weights = self.corner_weights(p, arr.decomp().global_shape());
-        for (node, w) in weights {
-            if arr.owns_global(&node) {
-                let cur = arr.get_global(&node).unwrap();
-                arr.set_global(&node, cur + (value * w) as f32);
+/// How a held point's receiver partial reaches its sample.
+#[derive(Clone, Copy, Debug)]
+enum Role {
+    /// The only owner: its partial is the sample.
+    Sole,
+    /// First of several owners: keeps its `f64` partial in accumulator
+    /// slot `slot` and folds the secondaries' partials into it.
+    Primary { slot: usize },
+    /// A later owner: buffers its `f32` partial in slot `slot` of the
+    /// message to the primary behind send link `link`.
+    Secondary { link: usize, slot: usize },
+}
+
+/// One point this rank holds.
+#[derive(Clone, Debug)]
+struct Held {
+    point: usize,
+    /// This point's owned corners, as a range of `offsets`/`weights`.
+    corners: Range<usize>,
+    role: Role,
+}
+
+/// The once-per-run message to one primary peer: `width` partials per
+/// step, in point order.
+#[derive(Clone, Debug)]
+struct SendLink {
+    rank: usize,
+    width: usize,
+    buf: Vec<f32>,
+}
+
+/// The once-per-run message from one secondary peer: per step, the
+/// accumulator slots its partials fold into, in point order.
+#[derive(Clone, Debug)]
+struct RecvLink {
+    rank: usize,
+    slots: Vec<usize>,
+}
+
+/// Sparse points precomputed for one rank of one decomposition, over one
+/// padded array layout (every time buffer of a field shares it) — what
+/// [`crate::HaloPlan`] is to halos. Holds, for each point this rank
+/// owns a share of, the padded-linear offsets and weights of its owned
+/// corners and its role in the receiver combine (sole owner, primary or
+/// secondary), plus one link per peer rank it combines with.
+///
+/// Injection and sampling then cost one loop over offsets per step.
+/// Receiver partials of shared points cross ranks once per run, not once
+/// per step: each secondary buffers its `f32` partials and sends one
+/// message per primary peer at the end of the run, holding `nt × k`
+/// values; the primary folds them in owner order, which is ascending
+/// rank order because ranks are row-major in their coordinates.
+#[derive(Clone, Debug)]
+pub struct SparsePlan {
+    npoints: usize,
+    /// Length of the padded layout the offsets index.
+    layout_len: usize,
+    held: Vec<Held>,
+    offsets: Vec<usize>,
+    weights: Vec<f64>,
+    /// One link per primary peer.
+    sends: Vec<SendLink>,
+    /// Secondary peers, ascending rank (owner order).
+    recvs: Vec<RecvLink>,
+    /// Steps of the current run.
+    nt: usize,
+    /// Primary partials of the current run, `nt × nprimary`, step-major.
+    acc: Vec<f64>,
+    nprimary: usize,
+}
+
+impl SparsePlan {
+    /// Precompute `points` for the rank that owns `layout`.
+    pub fn build(points: &SparsePoints, layout: &DistArray) -> SparsePlan {
+        let decomp = layout.decomp();
+        let dims = decomp.dims();
+        let me = layout.coords();
+        let mut plan = SparsePlan {
+            npoints: points.len(),
+            layout_len: layout.raw().len(),
+            held: Vec::new(),
+            offsets: Vec::new(),
+            weights: Vec::new(),
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            nt: 0,
+            acc: Vec::new(),
+            nprimary: 0,
+        };
+        for p in 0..points.len() {
+            let owners = points.owner_coords(p, decomp);
+            if !owners.iter().any(|c| c == me) {
+                continue;
+            }
+            let c0 = plan.offsets.len();
+            for (node, w) in points.corner_weights(p, decomp.global_shape()) {
+                if let Some(off) = layout.global_offset(&node) {
+                    plan.offsets.push(off);
+                    plan.weights.push(w);
+                }
+            }
+            // Owner order is ascending coordinates, hence ascending rank.
+            let ranks: Vec<usize> = owners.iter().map(|c| CartComm::rank_of(dims, c)).collect();
+            let role = if owners.len() == 1 {
+                Role::Sole
+            } else if owners[0] == me {
+                let slot = plan.nprimary;
+                plan.nprimary += 1;
+                for &r in &ranks[1..] {
+                    match plan.recvs.iter_mut().find(|l| l.rank == r) {
+                        Some(l) => l.slots.push(slot),
+                        None => plan.recvs.push(RecvLink {
+                            rank: r,
+                            slots: vec![slot],
+                        }),
+                    }
+                }
+                Role::Primary { slot }
+            } else {
+                let link = match plan.sends.iter().position(|l| l.rank == ranks[0]) {
+                    Some(i) => i,
+                    None => {
+                        plan.sends.push(SendLink {
+                            rank: ranks[0],
+                            width: 0,
+                            buf: Vec::new(),
+                        });
+                        plan.sends.len() - 1
+                    }
+                };
+                let slot = plan.sends[link].width;
+                plan.sends[link].width += 1;
+                Role::Secondary { link, slot }
+            };
+            plan.held.push(Held {
+                point: p,
+                corners: c0..plan.offsets.len(),
+                role,
+            });
+        }
+        plan.recvs.sort_by_key(|l| l.rank);
+        plan
+    }
+
+    /// Number of points (held or not).
+    pub fn len(&self) -> usize {
+        self.npoints
+    }
+    pub fn is_empty(&self) -> bool {
+        self.npoints == 0
+    }
+
+    /// Add `value(p) * weight` into every owned corner of every held
+    /// point `p`, in point order. Each node is written only by its
+    /// owner, so running this on every rank injects each node once.
+    pub fn inject(&self, raw: &mut [f32], mut value: impl FnMut(usize) -> f64) {
+        debug_assert_eq!(
+            raw.len(),
+            self.layout_len,
+            "array layout differs from the plan's"
+        );
+        for h in &self.held {
+            let v = value(h.point);
+            for c in h.corners.clone() {
+                raw[self.offsets[c]] += (v * self.weights[c]) as f32;
             }
         }
     }
 
-    /// Interpolate the grid value at point `p`, combining partial sums
-    /// across the replication set onto the primary owner. Returns
-    /// `Some(value)` on the primary owner, `None` elsewhere.
-    ///
-    /// All replicated ranks must call this collectively.
-    pub fn interpolate(&self, p: usize, arr: &DistArray, cart: &CartComm, tag: Tag) -> Option<f64> {
-        let decomp = arr.decomp();
-        let owners = self.owner_coords(p, decomp);
-        let me = arr.coords().to_vec();
-        if !owners.contains(&me) {
-            return None;
+    /// Size the per-run partial buffers for a run of `nt` steps.
+    pub fn begin_run(&mut self, nt: usize) {
+        self.nt = nt;
+        self.acc.clear();
+        self.acc.resize(nt * self.nprimary, 0.0);
+        for l in &mut self.sends {
+            l.buf.clear();
+            l.buf.resize(nt * l.width, 0.0);
         }
-        let weights = self.corner_weights(p, decomp.global_shape());
-        let partial: f64 = weights
-            .iter()
-            .filter_map(|(node, w)| arr.get_global(node).map(|v| v as f64 * w))
-            .sum();
-        let primary = owners.iter().min().unwrap().clone();
-        let primary_rank = CartComm::rank_of(cart.dims(), &primary);
-        if me == primary {
-            let mut total = partial;
-            for o in &owners {
-                if *o != me {
-                    let r = CartComm::rank_of(cart.dims(), o);
-                    let v = cart.comm().recv_f32(r, tag);
-                    total += v[0] as f64;
+    }
+
+    /// Sample step `k` of the run from `raw`: sole owners write their
+    /// sample into `row` at once; shared points keep their partial until
+    /// [`combine`](Self::combine).
+    pub fn sample(&mut self, raw: &[f32], k: usize, row: &mut [f32]) {
+        debug_assert_eq!(
+            raw.len(),
+            self.layout_len,
+            "array layout differs from the plan's"
+        );
+        debug_assert!(k < self.nt, "step {k} outside the run of {} steps", self.nt);
+        for h in &self.held {
+            let partial: f64 = h
+                .corners
+                .clone()
+                .map(|c| raw[self.offsets[c]] as f64 * self.weights[c])
+                .sum();
+            match h.role {
+                Role::Sole => row[h.point] = partial as f32,
+                Role::Primary { slot } => self.acc[k * self.nprimary + slot] = partial,
+                Role::Secondary { link, slot } => {
+                    let l = &mut self.sends[link];
+                    l.buf[k * l.width + slot] = partial as f32;
                 }
             }
-            Some(total)
-        } else {
-            cart.comm().send_f32(primary_rank, tag, &[partial as f32]);
-            None
+        }
+    }
+
+    /// End of run: every secondary sends its buffered partials to each
+    /// primary peer in one message under `tag`; every primary folds them
+    /// in owner order and writes its samples into `rows` (the run's
+    /// `nt` rows). Collective over the ranks sharing points.
+    pub fn combine(&mut self, comm: &Comm, tag: Tag, rows: &mut [Vec<f32>]) {
+        assert_eq!(rows.len(), self.nt, "one sample row per step of the run");
+        for l in &self.sends {
+            comm.send_init(l.rank, tag).start(&l.buf);
+        }
+        let (nt, np) = (self.nt, self.nprimary);
+        for l in &self.recvs {
+            let acc = &mut self.acc;
+            comm.recv_init(l.rank, tag).wait_with(|vals| {
+                let w = l.slots.len();
+                assert_eq!(
+                    vals.len(),
+                    nt * w,
+                    "sparse partials from rank {}: run lengths differ",
+                    l.rank
+                );
+                for k in 0..nt {
+                    for (j, &slot) in l.slots.iter().enumerate() {
+                        acc[k * np + slot] += vals[k * w + j] as f64;
+                    }
+                }
+            });
+        }
+        for h in &self.held {
+            if let Role::Primary { slot } = h.role {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    row[h.point] = self.acc[k * np + slot] as f32;
+                }
+            }
         }
     }
 }
@@ -224,7 +412,8 @@ mod tests {
         let sp = points(vec![vec![3.5, 3.5]]);
         let owners = sp.owner_coords(0, &decomp());
         assert_eq!(owners.len(), 4);
-        assert_eq!(sp.primary_owner(0, &decomp()), vec![0, 0]);
+        // The first owner is the primary that combines partials.
+        assert_eq!(owners[0], vec![0, 0]);
     }
 
     #[test]
@@ -257,41 +446,80 @@ mod tests {
     fn inject_writes_each_node_once_across_replicas() {
         let dc = Arc::new(decomp());
         let sp = points(vec![vec![3.5, 3.5]]); // shared by 4 ranks
-                                               // Simulate all four ranks injecting; sum of all shards must equal
+                                               // Every rank injects through its own plan; the shards must sum to
                                                // the injected value (weights partition unity).
         let mut total = 0.0f64;
         for ci in 0..2 {
             for cj in 0..2 {
                 let mut arr = DistArray::new(Arc::clone(&dc), &[ci, cj], 2);
-                if sp.is_owner(0, &dc, &[ci, cj]) {
-                    sp.inject(0, 10.0, &mut arr);
-                }
+                SparsePlan::build(&sp, &arr).inject(arr.raw_mut(), |_| 10.0);
                 total += arr.raw().iter().map(|&v| v as f64).sum::<f64>();
             }
         }
         assert!((total - 10.0).abs() < 1e-5, "total {total}");
     }
 
+    /// Sample `nt` steps of `f(i, j) = i + 10 j + step` at the four-rank
+    /// corner point and combine once.
+    fn sample_corner_point(comm: Comm, nt: usize) -> (Vec<Vec<f32>>, mpix_comm::CommStats) {
+        let dc = Arc::new(decomp());
+        let cart = CartComm::new(comm, &[2, 2]);
+        let coords = CartComm::coords_of(&[2, 2], cart.rank()).to_vec();
+        let mut arr = DistArray::new(Arc::clone(&dc), &coords, 2);
+        let mut plan = SparsePlan::build(&points(vec![vec![3.5, 3.5]]), &arr);
+        let mut rows = Vec::new();
+        let mut stats = cart.comm().stats();
+        for run in 0..2 {
+            cart.comm().barrier();
+            let before = cart.comm().stats();
+            plan.begin_run(nt);
+            let mut run_rows = vec![vec![f32::NAN; 1]; nt];
+            for (k, row) in run_rows.iter_mut().enumerate() {
+                for i in 0..8 {
+                    for j in 0..8 {
+                        arr.set_global(&[i, j], (i + 10 * j + k) as f32);
+                    }
+                }
+                plan.sample(arr.raw(), k, row);
+            }
+            plan.combine(cart.comm(), 100, &mut run_rows);
+            cart.comm().barrier();
+            let after = cart.comm().stats();
+            if run == 1 {
+                stats.bufs_allocated = after.bufs_allocated - before.bufs_allocated;
+                stats.msgs_sent = after.msgs_sent - before.msgs_sent;
+            }
+            rows.extend(run_rows);
+        }
+        (rows, stats)
+    }
+
     #[test]
     fn interpolate_across_ranks_matches_serial() {
         use mpix_comm::Universe;
-        let got = Universe::run(4, |comm| {
-            let dc = Arc::new(decomp());
-            let cart = CartComm::new(comm, &[2, 2]);
-            let coords = CartComm::coords_of(&[2, 2], cart.rank()).to_vec();
-            let mut arr = DistArray::new(Arc::clone(&dc), &coords, 2);
-            // Global field: f(i,j) = i + 10*j (linear -> interpolation exact).
-            for i in 0..8 {
-                for j in 0..8 {
-                    arr.set_global(&[i, j], (i + 10 * j) as f32);
+        let got = Universe::run(4, |comm| sample_corner_point(comm, 3));
+        // Exactly one rank (primary owner, rank 0) records the value.
+        for (rank, (rows, _)) in got.iter().enumerate() {
+            for (k, row) in rows.iter().enumerate() {
+                let want = 3.5 + 35.0 + (k % 3) as f32;
+                if rank == 0 {
+                    assert!((row[0] - want).abs() < 1e-4, "{} vs {want}", row[0]);
+                } else {
+                    assert!(row[0].is_nan(), "secondary recorded a sample");
                 }
             }
-            let sp = points(vec![vec![3.5, 3.5]]);
-            sp.interpolate(0, &arr, &cart, 100)
-        });
-        // Exactly one rank (primary owner, rank 0) returns the value.
-        let vals: Vec<f64> = got.into_iter().flatten().collect();
-        assert_eq!(vals.len(), 1);
-        assert!((vals[0] - (3.5 + 35.0)).abs() < 1e-4, "{}", vals[0]);
+        }
+    }
+
+    #[test]
+    fn warm_combine_sends_one_message_per_secondary_and_allocates_nothing() {
+        use mpix_comm::Universe;
+        let got = Universe::run(4, |comm| sample_corner_point(comm, 5));
+        for (rank, (_, stats)) in got.iter().enumerate() {
+            // Barriers send no messages; each secondary sends one per run.
+            let want = u64::from(rank != 0);
+            assert_eq!(stats.msgs_sent, want, "rank {rank}: messages per run");
+            assert_eq!(stats.bufs_allocated, 0, "rank {rank}: warm run allocated");
+        }
     }
 }

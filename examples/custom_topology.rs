@@ -54,9 +54,7 @@ fn main() {
     for ci in 0..2 {
         for cj in 0..2 {
             let mut arr = DistArray::new(Arc::clone(&dc), &[ci, cj], 2);
-            if sp.is_owner(0, &dc, &[ci, cj]) {
-                sp.inject(0, 42.0, &mut arr);
-            }
+            SparsePlan::build(&sp, &arr).inject(arr.raw_mut(), |_| 42.0);
             total += arr.raw().iter().map(|&v| v as f64).sum::<f64>();
         }
     }

@@ -678,7 +678,7 @@ mod verification_oracle {
             cases.push((
                 "tag-window-collision",
                 "comm-schedule",
-                check_tag_windows(&ctx, &keys, 2),
+                check_tag_windows(&ctx, &keys, 2, 1),
             ));
         }
 

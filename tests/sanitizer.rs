@@ -14,7 +14,7 @@ use std::sync::Arc;
 use mpix_codegen::executor::Fault;
 use mpix_comm::Universe;
 use mpix_core::Workspace;
-use mpix_dmp::HaloMode;
+use mpix_dmp::{HaloMode, SparsePoints};
 use mpix_san::{
     San, VectorClock, PASS_LEAK, PASS_MSG_RACE, PASS_REUSE, PASS_SLAB, PASS_STALE_HALO,
 };
@@ -390,6 +390,55 @@ fn shipped_configs_are_clean_under_sanitizer() {
             findings.is_empty(),
             "false positives in {mode:?}: {findings:#?}"
         );
+    }
+}
+
+#[test]
+fn sparse_combine_is_clean_under_sanitizer() {
+    // Shared receivers reach their primary in one persistent message per
+    // (secondary → primary) pair at the end of the run; the sanitizer
+    // must see matched, ordered traffic. The centred source and the first
+    // receiver sit where all four ranks of a 2x2 split meet (Fig. 3
+    // point C); the rest cross the rank split.
+    let spec = ModelSpec::new(&[40, 40]).with_nbl(4);
+    let prop = Propagator::build(KernelKind::Acoustic, spec.clone(), 4);
+    let nt = 4i64;
+    let h = spec.spacing;
+    let mut receivers = vec![spec.center_coords()];
+    receivers.extend((0..12).map(|i| vec![(20.0 + 0.6 * i as f64) * h, 10.3 * h]));
+    for ranks in [2, 4] {
+        let pref = &prop;
+        let rec = &receivers;
+        let init = move |ws: &mut Workspace| {
+            pref.init(ws);
+            pref.add_ricker_source(ws, 18.0, nt as usize);
+            ws.add_receivers(
+                pref.main_field(),
+                SparsePoints::new(rec.clone(), vec![h, h]),
+            );
+        };
+        let opts = prop
+            .apply_options(nt)
+            .with_ranks(ranks)
+            .with_verify(false)
+            .with_sanitize(true);
+        let applied = prop
+            .op
+            .run(&opts, init, |ws| ws.take_samples(ws.sparse.len() - 1));
+        let findings: Vec<&Diagnostic> = applied
+            .summary
+            .diagnostics
+            .iter()
+            .filter(|d| d.pass.starts_with("mpix-san/"))
+            .collect();
+        assert!(findings.is_empty(), "{ranks} ranks: {findings:#?}");
+        // The combine ran: exactly one rank recorded every sample.
+        for t in 0..nt as usize {
+            for p in 0..receivers.len() {
+                let recorded = applied.results.iter().filter(|s| !s[t][p].is_nan()).count();
+                assert_eq!(recorded, 1, "{ranks} ranks: step {t} receiver {p}");
+            }
+        }
     }
 }
 
