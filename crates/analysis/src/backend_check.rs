@@ -6,7 +6,7 @@
 //! width 0): the path `bytecode_check::eval_program` re-implements
 //! instruction by instruction and that `tests/vector_equivalence.rs`
 //! pins against the generated C semantics. Each backend under test
-//! compiles the *same* [`CompiledCluster`] through [`create_lowering`]
+//! compiles the *same* [`CompiledCluster`] through [`compile_kernel`]
 //! and runs it over a synthetic geometry with deterministic fills; any
 //! store whose bits differ from the oracle's is an error. The sweep also
 //! covers the interpreter's own lane-vectorized strips (W ∈ {8, 16,
@@ -19,7 +19,7 @@
 //! distinct extents so a transposed stride bug cannot cancel out.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
-use mpix_codegen::{create_lowering, Backend, Launch};
+use mpix_codegen::{compile_kernel, Backend, Launch};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
 
@@ -129,8 +129,7 @@ fn run_backend(
     block: usize,
     vw: usize,
 ) -> Result<Vec<Vec<f32>>, String> {
-    let lowering = create_lowering(backend).map_err(|e| e.to_string())?;
-    let kernel = lowering.compile(cc);
+    let kernel = compile_kernel(backend, cc).map_err(|e| e.to_string())?;
     let mut bufs = geo.init.clone();
     let launch = Launch {
         cc,

@@ -32,7 +32,7 @@
 //! Multi-step propagation mirrors the executor: per (field, time-buffer)
 //! state, clusters applied in program order each step, buffer rotation
 //! by `(t + toff) mod buffers`, halo reads union-ed with the padded
-//! boundary zeros. From the final state [`certify`] builds the
+//! boundary zeros. From the final state [`certify()`] builds the
 //! machine-checkable precision certificate validated empirically by
 //! `tests/fp_certs.rs`.
 //!

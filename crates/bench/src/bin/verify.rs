@@ -12,9 +12,11 @@
 //! Sweeps every shipped solver × space discretization order {4, 8, 12,
 //! 16} × all three halo-exchange modes (basic / diagonal / full) on 1-,
 //! 2- and 4-rank topologies, plus the thread-slab and vector-strip
-//! proofs and the backend bitwise-equivalence gate (every backend named
-//! by `--backends`, default all available on this host, against the
-//! scalar bytecode oracle). Exits nonzero if any pass reports a
+//! proofs and the backend bitwise-equivalence gate (every runtime
+//! backend named by `--backends` — `bytecode`, `jit` — default all
+//! available on this host, against the scalar bytecode oracle). C is an
+//! emission format, not a backend: `--backends=c` fails, pointing at
+//! `Operator::c_code_for`. Exits nonzero if any pass reports a
 //! diagnostic of severity Error or worse — the CI gate that generated
 //! artifacts stay provably sound.
 //!
@@ -133,7 +135,9 @@ FLAGS:
     --json             machine-readable JSON report on stdout
     --deny-warnings    treat Warning diagnostics as fatal (see EXIT CODES)
     --san              dynamic sanitizer sweep instead of the static passes
-    --backends=A,B     restrict the equivalence gate to named backends
+    --backends=A,B     restrict the equivalence gate to named runtime
+                       backends: bytecode, jit (C is an emission format,
+                       reachable through Operator::c_code_for)
     --ranks=N,M        rank counts to sweep (default 1,2,4)
     --help             print this message
 

@@ -408,7 +408,7 @@ pub fn json_dump() -> String {
 
 /// Per-rank observability readout: run the acoustic kernel for real on
 /// 4 simulated ranks under `TraceLevel::Full`, once per halo mode, and
-/// print each run's [`PerfSummary`] as a table plus machine-readable
+/// print each run's [`mpix_trace::PerfSummary`] as a table plus machine-readable
 /// JSON (the `trace` layer of this PR, end to end).
 pub fn print_perf() {
     use mpix_core::Workspace;

@@ -1,36 +1,33 @@
-//! The multi-backend lowering seam: every execution strategy for a
-//! compiled cluster — C emission, the bytecode interpreter, the native
-//! JIT — is a [`Lowering`] registered as a peer behind one factory,
-//! [`create_lowering`].
+//! The runtime-backend seam: the two ways to execute a compiled
+//! cluster — the bytecode interpreter and the native JIT — behind one
+//! kernel interface, [`ClusterKernel`], built by [`compile_kernel`].
 //!
 //! The split of responsibilities is deliberate: the *executor* owns
 //! everything that is backend-independent (time loop, halo exchanges,
 //! region boxes, loop blocking, slab threading, sanitizer hooks), while
 //! a backend owns only the innermost question — how to evaluate one
-//! compiled cluster over one box. That keeps the three backends
+//! compiled cluster over one box. That keeps the backends
 //! interchangeable at the box boundary, which is exactly the boundary
 //! the equivalence gate in `mpix-analysis` verifies.
+//!
+//! C is not a runtime backend: the paper-style C source is an emission
+//! format (`cgen::emit_c`, `Operator::c_code_for`) that nothing here
+//! compiles.
 
 use std::fmt;
 use std::str::FromStr;
 
 use mpix_dmp::regions::BoxNd;
 use mpix_ir::iet::Node;
-use mpix_symbolic::Context;
 
 use crate::bytecode::CompiledCluster;
 use crate::executor;
 use crate::interp::{self, Program};
-use crate::jit::JitLowering;
+use crate::jit::JitKernel;
 
-/// An execution/emission backend for compiled clusters.
+/// A runtime backend for compiled clusters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Emit C source in the paper's generated style (`cgen`). Execution
-    /// delegates to the bytecode interpreter: this environment has no
-    /// system C compiler, so the C backend is an *emission* peer whose
-    /// runtime behaviour must match the interpreter by construction.
-    C,
     /// The portable stack-bytecode interpreter with lane-vectorized
     /// strips (the default; runs everywhere).
     Bytecode,
@@ -41,13 +38,13 @@ pub enum Backend {
     Jit,
 }
 
-/// Every backend name [`create_lowering`] resolves, in display form.
-pub const BACKEND_NAMES: [&str; 3] = ["c", "bytecode", "jit"];
+/// Every backend name [`Backend::from_str`] accepts, in display form.
+pub const BACKEND_NAMES: [&str; 2] = ["bytecode", "jit"];
 
 /// All backends constructible on this host. `jit` is present only where
 /// the generated code can actually run (x86-64 Linux with AVX).
 pub fn available_backends() -> Vec<Backend> {
-    let mut v = vec![Backend::C, Backend::Bytecode];
+    let mut v = vec![Backend::Bytecode];
     if cranelift::TargetInfo::host().supports_jit() {
         v.push(Backend::Jit);
     }
@@ -57,7 +54,6 @@ pub fn available_backends() -> Vec<Backend> {
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Backend::C => "c",
             Backend::Bytecode => "bytecode",
             Backend::Jit => "jit",
         })
@@ -69,7 +65,6 @@ impl FromStr for Backend {
 
     fn from_str(s: &str) -> Result<Backend, BackendError> {
         match s.to_ascii_lowercase().as_str() {
-            "c" => Ok(Backend::C),
             "bytecode" => Ok(Backend::Bytecode),
             "jit" => Ok(Backend::Jit),
             _ => Err(BackendError::Unknown {
@@ -91,11 +86,16 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::Unknown { name } => write!(
-                f,
-                "unknown backend {name:?}: available backends are {}",
-                BACKEND_NAMES.join(", ")
-            ),
+            BackendError::Unknown { name } => {
+                write!(f, "unknown backend {name:?}")?;
+                if name.eq_ignore_ascii_case("c") {
+                    f.write_str(
+                        " (C is an emission format, reachable through \
+                         Operator::c_code_for, not a runtime backend)",
+                    )?;
+                }
+                write!(f, ": available backends are {}", BACKEND_NAMES.join(", "))
+            }
             BackendError::Unsupported { backend, reason } => write!(
                 f,
                 "backend {backend} is not usable on this host ({reason}); \
@@ -165,31 +165,20 @@ pub trait ClusterKernel: Send + Sync {
     );
 }
 
-/// A code-generation backend: emits human-readable output for a lowered
-/// IET and compiles cluster bodies into executable [`ClusterKernel`]s.
-pub trait Lowering: Send + Sync {
-    /// Which backend this is.
-    fn backend(&self) -> Backend;
-
-    /// Emit this backend's source/listing form of the lowered IET (C
-    /// source for [`Backend::C`], a bytecode listing otherwise).
-    fn emit(&self, iet: &Node, ctx: &Context) -> String;
-
-    /// Compile one cluster into an executable kernel.
-    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel>;
-}
-
-/// Resolve a backend to its [`Lowering`] implementation.
+/// Compile one cluster into an executable kernel for `backend`.
 ///
-/// Errors with the available-backend list when the request cannot be
-/// satisfied on this host (e.g. `jit` without AVX); parse errors from
+/// Errors with the available-backend listing when the backend cannot
+/// run on this host (`jit` without x86-64 Linux AVX); parse errors from
 /// [`Backend::from_str`] carry the same actionable listing.
-pub fn create_lowering(backend: Backend) -> Result<Box<dyn Lowering>, BackendError> {
+pub fn compile_kernel(
+    backend: Backend,
+    cc: &CompiledCluster,
+) -> Result<Box<dyn ClusterKernel>, BackendError> {
     match backend {
-        Backend::C => Ok(Box::new(CLowering)),
-        Backend::Bytecode => Ok(Box::new(BytecodeLowering)),
+        Backend::Bytecode => Ok(Box::new(BytecodeKernel::new(cc))),
         Backend::Jit => {
-            let target = cranelift::TargetInfo::host();
+            let ctx = cranelift::JitContext::new();
+            let target = ctx.target();
             if !target.supports_jit() {
                 return Err(BackendError::Unsupported {
                     backend: Backend::Jit,
@@ -199,41 +188,18 @@ pub fn create_lowering(backend: Backend) -> Result<Box<dyn Lowering>, BackendErr
                     ),
                 });
             }
-            Ok(Box::new(JitLowering::new()))
+            Ok(Box::new(JitKernel::new(ctx, cc)))
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bytecode backend
-// ---------------------------------------------------------------------------
-
-/// The interpreter backend: stateless, since the launch already carries
-/// the compiled body; `compile` exists so the factory surface is uniform
-/// across backends.
-pub struct BytecodeLowering;
-
-/// Interpreter kernel: the cluster's register program ([`interp`]),
+/// Interpreter kernel: the cluster's register program (`interp`),
 /// translated once here and run by the strip engine.
 pub struct BytecodeKernel(Program);
 
 impl BytecodeKernel {
     pub fn new(cc: &CompiledCluster) -> BytecodeKernel {
         BytecodeKernel(Program::new(cc))
-    }
-}
-
-impl Lowering for BytecodeLowering {
-    fn backend(&self) -> Backend {
-        Backend::Bytecode
-    }
-
-    fn emit(&self, iet: &Node, _ctx: &Context) -> String {
-        bytecode_listing(iet)
-    }
-
-    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
-        Box::new(BytecodeKernel::new(cc))
     }
 }
 
@@ -253,8 +219,9 @@ impl ClusterKernel for BytecodeKernel {
     }
 }
 
-/// Disassembly of every compiled space-loop body in the IET.
-fn bytecode_listing(iet: &Node) -> String {
+/// Disassembly of every compiled space-loop body in the IET (post-fusion
+/// bytecode, one block per cluster). `Operator::content_key` hashes it.
+pub fn bytecode_listing(iet: &Node) -> String {
     let mut compiled = Vec::new();
     executor::collect_compiled(iet, &mut compiled);
     let mut out = String::new();
@@ -273,38 +240,13 @@ fn bytecode_listing(iet: &Node) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// C backend
-// ---------------------------------------------------------------------------
-
-/// The C-emission backend. `emit` produces the paper-style C source
-/// (`cgen::emit_c`); `compile` returns the interpreter kernel, because
-/// this environment has no system C compiler to close the loop — the
-/// emitted C and the interpreter implement the same compiled clusters,
-/// which is what the golden tests in `tests/codegen_golden.rs` pin.
-pub struct CLowering;
-
-impl Lowering for CLowering {
-    fn backend(&self) -> Backend {
-        Backend::C
-    }
-
-    fn emit(&self, iet: &Node, ctx: &Context) -> String {
-        crate::cgen::emit_c(iet, ctx)
-    }
-
-    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
-        Box::new(BytecodeKernel::new(cc))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backend_names_round_trip() {
-        for b in [Backend::C, Backend::Bytecode, Backend::Jit] {
+        for b in [Backend::Bytecode, Backend::Jit] {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
         }
         // Case-insensitive.
@@ -319,13 +261,16 @@ mod tests {
         for name in BACKEND_NAMES {
             assert!(msg.contains(name), "{msg} should list {name}");
         }
-    }
-
-    #[test]
-    fn factory_resolves_every_available_backend() {
-        for b in available_backends() {
-            let lowering = create_lowering(b).unwrap();
-            assert_eq!(lowering.backend(), b);
+        // C is an emission format: asking to run it points at the
+        // emitter and lists the runtime backends.
+        for c in ["c", "C"] {
+            let msg = c.parse::<Backend>().unwrap_err().to_string();
+            assert!(msg.contains("emission format"), "{msg}");
+            assert!(msg.contains("Operator::c_code_for"), "{msg}");
+            assert!(
+                msg.ends_with("available backends are bytecode, jit"),
+                "{msg}"
+            );
         }
     }
 

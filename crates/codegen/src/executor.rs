@@ -22,8 +22,9 @@ use mpix_symbolic::{Context, FieldId};
 use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
-use crate::backend::{create_lowering, Backend, BackendError, ClusterKernel, Launch};
+use crate::backend::{compile_kernel, Backend, BackendError, ClusterKernel, Launch};
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
+use crate::options::ApplyOptions;
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
 pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
@@ -116,44 +117,6 @@ pub enum SparseOp {
     },
 }
 
-/// Execution options — the runtime knobs of the paper's evaluation.
-#[derive(Clone, Debug)]
-pub struct ExecOptions {
-    pub mode: HaloMode,
-    /// Loop-blocking tile edge for the two outermost space dims (0 = off).
-    pub block: usize,
-    /// Shared-memory worker threads per rank (the OpenMP analogue).
-    pub threads: usize,
-    /// Lane count of the strip-vectorized interpreter (the runtime
-    /// analogue of the generated C's `#pragma omp simd`): each compiled
-    /// op executes over `vector_width` contiguous innermost-loop points
-    /// at once. `0`/`1` = scalar; supported widths are
-    /// [`SUPPORTED_VECTOR_WIDTHS`]. Remainder points (inner extent not
-    /// a multiple of the width) fall back to the scalar path, bitwise
-    /// identically.
-    pub vector_width: usize,
-    /// Instrumentation level; at [`TraceLevel::Off`] (the default) the
-    /// hooks cost one branch per span.
-    pub trace: TraceLevel,
-    /// Injected runtime bug for the sanitizer's mutant corpus
-    /// (`tests/sanitizer.rs`). Shipped paths never set this.
-    #[doc(hidden)]
-    pub fault: Option<Fault>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            mode: HaloMode::Basic,
-            block: 0,
-            threads: 1,
-            vector_width: 0,
-            trace: TraceLevel::Off,
-            fault: None,
-        }
-    }
-}
-
 /// Fault injection for the sanitizer's runtime-mutant corpus: each
 /// variant plants one concrete bug class into an otherwise-correct
 /// execution, so `mpix-san` can be tested against real executor runs
@@ -228,8 +191,8 @@ pub struct OperatorExec {
     param_defs: Vec<(usize, IExpr)>,
     /// Compiled bodies, keyed by space-loop order of appearance.
     compiled: Vec<CompiledCluster>,
-    /// One executable kernel per compiled body, produced by the selected
-    /// backend's [`crate::backend::Lowering`].
+    /// One executable kernel per compiled body, compiled by the selected
+    /// backend ([`compile_kernel`]).
     kernels: Vec<Box<dyn ClusterKernel>>,
     /// Which backend compiled the kernels.
     backend: Backend,
@@ -240,25 +203,20 @@ pub struct OperatorExec {
 }
 
 impl OperatorExec {
-    /// Precompile every space loop in the IET with the default
-    /// (bytecode) backend.
-    pub fn new(iet: Node, ctx: &Context) -> OperatorExec {
-        Self::with_backend(iet, ctx, Backend::Bytecode)
-            .expect("bytecode backend is always available")
-    }
-
     /// Precompile every space loop in the IET through the chosen
-    /// backend's lowering.
+    /// backend.
     pub fn with_backend(
         iet: Node,
         ctx: &Context,
         backend: Backend,
     ) -> Result<OperatorExec, BackendError> {
-        let lowering = create_lowering(backend)?;
-        EXEC_COMPILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut compiled = Vec::new();
         collect_compiled(&iet, &mut compiled);
-        let kernels = compiled.iter().map(|cc| lowering.compile(cc)).collect();
+        let kernels = compiled
+            .iter()
+            .map(|cc| compile_kernel(backend, cc))
+            .collect::<Result<_, _>>()?;
+        EXEC_COMPILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let param_defs = match &iet {
             Node::Callable { params, .. } => params.clone(),
             _ => Vec::new(),
@@ -300,17 +258,14 @@ impl OperatorExec {
         self.kernels.iter().map(|k| k.cached_modules()).sum()
     }
 
-    /// Run the operator for time steps `t0 .. t0 + nt`.
-    #[allow(clippy::too_many_arguments)]
+    /// Run the operator for time steps `opts.t0 .. opts.t0 + opts.nt`.
     pub fn run(
         &self,
         cart: &CartComm,
         fields: &mut [FieldState],
         scalars: &HashMap<String, f32>,
         sparse: &mut [SparseOp],
-        t0: i64,
-        nt: i64,
-        opts: &ExecOptions,
+        opts: &ApplyOptions,
     ) -> ExecStats {
         // Evaluate precomputed parameters (r0 = 1/dt, ...).
         let max_param = self
@@ -338,8 +293,8 @@ impl OperatorExec {
             fields,
             scalars,
             params,
-            opts: opts.clone(),
-            t: t0,
+            opts,
+            t: opts.t0,
             loop_idx: 0,
             pending: HashMap::new(),
             full_ex: HashMap::new(),
@@ -352,7 +307,7 @@ impl OperatorExec {
             other => std::slice::from_ref(other),
         };
         for n in body {
-            self.exec_node(n, &mut st, sparse, t0, nt);
+            self.exec_node(n, &mut st, sparse);
         }
         let ExecState {
             mut stats, tracer, ..
@@ -380,16 +335,10 @@ impl OperatorExec {
         stats
     }
 
-    fn exec_node(
-        &self,
-        n: &Node,
-        st: &mut ExecState<'_>,
-        sparse: &mut [SparseOp],
-        t0: i64,
-        nt: i64,
-    ) {
+    fn exec_node(&self, n: &Node, st: &mut ExecState<'_>, sparse: &mut [SparseOp]) {
         match n {
             Node::TimeLoop { body } => {
+                let (t0, nt) = (st.opts.t0, st.opts.nt);
                 let first_loop = self.loops_before_time_loop();
                 let steps = nt.max(0) as usize;
                 for op in sparse.iter_mut() {
@@ -403,7 +352,7 @@ impl OperatorExec {
                     st.loop_idx = first_loop;
                     st.tracer.begin_step(t);
                     for c in body {
-                        self.exec_node(c, st, sparse, t0, nt);
+                        self.exec_node(c, st, sparse);
                     }
                     self.exec_sparse(st, sparse, (t - t0) as usize, steps);
                 }
@@ -416,7 +365,7 @@ impl OperatorExec {
                 // Injected mutant (tests only): drop every exchange after
                 // the first step — the runtime face of a bad drop/hoist
                 // decision, which `mpix-san`'s stale-halo detector owns.
-                if st.opts.fault == Some(Fault::DropExchange) && st.t > t0 {
+                if st.opts.fault == Some(Fault::DropExchange) && st.t > st.opts.t0 {
                     return;
                 }
                 let start = Instant::now();
@@ -435,7 +384,7 @@ impl OperatorExec {
                 // Injected mutant (tests only): skip the drain, so
                 // remainder regions read halo boxes whose receives never
                 // completed.
-                if st.opts.fault == Some(Fault::SkipHaloWait) && st.t > t0 {
+                if st.opts.fault == Some(Fault::SkipHaloWait) && st.t > st.opts.t0 {
                     return;
                 }
                 let start = Instant::now();
@@ -463,12 +412,12 @@ impl OperatorExec {
             }
             Node::Section { body, .. } | Node::HaloSpot { body, .. } => {
                 for c in body {
-                    self.exec_node(c, st, sparse, t0, nt);
+                    self.exec_node(c, st, sparse);
                 }
             }
             Node::Callable { body, .. } => {
                 for c in body {
-                    self.exec_node(c, st, sparse, t0, nt);
+                    self.exec_node(c, st, sparse);
                 }
             }
         }
@@ -800,7 +749,6 @@ fn exec_box_threaded(
 ) {
     let cc = l.cc;
     let (strides, halos) = (l.strides, l.halos);
-    let nd = bx.len();
     let r0 = bx[0].clone();
     let chunk = r0.len().div_ceil(nthreads);
     let nstreams_total = moved.len();
@@ -847,20 +795,15 @@ fn exec_box_threaded(
         range0: std::ops::Range<usize>,
     }
     let mut workers: Vec<WorkerCtx<'_>> = Vec::new();
-    {
-        let mut x = r0.start;
-        let mut w = 0usize;
-        while x < r0.end {
-            let xe = (x + chunk).min(r0.end);
-            workers.push(WorkerCtx {
-                reads: vec![None; nstreams_total],
-                writes: (0..nstreams_total).map(|_| None).collect(),
-                range0: x..xe,
-            });
-            x = xe;
-            w += 1;
-        }
-        let _ = w;
+    let mut x = r0.start;
+    while x < r0.end {
+        let xe = (x + chunk).min(r0.end);
+        workers.push(WorkerCtx {
+            reads: vec![None; nstreams_total],
+            writes: (0..nstreams_total).map(|_| None).collect(),
+            range0: x..xe,
+        });
+        x = xe;
     }
     for (s, b) in bindings.into_iter().enumerate() {
         match b {
@@ -914,7 +857,6 @@ fn exec_box_threaded(
             });
         }
     });
-    let _ = nd;
 }
 
 // ---------------------------------------------------------------------------
@@ -926,7 +868,7 @@ struct ExecState<'a> {
     fields: &'a mut [FieldState],
     scalars: &'a HashMap<String, f32>,
     params: Vec<f32>,
-    opts: ExecOptions,
+    opts: &'a ApplyOptions,
     t: i64,
     /// Index of the next space loop to execute (into `compiled`).
     loop_idx: usize,
@@ -1113,7 +1055,7 @@ mod tests {
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, false);
         let iet = lower_halo_spots(iet, MpiMode::Basic);
-        let exec = OperatorExec::new(iet, &ctx);
+        let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
         assert_eq!(exec.compiled_clusters().len(), 1);
 
         Universe::run(1, |comm| {
@@ -1131,9 +1073,7 @@ mod tests {
                 &mut fields,
                 &scalars,
                 &mut [],
-                0,
-                1,
-                &ExecOptions::default(),
+                &ApplyOptions::default(),
             );
             assert_eq!(stats.points_updated, 36);
             // After one step, buffer 1 holds 2*shifted values.
@@ -1159,7 +1099,7 @@ mod tests {
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, true);
         let iet = lower_halo_spots(iet, MpiMode::Basic);
-        let exec = &OperatorExec::new(iet, &ctx);
+        let exec = &OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
 
         let run = |threads: usize, block: usize, vw: usize| -> Vec<f32> {
             Universe::run(1, |comm| {
@@ -1184,15 +1124,11 @@ mod tests {
                     &mut fields,
                     &scalars,
                     &mut [],
-                    0,
-                    3,
-                    &ExecOptions {
-                        mode: HaloMode::Basic,
-                        block,
-                        threads,
-                        vector_width: vw,
-                        ..ExecOptions::default()
-                    },
+                    &ApplyOptions::default()
+                        .with_nt(3)
+                        .with_block(block)
+                        .with_threads(threads)
+                        .with_vector_width(vw),
                 );
                 fields[0].buffers[fields[0].buffer_index(3, 0)]
                     .raw()
@@ -1272,14 +1208,10 @@ mod tests {
                     &mut fields,
                     &scalars,
                     &mut [],
-                    0,
-                    3,
-                    &ExecOptions {
-                        mode: HaloMode::Basic,
-                        block,
-                        threads,
-                        ..ExecOptions::default()
-                    },
+                    &ApplyOptions::default()
+                        .with_nt(3)
+                        .with_block(block)
+                        .with_threads(threads),
                 );
                 fields[0].buffers[fields[0].buffer_index(3, 0)]
                     .raw()

@@ -53,11 +53,9 @@ use std::sync::{Arc, Mutex};
 
 use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
 use mpix_dmp::regions::BoxNd;
-use mpix_ir::iet::Node;
-use mpix_symbolic::Context;
 
 use crate::arith;
-use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch, Lowering};
+use crate::backend::{BytecodeKernel, ClusterKernel, Launch};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 
 /// Process-wide count of native modules actually encoded and finalized
@@ -148,61 +146,6 @@ impl JitPlan {
     }
 }
 
-/// The JIT lowering: one per `create_lowering(Backend::Jit)` call.
-pub struct JitLowering {
-    ctx: JitContext,
-}
-
-impl JitLowering {
-    pub fn new() -> JitLowering {
-        JitLowering {
-            ctx: JitContext::new(),
-        }
-    }
-}
-
-impl Default for JitLowering {
-    fn default() -> Self {
-        JitLowering::new()
-    }
-}
-
-impl Lowering for JitLowering {
-    fn backend(&self) -> Backend {
-        Backend::Jit
-    }
-
-    fn emit(&self, iet: &Node, _ctx: &Context) -> String {
-        let mut compiled = Vec::new();
-        crate::executor::collect_compiled(iet, &mut compiled);
-        let mut out = String::new();
-        for (i, cc) in compiled.iter().enumerate() {
-            let plan = JitPlan::analyze(cc);
-            out.push_str(&format!(
-                "; cluster {i}: {} ops, {} streams, max stack {} -> {}\n",
-                cc.ops.len(),
-                cc.streams.len(),
-                cc.max_stack,
-                if plan.supported {
-                    "native avx (8-wide + scalar tail)"
-                } else {
-                    "bytecode fallback"
-                },
-            ));
-        }
-        out
-    }
-
-    fn compile(&self, cc: &CompiledCluster) -> Box<dyn ClusterKernel> {
-        Box::new(JitKernel {
-            ctx: self.ctx,
-            plan: JitPlan::analyze(cc),
-            modules: Mutex::new(HashMap::new()),
-            fallback: BytecodeKernel::new(cc),
-        })
-    }
-}
-
 /// A JIT-compiled cluster. Machine code is generated lazily per
 /// geometry (the resolved linear offsets are the key — a simulated
 /// multi-rank universe shares one kernel across ranks whose local
@@ -215,6 +158,18 @@ pub struct JitKernel {
 }
 
 impl JitKernel {
+    /// Analyze `cc` for native support; machine code is encoded on
+    /// first use per geometry. The caller has checked that `ctx`'s
+    /// target can run it.
+    pub(crate) fn new(ctx: JitContext, cc: &CompiledCluster) -> JitKernel {
+        JitKernel {
+            ctx,
+            plan: JitPlan::analyze(cc),
+            modules: Mutex::new(HashMap::new()),
+            fallback: BytecodeKernel::new(cc),
+        }
+    }
+
     /// Fetch or build the native module for this geometry. `None` when
     /// the cluster (or this geometry's displacements) cannot be JITted.
     fn module_for(&self, cc: &CompiledCluster, resolved: &[isize]) -> Option<Arc<CompiledModule>> {

@@ -24,10 +24,11 @@
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
 //!   three halo-exchange patterns from `mpix-dmp`.
-//! * [`backend`] — the seam tying them together: the [`Lowering`]
-//!   trait, the [`ClusterKernel`] launch surface, and the
-//!   [`create_lowering`] factory that registers the three backends as
-//!   selectable peers.
+//! * [`backend`] — the seam tying them together: the
+//!   [`ClusterKernel`] launch surface and [`compile_kernel`], which
+//!   builds a cluster's kernel for one of the two runtime backends
+//!   (`bytecode`, `jit`).
+//! * [`options`] — [`ApplyOptions`], the run knobs the executor borrows.
 
 // Numerical kernels index several arrays with one loop variable; the
 // clippy suggestion (iterators + zip) hurts clarity in stencil code.
@@ -41,14 +42,14 @@ pub mod cgen;
 pub mod executor;
 mod interp;
 pub mod jit;
+pub mod options;
 
 pub use backend::{
-    available_backends, create_lowering, Backend, BackendError, ClusterKernel, Launch, Lowering,
-    BACKEND_NAMES,
+    available_backends, bytecode_listing, compile_kernel, Backend, BackendError, ClusterKernel,
+    Launch, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
-pub use executor::{
-    exec_compiles, halo_tag_base, sparse_tag, ExecOptions, FieldState, OperatorExec, SparseOp,
-};
+pub use executor::{exec_compiles, halo_tag_base, sparse_tag, FieldState, OperatorExec, SparseOp};
 pub use jit::jit_modules_built;
+pub use options::ApplyOptions;

@@ -33,7 +33,7 @@ impl Universe {
     /// the duration of the run and any findings are printed to stderr
     /// (never panicking — the sanitizer observes, the caller decides).
     /// For programmatic access to the reports, build a
-    /// [`San`](mpix_san::San) yourself and use
+    /// [`mpix_san::San`] yourself and use
     /// [`run_with_san`](Self::run_with_san).
     /// Comm-layer tuning (mailbox shards, spin yields, receive timeout)
     /// is read from the environment once per run — see

@@ -28,7 +28,7 @@
 //!   that would monopolize the pool is rejected *before* compiling.
 //! * [`Server`] — worker threads draining a job queue. Each finished
 //!   job streams one JSON record (cache hit/miss, admission price, the
-//!   full [`PerfSummary`] with diagnostics) through the sink; shutdown
+//!   full [`mpix_trace::PerfSummary`] with diagnostics) through the sink; shutdown
 //!   streams a final summary record with the cache hit rate.
 //!
 //! Tenant isolation is by construction: every job's `run` builds a

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so this workspace-internal
 //! crate implements the slice of proptest's API our property tests use:
-//! the [`Strategy`] trait with `prop_map`/`prop_flat_map`/`prop_recursive`,
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`/`prop_recursive`,
 //! range/tuple/`Just` strategies, `collection::vec`, `prop_oneof!`, and the
 //! `proptest!`/`prop_assert*`/`prop_assume!` macros.
 //!
@@ -335,7 +335,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Element-count specification for [`vec`]: an exact count or a range.
+    /// Element-count specification for [`vec()`]: an exact count or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

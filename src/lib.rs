@@ -16,7 +16,7 @@
 //! | [`comm`] | the simulated MPI substrate (ranks as threads) |
 //! | [`dmp`] | decomposition, distributed arrays, halo patterns, sparse points |
 //! | [`ir`] | Cluster IR, halo detection, schedule tree, IET + passes |
-//! | [`codegen`] | lowering backends: C emitter, bytecode engine, native JIT |
+//! | [`codegen`] | C emitter, bytecode interpreter and native JIT runtime backends, executor, `ApplyOptions` |
 //! | [`core`] | the user-facing `Operator` |
 //! | [`solvers`] | acoustic / TTI / elastic / viscoelastic propagators |
 //! | [`perf`] | machine + network model, strong/weak scaling generators |

@@ -174,19 +174,6 @@ fn all_kernels_all_orders_bitwise_equal() {
     }
 }
 
-/// The C backend is an emission peer that executes through the
-/// interpreter — selecting it must be a behavioral no-op.
-#[test]
-fn c_backend_matches_bytecode() {
-    let shape = [9, 17];
-    let op = laplace_op(&shape, 4);
-    let oracle = run_config(&op, &shape, Backend::Bytecode, 0, 0, 1);
-    let c = run_config(&op, &shape, Backend::C, 0, 0, 1);
-    for (k, (a, b)) in oracle.iter().zip(&c).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "c backend idx={k}: {a} vs {b}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
