@@ -14,9 +14,11 @@
 //! JIT is the interpreter" and "the interpreter agrees with itself on
 //! every execution shape" together.
 //!
-//! The synthetic geometry deliberately uses an odd innermost extent so
-//! the JIT's 8-lane strip loop leaves a live scalar tail, and per-axis
-//! distinct extents so a transposed stride bug cannot cancel out.
+//! The synthetic geometry's innermost extent ([`INNER_EXTENT`]) runs
+//! every loop of every strip engine: the JIT's interleaved multi-strip
+//! loop, its single-strip loop and its scalar tail, and a full W = 32
+//! interpreter strip. Per-axis distinct extents make sure a transposed
+//! stride bug cannot cancel out.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
 use mpix_codegen::{compile_kernel, Backend, Launch};
@@ -25,6 +27,11 @@ use mpix_trace::Diagnostic;
 
 /// Pass name used in diagnostics.
 pub const PASS: &str = "backend";
+
+/// Innermost extent of the synthetic geometry: two passes of the JIT's
+/// two-strip loop (32 points, also one full W = 32 interpreter strip),
+/// one pass of its single-strip loop (8) and an odd scalar tail (5).
+pub const INNER_EXTENT: usize = 45;
 
 /// A self-contained launch geometry for one cluster: every stream gets
 /// the same padded allocation (uniform halo = the cluster's max offset
@@ -54,10 +61,11 @@ fn build_geometry(cc: &CompiledCluster, num_params: usize) -> Geometry {
         .flat_map(|(_, d)| d.iter().map(|x| x.unsigned_abs() as usize))
         .max()
         .unwrap_or(0);
-    // Odd innermost extent (scalar tail stays live at W = 8); distinct
-    // outer extents (stride transpositions cannot alias).
+    // Every strip loop and the tail live innermost; distinct outer
+    // extents (stride transpositions cannot alias), kept small because
+    // the verify gate runs the scalar oracle over every point.
     let extents: Vec<usize> = (0..nd)
-        .map(|d| if d == nd - 1 { 7 } else { 3 + d })
+        .map(|d| if d == nd - 1 { INNER_EXTENT } else { 2 + d })
         .collect();
     let padded: Vec<usize> = extents.iter().map(|e| e + 2 * halo).collect();
     let mut stride = vec![0usize; nd];
@@ -290,12 +298,24 @@ mod tests {
 
     #[test]
     fn geometry_has_unit_innermost_stride_and_odd_extent() {
+        use mpix_codegen::jit::MAX_STRIPS;
+
         let cc = star_cluster();
         let geo = build_geometry(&cc, 0);
         for s in &geo.strides {
             assert_eq!(*s.last().unwrap(), 1);
         }
-        assert_eq!(geo.bx.last().unwrap().len() % 2, 1, "tail must stay live");
+        let n = geo.bx.last().unwrap().len();
+        assert_eq!(n % 2, 1, "tail must stay live");
+        // The JIT's interleaved loop runs, then its single-strip loop
+        // (8 points left), then the scalar tail.
+        assert!(n >= 8 * MAX_STRIPS, "interleaved body must run");
+        assert!(
+            n % (8 * MAX_STRIPS) > 8,
+            "single-strip body and tail must run"
+        );
+        // The interpreter's widest strip runs at least once in full.
+        assert!(n > 32, "a full W = 32 strip must run");
         // Offsets resolve symmetrically: the star has matched ± taps.
         assert!(geo.resolved.iter().any(|&r| r > 0));
         assert!(geo.resolved.iter().any(|&r| r < 0));

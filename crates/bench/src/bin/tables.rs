@@ -10,8 +10,9 @@
 //! cargo run -p mpix-bench --release --bin tables -- trends
 //! cargo run -p mpix-bench --release --bin tables -- validate   # real multi-rank runs
 //! cargo run -p mpix-bench --release --bin tables -- perf       # per-rank PerfSummary
-//! cargo run -p mpix-bench --release --bin tables -- bench-kernels [--quick]
-//! #   scalar vs vectorized interpreter GPts/s -> BENCH_kernels.json
+//! cargo run -p mpix-bench --release --bin tables -- bench-kernels [--quick] [--baseline=FILE]
+//! #   scalar vs vectorized interpreter vs jit GPts/s -> BENCH_kernels.json
+//! #   --baseline adds each row's ratio to an earlier record's
 //! cargo run -p mpix-bench --release --bin tables -- bench-halo [--quick] [--ranks-sweep]
 //! #   persistent-plan vs legacy halo exchange latency -> BENCH_comm.json
 //! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: sharded
@@ -72,10 +73,20 @@ fn main() {
 }
 
 /// Measure scalar-vs-vector interpreter throughput and write the JSON
-/// record to `BENCH_kernels.json` (`--quick` = CI smoke size).
+/// record to `BENCH_kernels.json` (`--quick` = CI smoke size;
+/// `--baseline=FILE` compares every row against an earlier record).
 fn bench_kernels(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
-    let json = tables::bench_kernels_json(quick);
+    let baseline = args
+        .iter()
+        .find_map(|a| a.strip_prefix("--baseline="))
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("--baseline={path}: cannot read: {e}"));
+            mpix_json::Value::parse(&text)
+                .unwrap_or_else(|e| panic!("--baseline={path}: not a JSON record: {e:?}"))
+        });
+    let json = tables::bench_kernels_json_vs(quick, baseline.as_ref());
     let path = "BENCH_kernels.json";
     std::fs::write(path, &json).expect("write BENCH_kernels.json");
     println!("\nwrote {path}");

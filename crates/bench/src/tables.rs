@@ -449,19 +449,42 @@ pub fn print_perf() {
 /// The `tables bench-kernels` subcommand writes this to
 /// `BENCH_kernels.json`, the perf-trajectory record for the repo.
 ///
+/// Each row is the median of `reps` timed runs (5; 1 when `quick`).
 /// `quick` shrinks the grid and step count to a CI smoke size (schema
 /// identical; numbers not meaningful for trend tracking).
 pub fn bench_kernels_json(quick: bool) -> String {
+    bench_kernels_json_vs(quick, None)
+}
+
+/// [`bench_kernels_json`] with every row compared against `baseline`, a
+/// record the same subcommand wrote earlier (typically at the parent
+/// commit, on the same host): rows that match a baseline row by
+/// `(kernel, sdo, backend)` gain `baseline_gpts` and `vs_baseline`
+/// (this run's GPts/s over the baseline's).
+pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -> String {
     use mpix_core::{available_backends, Backend};
-    use mpix_json::json;
+    use mpix_json::{json, Value};
     use mpix_solvers::{ModelSpec, Propagator};
     use std::time::Instant;
 
     const VW: usize = 16;
-    let (edge, nbl, nt) = if quick {
-        (12usize, 2usize, 2i64)
+    let (edge, nbl, nt, reps) = if quick {
+        (12usize, 2usize, 2i64, 1usize)
     } else {
-        (32, 4, 8)
+        (32, 4, 8, 5)
+    };
+    let baseline_gpts = |kernel: &str, sdo: u32, backend: &str| -> Option<f64> {
+        baseline?
+            .get("kernels")?
+            .as_array()?
+            .iter()
+            .find(|r| {
+                r.get("kernel").and_then(Value::as_str) == Some(kernel)
+                    && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
+                    && r.get("backend").and_then(Value::as_str) == Some(backend)
+            })?
+            .get("gpts")?
+            .as_f64()
     };
     let have_jit = available_backends().contains(&Backend::Jit);
 
@@ -488,9 +511,15 @@ pub fn bench_kernels_json(quick: bool) -> String {
                     .with_ranks(1);
                 // Untimed warm-up amortizes first-touch and compilation.
                 p.op.run(&opts, init, |_| ());
-                let t0 = Instant::now();
-                p.op.run(&opts, init, |_| ());
-                t0.elapsed().as_secs_f64()
+                let mut secs: Vec<f64> = (0..reps)
+                    .map(|_| {
+                        let t0 = Instant::now();
+                        p.op.run(&opts, init, |_| ());
+                        t0.elapsed().as_secs_f64()
+                    })
+                    .collect();
+                secs.sort_by(f64::total_cmp);
+                secs[reps / 2]
             };
             let pts = p.points_per_step() as f64 * nt as f64;
             // (row label, backend, strip width): the scalar interpreter
@@ -509,21 +538,28 @@ pub fn bench_kernels_json(quick: bool) -> String {
                     scalar = gpts;
                 }
                 let speedup = gpts / scalar;
+                let base = baseline_gpts(kind.name(), sdo, label);
                 println!(
-                    "{:<14} {:>4} {:<9} {:>12.4} {:>8.2}x",
+                    "{:<14} {:>4} {:<9} {:>12.4} {:>8.2}x{}",
                     kind.name(),
                     sdo,
                     label,
                     gpts,
-                    speedup
+                    speedup,
+                    base.map_or(String::new(), |b| format!(" {:>8.2}x baseline", gpts / b))
                 );
-                rows.push(json!({
-                    "kernel": kind.name(),
-                    "sdo": sdo,
-                    "backend": label,
-                    "gpts": gpts,
-                    "speedup": speedup,
-                }));
+                let mut row = vec![
+                    ("kernel".to_string(), json!(kind.name())),
+                    ("sdo".to_string(), json!(sdo)),
+                    ("backend".to_string(), json!(label)),
+                    ("gpts".to_string(), json!(gpts)),
+                    ("speedup".to_string(), json!(speedup)),
+                ];
+                if let Some(b) = base {
+                    row.push(("baseline_gpts".to_string(), json!(b)));
+                    row.push(("vs_baseline".to_string(), json!(gpts / b)));
+                }
+                rows.push(Value::Obj(row));
             }
         }
     }
@@ -534,6 +570,8 @@ pub fn bench_kernels_json(quick: bool) -> String {
         "vector_width": VW,
         "jit_available": have_jit,
         "quick": quick,
+        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "reps": reps,
         "kernels": rows,
     })
     .pretty()

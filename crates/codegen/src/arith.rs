@@ -10,7 +10,7 @@
 //!   below 2⁻¹²⁶.
 //! * Moves (loads, stores, temporaries, broadcasts) copy bits unchanged.
 //!
-//! The JIT gets these semantics from the hardware: each generated row
+//! The JIT gets these semantics from the hardware: each generated box
 //! function ORs [`MXCSR_FTZ_DAZ`] into MXCSR on entry and restores the
 //! caller's value before it returns. The interpreter emulates them with
 //! the helpers below, which every evaluator calls once per lane; the

@@ -24,6 +24,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 use crate::arith;
 use crate::backend::{compile_kernel, Backend, BackendError, ClusterKernel, Launch};
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
+use crate::jit::ClusterRoute;
 use crate::options::ApplyOptions;
 
 /// Strip widths the lane-vectorized engine is monomorphized for.
@@ -249,6 +250,17 @@ impl OperatorExec {
     }
     pub fn halos(&self) -> &[usize] {
         &self.halos
+    }
+
+    /// Which backend actually executes each compiled cluster (in
+    /// [`compiled_clusters`](Self::compiled_clusters) order), on the
+    /// serial and the threaded path, and why the JIT fell back where it
+    /// did.
+    pub fn cluster_routes(&self) -> Vec<ClusterRoute> {
+        self.compiled
+            .iter()
+            .map(|cc| ClusterRoute::of(self.backend, cc))
+            .collect()
     }
 
     /// Total natively-compiled per-geometry modules held across this

@@ -1,61 +1,101 @@
 //! Native JIT backend: compiles cluster bytecode to x86-64 AVX machine
 //! code through the vendored `cranelift` crate.
 //!
-//! The generated function mirrors the strip interpreter exactly — an
-//! 8-lane vector loop plus a scalar tail, evaluating the same ops in
-//! the same order with the same mul-then-add rounding (no FMA) under the
-//! same flush-to-zero arithmetic ([`crate::arith`]: the hardware's
-//! MXCSR FTZ|DAZ mode here, its emulation in the interpreter) — so its
-//! results are bitwise identical to the bytecode oracle on every input.
-//! That is a *structural* property: each bytecode op maps to a fixed
-//! AVX sequence whose lane arithmetic is the IEEE operation the
-//! interpreter performs. The `mpix-analysis` backend-equivalence pass
-//! and `tests/backend_equivalence.rs` check it end to end.
+//! The generated function mirrors the strip interpreter exactly — 8-lane
+//! vector strips plus a scalar tail, evaluating the same ops in the same
+//! order with the same mul-then-add rounding (no FMA) under the same
+//! flush-to-zero arithmetic ([`crate::arith`]: the hardware's MXCSR
+//! FTZ|DAZ mode here, its emulation in the interpreter) — so its results
+//! are bitwise identical to the bytecode oracle on every input. That is
+//! a *structural* property: each bytecode op maps to a fixed AVX
+//! sequence whose lane arithmetic is the IEEE operation the interpreter
+//! performs, and every point is evaluated independently of the strip it
+//! falls in. The `mpix-analysis` backend-equivalence pass and
+//! `tests/backend_equivalence.rs` check it end to end.
 //!
 //! ## Code shape
 //!
 //! One function per `(cluster, resolved offsets)` pair — offsets are
 //! per-geometry, so a multi-rank run compiles one variant per distinct
-//! local shape (cached). The function executes one contiguous inner
-//! row of `n` points:
+//! local shape (cached). One call runs one box (a loop-blocking tile):
+//! the function walks the box's innermost dimension and the two outside
+//! it (*rows* and *planes*) itself, so the Rust driver (`run_box`) only
+//! iterates the dimensions beyond those, i.e. for boxes of four or more
+//! dimensions.
 //!
 //! ```text
-//! rdi = &RowArgs { streams: *const *mut f32, n: u64,
-//!                  bank: *const f32, temps: *mut f32,
+//! rdi = &BoxArgs { ptrs: *mut *mut f32, n: u64, bank: *const f32,
+//!                  temps: *mut f32, row_step: *const isize,
+//!                  plane_step: *const isize, rows: u64, planes: u64,
 //!                  saved_csr: u64, kernel_csr: u64 }
 //!
-//! prologue: saved_csr = MXCSR; MXCSR = saved_csr | FTZ | DAZ
-//!           rsi=streams rdx=n r8=bank r9=temps
-//!           r10/r11 = two hottest stream pointers
-//!           ymm15 = bank[0] (1.0, when Pow ops need it)
-//!           rcx = 0
-//! vec:      while rcx+8 <= n: 8-wide body, rcx += 8
-//! tail:     while rcx < n: scalar body (ss ops), rcx += 1
-//!           MXCSR = saved_csr; vzeroupper; ret
+//! prologue: push rbx, rbp (+ r12..r15 when they pin streams)
+//!           saved_csr = MXCSR; MXCSR = saved_csr | FTZ | DAZ
+//!           rsi=ptrs rdx=n r8=bank r9=temps rbp=planes
+//!           r10..r15 = the hottest streams' first-row pointers
+//!           ymm15 = 1.0 (when Pow ops need it)
+//!           pinned ymm = the most-used bank values, broadcast once
+//! plane:    rbx = rows
+//! row:      rcx = 0
+//!           while rcx+8U <= n: U interleaved 8-wide strips, rcx += 8U
+//!           while rcx+8  <= n: one 8-wide strip,            rcx += 8
+//!           while rcx    <  n: scalar body (ss ops),        rcx += 1
+//!           every stream pointer += row_step[s]; --rbx → row
+//!           every stream pointer += plane_step[s]; --rbp → plane
+//! epilogue: MXCSR = saved_csr; vzeroupper; pop; ret
 //! ```
 //!
-//! The *bank* is `[1.0, consts…, scalars…, params…]` — every
-//! point-invariant value at a compile-time-known offset, loaded with
-//! `vbroadcastss`. Stack slots live in `ymm0..=ymm11` (the deepest
-//! observed solver stack is 9), `ymm12` is scratch, temporaries are
-//! memory-resident 8-lane slots at `temps + 32*t`.
+//! The pointer steps are bytes, passed at run time, so a module depends
+//! only on the resolved offsets and is shared by every box of its
+//! geometry. `plane_step` is the plane stride less the `rows` row steps
+//! the row loop already applied. Streams not pinned to a register are
+//! re-read from (and advanced in) the `ptrs` array.
 //!
-//! Clusters the JIT cannot prove it supports (elementary-function
-//! calls, exotic `Pow` exponents, stack deeper than the register file)
-//! fall back to the bytecode interpreter per cluster; the threaded
-//! (slab) path additionally requires that no load targets a written
-//! stream with a nonzero offset, since such reads could escape the
-//! worker's slab. Fallbacks preserve results exactly — the interpreter
-//! *is* the reference semantics.
+//! The *bank* is `[1.0, consts…, scalars…, params…]` — every
+//! point-invariant value at a compile-time-known offset.
+//!
+//! **Register plan.** A strip's stack slots live in consecutive ymm
+//! registers from `ymm0` (the deepest shipped solver stack is 6; the
+//! JIT accepts up to 12). Counting down from `ymm15` come
+//! `1.0` (only when `Pow` needs it), the product scratch and, when
+//! strips interleave, a separate splat scratch. The registers left
+//! between hold the bank values used most often — constant, scalar and
+//! parameter pushes and the coefficients of fused `LoadMul*` taps — each
+//! broadcast once per call. A push of a pinned value costs nothing: the
+//! stack slot aliases the pinned register until an op overwrites it.
+//! Every other bank value is broadcast at each use.
+//!
+//! **Interleaving.** The wide loop evaluates `U` independent 8-lane
+//! strips op by op (strip `k` owns stack registers `k·stack ..`,
+//! addresses `+ 32k` bytes and temporary slots `temps + 32·(t·U + k)`),
+//! so the strips share each coefficient broadcast and stream-pointer
+//! reload, and their dependency chains overlap. `U` is a property of
+//! the cluster, not a knob: the most strips (up to [`MAX_STRIPS`]) whose
+//! stack registers fit the file with both scratches and `1.0`. Points
+//! are still visited in row order and each is computed by the same ops,
+//! so interleaving cannot change a bit.
+//!
+//! **FP mode.** MXCSR switches once per call, in the prologue, and is
+//! restored in the epilogue — as in the paper's generated operators.
+//!
+//! Clusters the JIT cannot prove it supports fall back to the bytecode
+//! interpreter per cluster, and [`ClusterRoute`] says which and why
+//! ([`Fallback`]): elementary-function calls, exotic `Pow` exponents, a
+//! stack deeper than the register file; the threaded (slab) path
+//! additionally requires that no load targets a written stream with a
+//! nonzero offset, since such reads could escape the worker's slab.
+//! Fallbacks preserve results exactly — the interpreter *is* the
+//! reference semantics.
 
 use std::collections::HashMap;
+use std::mem::offset_of;
 use std::sync::{Arc, Mutex};
 
 use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
 use mpix_dmp::regions::BoxNd;
 
 use crate::arith;
-use crate::backend::{BytecodeKernel, ClusterKernel, Launch};
+use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 
 /// Process-wide count of native modules actually encoded and finalized
@@ -69,21 +109,33 @@ pub fn jit_modules_built() -> u64 {
     JIT_MODULES_BUILT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Deepest expression stack the register allocator maps to `ymm0..=11`.
+/// Size of the AVX register file.
+const NUM_YMM: usize = 16;
+/// Deepest expression stack one strip may map to registers.
 const MAX_JIT_STACK: usize = 12;
-/// Scratch vector register (fused-op intermediate, coefficient splat).
-const SCRATCH: Ymm = Ymm(12);
-/// Broadcast 1.0, loaded in the prologue when `Pow` ops need it.
-const ONE: Ymm = Ymm(15);
+/// Most 8-lane strips one wide-loop iteration interleaves.
+pub const MAX_STRIPS: usize = 2;
+/// Registers pinning the hottest streams' row pointers, hottest first.
+const HOT: [Reg; 6] = [Reg::R10, Reg::R11, Reg::R12, Reg::R13, Reg::R14, Reg::R15];
 
-/// Arguments for one generated row call. Field order is baked into the
-/// generated prologue — keep in sync with `codegen_row_fn`.
+/// Arguments for one generated box call. The generated code addresses
+/// the fields through `offset_of!`.
 #[repr(C)]
-struct RowArgs {
-    streams: *const *mut f32,
+struct BoxArgs {
+    /// Per-stream pointer to the box's first point, advanced in place
+    /// for streams not pinned to a register.
+    ptrs: *mut *mut f32,
+    /// Innermost extent (points per row).
     n: u64,
     bank: *const f32,
     temps: *mut f32,
+    /// Per-stream byte step from one row to the next.
+    row_step: *const isize,
+    /// Per-stream byte step from the end of a plane's last row to the
+    /// next plane's first.
+    plane_step: *const isize,
+    rows: u64,
+    planes: u64,
     /// Scratch for the MXCSR switch: the prologue stores the caller's
     /// MXCSR in the low half of `saved_csr` and the kernel's (caller's
     /// | FTZ | DAZ) in `kernel_csr`; the epilogue reloads `saved_csr`.
@@ -91,32 +143,122 @@ struct RowArgs {
     kernel_csr: u64,
 }
 
-/// What the structural analysis of a cluster decided.
+/// `BoxArgs` field offset as an addressing displacement.
+macro_rules! arg {
+    ($field:ident) => {
+        offset_of!(BoxArgs, $field) as i32
+    };
+}
+
+/// Why the JIT hands a cluster (or its threaded path) to the bytecode
+/// interpreter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fallback {
+    /// An elementary-function `Call` op has no native lowering.
+    Call,
+    /// A `Pow` exponent outside `-2..=2`.
+    Pow(i32),
+    /// The expression stack is deeper than the 12 registers one strip
+    /// may use.
+    Stack(usize),
+    /// Threaded path only: a load reads a written stream at a nonzero
+    /// offset, which could escape the worker's write slab.
+    NotMixedSafe,
+}
+
+/// Which backend actually executes one compiled cluster, per executor
+/// path. Under [`Backend::Bytecode`] both paths are the interpreter and
+/// `fallback` is `None`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClusterRoute {
+    /// Runs whole-buffer boxes (`threads = 1`, or boxes too thin to
+    /// split).
+    pub serial: Backend,
+    /// Runs the per-worker slabs of threaded boxes.
+    pub threaded: Backend,
+    /// Why the JIT handed a path to the interpreter.
+    pub fallback: Option<Fallback>,
+}
+
+impl ClusterRoute {
+    /// The route of `cc` compiled for `backend`.
+    pub fn of(backend: Backend, cc: &CompiledCluster) -> ClusterRoute {
+        let interp = ClusterRoute {
+            serial: Backend::Bytecode,
+            threaded: Backend::Bytecode,
+            fallback: None,
+        };
+        if backend == Backend::Bytecode {
+            return interp;
+        }
+        let plan = JitPlan::analyze(cc);
+        match (plan.fallback, plan.mixed_safe) {
+            (Some(why), _) => ClusterRoute {
+                fallback: Some(why),
+                ..interp
+            },
+            (None, false) => ClusterRoute {
+                serial: backend,
+                fallback: Some(Fallback::NotMixedSafe),
+                ..interp
+            },
+            (None, true) => ClusterRoute {
+                serial: backend,
+                threaded: backend,
+                fallback: None,
+            },
+        }
+    }
+}
+
+/// What the structural analysis of a cluster decided: whether it can be
+/// JITted, and the register plan of the generated code.
 struct JitPlan {
-    /// Every op has a native lowering and the stack fits the registers.
-    supported: bool,
-    /// `Pow` ops present → prologue must load `ymm15 = 1.0`.
-    needs_one: bool,
+    /// Why the cluster runs on the interpreter; `None` = native.
+    fallback: Option<Fallback>,
     /// No load targets a written stream at a nonzero offset, so slab
     /// pointers cannot be escaped by reads — the threaded path may JIT.
     mixed_safe: bool,
-    /// Stream slots for the two hottest (most-referenced) streams,
-    /// pinned to `r10`/`r11`.
-    hot: [Option<usize>; 2],
+    /// Registers per strip (the cluster's maximum stack depth).
+    stack: usize,
+    /// 8-lane strips per wide-loop iteration.
+    strips: usize,
+    /// Stream slots pinned to the [`HOT`] registers, hottest first.
+    hot: Vec<usize>,
+    /// Broadcast 1.0, when `Pow` ops need it.
+    one: Option<Ymm>,
+    /// Product scratch (fused multiply-adds, `LoadMulAdd` taps).
+    prod: Ymm,
+    /// Splat scratch for unpinned coefficients; `prod` itself when no
+    /// strips interleave.
+    splat: Ymm,
+    /// `(bank byte offset, register)` of the pinned bank values.
+    pins: Vec<(i32, Ymm)>,
 }
 
 impl JitPlan {
     fn analyze(cc: &CompiledCluster) -> JitPlan {
-        let mut supported = cc.max_stack <= MAX_JIT_STACK;
+        let mut fallback = (cc.max_stack > MAX_JIT_STACK).then_some(Fallback::Stack(cc.max_stack));
         let mut needs_one = false;
         let mut mixed_safe = true;
         let mut refs = vec![0usize; cc.streams.len()];
+        // Bank uses per byte offset, with first appearance as tiebreak.
+        let mut uses: Vec<(i32, usize)> = Vec::new();
+        let mut use_bank = |off: i32| match uses.iter_mut().find(|(o, _)| *o == off) {
+            Some((_, n)) => *n += 1,
+            None => uses.push((off, 1)),
+        };
         for op in &cc.ops {
+            if let Some(src) = bank_src(op) {
+                use_bank(bank_off(cc, src));
+            }
             match *op {
-                Op::Call(_) => supported = false,
+                Op::Call(_) => {
+                    fallback.get_or_insert(Fallback::Call);
+                }
                 Op::Pow(n) => {
                     if !matches!(n, -2..=2) {
-                        supported = false;
+                        fallback.get_or_insert(Fallback::Pow(n));
                     }
                     needs_one = true;
                 }
@@ -136,13 +278,50 @@ impl JitPlan {
         }
         let mut order: Vec<usize> = (0..refs.len()).collect();
         order.sort_by_key(|&s| std::cmp::Reverse(refs[s]));
-        let hot = [order.first().copied(), order.get(1).copied()];
+        order.truncate(HOT.len());
+
+        // Registers from the top: 1.0, the product scratch, then the
+        // splat scratch when strips interleave.
+        let stack = cc.max_stack.max(1);
+        let reserved = |strips: usize| usize::from(needs_one) + if strips > 1 { 2 } else { 1 };
+        let strips = (1..=MAX_STRIPS)
+            .rev()
+            .find(|&u| u * stack + reserved(u) <= NUM_YMM)
+            .unwrap_or(1);
+        let mut top = NUM_YMM;
+        let mut take = || {
+            top -= 1;
+            Ymm(top as u8)
+        };
+        let one = needs_one.then(&mut take);
+        let prod = take();
+        let splat = if strips > 1 { take() } else { prod };
+        // The registers between the strips' stack slots and the
+        // scratches pin the most-used bank values.
+        uses.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        let free = (strips * stack..top).map(|r| Ymm(r as u8));
+        let pins = uses.iter().map(|&(off, _)| off).zip(free).collect();
         JitPlan {
-            supported,
-            needs_one,
+            fallback,
             mixed_safe,
-            hot,
+            stack,
+            strips,
+            hot: order,
+            one,
+            prod,
+            splat,
+            pins,
         }
+    }
+
+    /// The register pinning stream `s`'s row pointer, if any.
+    fn hot_reg(&self, s: usize) -> Option<Reg> {
+        self.hot.iter().position(|&h| h == s).map(|i| HOT[i])
+    }
+
+    /// The register pinning the bank value at byte offset `off`, if any.
+    fn pinned(&self, off: i32) -> Option<Ymm> {
+        self.pins.iter().find(|&&(o, _)| o == off).map(|&(_, r)| r)
     }
 }
 
@@ -173,14 +352,14 @@ impl JitKernel {
     /// Fetch or build the native module for this geometry. `None` when
     /// the cluster (or this geometry's displacements) cannot be JITted.
     fn module_for(&self, cc: &CompiledCluster, resolved: &[isize]) -> Option<Arc<CompiledModule>> {
-        if !self.plan.supported {
+        if self.plan.fallback.is_some() {
             return None;
         }
         let mut cache = self.modules.lock().unwrap();
         if let Some(hit) = cache.get(resolved) {
             return hit.clone();
         }
-        let built = codegen_row_fn(cc, resolved, &self.plan)
+        let built = codegen_box_fn(cc, resolved, &self.plan)
             .and_then(|asm| self.ctx.finalize(asm).ok().map(Arc::new));
         if built.is_some() {
             JIT_MODULES_BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -204,7 +383,7 @@ impl ClusterKernel for JitKernel {
         match self.module_for(l.cc, l.resolved) {
             Some(module) => {
                 let origins: Vec<*mut f32> = buffers.iter_mut().map(|b| b.as_mut_ptr()).collect();
-                run_box(&module, l, bx, &origins);
+                run_box(&module, &self.plan, l, bx, &origins);
             }
             None => self.fallback.exec_box(l, bx, buffers),
         }
@@ -235,7 +414,7 @@ impl ClusterKernel for JitKernel {
                         (None, None) => unreachable!("unbound stream"),
                     })
                     .collect();
-                run_box(&module, l, bx, &origins);
+                run_box(&module, &self.plan, l, bx, &origins);
             }
             None => self.fallback.exec_box_mixed(l, bx, reads, writes),
         }
@@ -243,12 +422,19 @@ impl ClusterKernel for JitKernel {
 }
 
 // ---------------------------------------------------------------------------
-// Row driver
+// Box driver
 // ---------------------------------------------------------------------------
 
-/// Drive the generated row function over every inner row of `bx`,
-/// reproducing the interpreter's tiling and odometer exactly.
-fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut f32]) {
+/// Run the generated box function over every tile of `bx`, one call per
+/// tile and per index of the dimensions beyond the three it walks
+/// itself, reproducing the interpreter's tiling and row order exactly.
+fn run_box(
+    module: &CompiledModule,
+    plan: &JitPlan,
+    l: &Launch<'_>,
+    bx: &BoxNd,
+    origins: &[*mut f32],
+) {
     let nd = bx.len();
     if bx.iter().any(|r| r.is_empty()) {
         return;
@@ -261,61 +447,67 @@ fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut 
     bank.extend_from_slice(&cc.consts);
     bank.extend_from_slice(l.scalars);
     bank.extend_from_slice(l.params);
-    // 8-lane memory slots for temporaries (the scalar tail uses lane 0).
-    let mut temps = vec![0.0f32; cc.num_temps * 8];
+    // 8-lane memory slots for temporaries, one per interleaved strip
+    // (the scalar tail uses lane 0 of strip 0's).
+    let mut temps = vec![0.0f32; cc.num_temps * 8 * plan.strips];
 
+    // The generated code walks rows (dimension nd-2) and planes (nd-3);
+    // a box with fewer dimensions has one of each, with no step.
+    let (row_d, plane_d) = (nd.checked_sub(2), nd.checked_sub(3));
+    let odometer = nd.saturating_sub(3);
     let nstreams = cc.streams.len();
-    let mut streams = vec![std::ptr::null_mut::<f32>(); nstreams];
+    let byte_step = |s: usize, d: Option<usize>| d.map_or(0, |d| (l.strides[s][d] * 4) as isize);
+    let row_step: Vec<isize> = (0..nstreams).map(|s| byte_step(s, row_d)).collect();
+    let mut plane_step = vec![0isize; nstreams];
+    let mut ptrs = vec![std::ptr::null_mut::<f32>(); nstreams];
     for tile in crate::executor::tiles(bx, l.block) {
         if tile.iter().any(|r| r.is_empty()) {
             continue;
         }
-        let inner = tile[nd - 1].clone();
-        let n = inner.len() as u64;
-        let mut outer: Vec<usize> = tile[..nd - 1].iter().map(|r| r.start).collect();
-        loop {
+        let extent = |d: Option<usize>| d.map_or(1, |d| tile[d].len());
+        let (rows, planes) = (extent(row_d), extent(plane_d));
+        for s in 0..nstreams {
+            plane_step[s] = byte_step(s, plane_d) - rows as isize * row_step[s];
+        }
+        let mut start: Vec<usize> = tile.iter().map(|r| r.start).collect();
+        'call: loop {
             for s in 0..nstreams {
-                let mut base = 0usize;
-                for d in 0..nd - 1 {
-                    base += (outer[d] + l.halos[s]) * l.strides[s][d];
-                }
-                base += (inner.start + l.halos[s]) * l.strides[s][nd - 1];
-                streams[s] = origins[s].wrapping_add(base);
+                let base: usize = (0..nd)
+                    .map(|d| (start[d] + l.halos[s]) * l.strides[s][d])
+                    .sum();
+                ptrs[s] = origins[s].wrapping_add(base);
             }
-            let mut args = RowArgs {
-                streams: streams.as_ptr(),
-                n,
+            let mut args = BoxArgs {
+                ptrs: ptrs.as_mut_ptr(),
+                n: tile[nd - 1].len() as u64,
                 bank: bank.as_ptr(),
                 temps: temps.as_mut_ptr(),
+                row_step: row_step.as_ptr(),
+                plane_step: plane_step.as_ptr(),
+                rows: rows as u64,
+                planes: planes as u64,
                 saved_csr: 0,
                 kernel_csr: 0,
             };
             // SAFETY: the generated function implements the
-            // `extern "C" fn(*mut u8)` row ABI; every address it forms
-            // is `stream[s] + (i + resolved[off]) * 4` for `i < n`,
-            // in-bounds by the same argument as the interpreter's
-            // (verified by mpix-analysis' check_bounds pass, W = 8
-            // covering the strip loads).
-            unsafe { module.call(&mut args as *mut RowArgs as *mut u8) };
-            if nd == 1 {
-                break;
-            }
-            let mut d = nd - 1;
-            let mut done = false;
+            // `extern "C" fn(*mut u8)` box ABI; every address it forms
+            // is `row pointer + (i + resolved[off]) * 4` for `i < n` on
+            // one of the tile's rows, in-bounds by the same argument as
+            // the interpreter's (verified by mpix-analysis'
+            // check_bounds pass, W = 8 covering the strip loads).
+            unsafe { module.call(&mut args as *mut BoxArgs as *mut u8) };
+            // Odometer over the dimensions outside the native loops.
+            let mut d = odometer;
             loop {
                 if d == 0 {
-                    done = true;
-                    break;
+                    break 'call;
                 }
                 d -= 1;
-                outer[d] += 1;
-                if outer[d] < tile[d].end {
-                    break;
+                start[d] += 1;
+                if start[d] < tile[d].end {
+                    continue 'call;
                 }
-                outer[d] = tile[d].start;
-            }
-            if done {
-                break;
+                start[d] = tile[d].start;
             }
         }
     }
@@ -325,61 +517,112 @@ fn run_box(module: &CompiledModule, l: &Launch<'_>, bx: &BoxNd, origins: &[*mut 
 // Code generation
 // ---------------------------------------------------------------------------
 
-/// Generate the row function for one `(cluster, resolved)` pair, or
+/// Generate the box function for one `(cluster, resolved)` pair, or
 /// `None` if a displacement overflows the disp32 addressing we emit.
-fn codegen_row_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> Option<Asm> {
-    // Every load's byte displacement must fit rel32 addressing.
+fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> Option<Asm> {
+    // Every load's byte displacement, in every strip, must fit disp32.
+    let span = 32 * (plan.strips as isize - 1);
     for &r in resolved {
-        i32::try_from(r.checked_mul(4)?).ok()?;
+        i32::try_from(r.checked_mul(4)?.checked_add(span)?).ok()?;
     }
+    // Callee-saved registers we use: the two loop counters and the
+    // stream pins beyond r10/r11.
+    let saved: Vec<Reg> = [Reg::Rbx, Reg::Rbp]
+        .into_iter()
+        .chain(HOT[..plan.hot.len()].iter().copied().skip(2))
+        .collect();
     let mut a = Asm::new();
-    // Prologue — must match the `RowArgs` field order. First switch to
-    // the kernel arithmetic (FTZ|DAZ, see `crate::arith`); `rdi` stays
-    // live to the epilogue, which restores the caller's MXCSR.
-    a.stmxcsr(Reg::Rdi, 32); // saved_csr
-    a.mov_r_m(Reg::Rax, Reg::Rdi, 32);
+    for &r in &saved {
+        a.push_r(r);
+    }
+    // Switch to the kernel arithmetic (FTZ|DAZ, see `crate::arith`)
+    // once per call; `rdi` stays live to the epilogue, which restores
+    // the caller's MXCSR.
+    a.stmxcsr(Reg::Rdi, arg!(saved_csr));
+    a.mov_r_m(Reg::Rax, Reg::Rdi, arg!(saved_csr));
     a.or_r_imm(Reg::Rax, arith::MXCSR_FTZ_DAZ as i32);
-    a.mov_m_r(Reg::Rdi, 40, Reg::Rax); // kernel_csr
-    a.ldmxcsr(Reg::Rdi, 40);
-    a.mov_r_m(Reg::Rsi, Reg::Rdi, 0); // streams
-    a.mov_r_m(Reg::Rdx, Reg::Rdi, 8); // n
-    a.mov_r_m(Reg::R8, Reg::Rdi, 16); // bank
-    a.mov_r_m(Reg::R9, Reg::Rdi, 24); // temps
-    if let Some(s) = plan.hot[0] {
-        a.mov_r_m(Reg::R10, Reg::Rsi, (s * 8) as i32);
+    a.mov_m_r(Reg::Rdi, arg!(kernel_csr), Reg::Rax);
+    a.ldmxcsr(Reg::Rdi, arg!(kernel_csr));
+    a.mov_r_m(Reg::Rsi, Reg::Rdi, arg!(ptrs));
+    a.mov_r_m(Reg::Rdx, Reg::Rdi, arg!(n));
+    a.mov_r_m(Reg::R8, Reg::Rdi, arg!(bank));
+    a.mov_r_m(Reg::R9, Reg::Rdi, arg!(temps));
+    a.mov_r_m(Reg::Rbp, Reg::Rdi, arg!(planes));
+    for (i, &s) in plan.hot.iter().enumerate() {
+        a.mov_r_m(HOT[i], Reg::Rsi, (s * 8) as i32);
     }
-    if let Some(s) = plan.hot[1] {
-        a.mov_r_m(Reg::R11, Reg::Rsi, (s * 8) as i32);
+    if let Some(one) = plan.one {
+        a.vbroadcastss(one, Reg::R8, 0);
     }
-    if plan.needs_one {
-        a.vbroadcastss(ONE, Reg::R8, 0);
+    for &(off, r) in &plan.pins {
+        a.vbroadcastss(r, Reg::R8, off);
     }
+
+    let plane_top = a.new_label();
+    let row_top = a.new_label();
+    let row_end = a.new_label();
+    a.bind(plane_top);
+    a.mov_r_m(Reg::Rbx, Reg::Rdi, arg!(rows));
+    a.bind(row_top);
     a.xor_r(Reg::Rcx);
-
-    let vec_top = a.new_label();
+    // The U-strip loop, then (when U > 1) the 1-strip loop for what is
+    // left of whole strips.
+    let mut widths = vec![plan.strips];
+    if plan.strips > 1 {
+        widths.push(1);
+    }
+    for u in widths {
+        let top = a.new_label();
+        let next = a.new_label();
+        a.bind(top);
+        a.lea(Reg::Rax, Reg::Rcx, 8 * u as i32);
+        a.cmp_r_r(Reg::Rax, Reg::Rdx);
+        a.jcc(Cc::A, next);
+        emit_body(&mut a, cc, resolved, plan, u, true);
+        a.add_r_imm(Reg::Rcx, 8 * u as i32);
+        a.jmp(top);
+        a.bind(next);
+    }
     let tail = a.new_label();
-    let done = a.new_label();
-
-    a.bind(vec_top);
-    a.lea(Reg::Rax, Reg::Rcx, 8);
-    a.cmp_r_r(Reg::Rax, Reg::Rdx);
-    a.jcc(Cc::A, tail);
-    emit_body(&mut a, cc, resolved, plan, true);
-    a.add_r_imm(Reg::Rcx, 8);
-    a.jmp(vec_top);
-
     a.bind(tail);
     a.cmp_r_r(Reg::Rcx, Reg::Rdx);
-    a.jcc(Cc::Ae, done);
-    emit_body(&mut a, cc, resolved, plan, false);
+    a.jcc(Cc::Ae, row_end);
+    emit_body(&mut a, cc, resolved, plan, 1, false);
     a.inc_r(Reg::Rcx);
     a.jmp(tail);
 
-    a.bind(done);
-    a.ldmxcsr(Reg::Rdi, 32);
+    a.bind(row_end);
+    emit_advance(&mut a, cc, plan, arg!(row_step));
+    a.dec_r(Reg::Rbx);
+    a.jcc(Cc::Ne, row_top);
+    emit_advance(&mut a, cc, plan, arg!(plane_step));
+    a.dec_r(Reg::Rbp);
+    a.jcc(Cc::Ne, plane_top);
+
+    a.ldmxcsr(Reg::Rdi, arg!(saved_csr));
     a.vzeroupper();
+    for &r in saved.iter().rev() {
+        a.pop_r(r);
+    }
     a.ret();
     Some(a)
+}
+
+/// Advance every stream pointer by its entry in the byte-step array at
+/// `BoxArgs` offset `steps` (clobbers `rax` and `rcx`).
+fn emit_advance(a: &mut Asm, cc: &CompiledCluster, plan: &JitPlan, steps: i32) {
+    a.mov_r_m(Reg::Rax, Reg::Rdi, steps);
+    for s in 0..cc.streams.len() {
+        let at = (s * 8) as i32;
+        match plan.hot_reg(s) {
+            Some(r) => a.add_r_m(r, Reg::Rax, at),
+            None => {
+                a.mov_r_m(Reg::Rcx, Reg::Rsi, at);
+                a.add_r_m(Reg::Rcx, Reg::Rax, at);
+                a.mov_m_r(Reg::Rsi, at, Reg::Rcx);
+            }
+        }
+    }
 }
 
 /// Bank byte offset of a coefficient source (`1.0` sits at slot 0).
@@ -392,171 +635,317 @@ fn bank_off(cc: &CompiledCluster, src: CoeffSrc) -> i32 {
     (slot * 4) as i32
 }
 
-/// Emit the cluster body once, either 8-wide (`wide`) or scalar. The
-/// two bodies use the same register plan; the scalar one swaps packed
-/// ops for their `ss` forms and broadcasts for lane-0 loads, so the
-/// tail computes exactly what the interpreter's scalar remainder does.
-fn emit_body(a: &mut Asm, cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan, wide: bool) {
-    // Splat (or scalar-load) a bank value into `dst`.
-    fn bank_load(a: &mut Asm, wide: bool, dst: Ymm, off: i32) {
-        if wide {
-            a.vbroadcastss(dst, Reg::R8, off);
+/// The bank value an op reads, if any: a point-invariant push or a
+/// fused tap's coefficient.
+fn bank_src(op: &Op) -> Option<CoeffSrc> {
+    match *op {
+        Op::Const(i) => Some(CoeffSrc::Const(i)),
+        Op::Scalar(i) => Some(CoeffSrc::Scalar(i)),
+        Op::Param(i) => Some(CoeffSrc::Param(i)),
+        Op::LoadMul { coeff, .. } | Op::LoadMulAdd { coeff, .. } => Some(coeff),
+        _ => None,
+    }
+}
+
+/// Packed (8-lane) or scalar (lane 0) forms of the ops a body emits.
+struct Lanes<'a> {
+    a: &'a mut Asm,
+    wide: bool,
+}
+
+impl Lanes<'_> {
+    fn load(&mut self, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
+        if self.wide {
+            self.a.vmovups_load(dst, base, index, disp);
         } else {
-            a.vmovss_load(dst, Reg::R8, None, off);
+            self.a.vmovss_load(dst, base, index, disp);
         }
     }
 
-    // Resolve the pointer register for a stream: pinned hot register or
-    // a reload through the streams array into rax.
-    let stream_ptr = |a: &mut Asm, s: usize| -> Reg {
-        if plan.hot[0] == Some(s) {
-            Reg::R10
-        } else if plan.hot[1] == Some(s) {
-            Reg::R11
+    fn store(&mut self, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
+        if self.wide {
+            self.a.vmovups_store(base, index, disp, src);
         } else {
+            self.a.vmovss_store(base, index, disp, src);
+        }
+    }
+
+    /// Splat (or scalar-load) the bank value at `off` into `dst`.
+    fn bank(&mut self, dst: Ymm, off: i32) {
+        if self.wide {
+            self.a.vbroadcastss(dst, Reg::R8, off);
+        } else {
+            self.a.vmovss_load(dst, Reg::R8, None, off);
+        }
+    }
+
+    fn add(&mut self, d: Ymm, x: Ymm, y: Ymm) {
+        if self.wide {
+            self.a.vaddps_rr(d, x, y);
+        } else {
+            self.a.vaddss_rr(d, x, y);
+        }
+    }
+
+    fn mul(&mut self, d: Ymm, x: Ymm, y: Ymm) {
+        if self.wide {
+            self.a.vmulps_rr(d, x, y);
+        } else {
+            self.a.vmulss_rr(d, x, y);
+        }
+    }
+
+    fn div(&mut self, d: Ymm, x: Ymm, y: Ymm) {
+        if self.wide {
+            self.a.vdivps_rr(d, x, y);
+        } else {
+            self.a.vdivss_rr(d, x, y);
+        }
+    }
+
+    fn mul_m(&mut self, d: Ymm, x: Ymm, base: Reg, disp: i32) {
+        if self.wide {
+            self.a.vmulps_rm(d, x, base, Some(Reg::Rcx), disp);
+        } else {
+            self.a.vmulss_rm(d, x, base, Some(Reg::Rcx), disp);
+        }
+    }
+}
+
+/// Emit the cluster body once over `u` interleaved strips, 8-wide
+/// (`wide`) or scalar (`u` = 1). Every op is emitted for strip 0, 1, …
+/// in turn; strip `k`'s stack slot `j` is `ymm(k·stack + j)` unless a
+/// push aliased the slot to a pinned bank register. The scalar body
+/// swaps packed ops for their `ss` forms and broadcasts for lane-0
+/// loads, so the tail computes exactly what the interpreter's scalar
+/// remainder does.
+fn emit_body(
+    a: &mut Asm,
+    cc: &CompiledCluster,
+    resolved: &[isize],
+    plan: &JitPlan,
+    u: usize,
+    wide: bool,
+) {
+    let mut e = Lanes { a, wide };
+    let slot = |k: usize, j: usize| Ymm((k * plan.stack + j) as u8);
+    // Where stack slot `j` lives when a push left it in a pinned register.
+    let mut alias: Vec<Option<Ymm>> = vec![None; plan.stack];
+    let src = |alias: &[Option<Ymm>], k: usize, j: usize| alias[j].unwrap_or(slot(k, j));
+    let disp = |off: u32, k: usize| (resolved[off as usize] * 4) as i32 + 32 * k as i32;
+    let temp = |t: u32, k: usize| (32 * (t as usize * plan.strips + k)) as i32;
+    // The pointer register for a stream: pinned, or reloaded into rax.
+    let stream_ptr = |a: &mut Asm, s: u32| -> Reg {
+        plan.hot_reg(s as usize).unwrap_or_else(|| {
             a.mov_r_m(Reg::Rax, Reg::Rsi, (s * 8) as i32);
             Reg::Rax
-        }
+        })
     };
-
-    let disp = |off: u32| -> i32 { (resolved[off as usize] * 4) as i32 };
+    let one = || plan.one.expect("Pow without the 1.0 register");
 
     let mut sp = 0usize;
     for op in &cc.ops {
         match *op {
-            Op::Const(i) => {
-                bank_load(a, wide, Ymm(sp as u8), bank_off(cc, CoeffSrc::Const(i)));
-                sp += 1;
-            }
-            Op::Scalar(i) => {
-                bank_load(a, wide, Ymm(sp as u8), bank_off(cc, CoeffSrc::Scalar(i)));
-                sp += 1;
-            }
-            Op::Param(i) => {
-                bank_load(a, wide, Ymm(sp as u8), bank_off(cc, CoeffSrc::Param(i)));
-                sp += 1;
-            }
-            Op::Temp(i) => {
-                let off = (i as usize * 32) as i32;
-                if wide {
-                    a.vmovups_load(Ymm(sp as u8), Reg::R9, None, off);
-                } else {
-                    a.vmovss_load(Ymm(sp as u8), Reg::R9, None, off);
+            Op::Const(_) | Op::Scalar(_) | Op::Param(_) => {
+                let off = bank_off(cc, bank_src(op).unwrap());
+                alias[sp] = plan.pinned(off);
+                if alias[sp].is_none() {
+                    e.bank(slot(0, sp), off);
+                    for k in 1..u {
+                        e.a.vmovups_rr(slot(k, sp), slot(0, sp));
+                    }
                 }
                 sp += 1;
             }
-            Op::SetTemp(i) => {
+            Op::Temp(t) => {
+                alias[sp] = None;
+                for k in 0..u {
+                    e.load(slot(k, sp), Reg::R9, None, temp(t, k));
+                }
+                sp += 1;
+            }
+            Op::SetTemp(t) => {
                 sp -= 1;
-                let off = (i as usize * 32) as i32;
-                if wide {
-                    a.vmovups_store(Reg::R9, None, off, Ymm(sp as u8));
-                } else {
-                    a.vmovss_store(Reg::R9, None, off, Ymm(sp as u8));
+                for k in 0..u {
+                    e.store(Reg::R9, None, temp(t, k), src(&alias, k, sp));
                 }
             }
             Op::Load { stream, off } => {
-                let p = stream_ptr(a, stream as usize);
-                if wide {
-                    a.vmovups_load(Ymm(sp as u8), p, Some(Reg::Rcx), disp(off));
-                } else {
-                    a.vmovss_load(Ymm(sp as u8), p, Some(Reg::Rcx), disp(off));
+                let p = stream_ptr(e.a, stream);
+                alias[sp] = None;
+                for k in 0..u {
+                    e.load(slot(k, sp), p, Some(Reg::Rcx), disp(off, k));
                 }
                 sp += 1;
             }
             Op::Store { stream } => {
                 sp -= 1;
-                let p = stream_ptr(a, stream as usize);
-                if wide {
-                    a.vmovups_store(p, Some(Reg::Rcx), 0, Ymm(sp as u8));
-                } else {
-                    a.vmovss_store(p, Some(Reg::Rcx), 0, Ymm(sp as u8));
+                let p = stream_ptr(e.a, stream);
+                for k in 0..u {
+                    e.store(p, Some(Reg::Rcx), 32 * k as i32, src(&alias, k, sp));
                 }
             }
-            Op::Add => {
+            Op::Add | Op::Mul => {
                 sp -= 1;
-                let (d, s) = (Ymm((sp - 1) as u8), Ymm(sp as u8));
-                if wide {
-                    a.vaddps_rr(d, d, s);
-                } else {
-                    a.vaddss_rr(d, d, s);
+                for k in 0..u {
+                    let (x, y) = (src(&alias, k, sp - 1), src(&alias, k, sp));
+                    if *op == Op::Add {
+                        e.add(slot(k, sp - 1), x, y);
+                    } else {
+                        e.mul(slot(k, sp - 1), x, y);
+                    }
                 }
+                alias[sp - 1] = None;
             }
-            Op::Mul => {
-                sp -= 1;
-                let (d, s) = (Ymm((sp - 1) as u8), Ymm(sp as u8));
-                if wide {
-                    a.vmulps_rr(d, d, s);
-                } else {
-                    a.vmulss_rr(d, d, s);
-                }
-            }
+            Op::Pow(1) => {}
             Op::Pow(n) => {
-                let t = Ymm((sp - 1) as u8);
-                match n {
-                    1 => {}
-                    0 => a.vmovups_rr(t, ONE),
-                    2 => {
-                        if wide {
-                            a.vmulps_rr(t, t, t);
-                        } else {
-                            a.vmulss_rr(t, t, t);
+                let j = sp - 1;
+                for k in 0..u {
+                    let (t, x) = (slot(k, j), src(&alias, k, j));
+                    match n {
+                        0 => e.a.vmovups_rr(t, one()),
+                        2 => e.mul(t, x, x),
+                        -1 => e.div(t, one(), x),
+                        -2 => {
+                            e.mul(t, x, x);
+                            e.div(t, one(), t);
                         }
+                        other => unreachable!("unsupported Pow({other}) reached codegen"),
                     }
-                    -1 => {
-                        if wide {
-                            a.vdivps_rr(t, ONE, t);
-                        } else {
-                            a.vdivss_rr(t, ONE, t);
-                        }
-                    }
-                    -2 => {
-                        if wide {
-                            a.vmulps_rr(t, t, t);
-                            a.vdivps_rr(t, ONE, t);
-                        } else {
-                            a.vmulss_rr(t, t, t);
-                            a.vdivss_rr(t, ONE, t);
-                        }
-                    }
-                    other => unreachable!("unsupported Pow({other}) reached codegen"),
                 }
+                alias[j] = None;
             }
             Op::Call(_) => unreachable!("Call reached codegen"),
             Op::MulAdd => {
                 // top3 += top2 * top1, two roundings like the oracle.
                 sp -= 2;
-                let (d, x, y) = (Ymm((sp - 1) as u8), Ymm(sp as u8), Ymm((sp + 1) as u8));
-                if wide {
-                    a.vmulps_rr(SCRATCH, x, y);
-                    a.vaddps_rr(d, d, SCRATCH);
-                } else {
-                    a.vmulss_rr(SCRATCH, x, y);
-                    a.vaddss_rr(d, d, SCRATCH);
+                for k in 0..u {
+                    let (x, y) = (src(&alias, k, sp), src(&alias, k, sp + 1));
+                    e.mul(plan.prod, x, y);
+                    e.add(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
                 }
+                alias[sp - 1] = None;
             }
             Op::LoadMul { coeff, stream, off } => {
-                bank_load(a, wide, SCRATCH, bank_off(cc, coeff));
-                let p = stream_ptr(a, stream as usize);
-                if wide {
-                    a.vmulps_rm(Ymm(sp as u8), SCRATCH, p, Some(Reg::Rcx), disp(off));
-                } else {
-                    a.vmulss_rm(Ymm(sp as u8), SCRATCH, p, Some(Reg::Rcx), disp(off));
+                let c = coeff_reg(&mut e, cc, plan, coeff);
+                let p = stream_ptr(e.a, stream);
+                alias[sp] = None;
+                for k in 0..u {
+                    e.mul_m(slot(k, sp), c, p, disp(off, k));
                 }
                 sp += 1;
             }
             Op::LoadMulAdd { coeff, stream, off } => {
-                bank_load(a, wide, SCRATCH, bank_off(cc, coeff));
-                let p = stream_ptr(a, stream as usize);
-                let d = Ymm((sp - 1) as u8);
-                if wide {
-                    a.vmulps_rm(SCRATCH, SCRATCH, p, Some(Reg::Rcx), disp(off));
-                    a.vaddps_rr(d, d, SCRATCH);
-                } else {
-                    a.vmulss_rm(SCRATCH, SCRATCH, p, Some(Reg::Rcx), disp(off));
-                    a.vaddss_rr(d, d, SCRATCH);
+                let c = coeff_reg(&mut e, cc, plan, coeff);
+                let p = stream_ptr(e.a, stream);
+                for k in 0..u {
+                    e.mul_m(plan.prod, c, p, disp(off, k));
+                    e.add(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
                 }
+                alias[sp - 1] = None;
             }
         }
     }
     debug_assert_eq!(sp, 0, "unbalanced stack in generated body");
+}
+
+/// The register holding a fused tap's coefficient: its pinned register,
+/// or the splat scratch after one broadcast shared by all strips.
+fn coeff_reg(e: &mut Lanes<'_>, cc: &CompiledCluster, plan: &JitPlan, coeff: CoeffSrc) -> Ymm {
+    let off = bank_off(cc, coeff);
+    plan.pinned(off).unwrap_or_else(|| {
+        e.bank(plan.splat, off);
+        plan.splat
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `out = coeff · a[x + dx]` plus `extra` ops before the store: one
+    /// read stream (0) and one written (1), both 1-D.
+    fn cluster(extra: &[Op], max_stack: usize, load_written: bool) -> CompiledCluster {
+        let stream = u32::from(load_written);
+        let mut ops = vec![Op::LoadMul {
+            coeff: CoeffSrc::Const(0),
+            stream,
+            off: 0,
+        }];
+        ops.extend_from_slice(extra);
+        ops.push(Op::Store { stream: 1 });
+        CompiledCluster {
+            ops,
+            consts: vec![0.5],
+            scalars: Vec::new(),
+            streams: vec![
+                (mpix_symbolic::FieldId(0), 0),
+                (mpix_symbolic::FieldId(1), 0),
+            ],
+            written: vec![false, true],
+            offsets: vec![(stream, vec![1])],
+            num_temps: 0,
+            max_stack,
+        }
+    }
+
+    #[test]
+    fn routes_record_why_the_jit_falls_back() {
+        let route = |cc: &CompiledCluster| ClusterRoute::of(Backend::Jit, cc);
+        let native = route(&cluster(&[Op::Pow(-2)], 1, false));
+        assert_eq!(
+            (native.serial, native.threaded, native.fallback),
+            (Backend::Jit, Backend::Jit, None)
+        );
+        let cases = [
+            (
+                cluster(&[Op::Call(mpix_symbolic::UnaryFn::Sqrt)], 1, false),
+                Fallback::Call,
+            ),
+            (cluster(&[Op::Pow(3)], 1, false), Fallback::Pow(3)),
+            (
+                cluster(&[], MAX_JIT_STACK + 1, false),
+                Fallback::Stack(MAX_JIT_STACK + 1),
+            ),
+        ];
+        for (cc, why) in cases {
+            let r = route(&cc);
+            assert_eq!(
+                (r.serial, r.threaded, r.fallback),
+                (Backend::Bytecode, Backend::Bytecode, Some(why))
+            );
+        }
+        // Reading the written stream off the point: serial stays native,
+        // the slab path falls back.
+        let r = route(&cluster(&[], 1, true));
+        assert_eq!(
+            (r.serial, r.threaded, r.fallback),
+            (
+                Backend::Jit,
+                Backend::Bytecode,
+                Some(Fallback::NotMixedSafe)
+            )
+        );
+        // The interpreter backend has nothing to fall back from.
+        let r = ClusterRoute::of(Backend::Bytecode, &cluster(&[Op::Pow(3)], 1, false));
+        assert_eq!(
+            (r.serial, r.threaded, r.fallback),
+            (Backend::Bytecode, Backend::Bytecode, None)
+        );
+    }
+
+    #[test]
+    fn strips_follow_the_register_budget() {
+        // Shallow stack: two strips, the rest of the file pins bank values.
+        let plan = JitPlan::analyze(&cluster(&[Op::Pow(-2)], 4, false));
+        assert_eq!(plan.strips, 2);
+        assert_eq!(plan.one, Some(Ymm(15)));
+        assert_ne!(plan.prod, plan.splat);
+        assert_eq!(plan.pins, vec![(4, Ymm(8))]);
+        // Deep stack: one strip, product and splat share a register.
+        let plan = JitPlan::analyze(&cluster(&[], MAX_JIT_STACK, false));
+        assert_eq!(plan.strips, 1);
+        assert_eq!(plan.prod, plan.splat);
+        assert_eq!(plan.pins, vec![(4, Ymm(MAX_JIT_STACK as u8))]);
+    }
 }

@@ -51,5 +51,5 @@ pub use backend::{
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
 pub use executor::{exec_compiles, halo_tag_base, sparse_tag, FieldState, OperatorExec, SparseOp};
-pub use jit::jit_modules_built;
+pub use jit::{jit_modules_built, ClusterRoute, Fallback};
 pub use options::ApplyOptions;

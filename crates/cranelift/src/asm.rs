@@ -232,6 +232,13 @@ impl Asm {
         self.mem(dst.num(), base.num(), None, disp);
     }
 
+    /// `add dst, qword [base + disp]`.
+    pub fn add_r_m(&mut self, dst: Reg, base: Reg, disp: i32) {
+        self.rex_w(dst.num(), 0, base.num());
+        self.code.push(0x03);
+        self.mem(dst.num(), base.num(), None, disp);
+    }
+
     /// `add reg, imm32` (sign-extended).
     pub fn add_r_imm(&mut self, reg: Reg, imm: i32) {
         self.rex_w(0, 0, reg.num());
@@ -260,6 +267,29 @@ impl Asm {
         self.rex_w(0, 0, reg.num());
         self.code.push(0xFF);
         self.modrm_rr(0, reg.num());
+    }
+
+    /// `dec reg` (64-bit; sets ZF when the result is zero).
+    pub fn dec_r(&mut self, reg: Reg) {
+        self.rex_w(0, 0, reg.num());
+        self.code.push(0xFF);
+        self.modrm_rr(1, reg.num());
+    }
+
+    /// `push reg` (64-bit).
+    pub fn push_r(&mut self, reg: Reg) {
+        if reg.num() >= 8 {
+            self.code.push(0x41);
+        }
+        self.code.push(0x50 | (reg.num() & 7));
+    }
+
+    /// `pop reg` (64-bit).
+    pub fn pop_r(&mut self, reg: Reg) {
+        if reg.num() >= 8 {
+            self.code.push(0x41);
+        }
+        self.code.push(0x58 | (reg.num() & 7));
     }
 
     /// `xor reg, reg` — zero a register.
@@ -505,6 +535,35 @@ mod tests {
                 0x48, 0x89, 0x84, 0x27, 40, 0, 0, 0,
             ]
         );
+    }
+
+    /// The row-loop forms: pointer steps through memory, the row
+    /// counter and the callee-saved register spills.
+    #[test]
+    fn row_loop_encodings() {
+        // add r10, [rax + 8]
+        let mut a = Asm::new();
+        a.add_r_m(Reg::R10, Reg::Rax, 8);
+        assert_eq!(a.finish(), vec![0x4C, 0x03, 0x94, 0x20, 8, 0, 0, 0]);
+
+        // add rcx, [r13 + 16]
+        let mut a = Asm::new();
+        a.add_r_m(Reg::Rcx, Reg::R13, 16);
+        assert_eq!(a.finish(), vec![0x49, 0x03, 0x8C, 0x25, 16, 0, 0, 0]);
+
+        // dec rbx ; dec r15
+        let mut a = Asm::new();
+        a.dec_r(Reg::Rbx);
+        a.dec_r(Reg::R15);
+        assert_eq!(a.finish(), vec![0x48, 0xFF, 0xCB, 0x49, 0xFF, 0xCF]);
+
+        // push rbx ; push r12 ; pop r12 ; pop rbx
+        let mut a = Asm::new();
+        a.push_r(Reg::Rbx);
+        a.push_r(Reg::R12);
+        a.pop_r(Reg::R12);
+        a.pop_r(Reg::Rbx);
+        assert_eq!(a.finish(), vec![0x53, 0x41, 0x54, 0x41, 0x5C, 0x5B]);
     }
 
     #[test]

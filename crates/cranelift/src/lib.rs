@@ -234,6 +234,94 @@ mod tests {
         }
     }
 
+    /// A two-level loop in one call: rows of `n` points inside a padded
+    /// 2-D array, `out[r][i] = a[r][i] + k`. The row counter lives in a
+    /// callee-saved register (push/pop), the row pointers advance by a
+    /// byte step read from memory (`add r64, [m]`) and the loop closes on
+    /// `dec` + `jnz` — the shape of the kernel JIT's box functions.
+    #[test]
+    fn jit_row_loop_roundtrip() {
+        let ctx = JitContext::new();
+        if !ctx.target().supports_jit() {
+            return;
+        }
+        // args layout: [out: *mut f32, a: *const f32, n: u64, rows: u64,
+        //               step: i64 (bytes), k: *const f32]
+        let mut a = Asm::new();
+        use asm::Reg::*;
+        a.push_r(Rbx);
+        a.push_r(R12);
+        a.mov_r_m(R8, Rdi, 0); // out row
+        a.mov_r_m(R12, Rdi, 8); // a row
+        a.mov_r_m(Rdx, Rdi, 16); // n
+        a.mov_r_m(Rbx, Rdi, 24); // rows
+        a.mov_r_m(R11, Rdi, 40); // k
+        a.vbroadcastss(Ymm(1), R11, 0);
+        let row_top = a.new_label();
+        let vec_top = a.new_label();
+        let tail = a.new_label();
+        let row_end = a.new_label();
+        a.bind(row_top);
+        a.xor_r(Rcx);
+        a.bind(vec_top);
+        a.lea(Rax, Rcx, 8);
+        a.cmp_r_r(Rax, Rdx);
+        a.jcc(Cc::A, tail);
+        a.vaddps_rm(Ymm(0), Ymm(1), R12, Some(Rcx), 0);
+        a.vmovups_store(R8, Some(Rcx), 0, Ymm(0));
+        a.add_r_imm(Rcx, 8);
+        a.jmp(vec_top);
+        a.bind(tail);
+        a.cmp_r_r(Rcx, Rdx);
+        a.jcc(Cc::Ae, row_end);
+        a.vaddss_rm(Ymm(0), Ymm(1), R12, Some(Rcx), 0);
+        a.vmovss_store(R8, Some(Rcx), 0, Ymm(0));
+        a.inc_r(Rcx);
+        a.jmp(tail);
+        a.bind(row_end);
+        a.add_r_m(R8, Rdi, 32);
+        a.add_r_m(R12, Rdi, 32);
+        a.dec_r(Rbx);
+        a.jcc(Cc::Ne, row_top);
+        a.vzeroupper();
+        a.pop_r(R12);
+        a.pop_r(Rbx);
+        a.ret();
+
+        let m = ctx.finalize(a).expect("finalize");
+        // 4 rows of 11 points (one strip + a 3-point tail) in rows of 16.
+        let (rows, n, pitch) = (4usize, 11usize, 16usize);
+        let av: Vec<f32> = (0..rows * pitch).map(|i| i as f32 * 0.25).collect();
+        let mut out = vec![-1.0f32; rows * pitch];
+        let k = 3.5f32;
+        #[repr(C)]
+        struct Args {
+            out: *mut f32,
+            a: *const f32,
+            n: u64,
+            rows: u64,
+            step: i64,
+            k: *const f32,
+        }
+        let mut args = Args {
+            out: out.as_mut_ptr(),
+            a: av.as_ptr(),
+            n: n as u64,
+            rows: rows as u64,
+            step: (pitch * 4) as i64,
+            k: &k,
+        };
+        unsafe { m.call(&mut args as *mut Args as *mut u8) };
+        for r in 0..rows {
+            for i in 0..pitch {
+                let j = r * pitch + i;
+                // Padding columns stay untouched.
+                let want = if i < n { av[j] + k } else { -1.0 };
+                assert_eq!(out[j].to_bits(), want.to_bits(), "row {r} col {i}");
+            }
+        }
+    }
+
     #[test]
     fn div_matches_ieee() {
         let ctx = JitContext::new();

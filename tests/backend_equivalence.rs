@@ -29,9 +29,32 @@ fn laplace_op(shape: &[usize], so: u32) -> Operator {
     Operator::build(ctx, grid, vec![st]).unwrap()
 }
 
+/// Fill field `name` (time buffer 0) with the deterministic pattern of
+/// `tests/vector_equivalence.rs`, so every stencil tap matters.
+fn fill_pattern(ws: &mut Workspace, name: &str, shape: &[usize]) {
+    let u = ws.field_data_mut(name, 0);
+    let mut i = 0usize;
+    let mut idx = vec![0usize; shape.len()];
+    loop {
+        u.set_global(&idx, ((i * 7 + 3) % 23) as f32 * 0.25);
+        i += 1;
+        let mut d = shape.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            idx[d] += 1;
+            if idx[d] < shape[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+}
+
 /// Run 3 steps with the given backend/execution knobs and gather the
-/// full global field, bit-exact. Same deterministic seed as
-/// `tests/vector_equivalence.rs` so every stencil tap matters.
+/// full global field, bit-exact.
 fn run_config(
     op: &Operator,
     shape: &[usize],
@@ -50,27 +73,7 @@ fn run_config(
     let shape = shape.to_vec();
     let applied = op.run(
         &opts,
-        move |ws: &mut Workspace| {
-            let u = ws.field_data_mut("u", 0);
-            let mut i = 0usize;
-            let mut idx = vec![0usize; shape.len()];
-            loop {
-                u.set_global(&idx, ((i * 7 + 3) % 23) as f32 * 0.25);
-                i += 1;
-                let mut d = shape.len();
-                loop {
-                    if d == 0 {
-                        return;
-                    }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < shape[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
-        },
+        move |ws: &mut Workspace| fill_pattern(ws, "u", &shape),
         |ws| ws.gather("u"),
     );
     applied.results.into_iter().next().unwrap()
@@ -169,6 +172,109 @@ fn all_kernels_all_orders_bitwise_equal() {
                         "{kind:?} sdo={sdo} jit idx={k}: {a} vs {b}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The JIT's loop nest at every inner extent from a lone scalar tail to
+/// past one interleaved pass, one single strip and a tail (1 ..= 8·U + 9
+/// for U = `MAX_STRIPS` strips; a grid needs two points per axis, so
+/// extent 1 is the ragged 2-D tile at 17 + 1): acoustic SDO 8 in 2-D
+/// and 3-D and the deep-stack elastic kernel in 3-D, plain, blocked
+/// with ragged tiles and threaded (the slab path). Each geometry
+/// encodes exactly one module per natively-run cluster, whatever the
+/// blocking and threading (counted on the executable: the process-wide
+/// `jit_modules_built` also counts other tests' modules).
+#[test]
+fn jit_inner_extent_sweep_bitwise() {
+    if !have_jit() {
+        return;
+    }
+    let max_inner = 8 * mpix::codegen::jit::MAX_STRIPS + 9;
+    let cases: [(KernelKind, &[usize], usize); 3] = [
+        // 2-D tiles block the inner dimension too: 17 leaves room for
+        // the interleaved body in the first tile and a ragged second.
+        (KernelKind::Acoustic, &[7], 17),
+        (KernelKind::Acoustic, &[5, 4], 3),
+        (KernelKind::Elastic, &[5, 4], 3),
+    ];
+    for (kind, outer, block) in cases {
+        for inner in 2..=max_inner {
+            let mut shape = outer.to_vec();
+            shape.push(inner);
+            let prop = Propagator::build(kind, ModelSpec::new(&shape).with_nbl(0), 8);
+            let field = prop.main_field();
+            let run = |backend: Backend, block: usize, threads: usize| {
+                let opts = prop
+                    .apply_options(3)
+                    .with_backend(backend)
+                    .with_block(block)
+                    .with_threads(threads);
+                let shape = shape.clone();
+                let init = |ws: &mut Workspace| {
+                    prop.init(ws);
+                    fill_pattern(ws, field, &shape);
+                };
+                prop.op
+                    .run(&opts, init, |ws| ws.gather(field))
+                    .results
+                    .remove(0)
+            };
+            let oracle = run(Backend::Bytecode, 0, 1);
+            for (block, threads) in [(0usize, 1usize), (block, 1), (0, 2)] {
+                let jit = run(Backend::Jit, block, threads);
+                for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{kind:?} shape={shape:?} block={block} threads={threads} idx={k}: {a} vs {b}"
+                    );
+                }
+            }
+            let exec = prop
+                .op
+                .executable_for(&prop.apply_options(3).with_backend(Backend::Jit));
+            let native = exec
+                .cluster_routes()
+                .iter()
+                .filter(|r| r.serial == Backend::Jit)
+                .count();
+            assert!(native > 0, "{kind:?}: no cluster runs natively");
+            assert_eq!(
+                exec.cached_native_modules(),
+                native,
+                "{kind:?} shape={shape:?}: one module per (cluster, geometry)"
+            );
+        }
+    }
+}
+
+/// Which backend runs each shipped cluster under `jit`, pinned: every
+/// cluster of every solver at SDO 4/8/12/16 runs natively on both the
+/// serial and the threaded path. A register-plan change that pushes a
+/// cluster onto the interpreter must show up here, not only as a
+/// slowdown.
+#[test]
+fn shipped_clusters_run_natively() {
+    for kind in KernelKind::all() {
+        let clusters = match kind {
+            KernelKind::Acoustic => 1,
+            _ => 2,
+        };
+        for sdo in [4u32, 8, 12, 16] {
+            let prop = Propagator::build(kind, ModelSpec::new(&[8, 8, 8]).with_nbl(2), sdo);
+            let exec = prop
+                .op
+                .executable_for(&prop.apply_options(1).with_backend(Backend::Jit));
+            let routes = exec.cluster_routes();
+            assert_eq!(routes.len(), clusters, "{kind:?} sdo={sdo}");
+            for (ci, r) in routes.iter().enumerate() {
+                assert_eq!(
+                    (r.serial, r.threaded, r.fallback),
+                    (Backend::Jit, Backend::Jit, None),
+                    "{kind:?} sdo={sdo} cluster {ci}"
+                );
             }
         }
     }
