@@ -2,26 +2,28 @@
 //! *bitwise* interchangeable with the bytecode interpreter at the box
 //! boundary — the exact seam `mpix_codegen::ClusterKernel` defines.
 //!
-//! The oracle is the scalar interpreter (`Backend::Bytecode`, strip
-//! width 0): the path `bytecode_check::eval_program` re-implements
-//! instruction by instruction and that `tests/vector_equivalence.rs`
-//! pins against the generated C semantics. Each backend under test
-//! compiles the *same* [`CompiledCluster`] through [`compile_kernel`]
-//! and runs it over a synthetic geometry with deterministic fills; any
-//! store whose bits differ from the oracle's is an error. The sweep also
-//! covers the interpreter's own lane-vectorized strips (W ∈ {8, 16,
-//! 32}) and the cache-blocked loop order, so one pass discharges "the
-//! JIT is the interpreter" and "the interpreter agrees with itself on
-//! every execution shape" together.
+//! The oracle is the scalar interpreter
+//! ([`BytecodeKernel::scalar_oracle`]): the path
+//! `bytecode_check::eval_program` re-implements instruction by
+//! instruction and that `tests/vector_equivalence.rs` pins against the
+//! interpreter's strips. Each backend under test compiles the *same*
+//! [`CompiledCluster`] through [`compile_kernel`] and runs it over a
+//! synthetic geometry with deterministic fills; any store whose bits
+//! differ from the oracle's is an error. For the bytecode backend that
+//! is the interpreter's own [`LANES`](mpix_codegen::LANES)-wide
+//! strips, plain and cache-blocked, so one pass discharges "the JIT is
+//! the interpreter" and "the interpreter's strips are its scalar
+//! engine" together.
 //!
 //! The synthetic geometry's innermost extent ([`INNER_EXTENT`]) runs
 //! every loop of every strip engine: the JIT's interleaved multi-strip
-//! loop, its single-strip loop and its scalar tail, and a full W = 32
-//! interpreter strip. Per-axis distinct extents make sure a transposed
-//! stride bug cannot cancel out.
+//! loop, its single-strip loop and its scalar tail, and the
+//! interpreter's full strips and overlapping tail strip. Per-axis
+//! distinct extents make sure a transposed stride bug cannot cancel
+//! out.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
-use mpix_codegen::{compile_kernel, Backend, Launch};
+use mpix_codegen::{compile_kernel, Backend, BytecodeKernel, ClusterKernel, Launch};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
 
@@ -29,8 +31,9 @@ use mpix_trace::Diagnostic;
 pub const PASS: &str = "backend";
 
 /// Innermost extent of the synthetic geometry: two passes of the JIT's
-/// two-strip loop (32 points, also one full W = 32 interpreter strip),
-/// one pass of its single-strip loop (8) and an odd scalar tail (5).
+/// two-strip loop (32 points, also two full interpreter strips), one
+/// pass of its single-strip loop (8) and an odd scalar tail (5); the
+/// interpreter's tail is one strip overlapping its second.
 pub const INNER_EXTENT: usize = 45;
 
 /// A self-contained launch geometry for one cluster: every stream gets
@@ -128,16 +131,13 @@ fn has_invalid_params(cc: &CompiledCluster, num_params: usize) -> bool {
     })
 }
 
-/// Run `cc` through `backend`'s compiled kernel over the geometry and
-/// return the final buffers.
-fn run_backend(
+/// Run `kernel` over the geometry and return the final buffers.
+fn run_kernel(
     cc: &CompiledCluster,
     geo: &Geometry,
-    backend: Backend,
+    kernel: &dyn ClusterKernel,
     block: usize,
-    vw: usize,
-) -> Result<Vec<Vec<f32>>, String> {
-    let kernel = compile_kernel(backend, cc).map_err(|e| e.to_string())?;
+) -> Vec<Vec<f32>> {
     let mut bufs = geo.init.clone();
     let launch = Launch {
         cc,
@@ -147,11 +147,15 @@ fn run_backend(
         scalars: &geo.scalars,
         params: &geo.params,
         block,
-        vw,
     };
     let mut slices: Vec<&mut [f32]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
     kernel.exec_box(&launch, &geo.bx, &mut slices);
-    Ok(bufs)
+    bufs
+}
+
+/// The scalar oracle's final buffers over the geometry.
+fn run_oracle(cc: &CompiledCluster, geo: &Geometry) -> Vec<Vec<f32>> {
+    run_kernel(cc, geo, &BytecodeKernel::scalar_oracle(cc), 0)
 }
 
 /// Compare one backend run against the oracle buffers, bitwise.
@@ -194,11 +198,10 @@ fn compare(
 }
 
 /// Prove every backend in `backends` produces stores bitwise identical
-/// to the scalar bytecode interpreter on this cluster. For the
-/// interpreter itself the sweep covers the vectorized strip widths and
-/// cache blocking (self-consistency across execution shapes); native
-/// backends are additionally run blocked, since the JIT sees tile-sized
-/// boxes through the same entry point.
+/// to the scalar oracle on this cluster, plain and cache-blocked (the
+/// executor hands kernels tile-sized boxes through the same entry
+/// point). For the bytecode backend this checks the interpreter's
+/// strips against its own scalar engine.
 pub fn check_backend_equivalence(
     ci: usize,
     cc: &CompiledCluster,
@@ -213,41 +216,24 @@ pub fn check_backend_equivalence(
         return diags; // bytecode_check flags this; running would be UB
     }
     let geo = build_geometry(cc, num_params);
-    let oracle = match run_backend(cc, &geo, Backend::Bytecode, 0, 0) {
-        Ok(b) => b,
-        Err(e) => {
-            diags.push(Diagnostic::error(
-                PASS,
-                format!("cluster {ci}"),
-                format!("bytecode oracle failed to run: {e}"),
-            ));
-            return diags;
-        }
-    };
+    let oracle = run_oracle(cc, &geo);
 
     for &backend in backends {
-        // (block, vw) shapes per backend: the interpreter sweeps its
-        // strip widths; other backends ignore vw, so sweep blocking.
-        let shapes: &[(usize, usize)] = if backend == Backend::Bytecode {
-            &[(0, 8), (0, 16), (0, 32), (2, 8)]
-        } else {
-            &[(0, 0), (2, 0)]
-        };
-        for &(block, vw) in shapes {
-            match run_backend(cc, &geo, backend, block, vw) {
-                Ok(got) => {
-                    let what = format!("backend {backend} (block={block}, vw={vw})");
-                    compare(ci, cc, &oracle, &got, &what, &mut diags);
-                }
-                Err(e) => {
-                    diags.push(Diagnostic::warning(
-                        PASS,
-                        format!("cluster {ci}"),
-                        format!("backend {backend} unavailable, equivalence not checked: {e}"),
-                    ));
-                    break;
-                }
+        let kernel = match compile_kernel(backend, cc) {
+            Ok(k) => k,
+            Err(e) => {
+                diags.push(Diagnostic::warning(
+                    PASS,
+                    format!("cluster {ci}"),
+                    format!("backend {backend} unavailable, equivalence not checked: {e}"),
+                ));
+                continue;
             }
+        };
+        for block in [0, 2] {
+            let got = run_kernel(cc, &geo, &*kernel, block);
+            let what = format!("backend {backend} (block={block})");
+            compare(ci, cc, &oracle, &got, &what, &mut diags);
         }
     }
     diags
@@ -285,7 +271,7 @@ mod tests {
         // make sure `compare` reports a bitwise mismatch.
         let cc = star_cluster();
         let geo = build_geometry(&cc, 0);
-        let oracle = run_backend(&cc, &geo, Backend::Bytecode, 0, 0).unwrap();
+        let oracle = run_oracle(&cc, &geo);
         let mut got = oracle.clone();
         let s = cc.written.iter().position(|&w| w).unwrap();
         let mid = got[s].len() / 2;
@@ -299,6 +285,7 @@ mod tests {
     #[test]
     fn geometry_has_unit_innermost_stride_and_odd_extent() {
         use mpix_codegen::jit::MAX_STRIPS;
+        use mpix_codegen::LANES;
 
         let cc = star_cluster();
         let geo = build_geometry(&cc, 0);
@@ -314,8 +301,11 @@ mod tests {
             n % (8 * MAX_STRIPS) > 8,
             "single-strip body and tail must run"
         );
-        // The interpreter's widest strip runs at least once in full.
-        assert!(n > 32, "a full W = 32 strip must run");
+        // The interpreter runs full strips and an overlapping tail strip.
+        assert!(
+            n > LANES && !n.is_multiple_of(LANES),
+            "strips and their tail must run"
+        );
         // Offsets resolve symmetrically: the star has matched ± taps.
         assert!(geo.resolved.iter().any(|&r| r > 0));
         assert!(geo.resolved.iter().any(|&r| r < 0));

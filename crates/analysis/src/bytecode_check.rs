@@ -13,9 +13,9 @@
 //!   at exit, and that the declared `max_stack` is not understated (the
 //!   executor sizes its stack from it);
 //! * **in-bounds proofs** — for every region box the executor runs
-//!   (DOMAIN, CORE, each REMAINDER strip) and every vector width
-//!   W ∈ {8, 16, 32}, the vector strips and the scalar remainder stay
-//!   inside the padded allocation in every dimension;
+//!   (DOMAIN, CORE, each REMAINDER strip), the interpreter's strips of
+//!   `LANES` and the scalar remainder stay inside the padded allocation
+//!   in every dimension;
 //! * **fusion invariance** — `fuse_cluster` must preserve `flop_count`,
 //!   all metadata, and bitwise semantics relative to the constant-folded
 //!   baseline (folding may legitimately drop flops; fusion on top of it
@@ -29,7 +29,7 @@
 
 use mpix_codegen::arith;
 use mpix_codegen::bytecode::CoeffSrc;
-use mpix_codegen::{CompiledCluster, Op};
+use mpix_codegen::{CompiledCluster, Op, LANES};
 use mpix_dmp::regions::{region_box, remainder_boxes, Region};
 use mpix_symbolic::Context;
 use mpix_trace::Diagnostic;
@@ -279,8 +279,8 @@ pub fn check_compiled(
 ///
 /// `local` is the owned local shape; `radius` the cluster's max stencil
 /// radius (defines CORE/REMAINDER). Checks the DOMAIN box (basic and
-/// diagonal modes) plus CORE and every REMAINDER strip (full mode), for
-/// every vector width: the W-wide strips and the scalar remainder of each
+/// diagonal modes) plus CORE and every REMAINDER strip (full mode): the
+/// interpreter's [`LANES`]-wide strips and the scalar remainder of each
 /// row must stay within `[0, local_d + 2*halo_s)` in every dimension.
 pub fn check_bounds(
     ctx: &Context,
@@ -288,7 +288,6 @@ pub fn check_bounds(
     cc: &CompiledCluster,
     local: &[usize],
     radius: usize,
-    vector_widths: &[usize],
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let nd = local.len();
@@ -330,51 +329,25 @@ pub fn check_bounds(
                     ));
                 }
             }
-            // Innermost dim, per vector width: the strip segment
-            // [start, start + full) in W-lane steps, then the scalar
-            // remainder [start + full, end).
+            // Innermost dim: the strip segment [start, start + full) in
+            // LANES steps, then the scalar remainder [start + full, end).
             let inner = &bx[nd - 1];
             let n = inner.len();
-            for &w in vector_widths {
-                if w <= 1 {
+            let full = n - n % LANES;
+            let d = nd - 1;
+            let phases = [
+                ("strips", inner.start, inner.start + full),
+                ("remainder", inner.start + full, inner.end),
+            ];
+            for (phase, start, end) in phases {
+                if start == end {
                     continue;
                 }
-                let full = n - n % w;
-                debug_assert!(full % w == 0 && full <= n);
-                let d = nd - 1;
-                if full > 0 {
-                    let lo = inner.start as i64 + h + deltas[d] as i64;
-                    let hi = (inner.start + full) as i64 - 1 + h + deltas[d] as i64;
-                    if lo < 0 || hi >= padded[d] {
-                        diags.push(out_of_bounds(
-                            ci,
-                            oi,
-                            s,
-                            d,
-                            bname,
-                            &format!("W={w} strips"),
-                            lo,
-                            hi,
-                            &padded,
-                        ));
-                    }
-                }
-                if full < n {
-                    let lo = (inner.start + full) as i64 + h + deltas[d] as i64;
-                    let hi = inner.end as i64 - 1 + h + deltas[d] as i64;
-                    if lo < 0 || hi >= padded[d] {
-                        diags.push(out_of_bounds(
-                            ci,
-                            oi,
-                            s,
-                            d,
-                            bname,
-                            &format!("W={w} remainder"),
-                            lo,
-                            hi,
-                            &padded,
-                        ));
-                    }
+                let lo = start as i64 + h + deltas[d] as i64;
+                let hi = end as i64 - 1 + h + deltas[d] as i64;
+                if lo < 0 || hi >= padded[d] {
+                    let phase = format!("W={LANES} {phase}");
+                    diags.push(out_of_bounds(ci, oi, s, d, bname, &phase, lo, hi, &padded));
                 }
             }
         }
@@ -729,7 +702,7 @@ mod tests {
     fn clean_cluster_passes_all_checks() {
         let (ctx, cc) = compiled();
         assert!(check_compiled(&ctx, 0, &cc, 8).is_empty());
-        assert!(check_bounds(&ctx, 0, &cc, &[12, 12], 2, &[8, 16, 32]).is_empty());
+        assert!(check_bounds(&ctx, 0, &cc, &[12, 12], 2).is_empty());
     }
 
     #[test]
@@ -792,7 +765,7 @@ mod tests {
     fn delta_beyond_halo_is_out_of_bounds() {
         let (ctx, mut cc) = compiled();
         cc.offsets[0].1[0] = 7; // halo is 2
-        let diags = check_bounds(&ctx, 0, &cc, &[12, 12], 2, &[8, 16, 32]);
+        let diags = check_bounds(&ctx, 0, &cc, &[12, 12], 2);
         assert!(
             diags
                 .iter()

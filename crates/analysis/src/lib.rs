@@ -23,7 +23,7 @@
 //! * [`bytecode_check`] — extends `CompiledCluster::check_stack` into a
 //!   full verifier: slot validity, temp definite-assignment, a
 //!   non-panicking stack walk, in-bounds access proofs for every region
-//!   box at all vector widths W ∈ {8, 16, 32} including the scalar
+//!   box at the interpreter's strip width `LANES` including the scalar
 //!   remainder, and fusion-invariance of `flop_count` and semantics.
 //! * [`thread_safety`] — proves the threaded executor's slab partition
 //!   writes each output point from exactly one thread, and lints loads
@@ -74,8 +74,6 @@ pub struct AnalysisConfig {
     pub ranks: Vec<usize>,
     /// Thread counts for the slab write-disjointness proofs.
     pub threads: Vec<usize>,
-    /// Vector widths for the strip in-bounds proofs.
-    pub vector_widths: Vec<usize>,
     /// Backends for the bitwise equivalence gate (each is compared
     /// against the scalar bytecode oracle; see [`backend_check`]).
     pub backends: Vec<Backend>,
@@ -93,7 +91,6 @@ impl Default for AnalysisConfig {
             modes: vec![HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full],
             ranks: vec![4],
             threads: vec![2, 3, 4],
-            vector_widths: vec![8, 16, 32],
             backends: available_backends(),
             check_fused_semantics: true,
             lint: Some(LintConfig::from_env()),
@@ -104,6 +101,9 @@ impl Default for AnalysisConfig {
 impl AnalysisConfig {
     /// The minimal configuration covering exactly one run: used by the
     /// `Operator::run` verify gate so debug-build overhead stays bounded.
+    /// `vector_width` is a compatibility check for callers written when
+    /// the interpreter width was a run option: `0` or
+    /// [`LANES`](mpix_codegen::LANES), anything else panics.
     pub fn for_run(
         mode: HaloMode,
         ranks: usize,
@@ -111,15 +111,11 @@ impl AnalysisConfig {
         vector_width: usize,
         backend: Backend,
     ) -> AnalysisConfig {
+        mpix_codegen::options::check_lane_width(vector_width);
         AnalysisConfig {
             modes: vec![mode],
             ranks: vec![ranks.max(1)],
             threads: if threads > 1 { vec![threads] } else { vec![] },
-            vector_widths: if vector_width > 1 {
-                vec![vector_width]
-            } else {
-                vec![8, 16, 32]
-            },
             backends: vec![backend],
             check_fused_semantics: true,
             lint: Some(LintConfig::from_env()),
@@ -257,14 +253,7 @@ pub fn verify_operator(
         ));
 
         for (_, local) in &geometries {
-            diags.extend(bytecode_check::check_bounds(
-                ctx,
-                ci,
-                &fused,
-                local,
-                radius,
-                &cfg.vector_widths,
-            ));
+            diags.extend(bytecode_check::check_bounds(ctx, ci, &fused, local, radius));
             diags.extend(thread_safety::check_cluster_slabs(
                 ctx,
                 ci,

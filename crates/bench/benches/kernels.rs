@@ -37,38 +37,6 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scalar interpreter vs the lane-vectorized strip engine at every
-/// supported width, per SDO — the runtime analogue of the paper's
-/// `omp simd` ablation. `vw0` rows are the scalar baseline.
-fn bench_vector_width(c: &mut Criterion) {
-    let mut g = c.benchmark_group("vector_width");
-    g.sample_size(10);
-    for so in [4u32, 8, 12, 16] {
-        let spec = ModelSpec::new(&[24, 24, 24]).with_nbl(2);
-        let prop = Propagator::build(KernelKind::Acoustic, spec, so);
-        g.throughput(Throughput::Elements(prop.points_per_step()));
-        for vw in [0usize, 8, 16, 32] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("acoustic_so{so}"), format!("vw{vw}")),
-                &vw,
-                |b, &vw| {
-                    let opts = prop.apply_options(1).with_vector_width(vw);
-                    b.iter(|| {
-                        prop.op
-                            .run(
-                                &opts,
-                                |ws| prop.init(ws),
-                                |ws| ws.field_final(prop.main_field()).raw()[0],
-                            )
-                            .results[0]
-                    });
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
 fn bench_blocking(c: &mut Criterion) {
     let mut g = c.benchmark_group("blocking_ablation");
     g.sample_size(10);
@@ -125,11 +93,5 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_kernels,
-    bench_vector_width,
-    bench_blocking,
-    bench_trace_overhead
-);
+criterion_group!(benches, bench_kernels, bench_blocking, bench_trace_overhead);
 criterion_main!(benches);

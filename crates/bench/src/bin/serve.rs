@@ -88,7 +88,7 @@ fn main() {
     let compiles_before = mpix_codegen::exec_compiles();
     let workload = build_workload();
 
-    // Expected unique keys: every (operator content, mode, backend, vw)
+    // Expected unique keys: every (operator content, mode, backend)
     // combination in the workload. Rank count is a *launch* parameter —
     // it must not key the cache.
     let mut expected_keys: HashSet<u64> = HashSet::new();

@@ -72,7 +72,7 @@ fn main() {
     }
 }
 
-/// Measure scalar-vs-vector interpreter throughput and write the JSON
+/// Measure per-backend kernel throughput (bytecode vs jit) and write the JSON
 /// record to `BENCH_kernels.json` (`--quick` = CI smoke size;
 /// `--baseline=FILE` compares every row against an earlier record).
 fn bench_kernels(args: &[String]) {

@@ -11,10 +11,10 @@
 //!
 //! Sweeps every shipped solver × space discretization order {4, 8, 12,
 //! 16} × all three halo-exchange modes (basic / diagonal / full) on 1-,
-//! 2- and 4-rank topologies, plus the thread-slab and vector-strip
-//! proofs and the backend bitwise-equivalence gate (every runtime
-//! backend named by `--backends` — `bytecode`, `jit` — default all
-//! available on this host, against the scalar bytecode oracle). C is an
+//! 2- and 4-rank topologies, plus the thread-slab and interpreter-strip
+//! (`LANES` = 16) proofs and the backend bitwise-equivalence gate
+//! (every runtime backend named by `--backends` — `bytecode`, `jit` —
+//! default all available on this host, against the scalar oracle). C is an
 //! emission format, not a backend: `--backends=c` fails, pointing at
 //! `Operator::c_code_for`. Exits nonzero if any pass reports a
 //! diagnostic of severity Error or worse — the CI gate that generated
@@ -137,7 +137,9 @@ FLAGS:
     --san              dynamic sanitizer sweep instead of the static passes
     --backends=A,B     restrict the equivalence gate to named runtime
                        backends: bytecode, jit (C is an emission format,
-                       reachable through Operator::c_code_for)
+                       reachable through Operator::c_code_for); each is
+                       checked bitwise against the scalar oracle, the
+                       interpreter at its one lane width (16)
     --ranks=N,M        rank counts to sweep (default 1,2,4)
     --help             print this message
 
@@ -204,7 +206,6 @@ fn main() {
         modes: vec![HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full],
         ranks: ranks_list,
         threads: vec![2, 3, 4],
-        vector_widths: vec![8, 16, 32],
         backends,
         check_fused_semantics: true,
         lint: Some(LintConfig::from_env()),

@@ -440,12 +440,11 @@ pub fn print_perf() {
 }
 
 /// Measured per-backend throughput: run each kernel for real on one
-/// rank at SDO 4/8/12/16 under every execution backend — the scalar
-/// interpreter (`vector_width = 0`, the paper's generated-C baseline
-/// shape), the lane-vectorized interpreter strips (`vector_width = 16`),
-/// and the native JIT where the host supports it — and return the
-/// per-kernel GPts/s comparison as pretty JSON with one row per
-/// `(kernel, sdo, backend)`. Speedups are relative to the scalar row.
+/// rank at SDO 4/8/12/16 under every execution backend — the
+/// interpreter (strips of [`LANES`](mpix_codegen::LANES)) and the
+/// native JIT where the host supports it — and return the per-kernel
+/// GPts/s comparison as pretty JSON with one row per
+/// `(kernel, sdo, backend)`. Speedups are relative to the bytecode row.
 /// The `tables bench-kernels` subcommand writes this to
 /// `BENCH_kernels.json`, the perf-trajectory record for the repo.
 ///
@@ -467,7 +466,6 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
     use mpix_solvers::{ModelSpec, Propagator};
     use std::time::Instant;
 
-    const VW: usize = 16;
     let (edge, nbl, nt, reps) = if quick {
         (12usize, 2usize, 2i64, 1usize)
     } else {
@@ -489,7 +487,7 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
     let have_jit = available_backends().contains(&Backend::Jit);
 
     let mut rows = Vec::new();
-    println!("\n## Backend throughput: scalar vs vector_width={VW} vs jit, {edge}\u{b3}+{nbl} ABC, nt={nt}, 1 rank");
+    println!("\n## Backend throughput: bytecode vs jit, {edge}\u{b3}+{nbl} ABC, nt={nt}, 1 rank");
     println!(
         "{:<14} {:>4} {:<9} {:>12} {:>9}",
         "kernel", "sdo", "backend", "GPts/s", "speedup"
@@ -503,12 +501,8 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
                 pref.init(ws);
                 pref.add_ricker_source(ws, 18.0, nt as usize);
             };
-            let time_run = |backend: Backend, vw: usize| -> f64 {
-                let opts = p
-                    .apply_options(nt)
-                    .with_backend(backend)
-                    .with_vector_width(vw)
-                    .with_ranks(1);
+            let time_run = |backend: Backend| -> f64 {
+                let opts = p.apply_options(nt).with_backend(backend).with_ranks(1);
                 // Untimed warm-up amortizes first-touch and compilation.
                 p.op.run(&opts, init, |_| ());
                 let mut secs: Vec<f64> = (0..reps)
@@ -522,23 +516,21 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
                 secs[reps / 2]
             };
             let pts = p.points_per_step() as f64 * nt as f64;
-            // (row label, backend, strip width): the scalar interpreter
-            // is the baseline every speedup is measured against.
-            let mut configs = vec![
-                ("scalar", Backend::Bytecode, 0usize),
-                ("bytecode", Backend::Bytecode, VW),
-            ];
+            // The interpreter is the baseline every speedup is measured
+            // against.
+            let mut backends = vec![Backend::Bytecode];
             if have_jit {
-                configs.push(("jit", Backend::Jit, 0));
+                backends.push(Backend::Jit);
             }
-            let mut scalar = 0.0f64;
-            for (label, backend, vw) in configs {
-                let gpts = pts / time_run(backend, vw) / 1e9;
-                if label == "scalar" {
-                    scalar = gpts;
+            let mut bytecode = 0.0f64;
+            for backend in backends {
+                let gpts = pts / time_run(backend) / 1e9;
+                if backend == Backend::Bytecode {
+                    bytecode = gpts;
                 }
-                let speedup = gpts / scalar;
-                let base = baseline_gpts(kind.name(), sdo, label);
+                let speedup = gpts / bytecode;
+                let label = backend.to_string();
+                let base = baseline_gpts(kind.name(), sdo, &label);
                 println!(
                     "{:<14} {:>4} {:<9} {:>12.4} {:>8.2}x{}",
                     kind.name(),
@@ -567,7 +559,7 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
         "grid": vec![edge, edge, edge],
         "nbl": nbl,
         "nt": nt,
-        "vector_width": VW,
+        "lanes": mpix_codegen::LANES,
         "jit_available": have_jit,
         "quick": quick,
         "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -1142,7 +1134,7 @@ mod tests {
             .and_then(mpix_json::Value::as_array)
             .unwrap();
         let have_jit = available_backends().contains(&Backend::Jit);
-        let backends_per_group = if have_jit { 3 } else { 2 };
+        let backends_per_group = if have_jit { 2 } else { 1 };
         // 4 kernels × 4 SDOs × backends.
         assert_eq!(rows.len(), 16 * backends_per_group, "{out}");
         for row in rows {

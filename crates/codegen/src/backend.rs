@@ -22,19 +22,20 @@ use mpix_ir::iet::Node;
 
 use crate::bytecode::CompiledCluster;
 use crate::executor;
-use crate::interp::{self, Program};
+use crate::interp::{self, Program, LANES};
 use crate::jit::JitKernel;
 
 /// A runtime backend for compiled clusters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The portable stack-bytecode interpreter with lane-vectorized
-    /// strips (the default; runs everywhere).
+    /// strips (runs everywhere; the default where the JIT cannot run).
     Bytecode,
     /// Native x86-64 AVX code generated at runtime through the vendored
-    /// `cranelift` crate. Clusters the JIT cannot prove it supports fall
-    /// back to the bytecode interpreter per cluster, so selecting this
-    /// backend never changes results — only speed.
+    /// `cranelift` crate (the default where [`available_backends`] lists
+    /// it). Clusters the JIT cannot prove it supports fall back to the
+    /// bytecode interpreter per cluster, so selecting this backend never
+    /// changes results — only speed.
     Jit,
 }
 
@@ -130,14 +131,12 @@ pub struct Launch<'a> {
     pub params: &'a [f32],
     /// Loop-blocking tile edge (0 = off).
     pub block: usize,
-    /// Interpreter strip width (0/1 = scalar). The JIT ignores this —
-    /// its lane count is fixed by the instruction set.
-    pub vw: usize,
 }
 
 /// One compiled cluster, executable over region boxes. Implementations
 /// must be bitwise-deterministic: the same launch over the same box
-/// must produce results identical to the bytecode oracle (verified by
+/// must produce results identical to the scalar oracle
+/// ([`BytecodeKernel::scalar_oracle`], verified by
 /// `mpix-analysis`' backend equivalence pass and
 /// `tests/backend_equivalence.rs`).
 pub trait ClusterKernel: Send + Sync {
@@ -194,8 +193,9 @@ pub fn compile_kernel(
 }
 
 /// Interpreter kernel: the cluster's register program (`interp`),
-/// translated once here and run by the strip engine.
-pub struct BytecodeKernel(Program);
+/// translated once here and run by the strip engine in strips of `W`
+/// lanes — [`LANES`] for every run, 1 for the scalar oracle.
+pub struct BytecodeKernel<const W: usize = LANES>(Program);
 
 impl BytecodeKernel {
     pub fn new(cc: &CompiledCluster) -> BytecodeKernel {
@@ -203,9 +203,21 @@ impl BytecodeKernel {
     }
 }
 
-impl ClusterKernel for BytecodeKernel {
+impl BytecodeKernel<1> {
+    /// The scalar oracle: the interpreter one point at a time, in loop
+    /// order. Every backend and the interpreter's own strips are checked
+    /// bitwise against it (`mpix-analysis`' backend pass and the
+    /// equivalence tests, through
+    /// [`OperatorExec::scalar_oracle`](crate::OperatorExec::scalar_oracle)).
+    /// No run option selects it.
+    pub fn scalar_oracle(cc: &CompiledCluster) -> BytecodeKernel<1> {
+        BytecodeKernel(Program::new(cc))
+    }
+}
+
+impl<const W: usize> ClusterKernel for BytecodeKernel<W> {
     fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-        interp::exec_box(&self.0, l, bx, buffers);
+        interp::exec_box::<W>(&self.0, l, bx, buffers);
     }
 
     fn exec_box_mixed(
@@ -215,7 +227,7 @@ impl ClusterKernel for BytecodeKernel {
         reads: &mut [Option<&[f32]>],
         writes: &mut [Option<(&mut [f32], usize)>],
     ) {
-        interp::exec_box_mixed(&self.0, l, bx, reads, writes);
+        interp::exec_box_mixed::<W>(&self.0, l, bx, reads, writes);
     }
 }
 

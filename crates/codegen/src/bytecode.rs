@@ -647,7 +647,6 @@ pub fn eval_point(
         scalars: scalar_values,
         params: param_values,
         block: 0,
-        vw: 0,
     };
     let prog = crate::interp::Program::new(cc);
     crate::interp::eval_point(&prog, &launch, buffers, bases, temps);

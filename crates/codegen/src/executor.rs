@@ -22,13 +22,12 @@ use mpix_symbolic::{Context, FieldId};
 use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
-use crate::backend::{compile_kernel, Backend, BackendError, ClusterKernel, Launch};
+use crate::backend::{
+    compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel, Launch,
+};
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
 use crate::jit::ClusterRoute;
 use crate::options::ApplyOptions;
-
-/// Strip widths the lane-vectorized engine is monomorphized for.
-pub const SUPPORTED_VECTOR_WIDTHS: [usize; 3] = [8, 16, 32];
 
 /// Process-wide count of full operator lowerings
 /// ([`OperatorExec::with_backend`] calls). The serve smoke harness
@@ -39,18 +38,6 @@ static EXEC_COMPILES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// How many times this process has lowered an operator into kernels.
 pub fn exec_compiles() -> u64 {
     EXEC_COMPILES.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Validate a `vector_width` knob: `0`/`1` select the scalar
-/// interpreter, the widths in [`SUPPORTED_VECTOR_WIDTHS`] the strip
-/// engine. Anything else panics — silently degrading a job script's
-/// requested width to scalar would be worse.
-pub fn validate_vector_width(vw: usize) -> usize {
-    assert!(
-        vw <= 1 || SUPPORTED_VECTOR_WIDTHS.contains(&vw),
-        "vector_width={vw}: expected 0/1 (scalar) or one of {SUPPORTED_VECTOR_WIDTHS:?}"
-    );
-    vw
 }
 
 /// Per-field runtime state: one [`DistArray`] per time buffer.
@@ -233,6 +220,26 @@ impl OperatorExec {
             nbuffers,
             halos,
         })
+    }
+
+    /// This executable with every kernel replaced by the scalar oracle
+    /// ([`BytecodeKernel::scalar_oracle`]): the operator-level reference
+    /// the equivalence tests compare every backend against. It reports
+    /// [`Backend::Bytecode`], so it runs with bytecode options.
+    pub fn scalar_oracle(&self) -> OperatorExec {
+        OperatorExec {
+            iet: self.iet.clone(),
+            param_defs: self.param_defs.clone(),
+            compiled: self.compiled.clone(),
+            kernels: self
+                .compiled
+                .iter()
+                .map(|cc| Box::new(BytecodeKernel::scalar_oracle(cc)) as Box<dyn ClusterKernel>)
+                .collect(),
+            backend: Backend::Bytecode,
+            nbuffers: self.nbuffers.clone(),
+            halos: self.halos.clone(),
+        }
     }
 
     pub fn iet(&self) -> &Node {
@@ -629,7 +636,6 @@ impl OperatorExec {
             .collect();
 
         let nthreads = st.opts.threads.max(1);
-        let vw = validate_vector_width(st.opts.vector_width);
         let launch = Launch {
             cc,
             strides: &strides,
@@ -638,7 +644,6 @@ impl OperatorExec {
             scalars: &scalar_vals,
             params: &st.params,
             block: st.opts.block,
-            vw,
         };
         let mut points = 0u64;
         for b in &boxes {
@@ -1099,7 +1104,7 @@ mod tests {
     #[test]
     fn threaded_and_blocked_execution_bitwise_equal() {
         let mut ctx = Context::new();
-        let grid = Grid::new(&[12, 10, 8], &[1.0, 1.0, 1.0]);
+        let grid = Grid::new(&[12, 10, 21], &[1.0, 1.0, 1.0]);
         let u = ctx.add_time_function("u", &grid, 2, 1);
         let eq = Eq::new(u.dt(), u.laplace());
         let st = eq.solve_for(&u.forward(), &ctx).unwrap();
@@ -1111,18 +1116,19 @@ mod tests {
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, true);
         let iet = lower_halo_spots(iet, MpiMode::Basic);
-        let exec = &OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
+        let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
+        let oracle = exec.scalar_oracle();
 
-        let run = |threads: usize, block: usize, vw: usize| -> Vec<f32> {
+        let run = |exec: &OperatorExec, threads: usize, block: usize| -> Vec<f32> {
             Universe::run(1, |comm| {
                 let cart = mpix_comm::CartComm::new(comm, &[1, 1, 1]);
-                let dc = Arc::new(Decomposition::new(&[12, 10, 8], &[1, 1, 1]));
+                let dc = Arc::new(Decomposition::new(&[12, 10, 21], &[1, 1, 1]));
                 let mut fields = vec![FieldState::new(u.id(), 2, dc, &[0, 0, 0], 2)];
                 for i in 0..12 {
                     for j in 0..10 {
-                        for k in 0..8 {
+                        for k in 0..21 {
                             fields[0].buffers[0]
-                                .set_global(&[i, j, k], ((i * 80 + j * 8 + k) % 13) as f32);
+                                .set_global(&[i, j, k], ((i * 210 + j * 21 + k) % 13) as f32);
                         }
                     }
                 }
@@ -1137,10 +1143,10 @@ mod tests {
                     &scalars,
                     &mut [],
                     &ApplyOptions::default()
+                        .with_backend(Backend::Bytecode)
                         .with_nt(3)
                         .with_block(block)
-                        .with_threads(threads)
-                        .with_vector_width(vw),
+                        .with_threads(threads),
                 );
                 fields[0].buffers[fields[0].buffer_index(3, 0)]
                     .raw()
@@ -1149,27 +1155,17 @@ mod tests {
             .pop()
             .unwrap()
         };
-        let base = run(1, 0, 0);
-        assert_eq!(base, run(3, 0, 0), "threads=3 differs");
-        assert_eq!(base, run(1, 4, 0), "block=4 differs");
-        assert_eq!(base, run(2, 4, 0), "threads=2+block=4 differs");
-        assert_eq!(base, run(4, 8, 0), "threads=4+block=8 differs");
-        // Lane-vectorized strips: inner extent 8, so vw=8 is exact
-        // strips and vw=16/32 degenerate to the scalar remainder path;
-        // all must be bitwise identical, alone and composed with
-        // blocking and threading.
-        for vw in [8usize, 16, 32] {
-            assert_eq!(base, run(1, 0, vw), "vw={vw} differs");
-            assert_eq!(base, run(1, 4, vw), "vw={vw}+block=4 differs");
-            assert_eq!(base, run(3, 0, vw), "vw={vw}+threads=3 differs");
-            assert_eq!(base, run(2, 8, vw), "vw={vw}+threads=2+block=8 differs");
+        // Inner extent 21: one full strip of LANES, then the overlapping
+        // tail strip. Blocking and threading must not change a bit of it
+        // against the scalar oracle, alone or composed.
+        let base = run(&oracle, 1, 0);
+        for (threads, block) in [(1, 0), (3, 0), (1, 4), (2, 4), (4, 8), (2, 8)] {
+            assert_eq!(
+                base,
+                run(&exec, threads, block),
+                "threads={threads}+block={block} differs"
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "vector_width=5")]
-    fn unsupported_vector_width_rejected() {
-        validate_vector_width(5);
     }
 
     /// The native JIT backend must be bitwise identical to the bytecode

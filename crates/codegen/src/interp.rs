@@ -1,6 +1,6 @@
 //! The bytecode interpreter: each compiled cluster translated once, when
 //! its kernel is compiled, into a register program, then executed over
-//! strips of `W` contiguous innermost-loop points.
+//! strips of [`LANES`] contiguous innermost-loop points.
 //!
 //! The translation is the runtime analogue of the generated C's
 //! `#pragma omp simd` loop body. Stack slots, temporaries and the
@@ -11,7 +11,10 @@
 //! written straight into the temp's register by the instruction that
 //! computes it. What is left are the loads, the stores and the
 //! arithmetic, each a fixed-trip-count loop over `W` lanes that LLVM
-//! autovectorizes. The scalar interpreter is the same engine at `W = 1`.
+//! autovectorizes. The engine is generic over the strip width `W` but
+//! runs at two only: `LANES` for every kernel launch, and `W = 1` for a
+//! row's tail points and for the scalar oracle
+//! ([`BytecodeKernel::scalar_oracle`](crate::backend::BytecodeKernel::scalar_oracle)).
 //!
 //! Lane arithmetic is the kernel arithmetic of [`crate::arith`]
 //! (FTZ/DAZ, mul-then-add with two roundings, no reassociation), so
@@ -28,6 +31,12 @@ use crate::arith;
 use crate::backend::Launch;
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 use crate::executor::tiles;
+
+/// The interpreter's strip width. A property of the engine, not a run
+/// option: over the shipped kernels 16 lanes were never the slowest of
+/// {1, 8, 16, 32}, while 32 lanes fall back to single points on rows
+/// narrower than a strip and one lane runs 5–10× slower (DESIGN §3.2).
+pub const LANES: usize = 16;
 
 /// One register-program instruction. Register operands index the
 /// kernel's register file; `stream`/`off` are the compiled cluster's
@@ -407,19 +416,24 @@ impl StreamAccess for MixedAccess<'_, '_, '_> {
 }
 
 /// Execute `prog` over every point of `bx` (owned-local coordinates)
-/// with whole-buffer bindings, tile by tile: the bytecode backend's
-/// single-threaded entry point.
-pub(crate) fn exec_box(prog: &Program, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+/// in strips of `W` with whole-buffer bindings, tile by tile: the
+/// bytecode backend's single-threaded entry point.
+pub(crate) fn exec_box<const W: usize>(
+    prog: &Program,
+    l: &Launch<'_>,
+    bx: &BoxNd,
+    buffers: &mut [&mut [f32]],
+) {
     let mut acc = FlatAccess(buffers);
     let coeffs = prog.coeffs(l);
     for tile in tiles(bx, l.block) {
-        exec_strips_box(prog, l, &coeffs, &tile, &mut acc);
+        exec_strips_box::<W>(prog, l, &coeffs, &tile, &mut acc);
     }
 }
 
 /// Like [`exec_box`] but with per-stream read/write bindings (threaded
 /// path). Written streams index relative to their slab offset.
-pub(crate) fn exec_box_mixed(
+pub(crate) fn exec_box_mixed<const W: usize>(
     prog: &Program,
     l: &Launch<'_>,
     bx: &BoxNd,
@@ -429,7 +443,7 @@ pub(crate) fn exec_box_mixed(
     let mut acc = MixedAccess { reads, writes };
     let coeffs = prog.coeffs(l);
     for tile in tiles(bx, l.block) {
-        exec_strips_box(prog, l, &coeffs, &tile, &mut acc);
+        exec_strips_box::<W>(prog, l, &coeffs, &tile, &mut acc);
     }
 }
 
@@ -553,10 +567,9 @@ fn eval_strip<const W: usize>(
 /// Strip-execute a whole box: odometer over the outer dims, strips of
 /// `W` along the contiguous innermost dim. A row's tail is one more
 /// strip overlapping the last, or single points (`W = 1`) where the row
-/// is shorter than a strip or the program is not safe to rerun. Monomorphized per supported width by
-/// [`exec_strips_box`]'s dispatch.
+/// is shorter than a strip or the program is not safe to rerun.
 #[inline(always)]
-fn exec_strips_box_w<const W: usize>(
+fn exec_strips_box<const W: usize>(
     prog: &Program,
     l: &Launch<'_>,
     coeffs: &[arith::Coeff],
@@ -630,30 +643,12 @@ fn exec_strips_box_w<const W: usize>(
     }
 }
 
-/// Runtime-width dispatch into the monomorphized strip engines; widths
-/// 0 and 1 select the scalar interpreter.
-fn exec_strips_box(
-    prog: &Program,
-    l: &Launch<'_>,
-    coeffs: &[arith::Coeff],
-    bx: &BoxNd,
-    acc: &mut impl StreamAccess,
-) {
-    match l.vw {
-        0 | 1 => exec_strips_box_w::<1>(prog, l, coeffs, bx, acc),
-        8 => exec_strips_box_w::<8>(prog, l, coeffs, bx, acc),
-        16 => exec_strips_box_w::<16>(prog, l, coeffs, bx, acc),
-        32 => exec_strips_box_w::<32>(prog, l, coeffs, bx, acc),
-        other => unreachable!("unsupported vector width {other} (validated earlier)"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpix_symbolic::FieldId;
 
-    fn launch<'a>(cc: &'a CompiledCluster, strides: &'a [Vec<usize>], vw: usize) -> Launch<'a> {
+    fn launch<'a>(cc: &'a CompiledCluster, strides: &'a [Vec<usize>]) -> Launch<'a> {
         Launch {
             cc,
             strides,
@@ -662,7 +657,6 @@ mod tests {
             scalars: &[],
             params: &[],
             block: 0,
-            vw,
         }
     }
 
@@ -700,7 +694,7 @@ mod tests {
         };
         let (mut x, mut out) = (vec![1.5f32, 2.25], vec![0.0f32]);
         let mut temps = [0.0f32];
-        let l = launch(&cc, &[], 0);
+        let l = launch(&cc, &[]);
         eval_point(
             &Program::new(&cc),
             &l,
@@ -732,14 +726,115 @@ mod tests {
         };
         let prog = Program::new(&cc);
         assert!(!prog.rerun_safe);
-        let (strides, bx): (_, BoxNd) = ([vec![1]], std::iter::once(0..13).collect());
-        for vw in [0, 8, 16] {
-            let mut u: Vec<f32> = (0..13).map(|i| i as f32).collect();
-            exec_box(&prog, &launch(&cc, &strides, vw), &bx, &mut [&mut u]);
-            assert!(
-                u.iter().enumerate().all(|(i, &v)| v == i as f32 + 1.0),
-                "vw={vw}: {u:?}"
-            );
+        let n = LANES + 3;
+        let (strides, bx): (_, BoxNd) = ([vec![1]], std::iter::once(0..n).collect());
+        let l = launch(&cc, &strides);
+        let mut u: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        exec_box::<LANES>(&prog, &l, &bx, &mut [&mut u]);
+        assert!(
+            u.iter().enumerate().all(|(i, &v)| v == i as f32 + 1.0),
+            "{u:?}"
+        );
+    }
+
+    /// Run `cc` at strip width `W` over a `2 × n` box of streams padded
+    /// by one halo cell on every side; returns the final buffers.
+    fn run_rows<const W: usize>(cc: &CompiledCluster, n: usize) -> Vec<Vec<f32>> {
+        let (rows, halo) = (2, 1);
+        let stride = vec![n + 2 * halo, 1];
+        let len = (rows + 2 * halo) * stride[0];
+        let strides = vec![stride.clone(); cc.streams.len()];
+        let resolved: Vec<isize> = cc
+            .offsets
+            .iter()
+            .map(|(_, d)| d[0] as isize * stride[0] as isize + d[1] as isize)
+            .collect();
+        let l = Launch {
+            cc,
+            strides: &strides,
+            halos: &vec![halo; cc.streams.len()],
+            resolved: &resolved,
+            scalars: &[],
+            params: &[],
+            block: 0,
+        };
+        let mut bufs: Vec<Vec<f32>> = (0..cc.streams.len())
+            .map(|s| {
+                (0..len)
+                    .map(|i| ((i * 31 + s * 17 + 7) % 97) as f32 * 0.0625 - 3.0)
+                    .collect()
+            })
+            .collect();
+        let mut slices: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+        let bx: BoxNd = vec![0..rows, 0..n];
+        exec_box::<W>(&Program::new(cc), &l, &bx, &mut slices);
+        bufs
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_engine_at_every_inner_extent() {
+        // out = (x[-1]/2 + x/4 - x[+1]/8) · x: rerun-safe, so a row's
+        // tail is one strip overlapping the last full one.
+        let stencil = CompiledCluster {
+            ops: vec![
+                Op::LoadMul {
+                    coeff: CoeffSrc::Const(0),
+                    stream: 0,
+                    off: 0,
+                },
+                Op::LoadMulAdd {
+                    coeff: CoeffSrc::Const(1),
+                    stream: 0,
+                    off: 1,
+                },
+                Op::LoadMulAdd {
+                    coeff: CoeffSrc::Const(2),
+                    stream: 0,
+                    off: 2,
+                },
+                Op::Load { stream: 0, off: 1 },
+                Op::Mul,
+                Op::Store { stream: 1 },
+            ],
+            consts: vec![0.5, 0.25, -0.125],
+            scalars: vec![],
+            streams: vec![(FieldId(0), 0), (FieldId(1), 1)],
+            written: vec![false, true],
+            offsets: vec![(0, vec![0, -1]), (0, vec![0, 0]), (0, vec![0, 1])],
+            num_temps: 0,
+            max_stack: 2,
+        };
+        // u = u·3/4 + 1 in place: loads what it stores, so the tail
+        // runs as single points.
+        let in_place = CompiledCluster {
+            ops: vec![
+                Op::Load { stream: 0, off: 0 },
+                Op::Const(0),
+                Op::Mul,
+                Op::Const(1),
+                Op::Add,
+                Op::Store { stream: 0 },
+            ],
+            consts: vec![0.75, 1.0],
+            scalars: vec![],
+            streams: vec![(FieldId(0), 1)],
+            written: vec![true],
+            offsets: vec![(0, vec![0, 0])],
+            num_temps: 0,
+            max_stack: 2,
+        };
+        assert!(Program::new(&stencil).rerun_safe);
+        assert!(!Program::new(&in_place).rerun_safe);
+        // Rows shorter than a strip, exact strips, and every tail length
+        // after one, two and three full strips.
+        for n in 1..=3 * LANES + 1 {
+            for (name, cc) in [("stencil", &stencil), ("in-place", &in_place)] {
+                let (lanes, scalar) = (run_rows::<LANES>(cc, n), run_rows::<1>(cc, n));
+                for (s, (a, b)) in lanes.iter().zip(&scalar).enumerate() {
+                    let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "{name}, inner extent {n}, stream {s}");
+                }
+            }
         }
     }
 }

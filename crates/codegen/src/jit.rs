@@ -494,7 +494,7 @@ fn run_box(
             // is `row pointer + (i + resolved[off]) * 4` for `i < n` on
             // one of the tile's rows, in-bounds by the same argument as
             // the interpreter's (verified by mpix-analysis'
-            // check_bounds pass, W = 8 covering the strip loads).
+            // check_bounds pass over each row's points).
             unsafe { module.call(&mut args as *mut BoxArgs as *mut u8) };
             // Odometer over the dimensions outside the native loops.
             let mut d = odometer;

@@ -19,7 +19,7 @@
 //!   implements (hardware mode in the JIT, emulated in the
 //!   interpreter).
 //! * `interp` — the bytecode interpreter: each compiled cluster
-//!   translated into a register program run over lane strips.
+//!   translated into a register program run over strips of [`LANES`].
 //! * [`executor`] — runs the lowered IET on a rank: rotating time
 //!   buffers, loop-blocked (and optionally multi-threaded — the "X" in
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
@@ -45,11 +45,12 @@ pub mod jit;
 pub mod options;
 
 pub use backend::{
-    available_backends, bytecode_listing, compile_kernel, Backend, BackendError, ClusterKernel,
-    Launch, BACKEND_NAMES,
+    available_backends, bytecode_listing, compile_kernel, Backend, BackendError, BytecodeKernel,
+    ClusterKernel, Launch, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
 pub use executor::{exec_compiles, halo_tag_base, sparse_tag, FieldState, OperatorExec, SparseOp};
+pub use interp::LANES;
 pub use jit::{jit_modules_built, ClusterRoute, Fallback};
 pub use options::ApplyOptions;

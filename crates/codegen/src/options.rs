@@ -4,8 +4,9 @@
 use mpix_dmp::HaloMode;
 use mpix_trace::TraceLevel;
 
-use crate::backend::Backend;
-use crate::executor::{validate_vector_width, Fault};
+use crate::backend::{available_backends, Backend};
+use crate::executor::Fault;
+use crate::interp::LANES;
 
 /// The one runtime configuration for `Operator::run` — the paper's
 /// `DEVITO_MPI` mode, blocking tile, thread count, time stepping, rank
@@ -25,10 +26,12 @@ use crate::executor::{validate_vector_width, Fault};
 /// | `MPIX_THREADS` | `threads` | like `OMP_NUM_THREADS`                 |
 /// | `MPIX_RANKS`   | `ranks`   | simulated MPI ranks                    |
 /// | `MPIX_TRACE`   | `trace`   | `off`, `summary`, `full`               |
-/// | `MPIX_VW`      | `vector_width` | `0`/`1` (scalar), `8`, `16`, `32` |
 /// | `MPIX_BACKEND` | `backend` | `bytecode`, `jit`                      |
 /// | `MPIX_VERIFY`  | `verify`  | `0`/`off`/`false`, `1`/`on`/`true`     |
 /// | `MPIX_SAN`     | `sanitize`| `0`/`off`/`false`, `1`/`on`/`true`     |
+///
+/// The interpreter's lane width is not a run option: it is
+/// [`LANES`], and a set `MPIX_VW` panics.
 #[derive(Clone, Debug)]
 pub struct ApplyOptions {
     /// Halo-exchange pattern (the paper's `DEVITO_MPI`).
@@ -37,17 +40,11 @@ pub struct ApplyOptions {
     pub block: usize,
     /// Shared-memory worker threads per rank (the OpenMP analogue).
     pub threads: usize,
-    /// Lane width for the strip-vectorized interpreter (the runtime
-    /// analogue of the paper's `#pragma omp simd`): each compiled op
-    /// executes over `vector_width` contiguous innermost-loop points at
-    /// once. `0`/`1` = scalar; supported widths are
-    /// [`SUPPORTED_VECTOR_WIDTHS`](crate::executor::SUPPORTED_VECTOR_WIDTHS).
-    /// Ignored by the `jit` backend, whose lane count is fixed by the
-    /// instruction set.
-    pub vector_width: usize,
     /// Runtime backend compiling the kernel bodies (see [`Backend`]):
-    /// `bytecode` (default, portable) or `jit` (native SIMD). Results
-    /// are bitwise identical across backends — only speed differs.
+    /// `jit` (native SIMD; the default where [`available_backends`]
+    /// lists it) or `bytecode` (portable; the default elsewhere).
+    /// Results are bitwise identical across backends — only speed
+    /// differs.
     pub backend: Backend,
     /// Number of time steps.
     pub nt: i64,
@@ -96,8 +93,11 @@ impl Default for ApplyOptions {
             mode: HaloMode::Basic,
             block: 0,
             threads: 1,
-            vector_width: 0,
-            backend: Backend::Bytecode,
+            backend: if available_backends().contains(&Backend::Jit) {
+                Backend::Jit
+            } else {
+                Backend::Bytecode
+            },
             nt: 1,
             t0: 0,
             dt: None,
@@ -138,8 +138,11 @@ impl ApplyOptions {
         self.threads = threads;
         self
     }
-    pub fn with_vector_width(mut self, vw: usize) -> Self {
-        self.vector_width = validate_vector_width(vw);
+    /// Compatibility check for callers written when the interpreter
+    /// width was a run option: accepts `0` or [`LANES`] and changes
+    /// nothing; any other width panics.
+    pub fn with_vector_width(self, vw: usize) -> Self {
+        check_lane_width(vw);
         self
     }
     pub fn with_backend(mut self, backend: Backend) -> Self {
@@ -209,10 +212,10 @@ impl ApplyOptions {
             self.trace = TraceLevel::from_env();
         }
         if let Ok(v) = std::env::var("MPIX_VW") {
-            let vw: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("MPIX_VW={v:?}: expected a lane width (0|1|8|16|32)"));
-            self.vector_width = validate_vector_width(vw);
+            panic!(
+                "MPIX_VW={v:?}: removed: the interpreter runs one lane width, {LANES}; \
+                 unset MPIX_VW"
+            );
         }
         if let Ok(v) = std::env::var("MPIX_BACKEND") {
             self.backend = v
@@ -241,4 +244,14 @@ impl ApplyOptions {
     pub fn from_env() -> Self {
         ApplyOptions::default().env_overrides()
     }
+}
+
+/// Panic unless `vw` is `0` or [`LANES`]: the widths a caller written
+/// for the removed lane-width option may still pass.
+pub fn check_lane_width(vw: usize) {
+    assert!(
+        vw == 0 || vw == LANES,
+        "vector_width={vw}: removed: the interpreter runs one lane width, {LANES} \
+         (0 is accepted for compatibility)"
+    );
 }

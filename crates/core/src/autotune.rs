@@ -84,9 +84,7 @@ impl Operator {
     }
 
     /// Select the fastest cache-blocking tile from `candidates` with
-    /// single-rank trials (blocking is a per-rank concern). Thin wrapper
-    /// over [`autotune_exec`](Self::autotune_exec) with the vector width
-    /// pinned to the base option's value.
+    /// single-rank trials (blocking is a per-rank concern).
     pub fn autotune_block<FI>(
         &self,
         base: &ApplyOptions,
@@ -97,46 +95,16 @@ impl Operator {
     where
         FI: Fn(&mut Workspace) + Send + Sync,
     {
-        let report = self.autotune_exec(base, trial_nt, candidates, &[base.vector_width], init);
-        TuneReport {
-            best: report.best.0,
-            trials: report
-                .trials
-                .into_iter()
-                .map(|((b, _), t)| (b, t))
-                .collect(),
-        }
-    }
-
-    /// Sweep the per-rank execution-engine knobs jointly: cache-blocking
-    /// tile × interpreter lane width (`(block, vector_width)` pairs).
-    /// The two interact — a tile must hold several full strips to keep
-    /// the vector path off the scalar remainder — so a joint sweep beats
-    /// tuning each axis in isolation.
-    pub fn autotune_exec<FI>(
-        &self,
-        base: &ApplyOptions,
-        trial_nt: i64,
-        blocks: &[usize],
-        widths: &[usize],
-        init: FI,
-    ) -> TuneReport<(usize, usize)>
-    where
-        FI: Fn(&mut Workspace) + Send + Sync,
-    {
-        assert!(!blocks.is_empty() && !widths.is_empty());
+        assert!(!candidates.is_empty(), "autotune_block needs candidates");
         let mut trials = Vec::new();
-        for &block in blocks {
-            for &vw in widths {
-                let mut opts = base
-                    .clone()
-                    .with_block(block)
-                    .with_vector_width(vw)
-                    .with_nt(trial_nt)
-                    .with_ranks(1);
-                opts.topology = None;
-                trials.push(((block, vw), self.timed_trial(&opts, &init)));
-            }
+        for &block in candidates {
+            let mut opts = base
+                .clone()
+                .with_block(block)
+                .with_nt(trial_nt)
+                .with_ranks(1);
+            opts.topology = None;
+            trials.push((block, self.timed_trial(&opts, &init)));
         }
         let best = best_trial(&trials);
         TuneReport { best, trials }
@@ -145,8 +113,7 @@ impl Operator {
     /// Select the fastest execution backend on this host. Sweeps every
     /// entry of [`available_backends`] (so an absent JIT is simply never
     /// tried) with single-rank trials — backend choice, like blocking,
-    /// is a per-rank concern. The bytecode interpreter's lane width
-    /// rides along from `base`; the JIT ignores it.
+    /// is a per-rank concern.
     pub fn autotune_backend<FI>(
         &self,
         base: &ApplyOptions,
@@ -252,18 +219,6 @@ mod tests {
         let report = op.autotune_block(&base, 2, &[0, 4, 8], |_| ());
         assert!([0, 4, 8].contains(&report.best));
         assert_eq!(report.trials.len(), 3);
-    }
-
-    #[test]
-    fn exec_tuner_sweeps_block_width_cross_product() {
-        let op = op();
-        let base = ApplyOptions::default().with_dt(0.001);
-        let report = op.autotune_exec(&base, 2, &[0, 8], &[0, 8, 16], |_| ());
-        assert_eq!(report.trials.len(), 6);
-        assert!(report.trials.iter().any(|(c, _)| *c == report.best));
-        assert!([0usize, 8].contains(&report.best.0));
-        assert!([0usize, 8, 16].contains(&report.best.1));
-        assert!(report.trials.iter().all(|(_, t)| *t > 0.0));
     }
 
     #[test]

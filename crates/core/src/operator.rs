@@ -204,9 +204,8 @@ impl Operator {
     /// Content hash of this operator as lowered for `opts` — the serve
     /// layer's cache key. Two operators collide exactly when their
     /// mode-lowered IET (structure *and* expressions, via the C
-    /// emission), their compiled cluster bytecode, the execution
-    /// backend, and the interpreter lane width all agree; pointer
-    /// identity plays no part. Same-geometry operators with different
+    /// emission), their compiled cluster bytecode and the execution
+    /// backend all agree; pointer identity plays no part. Same-geometry operators with different
     /// expressions hash apart (different coefficients/opcodes); the same
     /// equations built twice hash together.
     pub fn content_key(&self, opts: &ApplyOptions) -> u64 {
@@ -217,7 +216,6 @@ impl Operator {
         // The compiled cluster bodies (post-fusion bytecode listing).
         mpix_codegen::bytecode_listing(&lowered).hash(&mut h);
         opts.backend.to_string().hash(&mut h);
-        opts.vector_width.hash(&mut h);
         h.finish()
     }
 
@@ -299,12 +297,6 @@ impl Operator {
             exec.backend(),
             opts.backend
         );
-        // Validate the lane width once at the entry point: builders and
-        // `env_overrides` already validate, but `vector_width` is a pub
-        // field — a raw struct write could otherwise carry an arbitrary
-        // width all the way into the executor.
-        let _ = mpix_codegen::executor::validate_vector_width(opts.vector_width);
-
         let nranks = opts.ranks.max(1);
         let dims = opts
             .topology
@@ -319,7 +311,7 @@ impl Operator {
                 opts.mode,
                 nranks,
                 opts.threads,
-                opts.vector_width,
+                mpix_codegen::LANES,
                 opts.backend,
             );
             let report = self.verify(&cfg);
@@ -382,6 +374,7 @@ impl Operator {
             &reports,
         )
         .with_roofline(format!("{} (reference)", machine.name), ceiling)
+        .with_backend(exec.backend().to_string())
         .with_diagnostics(diagnostics);
 
         Applied { results, summary }
@@ -402,7 +395,6 @@ mod tests {
         std::env::set_var("MPIX_THREADS", "4");
         std::env::set_var("MPIX_RANKS", "8");
         std::env::set_var("MPIX_TRACE", "summary");
-        std::env::set_var("MPIX_VW", "16");
         std::env::set_var("MPIX_BACKEND", "jit");
         std::env::set_var("MPIX_VERIFY", "on");
         std::env::set_var("MPIX_SAN", "on");
@@ -412,7 +404,6 @@ mod tests {
         assert_eq!(o.threads, 4);
         assert_eq!(o.ranks, 8);
         assert_eq!(o.trace, TraceLevel::Summary);
-        assert_eq!(o.vector_width, 16);
         assert_eq!(o.backend, Backend::Jit);
         assert!(o.verify);
         assert!(o.sanitize);
@@ -458,13 +449,45 @@ mod tests {
             assert!(msg.contains(want), "{msg} should mention {want}");
         }
         std::env::set_var("MPIX_BACKEND", "jit");
+        // A job script that sets the interpreter width fails fast and
+        // names the one width.
+        for v in ["16", "0"] {
+            std::env::set_var("MPIX_VW", v);
+            let err = std::panic::catch_unwind(ApplyOptions::from_env).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            for want in ["MPIX_VW", "removed", "one lane width, 16"] {
+                assert!(msg.contains(want), "{msg} should mention {want}");
+            }
+        }
+        std::env::remove_var("MPIX_VW");
+        // The compatibility checks accept 0 and LANES and nothing else.
+        assert_eq!(mpix_codegen::LANES, 16);
+        for vw in [0, mpix_codegen::LANES] {
+            let _ = ApplyOptions::default().with_vector_width(vw);
+            let _ = mpix_analysis::AnalysisConfig::for_run(HaloMode::Basic, 1, 1, vw, Backend::Jit);
+        }
+        let panics: [fn(); 2] = [
+            || {
+                let _ = ApplyOptions::default().with_vector_width(8);
+            },
+            || {
+                let _ =
+                    mpix_analysis::AnalysisConfig::for_run(HaloMode::Basic, 1, 1, 8, Backend::Jit);
+            },
+        ];
+        for f in panics {
+            let err = std::panic::catch_unwind(f).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            for want in ["vector_width=8", "one lane width, 16"] {
+                assert!(msg.contains(want), "{msg} should mention {want}");
+            }
+        }
 
         std::env::remove_var("MPIX_MPI");
         std::env::remove_var("MPIX_BLOCK");
         std::env::remove_var("MPIX_THREADS");
         std::env::remove_var("MPIX_RANKS");
         std::env::remove_var("MPIX_TRACE");
-        std::env::remove_var("MPIX_VW");
         std::env::remove_var("MPIX_BACKEND");
         std::env::remove_var("MPIX_VERIFY");
         std::env::remove_var("MPIX_SAN");
@@ -472,8 +495,13 @@ mod tests {
         assert_eq!(o.mode, HaloMode::Basic);
         assert_eq!(o.block, 0);
         assert_eq!(o.trace, TraceLevel::Off);
-        assert_eq!(o.vector_width, 0);
-        assert_eq!(o.backend, Backend::Bytecode);
+        // `jit` by default wherever it can run.
+        let default = if mpix_codegen::available_backends().contains(&Backend::Jit) {
+            Backend::Jit
+        } else {
+            Backend::Bytecode
+        };
+        assert_eq!(o.backend, default);
 
         // Unset env leaves builder values untouched.
         let o = ApplyOptions::default()

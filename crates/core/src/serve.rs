@@ -10,8 +10,8 @@
 //!
 //! * [`OperatorKey`] — the cache key is a content hash of the lowered
 //!   operator ([`Operator::content_key`]: mode-lowered IET structure and
-//!   expressions, compiled cluster bytecode, backend, interpreter lane
-//!   width). Pointer identity plays no part: two `Operator`s built from
+//!   expressions, compiled cluster bytecode, backend). Pointer identity
+//!   plays no part: two `Operator`s built from
 //!   the same equations share one compiled artifact; same-geometry
 //!   operators with different expressions do not.
 //! * [`OperatorCache`] — a concurrent map from key to compiled

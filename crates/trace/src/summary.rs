@@ -150,6 +150,9 @@ pub struct PerfSummary {
     pub kernel: String,
     /// Halo mode label (`basic`/`diag`/`full`).
     pub mode: String,
+    /// The runtime backend that executed the run (`jit`/`bytecode`), so
+    /// a host without the JIT says so; empty when not attached.
+    pub backend: String,
     pub ranks: usize,
     pub timesteps: i64,
     /// Global points updated per step (sum over ranks / timesteps).
@@ -249,6 +252,7 @@ impl PerfSummary {
         PerfSummary {
             kernel: kernel.into(),
             mode: mode.into(),
+            backend: String::new(),
             ranks,
             timesteps,
             points_per_step: if timesteps > 0 {
@@ -277,6 +281,12 @@ impl PerfSummary {
         self
     }
 
+    /// Attach the name of the backend that executed the run.
+    pub fn with_backend(mut self, backend: impl Into<String>) -> PerfSummary {
+        self.backend = backend.into();
+        self
+    }
+
     /// Attach verification findings (the `mpix-analysis` pass output).
     pub fn with_diagnostics(mut self, diagnostics: Vec<Diagnostic>) -> PerfSummary {
         self.diagnostics = diagnostics;
@@ -287,6 +297,7 @@ impl PerfSummary {
         json!({
             "kernel": &self.kernel,
             "mode": &self.mode,
+            "backend": &self.backend,
             "ranks": self.ranks,
             "timesteps": self.timesteps,
             "points_per_step": self.points_per_step,
@@ -319,6 +330,11 @@ impl PerfSummary {
                 .get("mode")
                 .and_then(Value::as_str)
                 .ok_or("mode missing")?
+                .to_string(),
+            backend: v
+                .get("backend")
+                .and_then(Value::as_str)
+                .unwrap_or_default()
                 .to_string(),
             ranks: v
                 .get("ranks")
@@ -366,8 +382,8 @@ impl PerfSummary {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "PerfSummary — {} · mode={} · ranks={} · nt={}\n",
-            self.kernel, self.mode, self.ranks, self.timesteps
+            "PerfSummary — {} · mode={} · backend={} · ranks={} · nt={}\n",
+            self.kernel, self.mode, self.backend, self.ranks, self.timesteps
         ));
         let roof = match (self.roofline_gflops, &self.roofline_machine) {
             (Some(c), Some(m)) if c > 0.0 => format!(
@@ -502,6 +518,7 @@ mod tests {
             &[r0, r1],
         )
         .with_roofline("archer2-node", 150.0)
+        .with_backend("jit")
     }
 
     #[test]
@@ -533,6 +550,7 @@ mod tests {
         let s = sample_summary();
         let t = s.table();
         assert!(t.contains("acoustic-so4"), "{t}");
+        assert!(t.contains("backend=jit"), "{t}");
         assert!(t.contains("roofline 150.0 GFlops/s"), "{t}");
         assert!(t.lines().count() > 4, "{t}");
         assert!(t.contains("halo.wait"), "{t}");

@@ -46,21 +46,6 @@ fn main() {
         println!("  {label}: {secs:.3}s{marker}");
     }
 
-    println!("\n## Joint tile x lane-width sweep (blocking + simd-strip engine)");
-    let report = prop
-        .op
-        .autotune_exec(&base, 2, &[0, 8, 16], &[0, 8, 16, 32], move |ws| {
-            pref.init(ws)
-        });
-    for ((block, vw), secs) in &report.trials {
-        let marker = if (*block, *vw) == report.best {
-            "  <-- best"
-        } else {
-            ""
-        };
-        println!("  block={block} vw={vw}: {secs:.3}s{marker}");
-    }
-
     println!("\n## Automated topology selection for full mode (paper §IV-F)");
     let base_full = base.clone().with_mode(HaloMode::Full);
     let report = prop
@@ -82,10 +67,10 @@ fn main() {
     );
 
     println!("\n## Environment-driven configuration (like the paper's job scripts)");
-    println!("  MPIX_MPI=diag2 MPIX_BLOCK=16 MPIX_THREADS=4 MPIX_VW=16 <binary>");
+    println!("  MPIX_MPI=diag2 MPIX_BLOCK=16 MPIX_THREADS=4 MPIX_BACKEND=jit <binary>");
     let env_opts = ApplyOptions::from_env();
     println!(
-        "  current env resolves to mode={:?}, block={}, threads={}, vector_width={}",
-        env_opts.mode, env_opts.block, env_opts.threads, env_opts.vector_width
+        "  current env resolves to mode={:?}, block={}, threads={}, backend={}",
+        env_opts.mode, env_opts.block, env_opts.threads, env_opts.backend
     );
 }

@@ -1,8 +1,9 @@
 //! The multi-backend correctness claim: every selectable execution
-//! backend — the native JIT above all — is **bitwise identical** to the
-//! scalar bytecode interpreter, alone and composed with loop blocking
-//! and slab threading, across the interpreter's strip widths, space
-//! orders 4/8/12/16, and all four shipped solver kernels.
+//! backend — the native JIT above all, and the interpreter's strips —
+//! is **bitwise identical** to the scalar oracle
+//! (`OperatorExec::scalar_oracle`), alone and composed with loop
+//! blocking and slab threading, across space orders 4/8/12/16 and all
+//! four shipped solver kernels.
 //!
 //! Bitwise — not approximately — because the JIT emits the same f32
 //! operations in the same per-point order as the interpreter (shared
@@ -53,60 +54,70 @@ fn fill_pattern(ws: &mut Workspace, name: &str, shape: &[usize]) {
     }
 }
 
+/// Run `op` with `opts` on `backend` — `None` is the scalar oracle —
+/// and return rank 0's extracted result.
+fn run_on<R: Send>(
+    op: &Operator,
+    opts: ApplyOptions,
+    backend: Option<Backend>,
+    init: impl Fn(&mut Workspace) + Send + Sync,
+    extract: impl Fn(&mut Workspace) -> R + Send + Sync,
+) -> R {
+    let opts = opts.with_backend(backend.unwrap_or(Backend::Bytecode));
+    let exec = op.executable_for(&opts);
+    let exec = match backend {
+        Some(_) => exec,
+        None => std::sync::Arc::new(exec.scalar_oracle()),
+    };
+    op.run_with_exec(&exec, &opts, init, extract)
+        .results
+        .remove(0)
+}
+
 /// Run 3 steps with the given backend/execution knobs and gather the
 /// full global field, bit-exact.
 fn run_config(
     op: &Operator,
     shape: &[usize],
-    backend: Backend,
-    vw: usize,
+    backend: Option<Backend>,
     block: usize,
     threads: usize,
 ) -> Vec<f32> {
     let opts = ApplyOptions::default()
         .with_dt(0.001)
         .with_nt(3)
-        .with_backend(backend)
-        .with_vector_width(vw)
         .with_block(block)
         .with_threads(threads);
     let shape = shape.to_vec();
-    let applied = op.run(
-        &opts,
+    run_on(
+        op,
+        opts,
+        backend,
         move |ws: &mut Workspace| fill_pattern(ws, "u", &shape),
         |ws| ws.gather("u"),
-    );
-    applied.results.into_iter().next().unwrap()
+    )
 }
 
 fn assert_backends_bitwise_equal(shape: &[usize], so: u32) {
     let op = laplace_op(shape, so);
-    let oracle = run_config(&op, shape, Backend::Bytecode, 0, 0, 1);
-    // The interpreter's own strip widths stay the cross-check baseline…
-    for vw in [8usize, 16, 32] {
-        let v = run_config(&op, shape, Backend::Bytecode, vw, 0, 1);
-        for (k, (a, b)) in oracle.iter().zip(&v).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "shape={shape:?} so={so} bytecode vw={vw} idx={k}: {a} vs {b}"
-            );
-        }
+    let oracle = run_config(&op, shape, None, 0, 1);
+    let mut backends = vec![Backend::Bytecode];
+    if have_jit() {
+        backends.push(Backend::Jit);
     }
-    if !have_jit() {
-        return;
-    }
-    // …and the JIT must match them on every execution shape, including
-    // composition with blocking and threading (tile-sized boxes, slab
-    // writes).
-    for (block, threads) in [(0usize, 1usize), (4, 1), (0, 3), (4, 2)] {
-        let jit = run_config(&op, shape, Backend::Jit, 0, block, threads);
-        for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "shape={shape:?} so={so} jit block={block} threads={threads} idx={k}: {a} vs {b}"
-            );
+    // Every backend on every execution shape, including composition
+    // with blocking and threading (tile-sized boxes, slab writes).
+    for backend in backends {
+        for (block, threads) in [(0usize, 1usize), (4, 1), (0, 3), (4, 2)] {
+            let got = run_config(&op, shape, Some(backend), block, threads);
+            for (k, (a, b)) in oracle.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "shape={shape:?} so={so} {backend} block={block} threads={threads} \
+                     idx={k}: {a} vs {b}"
+                );
+            }
         }
     }
 }
@@ -130,9 +141,9 @@ fn jit_matches_bytecode_3d() {
     assert_backends_bitwise_equal(&[5, 6, 37], 8);
 }
 
-/// All four shipped solvers × SDO 4/8/12/16: the JIT run (its internal
-/// per-cluster fallback included) reproduces the interpreter bit for
-/// bit, through the full pipeline — sources, boundary damping, staggered
+/// All four shipped solvers × SDO 4/8/12/16: the interpreter's strips
+/// and the JIT run (its internal per-cluster fallback included)
+/// reproduce the scalar oracle bit for bit, through the full pipeline — sources, boundary damping, staggered
 /// multi-cluster updates, halo exchange on one rank.
 #[test]
 fn all_kernels_all_orders_bitwise_equal() {
@@ -147,29 +158,19 @@ fn all_kernels_all_orders_bitwise_equal() {
                 pref.add_ricker_source(ws, 18.0, nt as usize);
             };
             let gather = |ws: &mut Workspace| ws.gather(pref.main_field());
-            let run = |backend: Backend, vw: usize| {
-                let opts = prop
-                    .apply_options(nt)
-                    .with_backend(backend)
-                    .with_vector_width(vw);
-                prop.op.run(&opts, init, gather).results.remove(0)
-            };
-            let oracle = run(Backend::Bytecode, 0);
-            let vector = run(Backend::Bytecode, 16);
-            for (k, (a, b)) in oracle.iter().zip(&vector).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{kind:?} sdo={sdo} bytecode vw=16 idx={k}: {a} vs {b}"
-                );
-            }
+            let run = |backend| run_on(&prop.op, prop.apply_options(nt), backend, init, gather);
+            let oracle = run(None);
+            let mut backends = vec![Backend::Bytecode];
             if have_jit() {
-                let jit = run(Backend::Jit, 0);
-                for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
+                backends.push(Backend::Jit);
+            }
+            for backend in backends {
+                let got = run(Some(backend));
+                for (k, (a, b)) in oracle.iter().zip(&got).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "{kind:?} sdo={sdo} jit idx={k}: {a} vs {b}"
+                        "{kind:?} sdo={sdo} {backend} idx={k}: {a} vs {b}"
                     );
                 }
             }
@@ -205,25 +206,20 @@ fn jit_inner_extent_sweep_bitwise() {
             shape.push(inner);
             let prop = Propagator::build(kind, ModelSpec::new(&shape).with_nbl(0), 8);
             let field = prop.main_field();
-            let run = |backend: Backend, block: usize, threads: usize| {
+            let run = |backend, block: usize, threads: usize| {
                 let opts = prop
                     .apply_options(3)
-                    .with_backend(backend)
                     .with_block(block)
                     .with_threads(threads);
-                let shape = shape.clone();
                 let init = |ws: &mut Workspace| {
                     prop.init(ws);
                     fill_pattern(ws, field, &shape);
                 };
-                prop.op
-                    .run(&opts, init, |ws| ws.gather(field))
-                    .results
-                    .remove(0)
+                run_on(&prop.op, opts, backend, init, |ws| ws.gather(field))
             };
-            let oracle = run(Backend::Bytecode, 0, 1);
+            let oracle = run(None, 0, 1);
             for (block, threads) in [(0usize, 1usize), (block, 1), (0, 2)] {
-                let jit = run(Backend::Jit, block, threads);
+                let jit = run(Some(Backend::Jit), block, threads);
                 for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -284,8 +280,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random 1D/2D/3D shapes with awkward inner extents: the JIT's
-    /// strip loop + scalar tail agree bit-for-bit with the scalar
-    /// interpreter, and with its vectorized strips.
+    /// strip loop + scalar tail and the interpreter's strips agree
+    /// bit-for-bit with the scalar oracle.
     #[test]
     fn random_shapes_bitwise_equal(
         nd in 1usize..=3,
@@ -296,13 +292,13 @@ proptest! {
         let mut shape = vec![outer; nd - 1];
         shape.push(inner);
         let op = laplace_op(&shape, so);
-        let oracle = run_config(&op, &shape, Backend::Bytecode, 0, 0, 1);
-        let v = run_config(&op, &shape, Backend::Bytecode, 16, 0, 1);
+        let oracle = run_config(&op, &shape, None, 0, 1);
+        let v = run_config(&op, &shape, Some(Backend::Bytecode), 0, 1);
         for (a, b) in oracle.iter().zip(&v) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         if have_jit() {
-            let jit = run_config(&op, &shape, Backend::Jit, 0, 0, 1);
+            let jit = run_config(&op, &shape, Some(Backend::Jit), 0, 1);
             for (a, b) in oracle.iter().zip(&jit) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }

@@ -486,7 +486,7 @@ mod verification_oracle {
             cases.push((
                 name,
                 "bytecode",
-                bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2, &[8, 16, 32]),
+                bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2),
             ));
         }
         {
@@ -496,7 +496,7 @@ mod verification_oracle {
             cases.push((
                 "inner-delta-beyond-halo",
                 "bytecode",
-                bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2, &[8, 16, 32]),
+                bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2),
             ));
         }
 
@@ -866,7 +866,7 @@ mod verification_oracle {
         assert!(check_halo_coverage(&ctx, &cl, &plan).is_empty());
         let cc = fuse_cluster(compile_cluster(&cl[0]));
         assert!(bytecode_check::check_compiled(&ctx, 0, &cc, 8).is_empty());
-        assert!(bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2, &[8, 16, 32]).is_empty());
+        assert!(bytecode_check::check_bounds(&ctx, 0, &cc, &[12, 12], 2).is_empty());
         assert!(thread_safety::check_written_offsets(&ctx, 0, &cc).is_empty());
     }
 

@@ -118,25 +118,26 @@ fn init_edges(ws: &mut Workspace) {
     init_pairs(ws, &edge_pairs());
 }
 
-/// Run two steps and gather every output field.
-fn run(e: &EdgeOp, backend: Backend, vw: usize, threads: usize) -> Vec<Vec<f32>> {
-    run_on(e, backend, vw, threads, &edge_pairs())
-}
-
+/// Run two steps on `backend` — `None` is the scalar oracle — and
+/// gather every output field.
 fn run_on(
     e: &EdgeOp,
-    backend: Backend,
-    vw: usize,
+    backend: Option<Backend>,
     threads: usize,
     pairs: &[(f32, f32)],
 ) -> Vec<Vec<f32>> {
     let opts = ApplyOptions::default()
         .with_dt(1.0)
         .with_nt(2)
-        .with_backend(backend)
-        .with_vector_width(vw)
+        .with_backend(backend.unwrap_or(Backend::Bytecode))
         .with_threads(threads);
-    e.op.run(
+    let exec = e.op.executable_for(&opts);
+    let exec = match backend {
+        Some(_) => exec,
+        None => std::sync::Arc::new(exec.scalar_oracle()),
+    };
+    e.op.run_with_exec(
+        &exec,
         &opts,
         |ws| init_pairs(ws, pairs),
         |ws| e.outputs.iter().map(|name| ws.gather(name)).collect(),
@@ -146,7 +147,7 @@ fn run_on(
 }
 
 #[test]
-fn jit_matches_interpreter_at_every_lane_width_on_edge_operands() {
+fn jit_matches_interpreter_on_edge_operands() {
     assert_arms_bitwise_equal(&edge_pairs());
 }
 
@@ -159,16 +160,11 @@ fn jit_matches_interpreter_on_data_at_the_launch_thresholds() {
 
 fn assert_arms_bitwise_equal(pairs: &[(f32, f32)]) {
     let e = edge_operator();
-    let oracle = run_on(&e, Backend::Bytecode, 0, 1, pairs);
-    let mut arms = Vec::new();
-    for vw in [8usize, 16, 32] {
-        let got = run_on(&e, Backend::Bytecode, vw, 1, pairs);
-        arms.push((format!("bytecode vw={vw}"), got));
-    }
+    let oracle = run_on(&e, None, 1, pairs);
+    let mut arms = vec![("bytecode", run_on(&e, Some(Backend::Bytecode), 1, pairs))];
     if have_jit() {
-        arms.push(("jit".to_string(), run_on(&e, Backend::Jit, 0, 1, pairs)));
-        let got = run_on(&e, Backend::Jit, 0, 2, pairs);
-        arms.push(("jit threads=2".to_string(), got));
+        arms.push(("jit", run_on(&e, Some(Backend::Jit), 1, pairs)));
+        arms.push(("jit threads=2", run_on(&e, Some(Backend::Jit), 2, pairs)));
         let opts = ApplyOptions::default().with_backend(Backend::Jit);
         assert!(
             e.op.executable_for(&opts).cached_native_modules() > 0,
@@ -191,7 +187,7 @@ fn assert_arms_bitwise_equal(pairs: &[(f32, f32)]) {
 #[test]
 fn arithmetic_flushes_and_moves_copy_bits() {
     let e = edge_operator();
-    let out = run(&e, Backend::Bytecode, 0, 1);
+    let out = run_on(&e, None, 1, &edge_pairs());
     let field = |name: &str| &out[e.outputs.iter().position(|n| *n == name).unwrap()];
     let pairs = edge_pairs();
     for i in 0..N {

@@ -92,7 +92,6 @@ fn quick_cfg() -> AnalysisConfig {
         modes: vec![HaloMode::Basic, HaloMode::Diagonal],
         ranks: vec![1, 2],
         threads: vec![],
-        vector_widths: vec![8],
         backends: vec![],
         check_fused_semantics: true,
         lint: Some(LintConfig::new()),

@@ -210,13 +210,13 @@ fn same_geometry_different_expression_operators_hash_apart() {
         "same geometry, different expression must hash apart"
     );
 
-    // Backend and lane width are part of the key (a jit artifact is not
-    // an interpreter artifact); mode Basic vs Diagonal is deliberately
-    // NOT (they lower to the identical IET — the exchange pattern is a
+    // The backend is part of the key (a jit artifact is not an
+    // interpreter artifact); mode Basic vs Diagonal is deliberately NOT
+    // (they lower to the identical IET — the exchange pattern is a
     // launch parameter), while Full lowers differently and hashes apart.
     assert_ne!(
-        OperatorKey::of(&a1, &opts),
-        OperatorKey::of(&a1, &opts.clone().with_vector_width(8)),
+        OperatorKey::of(&a1, &opts.clone().with_backend(Backend::Bytecode)),
+        OperatorKey::of(&a1, &opts.clone().with_backend(Backend::Jit)),
     );
     assert_eq!(
         OperatorKey::of(&a1, &opts.clone().with_mode(HaloMode::Basic)),

@@ -148,3 +148,24 @@ fn disabled_trace_reports_nothing() {
     assert_eq!(applied.summary.per_rank.len(), 8);
     assert_eq!(applied.summary.halo_wait_fraction, 0.0);
 }
+
+/// The summary names the backend that executed the run: `jit` by
+/// default wherever the JIT can run, `bytecode` when asked for (and by
+/// default elsewhere), in the struct, the table and the JSON.
+#[test]
+fn summary_names_the_backend_that_ran() {
+    let op = heat_op();
+    let base = ApplyOptions::default().with_nt(1).with_dt(0.05);
+    let have_jit = mpix::available_backends().contains(&Backend::Jit);
+    let default = if have_jit { "jit" } else { "bytecode" };
+    for (opts, want) in [
+        (base.clone(), default),
+        (base.clone().with_backend(Backend::Bytecode), "bytecode"),
+    ] {
+        let summary = op.run(&opts, |_| {}, |_| ()).summary;
+        assert_eq!(summary.backend, want);
+        assert!(summary.table().contains(&format!("backend={want}")));
+        let json = summary.to_json();
+        assert_eq!(json.get("backend").and_then(|v| v.as_str()), Some(want));
+    }
+}

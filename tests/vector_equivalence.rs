@@ -1,8 +1,9 @@
-//! The vector-engine correctness claim: lane-vectorized strip execution
-//! (every supported width, including boxes whose inner extent is not a
-//! multiple of the width) is **bitwise identical** to the scalar
-//! interpreter, alone and composed with loop blocking and slab
-//! threading, across 1D/2D/3D grids and space orders 4/8.
+//! The vector-engine correctness claim: the interpreter's strips of
+//! `LANES` (including boxes whose inner extent is not a multiple of
+//! the width, or shorter than one strip) are **bitwise identical** to
+//! the scalar oracle (`OperatorExec::scalar_oracle`), alone and composed
+//! with loop blocking and slab threading, across 1D/2D/3D grids and
+//! space orders 4/8.
 //!
 //! Bitwise — not approximately — because the strip interpreter performs
 //! the same f32 operations in the same per-point order as the scalar
@@ -23,17 +24,31 @@ fn laplace_op(shape: &[usize], so: u32) -> Operator {
     Operator::build(ctx, grid, vec![st]).unwrap()
 }
 
-/// Run `nt` steps with the given execution knobs and gather the full
-/// global field, bit-exact.
-fn run_config(op: &Operator, shape: &[usize], vw: usize, block: usize, threads: usize) -> Vec<f32> {
+/// Run `nt` steps of the bytecode backend with the given execution
+/// knobs — on the scalar oracle when `oracle` is set — and gather the
+/// full global field, bit-exact.
+fn run_config(
+    op: &Operator,
+    shape: &[usize],
+    oracle: bool,
+    block: usize,
+    threads: usize,
+) -> Vec<f32> {
     let opts = ApplyOptions::default()
+        .with_backend(Backend::Bytecode)
         .with_dt(0.001)
         .with_nt(3)
-        .with_vector_width(vw)
         .with_block(block)
         .with_threads(threads);
+    let exec = op.executable_for(&opts);
+    let exec = if oracle {
+        std::sync::Arc::new(exec.scalar_oracle())
+    } else {
+        exec
+    };
     let shape = shape.to_vec();
-    let applied = op.run(
+    let applied = op.run_with_exec(
+        &exec,
         &opts,
         move |ws: &mut Workspace| {
             let u = ws.field_data_mut("u", 0);
@@ -62,27 +77,17 @@ fn run_config(op: &Operator, shape: &[usize], vw: usize, block: usize, threads: 
     applied.results.into_iter().next().unwrap()
 }
 
-fn assert_all_widths_bitwise_equal(shape: &[usize], so: u32) {
+fn assert_lanes_match_scalar_oracle(shape: &[usize], so: u32) {
     let op = laplace_op(shape, so);
-    let scalar = run_config(&op, shape, 0, 0, 1);
-    for vw in [8usize, 16, 32] {
-        let vec_out = run_config(&op, shape, vw, 0, 1);
-        for (k, (a, b)) in scalar.iter().zip(&vec_out).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "shape={shape:?} so={so} vw={vw} idx={k}: {a} vs {b}"
-            );
-        }
-    }
-    // Composed with blocking and threading at one representative width.
-    for (vw, block, threads) in [(16usize, 4usize, 1usize), (8, 0, 3), (16, 4, 2)] {
-        let out = run_config(&op, shape, vw, block, threads);
+    let scalar = run_config(&op, shape, true, 0, 1);
+    // Plain, and composed with blocking and threading.
+    for (block, threads) in [(0usize, 1usize), (4, 1), (0, 3), (4, 2)] {
+        let out = run_config(&op, shape, false, block, threads);
         for (k, (a, b)) in scalar.iter().zip(&out).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "shape={shape:?} so={so} vw={vw} block={block} threads={threads} idx={k}"
+                "shape={shape:?} so={so} block={block} threads={threads} idx={k}: {a} vs {b}"
             );
         }
     }
@@ -91,27 +96,27 @@ fn assert_all_widths_bitwise_equal(shape: &[usize], so: u32) {
 #[test]
 fn vectorized_matches_scalar_1d() {
     // 13 and 40: remainder-only and strip+remainder inner extents.
-    assert_all_widths_bitwise_equal(&[13], 4);
-    assert_all_widths_bitwise_equal(&[40], 8);
+    assert_lanes_match_scalar_oracle(&[13], 4);
+    assert_lanes_match_scalar_oracle(&[40], 8);
 }
 
 #[test]
 fn vectorized_matches_scalar_2d() {
-    assert_all_widths_bitwise_equal(&[9, 21], 4);
-    assert_all_widths_bitwise_equal(&[7, 33], 8);
+    assert_lanes_match_scalar_oracle(&[9, 21], 4);
+    assert_lanes_match_scalar_oracle(&[7, 33], 8);
 }
 
 #[test]
 fn vectorized_matches_scalar_3d() {
-    assert_all_widths_bitwise_equal(&[6, 7, 19], 4);
-    assert_all_widths_bitwise_equal(&[5, 6, 37], 8);
+    assert_lanes_match_scalar_oracle(&[6, 7, 19], 4);
+    assert_lanes_match_scalar_oracle(&[5, 6, 37], 8);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random 2D/3D shapes with awkward inner extents: scalar and every
-    /// vector width agree bit-for-bit.
+    /// Random 1D/2D/3D shapes with awkward inner extents: the scalar
+    /// oracle and the strips agree bit-for-bit.
     #[test]
     fn random_shapes_bitwise_equal(
         nd in 1usize..=3,
@@ -122,12 +127,10 @@ proptest! {
         let mut shape = vec![outer; nd - 1];
         shape.push(inner);
         let op = laplace_op(&shape, so);
-        let scalar = run_config(&op, &shape, 0, 0, 1);
-        for vw in [8usize, 16, 32] {
-            let v = run_config(&op, &shape, vw, 0, 1);
-            for (a, b) in scalar.iter().zip(&v) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+        let scalar = run_config(&op, &shape, true, 0, 1);
+        let v = run_config(&op, &shape, false, 0, 1);
+        for (a, b) in scalar.iter().zip(&v) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }
