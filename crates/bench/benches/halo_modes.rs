@@ -1,12 +1,12 @@
 //! Halo-exchange cost per pattern at 8 simulated ranks (the Table I
-//! comparison and the buffer-preallocation ablation, DESIGN.md §5.1/5.3).
+//! comparison and the plan-reuse ablation, DESIGN.md §5.1/5.3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 
 use mpix_comm::{CartComm, Universe};
-use mpix_dmp::halo::make_exchange;
-use mpix_dmp::{Decomposition, DistArray, HaloMode};
+use mpix_dmp::{Decomposition, DistArray, HaloExchanger, HaloMode};
+use mpix_trace::Tracer;
 
 /// One full exchange on 8 ranks (2x2x2) for a field of `n`³ local points
 /// at radius `r`.
@@ -17,9 +17,9 @@ fn run_exchange(mode: HaloMode, n: usize, r: usize, steps: usize) {
         let dc = Arc::new(Decomposition::new(&global, &[2, 2, 2]));
         let coords = cart.coords().to_vec();
         let mut arr = DistArray::new(dc, &coords, r.max(2));
-        let mut ex = make_exchange(mode);
+        let mut ex = HaloExchanger::new(mode);
         for _ in 0..steps {
-            ex.exchange(&cart, &mut arr, r, 0);
+            ex.exchange(&cart, &mut arr, r, 0, &mut Tracer::off());
         }
     });
 }
@@ -39,10 +39,10 @@ fn bench_modes(c: &mut Criterion) {
     g.finish();
 }
 
-/// The preallocation ablation: diagonal (preallocated) vs basic
-/// (per-call allocation) at equal message structure is covered above;
-/// here we isolate repeated exchanges on one long-lived exchanger vs a
-/// fresh exchanger per step (what per-call allocation amounts to).
+/// The plan-reuse ablation: every mode runs on a persistent plan with
+/// preallocated buffers, so here we isolate repeated exchanges on one
+/// long-lived exchanger vs a fresh exchanger per step (which rebuilds
+/// the plan every time — what per-call allocation amounts to).
 fn bench_prealloc(c: &mut Criterion) {
     let mut g = c.benchmark_group("prealloc_ablation");
     g.sample_size(10);
@@ -54,9 +54,9 @@ fn bench_prealloc(c: &mut Criterion) {
                 let dc = Arc::new(Decomposition::new(&global, &[2, 2, 2]));
                 let coords = cart.coords().to_vec();
                 let mut arr = DistArray::new(dc, &coords, 4);
-                let mut ex = make_exchange(HaloMode::Diagonal);
+                let mut ex = HaloExchanger::new(HaloMode::Diagonal);
                 for _ in 0..6 {
-                    ex.exchange(&cart, &mut arr, 4, 0);
+                    ex.exchange(&cart, &mut arr, 4, 0, &mut Tracer::off());
                 }
             })
         })
@@ -69,8 +69,13 @@ fn bench_prealloc(c: &mut Criterion) {
                 let coords = cart.coords().to_vec();
                 let mut arr = DistArray::new(dc, &coords, 4);
                 for _ in 0..6 {
-                    let mut ex = make_exchange(HaloMode::Diagonal);
-                    ex.exchange(&cart, &mut arr, 4, 0);
+                    HaloExchanger::new(HaloMode::Diagonal).exchange(
+                        &cart,
+                        &mut arr,
+                        4,
+                        0,
+                        &mut Tracer::off(),
+                    );
                 }
             })
         })

@@ -200,11 +200,7 @@ pub fn print_table1() {
             comm,
             batch,
             mode.messages_per_exchange(3),
-            if mode.preallocates_buffers() {
-                "pre-alloc"
-            } else {
-                "runtime"
-            }
+            "pre-alloc"
         );
     }
 }
@@ -585,9 +581,9 @@ pub fn bench_halo_json(quick: bool) -> String {
 pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
     use mpix_comm::comm::{bytes_to_f32, f32_to_bytes};
     use mpix_comm::{CartComm, RecvRequest, Universe};
-    use mpix_dmp::halo::make_exchange;
-    use mpix_dmp::{BoxNd, Decomposition, DistArray, HaloMode, HaloPlan};
+    use mpix_dmp::{BoxNd, Decomposition, DistArray, HaloExchanger, HaloMode, HaloPlan};
     use mpix_json::json;
+    use mpix_trace::Tracer;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -654,9 +650,10 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
                 arr.fill_global_slice(&[0..edge, 0..edge, 0..edge], 1.0);
 
                 // Plan arm: build + prime during warm-up, then time.
-                let mut ex = make_exchange(mode);
+                let mut ex = HaloExchanger::new(mode);
+                let mut tracer = Tracer::off();
                 for _ in 0..warmup {
-                    ex.exchange(&cart, &mut arr, radius, 0);
+                    ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                 }
                 cart.comm().barrier();
                 cart.comm().reset_stats();
@@ -665,7 +662,7 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
                     cart.comm().barrier();
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        ex.exchange(&cart, &mut arr, radius, 0);
+                        ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                     }
                     cart.comm().barrier();
                     plan_secs = plan_secs.min(t0.elapsed().as_secs_f64());
@@ -749,16 +746,17 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
             let coords = cart.coords().to_vec();
             let mut arr = DistArray::new(dc, &coords, san_radius);
             arr.fill_global_slice(&[0..edge, 0..edge, 0..edge], 1.0);
-            let mut ex = make_exchange(HaloMode::Basic);
+            let mut ex = HaloExchanger::new(HaloMode::Basic);
+            let mut tracer = Tracer::off();
             for _ in 0..3 {
-                ex.exchange(&cart, &mut arr, san_radius, 0);
+                ex.exchange(&cart, &mut arr, san_radius, 0, &mut tracer);
             }
             let mut best = f64::INFINITY;
             for _ in 0..san_reps {
                 cart.comm().barrier();
                 let t0 = Instant::now();
                 for _ in 0..san_iters {
-                    ex.exchange(&cart, &mut arr, san_radius, 0);
+                    ex.exchange(&cart, &mut arr, san_radius, 0, &mut tracer);
                 }
                 cart.comm().barrier();
                 best = best.min(t0.elapsed().as_secs_f64());
@@ -881,9 +879,9 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
 /// collective cost to the topology-aware algorithm choice.
 fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
     use mpix_comm::{dims_create, CartComm, CollectiveAlgo, CommTuning, ReduceOp, Universe};
-    use mpix_dmp::halo::make_exchange;
-    use mpix_dmp::{Decomposition, DistArray, HaloMode};
+    use mpix_dmp::{Decomposition, DistArray, HaloExchanger, HaloMode};
     use mpix_json::json;
+    use mpix_trace::Tracer;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -937,9 +935,10 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
                 let mut arr = DistArray::new(dc, &coords, radius);
                 let ranges: Vec<std::ops::Range<usize>> = shape.iter().map(|&e| 0..e).collect();
                 arr.fill_global_slice(&ranges, 1.0);
-                let mut ex = make_exchange(HaloMode::Diagonal);
+                let mut ex = HaloExchanger::new(HaloMode::Diagonal);
+                let mut tracer = Tracer::off();
                 for _ in 0..warmup {
-                    ex.exchange(&cart, &mut arr, radius, 0);
+                    ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                 }
                 cart.comm().barrier();
                 cart.comm().reset_stats();
@@ -948,7 +947,7 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
                     cart.comm().barrier();
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        ex.exchange(&cart, &mut arr, radius, 0);
+                        ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                     }
                     cart.comm().barrier();
                     secs = secs.min(t0.elapsed().as_secs_f64());

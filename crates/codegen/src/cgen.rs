@@ -375,11 +375,11 @@ mod tests {
     use mpix_ir::halo::detect_halo_exchanges;
     use mpix_ir::iet::build_iet;
     use mpix_ir::lowering::lower_equations;
-    use mpix_ir::passes::{cse_cluster, lower_halo_spots, MpiMode};
+    use mpix_ir::passes::{cse_cluster, lower_halo_spots};
     use mpix_symbolic::{Eq, Grid};
 
     /// Full pipeline for the paper's Listing 1 diffusion example.
-    fn listing1_c(mode: MpiMode) -> String {
+    fn listing1_c(overlap: bool) -> String {
         let mut ctx = Context::new();
         let g = Grid::new(&[4, 4], &[2.0, 2.0]);
         let u = ctx.add_time_function("u", &g, 2, 1);
@@ -392,13 +392,13 @@ mod tests {
         }
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "Kernel", 0, false);
-        let iet = lower_halo_spots(iet, mode);
+        let iet = lower_halo_spots(iet, overlap);
         emit_c(&iet, &ctx)
     }
 
     #[test]
     fn listing11_structure_is_reproduced() {
-        let c = listing1_c(MpiMode::Basic);
+        let c = listing1_c(false);
         // Paper Listing 11 landmarks:
         assert!(c.contains("float r0 = "), "{c}");
         assert!(
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn full_mode_emits_overlap_sections() {
-        let c = listing1_c(MpiMode::Full);
+        let c = listing1_c(true);
         assert!(c.contains("haloupdate_begin_u"), "{c}");
         assert!(c.contains("halowait_u"), "{c}");
         assert!(c.contains("/* CORE region */"), "{c}");
@@ -445,7 +445,7 @@ mod tests {
         let cls = clusterize(&lower_equations(&[st], &ctx).unwrap());
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "Kernel", 0, false);
-        let iet = lower_halo_spots(iet, MpiMode::Basic);
+        let iet = lower_halo_spots(iet, false);
         let c = emit_c(&iet, &ctx);
         assert!(c.contains("m[x + 2][y + 2]"), "{c}");
         // Three buffers for second-order time.

@@ -13,10 +13,10 @@ use std::time::Instant;
 use mpix_comm::comm::RESERVED_TAG_BASE;
 use mpix_comm::CartComm;
 use mpix_dmp::regions::{box_len, region_box, remainder_boxes, BoxNd, Region};
-use mpix_dmp::{DistArray, FullExchange, HaloExchange, HaloMode, SparsePlan};
+use mpix_dmp::{DistArray, HaloExchanger, SparsePlan};
+use mpix_ir::halo::HaloXchg;
 use mpix_ir::iet::{Node, RegionKind};
 use mpix_ir::iexpr::IExpr;
-use mpix_ir::passes::MpiMode;
 use mpix_san::San;
 use mpix_symbolic::{Context, FieldId};
 use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
@@ -127,15 +127,6 @@ pub enum Fault {
     OverlapSlabs,
     /// Declare per-worker write slabs with a coverage gap.
     GapSlabs,
-}
-
-/// Map the compiler's mode enum onto the runtime's.
-pub fn mpi_mode_of(mode: HaloMode) -> MpiMode {
-    match mode {
-        HaloMode::Basic => MpiMode::Basic,
-        HaloMode::Diagonal => MpiMode::Diagonal,
-        HaloMode::Full => MpiMode::Full,
-    }
 }
 
 /// Timing breakdown of one `run` (per rank).
@@ -315,8 +306,6 @@ impl OperatorExec {
             opts,
             t: opts.t0,
             loop_idx: 0,
-            pending: HashMap::new(),
-            full_ex: HashMap::new(),
             exchangers: HashMap::new(),
             stats: ExecStats::default(),
             tracer: Tracer::new(opts.trace),
@@ -889,15 +878,11 @@ struct ExecState<'a> {
     t: i64,
     /// Index of the next space loop to execute (into `compiled`).
     loop_idx: usize,
-    /// In-flight async exchanges keyed by (field, time_offset).
-    pending: HashMap<(u32, i32), mpix_dmp::FullToken>,
-    /// Persistent per-(field,toff) overlap exchangers. One per key, not
-    /// one shared: each owns a `HaloPlan` (peers, tags, boxes, buffers)
-    /// keyed to that field's geometry and tag base.
-    full_ex: HashMap<(u32, i32), FullExchange>,
-    /// Persistent per-(field,toff) synchronous exchangers, so every mode
-    /// reuses its `HaloPlan` (and preallocated buffers) across steps.
-    exchangers: HashMap<(u32, i32), Box<dyn HaloExchange + Send>>,
+    /// One exchanger per (field, time offset), for the synchronous and
+    /// the overlapped exchanges of that key alike: each owns the key's
+    /// `HaloPlan` (peers, tags, boxes) and its receives in flight, reused
+    /// across steps.
+    exchangers: HashMap<(u32, i32), HaloExchanger>,
     stats: ExecStats,
     tracer: Tracer,
 }
@@ -931,59 +916,44 @@ pub fn sparse_tag(si: usize) -> u32 {
 }
 
 impl ExecState<'_> {
-    fn tag_base(field: u32, toff: i32) -> u32 {
-        halo_tag_base(field, toff)
-    }
-
-    fn sync_exchange(&mut self, x: &mpix_ir::halo::HaloXchg) {
+    /// What one halo operation on `x` works with: its key's exchanger
+    /// (created on first use), the target buffer, the radius and the
+    /// tracer. `None` when the radius is 0: there is nothing to exchange.
+    fn halo(
+        &mut self,
+        x: &HaloXchg,
+    ) -> Option<(&mut HaloExchanger, &mut DistArray, usize, &mut Tracer)> {
+        let radius = x.radius.iter().copied().max().unwrap_or(0);
+        if radius == 0 {
+            return None;
+        }
         let mode = self.opts.mode;
         let fs = &mut self.fields[x.field.0 as usize];
         let b = fs.buffer_index(self.t, x.time_offset);
-        let radius = x.radius.iter().copied().max().unwrap_or(0);
-        if radius == 0 {
-            return;
-        }
-        let key = (x.field.0, x.time_offset);
         let ex = self
             .exchangers
-            .entry(key)
-            .or_insert_with(|| mpix_dmp::halo::make_exchange(mode));
-        ex.exchange_traced(
-            self.cart,
-            &mut fs.buffers[b],
-            radius,
-            Self::tag_base(x.field.0, x.time_offset),
-            &mut self.tracer,
-        );
+            .entry((x.field.0, x.time_offset))
+            .or_insert_with(|| HaloExchanger::new(mode));
+        Some((ex, &mut fs.buffers[b], radius, &mut self.tracer))
     }
 
-    fn begin_async(&mut self, x: &mpix_ir::halo::HaloXchg) {
-        let radius = x.radius.iter().copied().max().unwrap_or(0);
-        if radius == 0 {
-            return;
+    fn sync_exchange(&mut self, x: &HaloXchg) {
+        let (cart, tag_base) = (self.cart, halo_tag_base(x.field.0, x.time_offset));
+        if let Some((ex, arr, radius, tracer)) = self.halo(x) {
+            ex.exchange(cart, arr, radius, tag_base, tracer);
         }
-        let key = (x.field.0, x.time_offset);
-        let fs = &self.fields[x.field.0 as usize];
-        let b = fs.buffer_index(self.t, x.time_offset);
-        let token = self.full_ex.entry(key).or_default().begin_traced(
-            self.cart,
-            &fs.buffers[b],
-            radius,
-            Self::tag_base(x.field.0, x.time_offset),
-            &mut self.tracer,
-        );
-        self.pending.insert(key, token);
     }
 
-    fn finish_async(&mut self, x: &mpix_ir::halo::HaloXchg) {
-        let key = (x.field.0, x.time_offset);
-        if let Some(token) = self.pending.remove(&key) {
-            let fs = &mut self.fields[x.field.0 as usize];
-            let b = fs.buffer_index(self.t, x.time_offset);
-            self.full_ex
-                .get_mut(&key)
-                .expect("finish_async without begin_async")
-                .finish_traced(token, &mut fs.buffers[b], &mut self.tracer);
+    fn begin_async(&mut self, x: &HaloXchg) {
+        let (cart, tag_base) = (self.cart, halo_tag_base(x.field.0, x.time_offset));
+        if let Some((ex, arr, radius, tracer)) = self.halo(x) {
+            ex.begin(cart, arr, radius, tag_base, tracer);
+        }
+    }
+
+    fn finish_async(&mut self, x: &HaloXchg) {
+        if let Some((ex, arr, _, tracer)) = self.halo(x) {
+            ex.finish(arr, tracer);
         }
     }
 }
@@ -1071,7 +1041,7 @@ mod tests {
         }
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, false);
-        let iet = lower_halo_spots(iet, MpiMode::Basic);
+        let iet = lower_halo_spots(iet, false);
         let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
         assert_eq!(exec.compiled_clusters().len(), 1);
 
@@ -1115,7 +1085,7 @@ mod tests {
         }
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, true);
-        let iet = lower_halo_spots(iet, MpiMode::Basic);
+        let iet = lower_halo_spots(iet, false);
         let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
         let oracle = exec.scalar_oracle();
 
@@ -1188,7 +1158,7 @@ mod tests {
         }
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "K", 0, true);
-        let iet = lower_halo_spots(iet, MpiMode::Basic);
+        let iet = lower_halo_spots(iet, false);
 
         let run = |backend: Backend, threads: usize, block: usize| -> Vec<f32> {
             let exec = OperatorExec::with_backend(iet.clone(), &ctx, backend).unwrap();

@@ -5,9 +5,9 @@
 //! `f32` traffic — the halo-exchange hot path — travels natively: an
 //! [`Comm::isend_f32`] copies the payload once into a pooled `Vec<f32>`
 //! envelope (the "wire" copy), and a typed receive either moves that
-//! vector out wholesale ([`RecvRequest::wait_f32`]) or copies it into a
-//! caller-owned preallocated buffer and recycles the envelope
-//! ([`PersistentRecv::wait_into`], the `MPI_Recv_init` analogue). In
+//! vector out wholesale ([`RecvRequest::wait_f32`]) or lends it to the
+//! caller in place and recycles the envelope ([`PersistentRecv::wait_with`]
+//! / [`PersistentRecv::try_with`], the `MPI_Recv_init` analogue). In
 //! steady state the pools serve every envelope, so a halo exchange
 //! performs **zero heap allocations**; [`CommStats::bufs_allocated`]
 //! counts the misses so the contract is testable.
@@ -707,26 +707,6 @@ fn record_recv(
     }
 }
 
-/// Complete a received envelope into a caller-owned buffer, recycling
-/// the envelope's storage through its origin rank's pool. Zero
-/// allocations when `out` has sufficient capacity.
-fn complete_into(world: &World, origin: usize, payload: Payload, out: &mut Vec<f32>) {
-    out.clear();
-    match payload {
-        Payload::F32(v) => {
-            out.extend_from_slice(&v);
-            world.pool_for(origin).release(v);
-        }
-        Payload::Bytes(b) => {
-            assert_eq!(b.len() % 4, 0, "payload not a whole number of f32s");
-            out.extend(
-                b.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-            );
-        }
-    }
-}
-
 /// A per-rank communicator handle. Clone-free by design: each rank thread
 /// owns exactly one.
 pub struct Comm {
@@ -738,9 +718,7 @@ pub struct Comm {
 /// Completed-on-creation send request (eager delivery), kept for API
 /// symmetry with MPI's `MPI_Isend`.
 #[derive(Debug)]
-pub struct SendRequest {
-    pub(crate) bytes: usize,
-}
+pub struct SendRequest;
 
 impl SendRequest {
     /// Eager sends complete immediately.
@@ -748,10 +726,6 @@ impl SendRequest {
         true
     }
     pub fn wait(self) {}
-    /// Number of payload bytes the message carried.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
 }
 
 /// A pending non-blocking receive. Poll with [`RecvRequest::test`] (the
@@ -792,16 +766,6 @@ impl RecvRequest {
         }
     }
 
-    /// Typed variant of [`try_take`](Self::try_take): the payload as
-    /// `f32`s (a move, not a copy, for natively-typed messages).
-    pub fn try_take_f32(&mut self) -> Option<Vec<f32>> {
-        if self.test() {
-            Some(self.take_f32())
-        } else {
-            None
-        }
-    }
-
     /// Block until the message arrives and return its payload.
     pub fn wait(self) -> Vec<u8> {
         let timeout = self.world.tuning.recv_timeout;
@@ -820,20 +784,6 @@ impl RecvRequest {
     pub fn wait_f32(mut self) -> Vec<f32> {
         self.fill(self.world.tuning.recv_timeout);
         self.take_f32()
-    }
-
-    /// Complete into a caller-owned preallocated buffer (cleared first).
-    /// Allocation-free when `out` has capacity; the envelope's storage
-    /// returns to its origin rank's pool.
-    pub fn wait_into_f32(mut self, out: &mut Vec<f32>) {
-        self.fill(self.world.tuning.recv_timeout);
-        let payload = self.done.take().unwrap();
-        let copied = payload.len_bytes();
-        {
-            let mut s = self.world.stats[self.rank].lock().unwrap();
-            s.bytes_copied += copied as u64;
-        }
-        complete_into(&self.world, self.src, payload, out);
     }
 
     fn fill(&mut self, timeout: Duration) {
@@ -869,8 +819,8 @@ impl RecvRequest {
 
 /// A persistent receive request — the `MPI_Recv_init` analogue. Built
 /// once per (peer, tag) by [`Comm::recv_init`]; each call to
-/// [`wait_into`](Self::wait_into) completes one matching message into a
-/// caller-owned preallocated buffer with zero allocations.
+/// [`wait_with`](Self::wait_with) or [`try_with`](Self::try_with)
+/// completes one matching message in place with zero allocations.
 pub struct PersistentRecv {
     src: usize,
     tag: Tag,
@@ -887,45 +837,6 @@ impl PersistentRecv {
     /// The matched source rank.
     pub fn source(&self) -> usize {
         self.src
-    }
-
-    /// Block for the next matching message and complete it into `out`
-    /// (cleared first). The envelope's storage returns to the pool.
-    pub fn wait_into(&self, out: &mut Vec<f32>) {
-        let env = self.wait_slot();
-        let copied = env.payload.len_bytes();
-        record_recv(
-            &self.world,
-            self.rank,
-            self.src,
-            self.tag,
-            &env,
-            copied,
-            true,
-        );
-        complete_into(&self.world, self.src, env.payload, out);
-    }
-
-    /// Non-blocking [`wait_into`](Self::wait_into): returns `false` when
-    /// no matching message has arrived yet.
-    pub fn try_into_buf(&self, out: &mut Vec<f32>) -> bool {
-        match self.try_slot() {
-            Some(env) => {
-                let copied = env.payload.len_bytes();
-                record_recv(
-                    &self.world,
-                    self.rank,
-                    self.src,
-                    self.tag,
-                    &env,
-                    copied,
-                    true,
-                );
-                complete_into(&self.world, self.src, env.payload, out);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Block for the next matching message and hand the payload slice to
@@ -1168,7 +1079,7 @@ fn send_pooled_with(
         sent_at: world.log_any.load(Ordering::Relaxed).then(Instant::now),
     };
     world.mailboxes[dest].push(addr, rank, tag, env);
-    SendRequest { bytes }
+    SendRequest
 }
 
 impl Comm {
@@ -1263,7 +1174,7 @@ impl Comm {
                 .then(Instant::now),
         };
         self.world.mailboxes[dest].push(None, self.rank, tag, env);
-        SendRequest { bytes: data.len() }
+        SendRequest
     }
 
     /// Blocking receive of a message from `src` with `tag`.
@@ -1298,12 +1209,6 @@ impl Comm {
     /// Typed convenience: blocking `f32` receive.
     pub fn recv_f32(&self, src: usize, tag: Tag) -> Vec<f32> {
         self.irecv(src, tag).wait_f32()
-    }
-
-    /// Blocking receive completed into a caller-owned preallocated
-    /// buffer; allocation-free when `out` has capacity.
-    pub fn recv_into_f32(&self, src: usize, tag: Tag, out: &mut Vec<f32>) {
-        self.irecv(src, tag).wait_into_f32(out);
     }
 
     /// Build a persistent receive request bound to `(src, tag)` — the
@@ -1510,24 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_into_reuses_caller_buffer() {
-        Universe::run(2, |c| {
-            if c.rank() == 0 {
-                c.send_f32(1, 4, &[1.0, 2.0, 3.0]);
-                c.send_f32(1, 4, &[4.0, 5.0]);
-            } else {
-                let mut buf = Vec::with_capacity(8);
-                c.recv_into_f32(0, 4, &mut buf);
-                assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-                let ptr = buf.as_ptr();
-                c.recv_into_f32(0, 4, &mut buf);
-                assert_eq!(buf, vec![4.0, 5.0]);
-                assert_eq!(ptr, buf.as_ptr(), "buffer must be reused in place");
-            }
-        });
-    }
-
-    #[test]
     fn persistent_requests_cycle_through_pool_without_allocating() {
         Universe::run(2, |c| {
             if c.rank() == 0 {
@@ -1536,9 +1423,12 @@ mod tests {
                 for _ in 0..10 {
                     send.start(&data);
                 }
+                // Warm-up allocates. All ten are in flight before the
+                // receiver takes any, so the pool ends up holding as many
+                // buffers as the steady state can ever have in flight;
+                // after that the sends must be allocation-free.
                 c.barrier();
-                // Warm-up allocates; after the pool is primed the sends
-                // must be allocation-free.
+                c.barrier();
                 c.reset_stats();
                 for _ in 0..10 {
                     send.start(&data);
@@ -1548,15 +1438,14 @@ mod tests {
                 assert_eq!(c.stats().bufs_allocated, 0, "steady-state send allocated");
             } else {
                 let recv = c.recv_init(0, 12);
-                let mut buf = Vec::with_capacity(64);
+                c.barrier();
                 for _ in 0..10 {
-                    recv.wait_into(&mut buf);
-                    assert_eq!(buf, vec![3.5f32; 64]);
+                    recv.wait_with(|data| assert_eq!(data, &[3.5f32; 64][..]));
                 }
                 c.barrier();
                 c.reset_stats();
                 for _ in 0..10 {
-                    recv.wait_into(&mut buf);
+                    recv.wait_with(|_| ());
                 }
                 c.barrier();
                 assert_eq!(c.stats().bufs_allocated, 0, "steady-state recv allocated");
@@ -1578,6 +1467,9 @@ mod tests {
                 for _ in 0..8 {
                     send.start(&data);
                 }
+                // Fully in flight before the receiver drains: see
+                // `persistent_requests_cycle_through_pool_without_allocating`.
+                c.barrier();
                 c.barrier();
                 c.reset_stats();
                 for _ in 0..8 {
@@ -1588,14 +1480,14 @@ mod tests {
                 assert_eq!(c.stats().bufs_allocated, 0);
             } else {
                 let recv = c.recv_init(0, 12);
-                let mut buf = Vec::with_capacity(32);
+                c.barrier();
                 for _ in 0..8 {
-                    recv.wait_into(&mut buf);
+                    recv.wait_with(|_| ());
                 }
                 c.barrier();
                 c.reset_stats();
                 for _ in 0..8 {
-                    recv.wait_into(&mut buf);
+                    recv.wait_with(|_| ());
                 }
                 c.barrier();
                 assert_eq!(c.stats().bufs_allocated, 0);

@@ -23,8 +23,8 @@ pub(crate) struct StatsInner {
     /// persistent-plan halo path must keep this flat in steady state.
     pub bufs_allocated: u64,
     /// Payload bytes physically copied by the comm layer (the "wire"
-    /// copy into the envelope on send, plus the copy into the caller's
-    /// buffer on `wait_into`-style receives).
+    /// copy into the envelope on send, plus the unpack out of it on
+    /// persistent receives).
     pub bytes_copied: u64,
     /// Messages sent per destination, indexed by rank (0 = no traffic).
     /// A flat vector so the hot send path pays an index bump, not a map

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use mpix_codegen::executor::{mpi_mode_of, ExecStats, OperatorExec};
+use mpix_codegen::executor::{ExecStats, OperatorExec};
 pub use mpix_codegen::ApplyOptions;
 use mpix_codegen::Backend;
 use mpix_comm::{dims_create, CartComm, Universe};
@@ -64,13 +64,14 @@ pub struct Operator {
     plan: HaloPlan,
     iet: Node,
     counts: OpCounts,
-    /// Executables already lowered for a `(mode, backend)` pair. Lowering
+    /// Executables already lowered, keyed by `(overlap, backend)`: *basic*
+    /// and *diagonal* lower to the same IET, so they share one. Lowering
     /// and kernel compilation (including the JIT's per-geometry native
     /// modules, which live *inside* the cached [`OperatorExec`]) happen
     /// once per pair per operator; every later [`run`](Self::run) reuses
     /// the same kernels. This is the per-operator face of the serve
     /// layer's content-keyed [`crate::serve::OperatorCache`].
-    execs: std::sync::Mutex<HashMap<(HaloMode, Backend), Arc<OperatorExec>>>,
+    execs: std::sync::Mutex<HashMap<(bool, Backend), Arc<OperatorExec>>>,
     /// Memoized per-point bytecode flop count (see
     /// [`bytecode_flops`](Self::bytecode_flops)).
     bc_flops: std::sync::OnceLock<usize>,
@@ -162,23 +163,24 @@ impl Operator {
 
     /// Generated C code for the mode selected in `opts` (Listing 11).
     pub fn c_code_for(&self, opts: &ApplyOptions) -> String {
-        let lowered = lower_halo_spots(self.iet.clone(), mpi_mode_of(opts.mode));
+        let lowered = lower_halo_spots(self.iet.clone(), opts.mode.overlaps_computation());
         mpix_codegen::cgen::emit_c(&lowered, &self.ctx)
     }
 
     /// Executable lowered for the mode and backend selected in `opts`,
-    /// compiled **once** per `(mode, backend)` pair and shared across
-    /// every subsequent `run` of this operator. The JIT's per-geometry
-    /// native-module cache lives inside the returned executable, so
-    /// repeated runs of the same geometry reuse machine code instead of
-    /// re-encoding AVX on every call (the pre-serve code rebuilt a fresh
-    /// `JitKernel` with an empty module cache per run).
+    /// compiled **once** per `(overlap, backend)` pair and shared across
+    /// every subsequent `run` of this operator (the modes without overlap
+    /// share one). The JIT's per-geometry native-module cache lives
+    /// inside the returned executable, so repeated runs of the same
+    /// geometry reuse machine code instead of re-encoding AVX on every
+    /// call (the pre-serve code rebuilt a fresh `JitKernel` with an empty
+    /// module cache per run).
     ///
     /// Panics with the backend-availability listing if the requested
     /// backend cannot run on this host (e.g. `jit` without AVX) — a
     /// silently substituted backend would invalidate benchmark numbers.
     pub fn executable_for(&self, opts: &ApplyOptions) -> Arc<OperatorExec> {
-        let key = (opts.mode, opts.backend);
+        let key = (opts.mode.overlaps_computation(), opts.backend);
         // The lock is held across compilation deliberately: concurrent
         // first requests for one pair must compile once, not race
         // (single-flight at per-operator granularity; the serve layer's
@@ -196,7 +198,7 @@ impl Operator {
     /// is the raw compile [`executable_for`](Self::executable_for)
     /// memoizes; benchmarks use it to time compilation itself.
     pub fn compile_executable_for(&self, opts: &ApplyOptions) -> OperatorExec {
-        let lowered = lower_halo_spots(self.iet.clone(), mpi_mode_of(opts.mode));
+        let lowered = lower_halo_spots(self.iet.clone(), opts.mode.overlaps_computation());
         OperatorExec::with_backend(lowered, &self.ctx, opts.backend)
             .unwrap_or_else(|e| panic!("operator '{}': {e}", opts.label))
     }
@@ -209,7 +211,7 @@ impl Operator {
     /// expressions hash apart (different coefficients/opcodes); the same
     /// equations built twice hash together.
     pub fn content_key(&self, opts: &ApplyOptions) -> u64 {
-        let lowered = lower_halo_spots(self.iet.clone(), mpi_mode_of(opts.mode));
+        let lowered = lower_halo_spots(self.iet.clone(), opts.mode.overlaps_computation());
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // IET structure + expressions + halo call sites for this mode.
         mpix_codegen::cgen::emit_c(&lowered, &self.ctx).hash(&mut h);

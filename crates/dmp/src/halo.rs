@@ -1,37 +1,35 @@
 //! The three computation/communication patterns (paper §III h, Table I,
-//! Fig. 5).
+//! Fig. 5), run by one [`HaloExchanger`].
 //!
-//! | mode     | communication          | batches     | #msgs (3-D) | buffers      |
-//! |----------|------------------------|-------------|-------------|--------------|
-//! | basic    | sync, no overlap       | multi-step  | 6           | preallocated |
-//! | diagonal | sync, no overlap       | single-step | 26          | preallocated |
-//! | full     | async, overlap         | single-step | 26          | preallocated |
+//! | mode     | communication          | batches     | #msgs (3-D) |
+//! |----------|------------------------|-------------|-------------|
+//! | basic    | sync, no overlap       | multi-step  | 6           |
+//! | diagonal | sync, no overlap       | single-step | 26          |
+//! | full     | async, overlap         | single-step | 26          |
 //!
 //! *basic* exchanges faces one dimension at a time; including the halo of
 //! previously-exchanged dimensions in each pack region propagates corner
 //! data without explicit diagonal messages (the classic multi-step
 //! trick). *diagonal* posts all `3^d - 1` exchanges in one step. *full*
-//! posts the same exchanges asynchronously and returns a token so the
-//! caller can compute the CORE region while messages fly, poke the
-//! progress engine (`MPI_Test` analogue), and `finish()` before computing
-//! the remainder (Listing 8).
+//! posts the same single step but drains it later: the caller computes
+//! the CORE region while messages fly, may poke the progress engine
+//! (`MPI_Test` analogue), and finishes before computing the remainder
+//! (Listing 8).
 //!
-//! ## Persistent plans (and a Table I correction)
-//!
-//! All three modes now run on a [`HaloPlan`]: neighbor peers, tags,
-//! send/recv boxes, and send *and* receive buffers are computed and
-//! allocated **once** per (field, mode, radius) and reused every
-//! timestep, backed by persistent requests (`MPI_Send_init`/
-//! `MPI_Recv_init` analogue) in `mpix-comm`. Steady-state exchanges of
-//! *every* mode therefore perform zero heap allocations — a contract
-//! asserted by counter-based tests via `CommStats::bufs_allocated`.
-//!
-//! Earlier revisions mirrored the paper's C-land *basic* mode by
-//! allocating its buffers per call, and the table above advertised
-//! preallocation for diag/full even though the receive path still
-//! allocated a fresh vector per message. The plan closes both gaps;
-//! [`HaloMode::preallocates_buffers`] is now honestly `true` for all
-//! modes.
+//! So the modes differ in two things only: the geometry of the
+//! [`HaloPlan`] and when its single step is drained. A [`HaloExchanger`]
+//! holds the mode, the plan and the receives still in flight.
+//! [`exchange`](HaloExchanger::exchange) posts each step and drains it at
+//! once; [`begin`](HaloExchanger::begin),
+//! [`progress`](HaloExchanger::progress) and
+//! [`finish`](HaloExchanger::finish) split a single-step exchange around
+//! computation. The plan — peers, tags, send/recv boxes and persistent
+//! request pairs (`MPI_Send_init`/`MPI_Recv_init` analogue) — is computed
+//! once per (field, mode, radius) and reused every timestep. Sends pack
+//! straight into pooled wire buffers and receives unpack straight out of
+//! the envelope, so every mode preallocates: steady-state exchanges
+//! perform zero heap allocations, asserted by counter-based tests via
+//! `CommStats::bufs_allocated`.
 
 use std::sync::Arc;
 
@@ -75,13 +73,6 @@ impl HaloMode {
             HaloMode::Basic => 2 * nd,
             HaloMode::Diagonal | HaloMode::Full => 3usize.pow(nd as u32) - 1,
         }
-    }
-
-    /// Whether the pattern preallocates message buffers. Since the
-    /// persistent [`HaloPlan`], true for every mode (the paper's Table I
-    /// lists runtime allocation for *basic*; see the module docs).
-    pub fn preallocates_buffers(self) -> bool {
-        true
     }
 
     /// Whether communication overlaps computation (Table I).
@@ -133,8 +124,7 @@ fn diag_recv_box(arr: &DistArray, disp: &[i32], radius: usize) -> BoxNd {
 }
 
 /// One precomputed message pair of a plan: where to pack from, who to
-/// talk to, and the preallocated buffers + persistent requests to do it
-/// with.
+/// talk to, and the persistent requests to do it with.
 struct PlanEntry {
     send: PersistentSend,
     recv: PersistentRecv,
@@ -169,9 +159,8 @@ impl PlanEntry {
 /// derivation, box computation, buffer allocation — hoisted to build
 /// time. *basic* plans have one step per dimension (corner propagation);
 /// *diagonal*/*full* plans have a single step with all `3^nd - 1`
-/// neighbours. Built lazily on first exchange and reused across
-/// timesteps; rebuilt only if the array shape, radius, or tag base
-/// changes.
+/// neighbours. A [`HaloExchanger`] builds it on first exchange and
+/// rebuilds it only if the array shape, radius, or tag base changes.
 pub struct HaloPlan {
     mode: HaloMode,
     radius: usize,
@@ -179,11 +168,6 @@ pub struct HaloPlan {
     halo: usize,
     local_shape: Vec<usize>,
     steps: Vec<Vec<PlanEntry>>,
-    /// Recycled index storage for [`FullToken`]s, so `begin` allocates
-    /// nothing after the first overlap cycle.
-    spare_pending: Vec<usize>,
-    /// Recycled pending-index scratch for the synchronous waitany drain.
-    scratch: Vec<usize>,
     /// Happens-before sanitizer of the owning world, captured at build
     /// so exchange/unpack events carry the rank without re-threading the
     /// communicator through every call.
@@ -304,8 +288,6 @@ impl HaloPlan {
             halo,
             local_shape: arr.local_shape().to_vec(),
             steps,
-            spare_pending: Vec::new(),
-            scratch: Vec::new(),
             san: cart.comm().san().cloned(),
             rank: cart.rank(),
         }
@@ -364,16 +346,10 @@ impl HaloPlan {
             .collect()
     }
 
-    /// Pack + send every entry of `step`, then complete the receives in
-    /// arrival order (the `MPI_Waitany` pattern: drain whatever has
-    /// landed, park only when nothing has). The synchronous inner loop of
-    /// *basic* (per dimension) and *diagonal* (single step).
-    /// Allocation-free in steady state.
-    fn run_step_sync(&mut self, step: usize, arr: &mut DistArray, tracer: &mut Tracer) {
-        let san = self.san.clone();
-        let rank = self.rank;
-        let arr_id = arr.shadow_id();
-        for e in &mut self.steps[step] {
+    /// Pack and send every entry of `step` in plan order, and reset
+    /// `in_flight` to all of the step's receives.
+    fn post(&self, step: usize, arr: &DistArray, in_flight: &mut Vec<usize>, tracer: &mut Tracer) {
+        for e in &self.steps[step] {
             let sp = tracer.begin(Section::HaloSend);
             e.send.start_with(box_len(&e.send_box), |buf| {
                 let spp = tracer.begin(Section::HaloPack);
@@ -382,139 +358,112 @@ impl HaloPlan {
             });
             tracer.end(sp);
         }
-        let mut pending = std::mem::take(&mut self.scratch);
-        pending.clear();
-        pending.extend(0..self.steps[step].len());
-        while !pending.is_empty() {
-            let seq = self.steps[step][pending[0]].recv.arrival_seq();
-            let mut i = 0;
-            let before = pending.len();
-            while i < pending.len() {
-                let e = &mut self.steps[step][pending[i]];
-                let recv_box = &e.recv_box;
-                let done = e
+        in_flight.clear();
+        in_flight.extend(0..self.steps[step].len());
+    }
+
+    /// Complete the `in_flight` receives of `step` that have arrived,
+    /// unpacking each into `arr` and dropping it from the list. With
+    /// `block`, repeat until the list is empty, parking only when a
+    /// whole poll completed nothing (the `MPI_Waitany` pattern: drain in
+    /// arrival order); without, poll once (the `MPI_Test` calls of the
+    /// paper's progress thread).
+    fn drain(
+        &self,
+        step: usize,
+        in_flight: &mut Vec<usize>,
+        arr: &mut DistArray,
+        tracer: &mut Tracer,
+        block: bool,
+    ) {
+        let san = self.san.as_deref();
+        let rank = self.rank;
+        let arr_id = arr.shadow_id();
+        let entries = &self.steps[step];
+        while let Some(&first) = in_flight.first() {
+            let seq = entries[first].recv.arrival_seq();
+            let before = in_flight.len();
+            in_flight.retain(|&i| {
+                let recv_box = &entries[i].recv_box;
+                entries[i]
                     .recv
                     .try_with(|data| {
                         let spu = tracer.begin(Section::HaloUnpack);
                         debug_assert_eq!(data.len(), box_len(recv_box));
                         arr.unpack_box(recv_box, data);
-                        if let Some(s) = &san {
+                        if let Some(s) = san {
                             s.unpack(rank, arr_id, &san_box_key(recv_box));
                         }
                         tracer.end(spu);
                     })
-                    .is_some();
-                if done {
-                    pending.swap_remove(i);
-                } else {
-                    i += 1;
-                }
+                    .is_none()
+            });
+            if !block {
+                break;
             }
-            if pending.len() == before {
+            if in_flight.len() == before {
                 let sp = tracer.begin(Section::HaloWait);
-                self.steps[step][pending[0]].recv.wait_any_arrival(seq);
+                entries[first].recv.wait_any_arrival(seq);
                 tracer.end(sp);
             }
         }
-        self.scratch = pending;
     }
 }
 
-/// Lazily (re)build the plan cached in `slot` for the current geometry.
-fn ensure_plan<'a>(
+// ---------------------------------------------------------------------------
+// the exchanger
+// ---------------------------------------------------------------------------
+
+/// The plan cached in `slot`, (re)built if missing or stale for `(arr,
+/// radius, tag_base)`, with the sanitizer epoch of the exchange about to
+/// be posted opened.
+fn open_plan<'a>(
     slot: &'a mut Option<HaloPlan>,
     mode: HaloMode,
     cart: &CartComm,
     arr: &DistArray,
     radius: usize,
     tag_base: Tag,
-) -> &'a mut HaloPlan {
-    let stale = match slot {
-        Some(p) => !p.matches(arr, radius, tag_base),
-        None => true,
-    };
-    if stale {
-        *slot = Some(HaloPlan::build(cart, arr, mode, radius, tag_base));
-    }
-    slot.as_mut().unwrap()
+) -> &'a HaloPlan {
+    slot.take_if(|p| !p.matches(arr, radius, tag_base));
+    let plan = slot.get_or_insert_with(|| HaloPlan::build(cart, arr, mode, radius, tag_base));
+    plan.san_begin(arr);
+    plan
 }
 
-/// A synchronous halo exchange strategy for one field.
-pub trait HaloExchange {
-    /// Update the halo of `arr` with width `radius` from all neighbours,
-    /// attributing pack/send/wait/unpack wall time to `tracer`'s halo
-    /// sections. `tag_base` namespaces messages when multiple fields
-    /// exchange in the same step.
-    fn exchange_traced(
-        &mut self,
-        cart: &CartComm,
-        arr: &mut DistArray,
-        radius: usize,
-        tag_base: Tag,
-        tracer: &mut Tracer,
-    );
-
-    /// Untraced convenience wrapper around
-    /// [`exchange_traced`](Self::exchange_traced).
-    fn exchange(&mut self, cart: &CartComm, arr: &mut DistArray, radius: usize, tag_base: Tag) {
-        self.exchange_traced(cart, arr, radius, tag_base, &mut Tracer::off());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// basic
-// ---------------------------------------------------------------------------
-
-/// Multi-step synchronous face exchange (paper's *basic*), running on a
-/// persistent per-dimension [`HaloPlan`].
-#[derive(Default)]
-pub struct BasicExchange {
+/// The halo exchanger of one field buffer, for every mode: the mode, its
+/// lazily (re)built [`HaloPlan`] and the receives still in flight.
+/// Every operation attributes pack/send/wait/unpack wall time to the
+/// `tracer` it is given; callers that do not trace pass
+/// `&mut Tracer::off()`.
+pub struct HaloExchanger {
+    mode: HaloMode,
     plan: Option<HaloPlan>,
+    /// Plan-entry indices of the posted step whose receives have not
+    /// completed. Reset by every post and never shrunk, so steady-state
+    /// exchanges allocate nothing.
+    in_flight: Vec<usize>,
 }
 
-impl BasicExchange {
-    pub fn new() -> BasicExchange {
-        BasicExchange::default()
-    }
-}
-
-impl HaloExchange for BasicExchange {
-    fn exchange_traced(
-        &mut self,
-        cart: &CartComm,
-        arr: &mut DistArray,
-        radius: usize,
-        tag_base: Tag,
-        tracer: &mut Tracer,
-    ) {
-        let plan = ensure_plan(&mut self.plan, HaloMode::Basic, cart, arr, radius, tag_base);
-        plan.san_begin(arr);
-        for step in 0..plan.num_steps() {
-            plan.run_step_sync(step, arr, tracer);
+impl HaloExchanger {
+    pub fn new(mode: HaloMode) -> HaloExchanger {
+        HaloExchanger {
+            mode,
+            plan: None,
+            in_flight: Vec::new(),
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// diagonal
-// ---------------------------------------------------------------------------
-
-/// Single-step synchronous exchange including diagonal neighbours
-/// (paper's *diagonal*): more, smaller messages, all posted at once, on a
-/// persistent single-step [`HaloPlan`].
-#[derive(Default)]
-pub struct DiagonalExchange {
-    plan: Option<HaloPlan>,
-}
-
-impl DiagonalExchange {
-    pub fn new() -> DiagonalExchange {
-        DiagonalExchange::default()
+    /// Number of receives posted by [`begin`](Self::begin) that have not
+    /// completed yet.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
-}
 
-impl HaloExchange for DiagonalExchange {
-    fn exchange_traced(
+    /// Update the halo of `arr` with width `radius` from all neighbours:
+    /// post each step of the plan, then drain it. `tag_base` namespaces
+    /// messages when several fields exchange in the same step.
+    pub fn exchange(
         &mut self,
         cart: &CartComm,
         arr: &mut DistArray,
@@ -522,203 +471,61 @@ impl HaloExchange for DiagonalExchange {
         tag_base: Tag,
         tracer: &mut Tracer,
     ) {
-        let plan = ensure_plan(
-            &mut self.plan,
-            HaloMode::Diagonal,
-            cart,
-            arr,
-            radius,
-            tag_base,
-        );
-        plan.san_begin(arr);
-        plan.run_step_sync(0, arr, tracer);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// full (overlap)
-// ---------------------------------------------------------------------------
-
-/// In-flight state of an asynchronous exchange: the plan-entry indices
-/// whose receives are still pending. Returned by [`FullExchange::begin`];
-/// the caller computes CORE, optionally calls [`FullExchange::progress`]
-/// between tile blocks, and must call [`FullExchange::finish`] before
-/// touching the remainder (Listing 8). The index storage is recycled
-/// through the plan, so a steady-state overlap cycle allocates nothing.
-pub struct FullToken {
-    pending: Vec<usize>,
-}
-
-impl FullToken {
-    /// Number of messages still in flight.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-/// Asynchronous single-step exchange with computation/communication
-/// overlap (paper's *full*), on the same persistent plan as *diagonal*.
-#[derive(Default)]
-pub struct FullExchange {
-    plan: Option<HaloPlan>,
-}
-
-impl FullExchange {
-    pub fn new() -> FullExchange {
-        FullExchange::default()
+        let plan = open_plan(&mut self.plan, self.mode, cart, arr, radius, tag_base);
+        for step in 0..plan.num_steps() {
+            plan.post(step, arr, &mut self.in_flight, tracer);
+            plan.drain(step, &mut self.in_flight, arr, tracer, true);
+        }
     }
 
-    /// Post all sends and receives; returns immediately so the caller can
+    /// Post the single step and return at once, so the caller can
     /// compute CORE while messages are in flight (`halo_update()` in
-    /// Listing 8).
+    /// Listing 8). Receives still in flight from an earlier `begin` are
+    /// forgotten. Panics on a *basic* exchanger, whose multi-step plan
+    /// cannot be split around computation.
     pub fn begin(
         &mut self,
         cart: &CartComm,
         arr: &DistArray,
         radius: usize,
         tag_base: Tag,
-    ) -> FullToken {
-        self.begin_traced(cart, arr, radius, tag_base, &mut Tracer::off())
-    }
-
-    /// [`begin`](Self::begin) with pack/send spans attributed to `tracer`.
-    pub fn begin_traced(
-        &mut self,
-        cart: &CartComm,
-        arr: &DistArray,
-        radius: usize,
-        tag_base: Tag,
-        tracer: &mut Tracer,
-    ) -> FullToken {
-        let plan = ensure_plan(&mut self.plan, HaloMode::Full, cart, arr, radius, tag_base);
-        plan.san_begin(arr);
-        for e in &mut plan.steps[0] {
-            let sp = tracer.begin(Section::HaloSend);
-            e.send.start_with(box_len(&e.send_box), |buf| {
-                let spp = tracer.begin(Section::HaloPack);
-                arr.pack_box(&e.send_box, buf);
-                tracer.end(spp);
-            });
-            tracer.end(sp);
-        }
-        let mut pending = std::mem::take(&mut plan.spare_pending);
-        pending.clear();
-        pending.extend(0..plan.steps[0].len());
-        FullToken { pending }
-    }
-
-    /// Poke the progress engine: complete and unpack any receives that
-    /// have arrived (the sacrificed-thread `MPI_Test` calls of the
-    /// paper). Returns the number of still-pending messages.
-    pub fn progress(&mut self, token: &mut FullToken, arr: &mut DistArray) -> usize {
-        let Some(plan) = self.plan.as_mut() else {
-            return 0;
-        };
-        let san = plan.san.clone();
-        let rank = plan.rank;
-        let arr_id = arr.shadow_id();
-        let mut i = 0;
-        while i < token.pending.len() {
-            let e = &mut plan.steps[0][token.pending[i]];
-            let recv_box = &e.recv_box;
-            let done = e
-                .recv
-                .try_with(|data| {
-                    arr.unpack_box(recv_box, data);
-                    if let Some(s) = &san {
-                        s.unpack(rank, arr_id, &san_box_key(recv_box));
-                    }
-                })
-                .is_some();
-            if done {
-                token.pending.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        token.pending.len()
-    }
-
-    /// Wait for all remaining messages and unpack them (`halo_wait()` in
-    /// Listing 8).
-    pub fn finish(&mut self, token: FullToken, arr: &mut DistArray) {
-        self.finish_traced(token, arr, &mut Tracer::off());
-    }
-
-    /// [`finish`](Self::finish) with wait/unpack spans attributed to
-    /// `tracer`. In overlap mode the wait section shrinks as messages
-    /// arrive during the CORE computation — exactly the effect the
-    /// paper's *full* pattern exists to create.
-    pub fn finish_traced(
-        &mut self,
-        mut token: FullToken,
-        arr: &mut DistArray,
         tracer: &mut Tracer,
     ) {
-        let plan = self
-            .plan
-            .as_mut()
-            .expect("finish without begin: no plan built");
-        let san = plan.san.clone();
-        let rank = plan.rank;
-        let arr_id = arr.shadow_id();
-        while !token.pending.is_empty() {
-            let seq = plan.steps[0][token.pending[0]].recv.arrival_seq();
-            let mut i = 0;
-            let before = token.pending.len();
-            while i < token.pending.len() {
-                let e = &mut plan.steps[0][token.pending[i]];
-                let recv_box = &e.recv_box;
-                let done = e
-                    .recv
-                    .try_with(|data| {
-                        let spu = tracer.begin(Section::HaloUnpack);
-                        debug_assert_eq!(data.len(), box_len(recv_box));
-                        arr.unpack_box(recv_box, data);
-                        if let Some(s) = &san {
-                            s.unpack(rank, arr_id, &san_box_key(recv_box));
-                        }
-                        tracer.end(spu);
-                    })
-                    .is_some();
-                if done {
-                    token.pending.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if token.pending.len() == before {
-                let sp = tracer.begin(Section::HaloWait);
-                plan.steps[0][token.pending[0]].recv.wait_any_arrival(seq);
-                tracer.end(sp);
-            }
+        assert!(
+            self.mode != HaloMode::Basic,
+            "HaloExchanger::begin: the basic pattern exchanges one dimension \
+             per step and cannot overlap computation; use `exchange`, or the \
+             diagonal or full pattern"
+        );
+        open_plan(&mut self.plan, self.mode, cart, arr, radius, tag_base).post(
+            0,
+            arr,
+            &mut self.in_flight,
+            tracer,
+        );
+    }
+
+    /// Complete and unpack the receives that have arrived, without
+    /// waiting (the sacrificed-thread `MPI_Test` calls of the paper).
+    /// Returns the number still in flight.
+    pub fn progress(&mut self, arr: &mut DistArray, tracer: &mut Tracer) -> usize {
+        self.drain(arr, tracer, false);
+        self.in_flight.len()
+    }
+
+    /// Wait for every receive still in flight and unpack it
+    /// (`halo_wait()` in Listing 8). A no-op when nothing is in flight.
+    /// In overlap mode the wait section shrinks as messages arrive
+    /// during the CORE computation — exactly the effect the paper's
+    /// *full* pattern exists to create.
+    pub fn finish(&mut self, arr: &mut DistArray, tracer: &mut Tracer) {
+        self.drain(arr, tracer, true);
+    }
+
+    fn drain(&mut self, arr: &mut DistArray, tracer: &mut Tracer, block: bool) {
+        if let Some(plan) = &self.plan {
+            plan.drain(0, &mut self.in_flight, arr, tracer, block);
         }
-        plan.spare_pending = token.pending;
-    }
-}
-
-impl HaloExchange for FullExchange {
-    /// Degenerate synchronous use: begin + finish back to back (no
-    /// overlap). The operator executor uses `begin`/`finish` directly.
-    fn exchange_traced(
-        &mut self,
-        cart: &CartComm,
-        arr: &mut DistArray,
-        radius: usize,
-        tag_base: Tag,
-        tracer: &mut Tracer,
-    ) {
-        let token = self.begin_traced(cart, arr, radius, tag_base, tracer);
-        self.finish_traced(token, arr, tracer);
-    }
-}
-
-/// Construct the chosen exchange strategy.
-pub fn make_exchange(mode: HaloMode) -> Box<dyn HaloExchange + Send> {
-    match mode {
-        HaloMode::Basic => Box::new(BasicExchange::new()),
-        HaloMode::Diagonal => Box::new(DiagonalExchange::new()),
-        HaloMode::Full => Box::new(FullExchange::new()),
     }
 }
 
@@ -728,6 +535,7 @@ mod tests {
     use crate::decomp::Decomposition;
     use crate::regions::{for_each_index, Region};
     use mpix_comm::Universe;
+    use mpix_trace::MsgDir;
     use std::sync::Arc;
 
     /// Build a per-rank array whose owned points hold their global linear
@@ -761,8 +569,7 @@ mod tests {
                 arr.set_local(&idx, v);
             }
 
-            let mut ex = make_exchange(mode);
-            ex.exchange(&cart, &mut arr, radius, 0);
+            HaloExchanger::new(mode).exchange(&cart, &mut arr, radius, 0, &mut Tracer::off());
 
             // Validate FULL region.
             let halo = arr.halo();
@@ -854,10 +661,10 @@ mod tests {
             let dc = Arc::new(Decomposition::new(&[8, 8], &[2, 2]));
             let coords = cart.coords().to_vec();
             let mut arr = DistArray::new(dc, &coords, 2);
-            let mut ex = make_exchange(HaloMode::Diagonal);
+            let mut ex = HaloExchanger::new(HaloMode::Diagonal);
             for step in 0..10 {
                 arr.fill_global_slice(&[0..8, 0..8], step as f32);
-                ex.exchange(&cart, &mut arr, 2, 0);
+                ex.exchange(&cart, &mut arr, 2, 0, &mut Tracer::off());
                 let halo = arr.halo();
                 // Any interior halo point must carry this step's value.
                 if coords == [0, 0] {
@@ -879,15 +686,15 @@ mod tests {
                 let coords = cart.coords().to_vec();
                 let mut arr = DistArray::new(dc, &coords, 2);
                 arr.fill_global_slice(&[0..8, 0..8, 0..8], 1.0);
-                let mut ex = make_exchange(mode);
+                let mut ex = HaloExchanger::new(mode);
                 // Warm-up: builds the plan, primes the envelope pool.
                 for _ in 0..3 {
-                    ex.exchange(&cart, &mut arr, 2, 0);
+                    ex.exchange(&cart, &mut arr, 2, 0, &mut Tracer::off());
                 }
                 cart.comm().barrier();
                 cart.comm().reset_stats();
                 for _ in 0..5 {
-                    ex.exchange(&cart, &mut arr, 2, 0);
+                    ex.exchange(&cart, &mut arr, 2, 0, &mut Tracer::off());
                 }
                 cart.comm().barrier();
                 let stats = cart.comm().stats();
@@ -909,13 +716,17 @@ mod tests {
             let coords = cart.coords().to_vec();
             let mut arr = DistArray::new(dc, &coords, 2);
             cart.comm().reset_stats();
-            let mut ex = make_exchange(HaloMode::Basic);
-            ex.exchange(&cart, &mut arr, 1, 0);
+            HaloExchanger::new(HaloMode::Basic).exchange(&cart, &mut arr, 1, 0, &mut Tracer::off());
             let basic_msgs = cart.comm().stats().msgs_sent;
             cart.comm().barrier();
             cart.comm().reset_stats();
-            let mut ex = make_exchange(HaloMode::Diagonal);
-            ex.exchange(&cart, &mut arr, 1, 0);
+            HaloExchanger::new(HaloMode::Diagonal).exchange(
+                &cart,
+                &mut arr,
+                1,
+                0,
+                &mut Tracer::off(),
+            );
             let diag_msgs = cart.comm().stats().msgs_sent;
             (coords, basic_msgs, diag_msgs)
         });
@@ -935,22 +746,23 @@ mod tests {
             let coords = cart.coords().to_vec();
             let mut arr = DistArray::new(dc, &coords, 2);
             arr.fill_global_slice(&[0..8, 0..8], 1.0);
-            let mut ex = FullExchange::new();
-            let mut token = ex.begin(&cart, &arr, 2, 0);
-            assert!(token.pending() > 0);
+            let mut ex = HaloExchanger::new(HaloMode::Full);
+            let mut tracer = Tracer::off();
+            ex.begin(&cart, &arr, 2, 0, &mut tracer);
+            assert!(ex.in_flight() > 0);
             // Poll until drained (all sends are eager, so this
             // terminates). Yield between polls so peers get the core on
             // a loaded host; a real hang still fails at the world's
             // receive timeout.
             let deadline = std::time::Instant::now() + cart.comm().tuning().recv_timeout;
-            while ex.progress(&mut token, &mut arr) > 0 {
+            while ex.progress(&mut arr, &mut tracer) > 0 {
                 assert!(
                     std::time::Instant::now() < deadline,
                     "progress never drained"
                 );
                 std::thread::yield_now();
             }
-            ex.finish(token, &mut arr);
+            ex.finish(&mut arr, &mut tracer);
             // Interior halo entries must now be 1.
             let halo = arr.halo();
             let (ci, cj) = (coords[0], coords[1]);
@@ -959,6 +771,106 @@ mod tests {
                 assert_eq!(arr.get_padded(&[halo + 4, halo]), 1.0);
             }
             let _ = cj;
+        });
+    }
+
+    /// Fill every owned point of `arr` with its rank-distinct value, so
+    /// a halo point's value names the rank and position it came from.
+    fn fill_distinct(arr: &mut DistArray, rank: usize) {
+        let local_box: Vec<std::ops::Range<usize>> =
+            arr.local_shape().iter().map(|&n| 0..n).collect();
+        let mut writes = Vec::new();
+        let mut k = 0usize;
+        for_each_index(&local_box, |idx| {
+            k += 1;
+            writes.push((idx.to_vec(), (rank * 10_000 + k) as f32));
+        });
+        for (idx, v) in writes {
+            arr.set_local(&idx, v);
+        }
+    }
+
+    /// One rank's sent messages as `(dest, tag, bytes)`, in posting order.
+    type SentLog = Vec<(usize, u32, usize)>;
+
+    /// One exchange on 2×2×2 ranks, synchronous or split into
+    /// `begin`→`finish`: every rank's sent-message log and padded array
+    /// bits.
+    fn exchange_log(mode: HaloMode, split: bool) -> Vec<(SentLog, Vec<u32>)> {
+        Universe::run(8, move |comm| {
+            let cart = CartComm::new(comm, &[2, 2, 2]);
+            let dc = Arc::new(Decomposition::new(&[8, 8, 8], &[2, 2, 2]));
+            let coords = cart.coords().to_vec();
+            let mut arr = DistArray::new(dc, &coords, 2);
+            fill_distinct(&mut arr, cart.rank());
+            let mut ex = HaloExchanger::new(mode);
+            let mut tracer = Tracer::off();
+            cart.comm().set_msg_log(true);
+            if split {
+                ex.begin(&cart, &arr, 2, 64, &mut tracer);
+                ex.finish(&mut arr, &mut tracer);
+            } else {
+                ex.exchange(&cart, &mut arr, 2, 64, &mut tracer);
+            }
+            cart.comm().set_msg_log(false);
+            let sent = cart
+                .comm()
+                .take_msg_log()
+                .into_iter()
+                .filter(|m| m.dir == MsgDir::Sent)
+                .map(|m| (m.peer, m.tag, m.bytes))
+                .collect();
+            (sent, arr.raw().iter().map(|v| v.to_bits()).collect())
+        })
+    }
+
+    #[test]
+    fn sync_and_split_exchanges_post_the_same_messages() {
+        for mode in [HaloMode::Diagonal, HaloMode::Full] {
+            let sync = exchange_log(mode, false);
+            let split = exchange_log(mode, true);
+            for (rank, (a, b)) in sync.iter().zip(&split).enumerate() {
+                assert_eq!(a.0.len(), 7, "{mode:?} rank {rank}: 2x2x2 has 7 neighbours");
+                assert_eq!(a.0, b.0, "{mode:?} rank {rank}: message logs differ");
+                assert!(a.1 == b.1, "{mode:?} rank {rank}: arrays differ");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "basic pattern")]
+    fn begin_on_basic_panics_naming_the_mode() {
+        Universe::run(1, |comm| {
+            let cart = CartComm::new(comm, &[1, 1]);
+            let dc = Arc::new(Decomposition::new(&[4, 4], &[1, 1]));
+            let arr = DistArray::new(dc, &[0, 0], 2);
+            HaloExchanger::new(HaloMode::Basic).begin(&cart, &arr, 2, 0, &mut Tracer::off());
+        });
+    }
+
+    #[test]
+    fn finish_with_nothing_in_flight_is_a_noop() {
+        Universe::run(4, |comm| {
+            let cart = CartComm::new(comm, &[2, 2]);
+            let dc = Arc::new(Decomposition::new(&[8, 8], &[2, 2]));
+            let coords = cart.coords().to_vec();
+            let mut arr = DistArray::new(dc, &coords, 2);
+            fill_distinct(&mut arr, cart.rank());
+            let before = arr.raw().to_vec();
+            let mut ex = HaloExchanger::new(HaloMode::Full);
+            let mut tracer = Tracer::off();
+            // Never begun: no plan, nothing to wait for.
+            ex.finish(&mut arr, &mut tracer);
+            assert_eq!(ex.progress(&mut arr, &mut tracer), 0);
+            assert!(arr.raw() == &before[..]);
+            assert_eq!(cart.comm().stats().msgs_sent, 0);
+            // Drained: a second finish neither blocks nor touches `arr`.
+            ex.begin(&cart, &arr, 2, 0, &mut tracer);
+            ex.finish(&mut arr, &mut tracer);
+            let drained = arr.raw().to_vec();
+            ex.finish(&mut arr, &mut tracer);
+            assert_eq!(ex.in_flight(), 0);
+            assert!(arr.raw() == &drained[..]);
         });
     }
 
@@ -977,12 +889,6 @@ mod tests {
         assert_eq!(HaloMode::Full.messages_per_exchange(3), 26);
         assert_eq!(HaloMode::Basic.messages_per_exchange(2), 4);
         assert_eq!(HaloMode::Diagonal.messages_per_exchange(2), 8);
-        // Since the persistent plans, every mode preallocates (the
-        // paper's Table I lists runtime allocation for basic; see the
-        // module docs for the correction).
-        assert!(HaloMode::Basic.preallocates_buffers());
-        assert!(HaloMode::Diagonal.preallocates_buffers());
-        assert!(HaloMode::Full.preallocates_buffers());
         assert!(HaloMode::Full.overlaps_computation());
         assert!(!HaloMode::Diagonal.overlaps_computation());
     }
@@ -995,8 +901,7 @@ mod tests {
             let mut arr = DistArray::new(dc, &[0, 0], 2);
             arr.fill_global_slice(&[0..4, 0..4], 3.0);
             for mode in [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full] {
-                let mut ex = make_exchange(mode);
-                ex.exchange(&cart, &mut arr, 2, 0);
+                HaloExchanger::new(mode).exchange(&cart, &mut arr, 2, 0, &mut Tracer::off());
             }
             assert_eq!(cart.comm().stats().msgs_sent, 0);
         });

@@ -19,9 +19,10 @@
 //!   **basic** (multi-step synchronous face exchanges), **diagonal**
 //!   (single-step, 26 messages in 3-D) and **full** (asynchronous
 //!   single-step with computation/communication overlap and
-//!   `MPI_Test`-style progress). All three run on a persistent
-//!   [`HaloPlan`] — peers, tags, boxes and buffers precomputed once per
-//!   (field, mode, radius) — so steady-state exchanges allocate nothing.
+//!   `MPI_Test`-style progress). One [`HaloExchanger`] runs all three on
+//!   a persistent [`HaloPlan`] — peers, tags, boxes and buffers
+//!   precomputed once per (field, mode, radius) — so steady-state
+//!   exchanges allocate nothing.
 //! * [`sparse`] — off-the-grid sparse points (sources/receivers):
 //!   ownership assignment with replication at shared boundaries (Fig. 3),
 //!   and the per-rank [`SparsePlan`] that runs multilinear injection and
@@ -41,8 +42,6 @@ pub mod sparse;
 
 pub use array::DistArray;
 pub use decomp::Decomposition;
-pub use halo::{
-    BasicExchange, DiagonalExchange, FullExchange, FullToken, HaloExchange, HaloMode, HaloPlan,
-};
+pub use halo::{HaloExchanger, HaloMode, HaloPlan};
 pub use regions::{remainder_boxes, BoxNd, Region};
 pub use sparse::{SparsePlan, SparsePoints};

@@ -6,9 +6,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use mpix_comm::{CartComm, Tag, Universe};
-use mpix_dmp::halo::{make_exchange, HaloPlan};
+use mpix_dmp::halo::{HaloExchanger, HaloPlan};
 use mpix_dmp::regions::for_each_index;
 use mpix_dmp::{BoxNd, Decomposition, DistArray, HaloMode, Region};
+use mpix_trace::Tracer;
 use proptest::prelude::*;
 
 /// Run one exchange and return every rank's FULL-region contents in a
@@ -44,8 +45,7 @@ fn exchange_snapshot(
         for (idx, v) in writes {
             arr.set_local(&idx, v);
         }
-        let mut ex = make_exchange(mode);
-        ex.exchange(&cart, &mut arr, radius, 0);
+        HaloExchanger::new(mode).exchange(&cart, &mut arr, radius, 0, &mut Tracer::off());
         let full = arr.region(Region::Full, radius);
         let mut vals = Vec::new();
         for_each_index(&full, |p| vals.push(arr.get_padded(p)));
@@ -105,7 +105,7 @@ fn expected_snapshot(global: &[usize], dims: &[usize], radius: usize) -> Vec<Vec
 // ---------------------------------------------------------------------------
 
 /// Independent reimplementation of the pre-plan per-call geometry: for
-/// each message the legacy `BasicExchange`/`DiagonalExchange` would have
+/// each message the pre-plan *basic*/*diagonal* exchanges would have
 /// sent, the `(peer, send_tag, recv_tag, send_box, recv_box)` tuple it
 /// would have computed, grouped by step.
 #[allow(clippy::type_complexity)]

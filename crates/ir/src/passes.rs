@@ -7,17 +7,6 @@ use crate::cluster::{Cluster, Stmt};
 use crate::iet::{Node, RegionKind};
 use crate::iexpr::IExpr;
 
-/// Halo-exchange pattern selector shared with the DMP layer. Redefined
-/// here (rather than importing `mpix-dmp`) to keep the compiler free of a
-/// runtime dependency; the executor maps between the two.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MpiMode {
-    #[default]
-    Basic,
-    Diagonal,
-    Full,
-}
-
 // ---------------------------------------------------------------------------
 // Cluster-level: parameter extraction + CSE
 // ---------------------------------------------------------------------------
@@ -242,88 +231,77 @@ fn count_subtrees(e: &IExpr, counts: &mut HashMap<String, (IExpr, usize)>) {
 // IET-level: HaloSpot lowering per MPI mode
 // ---------------------------------------------------------------------------
 
-/// Lower `HaloSpot` nodes to exchange calls according to the selected
-/// pattern (§III g/h):
+/// Lower `HaloSpot` nodes to exchange calls (§III g/h). The patterns
+/// lower alike except for overlap:
 ///
-/// * **basic / diagonal** — `HaloUpdate` (synchronous) followed by the
-///   spot's body unchanged (Listing 6 / Listing 7);
-/// * **full** — `HaloUpdate[async]`, the body's loop nest restricted to
-///   CORE, `HaloWait`, then the same nest over REMAINDER (Listing 8).
-///   Spots with no enclosed loop (hoisted pre-loop exchanges) lower
-///   synchronously in every mode.
-pub fn lower_halo_spots(iet: Node, mode: MpiMode) -> Node {
+/// * **without overlap** (*basic*, *diagonal*) — `HaloUpdate`
+///   (synchronous) followed by the spot's body unchanged (Listing 6 /
+///   Listing 7);
+/// * **with overlap** (*full*) — `HaloUpdate[async]`, the body's loop
+///   nest restricted to CORE, `HaloWait`, then the same nest over
+///   REMAINDER (Listing 8). Spots with no enclosed loop (hoisted pre-loop
+///   exchanges) lower synchronously either way.
+pub fn lower_halo_spots(iet: Node, overlap: bool) -> Node {
     iet.map_children(&|n| match n {
         Node::HaloSpot { exchanges, body } => {
             if exchanges.is_empty() {
                 return body;
             }
             let has_loop = body.iter().any(|b| matches!(b, Node::SpaceLoop { .. }));
-            match mode {
-                MpiMode::Basic | MpiMode::Diagonal => {
-                    let mut out = vec![Node::HaloUpdate {
-                        exchanges,
-                        is_async: false,
-                    }];
-                    out.extend(body);
-                    out
-                }
-                MpiMode::Full if has_loop => {
-                    let mut out = vec![Node::HaloUpdate {
-                        exchanges: exchanges.clone(),
-                        is_async: true,
-                    }];
-                    // CORE copies of each loop.
-                    for b in &body {
-                        if let Node::SpaceLoop {
-                            cluster,
-                            block,
-                            parallel,
-                            ..
-                        } = b
-                        {
-                            out.push(Node::SpaceLoop {
-                                cluster: cluster.clone(),
-                                region: RegionKind::Core,
-                                block: *block,
-                                parallel: *parallel,
-                            });
-                        }
-                    }
-                    out.push(Node::HaloWait {
-                        exchanges: exchanges.clone(),
+            if !(overlap && has_loop) {
+                let mut out = vec![Node::HaloUpdate {
+                    exchanges,
+                    is_async: false,
+                }];
+                out.extend(body);
+                return out;
+            }
+            let mut out = vec![Node::HaloUpdate {
+                exchanges: exchanges.clone(),
+                is_async: true,
+            }];
+            // CORE copies of each loop.
+            for b in &body {
+                if let Node::SpaceLoop {
+                    cluster,
+                    block,
+                    parallel,
+                    ..
+                } = b
+                {
+                    out.push(Node::SpaceLoop {
+                        cluster: cluster.clone(),
+                        region: RegionKind::Core,
+                        block: *block,
+                        parallel: *parallel,
                     });
-                    for b in body {
-                        if let Node::SpaceLoop {
-                            cluster,
-                            block,
-                            parallel,
-                            ..
-                        } = b
-                        {
-                            out.push(Node::SpaceLoop {
-                                cluster,
-                                region: RegionKind::Remainder,
-                                block,
-                                parallel,
-                            });
-                        } else {
-                            out.push(b);
-                        }
-                    }
-                    vec![Node::Section {
-                        name: "overlap".into(),
-                        body: out,
-                    }]
-                }
-                MpiMode::Full => {
-                    let mut out = vec![Node::HaloUpdate {
-                        exchanges,
-                        is_async: false,
-                    }];
-                    out.extend(body);
-                    out
                 }
             }
+            out.push(Node::HaloWait {
+                exchanges: exchanges.clone(),
+            });
+            for b in body {
+                if let Node::SpaceLoop {
+                    cluster,
+                    block,
+                    parallel,
+                    ..
+                } = b
+                {
+                    out.push(Node::SpaceLoop {
+                        cluster,
+                        region: RegionKind::Remainder,
+                        block,
+                        parallel,
+                    });
+                } else {
+                    out.push(b);
+                }
+            }
+            vec![Node::Section {
+                name: "overlap".into(),
+                body: out,
+            }]
         }
         other => vec![other],
     })
@@ -420,7 +398,7 @@ mod tests {
         let (cls, ctx) = diffusion_clusters();
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "Kernel", 0, true);
-        let low = lower_halo_spots(iet, MpiMode::Basic);
+        let low = lower_halo_spots(iet, false);
         assert_eq!(low.count(&|n| matches!(n, Node::HaloSpot { .. })), 0);
         assert_eq!(
             low.count(&|n| matches!(
@@ -440,7 +418,7 @@ mod tests {
         let (cls, ctx) = diffusion_clusters();
         let plan = detect_halo_exchanges(&cls, &ctx);
         let iet = build_iet(cls, &plan, "Kernel", 0, true);
-        let low = lower_halo_spots(iet, MpiMode::Full);
+        let low = lower_halo_spots(iet, true);
         assert_eq!(
             low.count(&|n| matches!(n, Node::HaloUpdate { is_async: true, .. })),
             1
@@ -505,7 +483,7 @@ mod tests {
                 body: vec![],
             }],
         };
-        let low = lower_halo_spots(iet, MpiMode::Basic);
+        let low = lower_halo_spots(iet, false);
         assert_eq!(low.count(&|n| matches!(n, Node::HaloUpdate { .. })), 0);
     }
 }

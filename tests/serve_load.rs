@@ -226,6 +226,12 @@ fn same_geometry_different_expression_operators_hash_apart() {
         OperatorKey::of(&a1, &opts.clone().with_mode(HaloMode::Basic)),
         OperatorKey::of(&a1, &opts.clone().with_mode(HaloMode::Full)),
     );
+    // The operator's own executable cache keys the same way: basic and
+    // diagonal share one executable, full compiles its own.
+    let exec_of = |mode| a1.executable_for(&opts.clone().with_mode(mode));
+    let basic = exec_of(HaloMode::Basic);
+    assert!(Arc::ptr_eq(&basic, &exec_of(HaloMode::Diagonal)));
+    assert!(!Arc::ptr_eq(&basic, &exec_of(HaloMode::Full)));
 }
 
 #[test]
