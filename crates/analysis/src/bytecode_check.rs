@@ -1,7 +1,8 @@
 //! Pass 3: bytecode verifier.
 //!
-//! Extends `CompiledCluster::check_stack` (a panicking debug assertion)
-//! into a full, non-panicking verifier over the compiled stack program:
+//! Extends `CompiledCluster::stack_walk` (the stack-discipline walk
+//! `fuse_cluster` relies on) into a full, non-panicking verifier over
+//! the compiled stack program:
 //!
 //! * **slot validity** — every `Const`/`Scalar`/`Param`/`Temp`/stream/
 //!   offset index lands inside its side table, and each load's offset
@@ -9,7 +10,7 @@
 //!   different halo widths, hence different strides: a cross-stream
 //!   offset entry would resolve against the wrong geometry);
 //! * **definite assignment** — no `Temp` read before its `SetTemp`;
-//! * **stack discipline** — a shadow walk proves no underflow, balance
+//! * **stack discipline** — the walk proves no underflow, balance
 //!   at exit, and that the declared `max_stack` is not understated (the
 //!   executor sizes its stack from it);
 //! * **in-bounds proofs** — for every region box the executor runs
@@ -35,37 +36,6 @@ use mpix_symbolic::Context;
 use mpix_trace::Diagnostic;
 
 const PASS: &str = "bytecode";
-
-/// Non-panicking version of `CompiledCluster::check_stack`: returns the
-/// maximum depth reached, or the offending op index and a description.
-pub fn stack_walk(cc: &CompiledCluster) -> Result<usize, (usize, String)> {
-    let mut depth = 0i32;
-    let mut max = 0i32;
-    for (i, op) in cc.ops.iter().enumerate() {
-        let reads = match op {
-            Op::MulAdd => 3,
-            Op::Add | Op::Mul => 2,
-            Op::SetTemp(_) | Op::Store { .. } | Op::Pow(_) | Op::Call(_) => 1,
-            Op::LoadMulAdd { .. } => 1,
-            _ => 0,
-        };
-        if depth < reads {
-            return Err((
-                i,
-                format!("stack underflow: {op:?} needs {reads} operand(s), depth is {depth}"),
-            ));
-        }
-        depth += op.stack_effect();
-        max = max.max(depth);
-    }
-    if depth != 0 {
-        return Err((
-            cc.ops.len(),
-            format!("unbalanced stack: program exits at depth {depth}, not 0"),
-        ));
-    }
-    Ok(max as usize)
-}
 
 /// Structural verification of one compiled cluster.
 pub fn check_compiled(
@@ -234,7 +204,7 @@ pub fn check_compiled(
         }
     }
 
-    match stack_walk(cc) {
+    match cc.stack_walk() {
         Err((i, why)) => diags.push(Diagnostic::error(PASS, loc(format!("op {i}")), why)),
         Ok(max) => {
             if max > cc.max_stack {

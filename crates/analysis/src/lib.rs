@@ -20,11 +20,11 @@
 //!   messages), receive boxes must tile exactly the reachable halo
 //!   annulus, and sent data must be owned or already received (the
 //!   *basic* mode's corner-propagation provenance proof).
-//! * [`bytecode_check`] — extends `CompiledCluster::check_stack` into a
-//!   full verifier: slot validity, temp definite-assignment, a
-//!   non-panicking stack walk, in-bounds access proofs for every region
-//!   box at the interpreter's strip width `LANES` including the scalar
-//!   remainder, and fusion-invariance of `flop_count` and semantics.
+//! * [`bytecode_check`] — extends `CompiledCluster::stack_walk` into a
+//!   full verifier: slot validity, temp definite-assignment, the stack
+//!   walk, in-bounds access proofs for every region box at the
+//!   interpreter's strip width `LANES` including the scalar remainder,
+//!   and fusion-invariance of `flop_count` and semantics.
 //! * [`thread_safety`] — proves the threaded executor's slab partition
 //!   writes each output point from exactly one thread, and lints loads
 //!   that would escape a written stream's slab.

@@ -15,8 +15,8 @@
 //! #   --baseline adds each row's ratio to an earlier record's
 //! cargo run -p mpix-bench --release --bin tables -- bench-halo [--quick] [--ranks-sweep]
 //! #   persistent-plan vs legacy halo exchange latency -> BENCH_comm.json
-//! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: sharded
-//! #   substrate vs single-shard baseline, parks + collective-algo columns
+//! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: diagonal
+//! #   exchange µs, receive parks, steady-state allocations (asserted 0)
 //! ```
 
 use mpix_bench::tables;

@@ -576,8 +576,7 @@ pub fn bench_halo_json(quick: bool) -> String {
 }
 
 /// [`bench_halo_json`] plus an optional ranks-sweep axis (`--ranks-sweep`):
-/// weak-scaled diagonal exchanges at P ∈ {8, 32, 128, 256, 512} comparing
-/// the sharded substrate against a single-shard/single-pool baseline.
+/// weak-scaled diagonal exchanges at P ∈ {8, 32, 128, 256, 512}.
 pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
     use mpix_comm::comm::{bytes_to_f32, f32_to_bytes};
     use mpix_comm::{CartComm, RecvRequest, Universe};
@@ -851,34 +850,15 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
 
 /// Weak-scaling ranks sweep: 8³ points per rank, diagonal (26-neighbour)
 /// exchange at radius 2, swept over P ∈ {8, 32, 128, 256, 512} (quick:
-/// {8, 32}). Two arms differing only in substrate layout:
-///
-/// * **sharded** — the default `CommTuning` (16 mailbox shards per rank,
-///   per-rank buffer pools with release-to-origin recycling), and
-/// * **baseline** — `with_shards(1)`: one mailbox shard per rank and the
-///   legacy single global pool capped at 1024 buffers, i.e. the
-///   pre-shard layout, where at P ≥ 128 the pool cap (128 ranks × 52
-///   primed buffers > 1024) forces steady-state allocation on every
-///   exchange.
-///
-/// What each column can prove depends on the host. The structural
-/// contracts are machine-independent and asserted: the sharded arm
-/// completes every swept P with **zero** steady-state allocations, while
-/// the baseline provably cannot once P ≥ 128 (its cap is 26x
-/// under-provisioned at P = 512); those allocations, and `recv_parks`,
-/// are the contention columns. The wall-clock speedup column is honest
-/// measurement but only separates the arms on hosts with real
-/// parallelism: with every rank time-slicing a single core, lock
-/// contention cannot burn cycles (a blocked thread just yields the core
-/// to whoever holds the lock) and both arms converge to the same serial
-/// copy-plus-scheduling cost — on such hosts the column reads ~1.0x and
-/// the allocation/park columns carry the signal. Each arm is sampled
-/// twice in mirrored order and represented by its faster sample, so a
-/// host-load excursion cannot masquerade as an arm-level difference. A
-/// selected-vs-forced-binomial 32 KiB allreduce rides along to attribute
-/// collective cost to the topology-aware algorithm choice.
+/// {8, 32}). Reports the slowest rank's µs per exchange and the
+/// receive parks per exchange (futex round-trips after the yield
+/// budget ran out — the contention signal), and asserts the
+/// machine-independent contract: zero steady-state buffer allocations
+/// at every P. Ranks are threads, so on a host with few cores the
+/// wall-clock column measures scheduling and copy cost, not a
+/// cluster's network.
 fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
-    use mpix_comm::{dims_create, CartComm, CollectiveAlgo, CommTuning, ReduceOp, Universe};
+    use mpix_comm::{dims_create, CartComm, Universe};
     use mpix_dmp::{Decomposition, DistArray, HaloExchanger, HaloMode};
     use mpix_json::json;
     use mpix_trace::Tracer;
@@ -895,21 +875,10 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
     let reps = if quick { 1u32 } else { 3u32 };
 
     let mut rows = Vec::new();
+    println!("\n## Ranks sweep: diagonal radius-{radius} exchange, {per_rank_edge}³ points/rank");
     println!(
-        "\n## Ranks sweep: diagonal radius-{radius} exchange, {per_rank_edge}³ points/rank, \
-         sharded (16 shards, per-rank pools) vs baseline (1 shard, global pool)"
-    );
-    println!(
-        "{:>6} {:>12} {:>15} {:>18} {:>9} {:>13} {:>15} {:>14} {:>22}",
-        "ranks",
-        "dims",
-        "sharded µs/ex",
-        "baseline µs/ex",
-        "speedup",
-        "parks/ex",
-        "base-parks/ex",
-        "base-allocs",
-        "allreduce sel vs bin"
+        "{:>6} {:>12} {:>10} {:>10} {:>13}",
+        "ranks", "dims", "µs/ex", "parks/ex", "steady-alloc"
     );
     for &p in plist {
         let dims = dims_create(p, 3);
@@ -921,175 +890,64 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
             129..=256 => (2, 8),
             _ => (2, 5),
         };
-        let coll_iters = (256 / p).clamp(2, 32) as u32;
-
-        // Returns (exchange secs, recv parks, steady-state allocations,
-        // selected-allreduce secs, binomial-allreduce secs, algo labels).
-        let run_arm = |tuning: CommTuning| -> (f64, u64, u64, f64, f64, Vec<String>) {
-            let dims_c = dims.clone();
-            let out = Universe::run_cfg(p, tuning, None, move |comm| {
-                let cart = CartComm::new(comm, &dims_c);
-                let shape: Vec<usize> = dims_c.iter().map(|d| d * per_rank_edge).collect();
-                let dc = Arc::new(Decomposition::new(&shape, &dims_c));
-                let coords = cart.coords().to_vec();
-                let mut arr = DistArray::new(dc, &coords, radius);
-                let ranges: Vec<std::ops::Range<usize>> = shape.iter().map(|&e| 0..e).collect();
-                arr.fill_global_slice(&ranges, 1.0);
-                let mut ex = HaloExchanger::new(HaloMode::Diagonal);
-                let mut tracer = Tracer::off();
-                for _ in 0..warmup {
+        let dims_c = dims.clone();
+        // The generous timeout keeps the P=512 leg from tripping the
+        // deadlock guard under heavy scheduling delay.
+        let out = Universe::run_cfg(p, Duration::from_secs(300), None, move |comm| {
+            let cart = CartComm::new(comm, &dims_c);
+            let shape: Vec<usize> = dims_c.iter().map(|d| d * per_rank_edge).collect();
+            let dc = Arc::new(Decomposition::new(&shape, &dims_c));
+            let coords = cart.coords().to_vec();
+            let mut arr = DistArray::new(dc, &coords, radius);
+            let ranges: Vec<std::ops::Range<usize>> = shape.iter().map(|&e| 0..e).collect();
+            arr.fill_global_slice(&ranges, 1.0);
+            let mut ex = HaloExchanger::new(HaloMode::Diagonal);
+            let mut tracer = Tracer::off();
+            for _ in 0..warmup {
+                ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
+            }
+            cart.comm().barrier();
+            cart.comm().reset_stats();
+            // Fastest of `reps` timed blocks: scheduling noise only ever
+            // adds time.
+            let mut secs = f64::INFINITY;
+            for _ in 0..reps {
+                cart.comm().barrier();
+                let t0 = Instant::now();
+                for _ in 0..iters {
                     ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                 }
                 cart.comm().barrier();
-                cart.comm().reset_stats();
-                let mut secs = f64::INFINITY;
-                for _ in 0..reps {
-                    cart.comm().barrier();
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
-                    }
-                    cart.comm().barrier();
-                    secs = secs.min(t0.elapsed().as_secs_f64());
-                }
-                let ex_stats = cart.comm().stats();
-
-                // Collective leg: 8192 floats = 32 KiB — the bandwidth
-                // regime, where the topology-aware selection picks ring
-                // on parallel hosts and a tree on oversubscribed single
-                // cores. Integer-valued payloads keep all algorithms
-                // bitwise-comparable.
-                let rank = cart.comm().rank();
-                let payload: Vec<f32> = (0..8192).map(|i| ((i + rank) % 17) as f32).collect();
-                cart.comm().reset_stats();
-                cart.comm().barrier();
-                let t0 = Instant::now();
-                for _ in 0..coll_iters {
-                    let _ = cart.comm().allreduce_f32(&payload, ReduceOp::Sum);
-                }
-                cart.comm().barrier();
-                let selected_secs = t0.elapsed().as_secs_f64();
-                let algos: Vec<String> = cart
-                    .comm()
-                    .stats()
-                    .collective_algos
-                    .keys()
-                    .cloned()
-                    .collect();
-                cart.comm().barrier();
-                let t0 = Instant::now();
-                for _ in 0..coll_iters {
-                    let _ = cart.comm().allreduce_f32_with(
-                        &payload,
-                        ReduceOp::Sum,
-                        CollectiveAlgo::Binomial,
-                    );
-                }
-                cart.comm().barrier();
-                let binomial_secs = t0.elapsed().as_secs_f64();
-                (
-                    secs,
-                    ex_stats.recv_parks,
-                    ex_stats.bufs_allocated,
-                    selected_secs,
-                    binomial_secs,
-                    algos,
-                )
-            });
-            let secs = out.iter().map(|r| r.0).fold(0.0, f64::max);
-            let parks: u64 = out.iter().map(|r| r.1).sum();
-            let allocs: u64 = out.iter().map(|r| r.2).sum();
-            let sel = out.iter().map(|r| r.3).fold(0.0, f64::max);
-            let bin = out.iter().map(|r| r.4).fold(0.0, f64::max);
-            let algos = out.into_iter().next().map(|r| r.5).unwrap_or_default();
-            (secs, parks, allocs, sel, bin, algos)
-        };
-
-        // Identical waiting knobs in both arms (the seed's 32-yield spin
-        // budget is the default); only the shard/pool layout differs, so
-        // the columns measure sharding and nothing else. The generous
-        // timeout keeps the P=512 leg from tripping the deadlock
-        // detector under heavy scheduling delay.
-        //
-        // Same palindromic discipline as the sanitizer smoke: each arm
-        // is sampled twice in mirrored order (sharded, baseline,
-        // baseline, sharded) so a host-load excursion cannot land on one
-        // arm's only sample, and the faster sample represents each arm —
-        // scheduling noise only ever adds time. The allocation contracts
-        // below are checked on *both* samples of each arm.
-        let common = CommTuning::default().with_recv_timeout(Duration::from_secs(300));
-        let sh_a = run_arm(common.clone());
-        let bl_a = run_arm(common.clone().with_shards(1));
-        let bl_b = run_arm(common.clone().with_shards(1));
-        let sh_b = run_arm(common.clone());
-        let pick = |a: (f64, u64, u64, f64, f64, Vec<String>),
-                    b: (f64, u64, u64, f64, f64, Vec<String>)| {
-            if a.0 <= b.0 {
-                a
-            } else {
-                b
+                secs = secs.min(t0.elapsed().as_secs_f64());
             }
-        };
-        let sh_allocs_both = [sh_a.2, sh_b.2];
-        let bl_allocs_both = [bl_a.2, bl_b.2];
-        let (sh_secs, sh_parks, sh_allocs, sh_sel, sh_bin, algos) = pick(sh_a, sh_b);
-        let (bl_secs, bl_parks, bl_allocs, bl_sel, bl_bin, _) = pick(bl_a, bl_b);
-
-        let timed = (iters * reps) as f64;
-        let sh_us = sh_secs / iters as f64 * 1e6;
-        let bl_us = bl_secs / iters as f64 * 1e6;
-        let speedup = bl_us / sh_us;
-        let sh_parks_ex = sh_parks as f64 / timed;
-        let bl_parks_ex = bl_parks as f64 / timed;
-        let sel_us = sh_sel.min(bl_sel) / coll_iters as f64 * 1e6;
-        let bin_us = sh_bin.min(bl_bin) / coll_iters as f64 * 1e6;
-        let algo = algos.join(",");
+            let stats = cart.comm().stats();
+            (secs, stats.recv_parks, stats.bufs_allocated)
+        });
+        let secs = out.iter().map(|r| r.0).fold(0.0, f64::max);
+        let parks: u64 = out.iter().map(|r| r.1).sum();
+        let allocs: u64 = out.iter().map(|r| r.2).sum();
+        let us = secs / iters as f64 * 1e6;
+        let parks_ex = parks as f64 / (iters * reps) as f64;
         println!(
-            "{:>6} {:>12} {:>15.1} {:>18.1} {:>8.2}x {:>13.1} {:>15.1} {:>14} {:>10.1} / {:>7.1}",
+            "{:>6} {:>12} {:>10.1} {:>10.1} {:>13}",
             p,
             format!("{dims:?}"),
-            sh_us,
-            bl_us,
-            speedup,
-            sh_parks_ex,
-            bl_parks_ex,
-            bl_allocs,
-            sel_us,
-            bin_us,
+            us,
+            parks_ex,
+            allocs
         );
-        // The machine-independent contracts (see the fn docs): the
-        // sharded arm keeps the zero-allocation steady state at every P,
-        // and the baseline demonstrably loses it once its global pool
-        // cap is exceeded (P ≥ 128: 128 ranks × 52 primed buffers
-        // > 1024-buffer cap) — that structural gap, not the wall-clock
-        // column, is what a single-core host can prove about sharding.
-        for sh in sh_allocs_both {
-            assert_eq!(sh, 0, "sharded arm allocated in steady state at P={p}");
-        }
-        if p >= 128 {
-            for bl in bl_allocs_both {
-                assert!(
-                    bl > 0,
-                    "baseline (global pool, cap 1024) unexpectedly stayed allocation-free \
-                     at P={p}; the sweep is no longer exercising the pool-cap regime"
-                );
-            }
-        }
+        assert_eq!(
+            allocs, 0,
+            "halo exchange allocated in steady state at P={p}"
+        );
         rows.push(json!({
             "ranks": p,
             "rank_dims": dims,
             "points_per_rank": per_rank_edge * per_rank_edge * per_rank_edge,
             "radius": radius,
-            "sharded_us_per_exchange": sh_us,
-            "baseline_us_per_exchange": bl_us,
-            "speedup": speedup,
-            "sharded_recv_parks_per_exchange": sh_parks_ex,
-            "baseline_recv_parks_per_exchange": bl_parks_ex,
-            "sharded_steady_state_bufs_allocated": sh_allocs,
-            "baseline_steady_state_bufs_allocated": bl_allocs,
-            "allreduce_algo": algo,
-            "allreduce_selected_us": sel_us,
-            "allreduce_binomial_us": bin_us,
+            "us_per_exchange": us,
+            "recv_parks_per_exchange": parks_ex,
+            "steady_state_bufs_allocated": allocs,
         }));
     }
     rows
@@ -1162,11 +1020,9 @@ mod tests {
     }
 
     /// Smoke for the ranks-sweep axis: the quick sweep must emit one row
-    /// per swept P with both arms measured, the sharded arm must keep
-    /// the zero-allocation steady-state contract, and the collective leg
-    /// must attribute its cost to a named algorithm. Also pins the
-    /// mode×radius row count so `--ranks-sweep` cannot silently drop the
-    /// existing axis.
+    /// per swept P in the single-arm schema, each with the
+    /// zero-allocation steady state. Also pins the mode×radius row count
+    /// so `--ranks-sweep` cannot silently drop the existing axis.
     #[test]
     fn bench_halo_quick_emits_exchange_and_ranks_sweep_rows() {
         let out = bench_halo_json_opts(true, true);
@@ -1194,21 +1050,37 @@ mod tests {
             .collect();
         assert_eq!(ranks, vec![8, 32], "{out}");
         for row in sweep {
-            for key in ["sharded_us_per_exchange", "baseline_us_per_exchange"] {
-                let us = row.get(key).and_then(mpix_json::Value::as_f64).unwrap();
-                assert!(us > 0.0, "{key}: {out}");
-            }
+            let mut keys: Vec<&str> = row
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            keys.sort_unstable();
             assert_eq!(
-                row.get("sharded_steady_state_bufs_allocated")
+                keys,
+                [
+                    "points_per_rank",
+                    "radius",
+                    "rank_dims",
+                    "ranks",
+                    "recv_parks_per_exchange",
+                    "steady_state_bufs_allocated",
+                    "us_per_exchange",
+                ],
+                "{out}"
+            );
+            let us = row
+                .get("us_per_exchange")
+                .and_then(mpix_json::Value::as_f64)
+                .unwrap();
+            assert!(us > 0.0, "{out}");
+            assert_eq!(
+                row.get("steady_state_bufs_allocated")
                     .and_then(mpix_json::Value::as_u64),
                 Some(0),
                 "{out}"
             );
-            let algo = row
-                .get("allreduce_algo")
-                .and_then(mpix_json::Value::as_str)
-                .unwrap();
-            assert!(algo.contains("allreduce_f32/"), "{algo}: {out}");
         }
     }
 }

@@ -103,6 +103,18 @@ impl Op {
         }
     }
 
+    /// Stack values this op reads before pushing its result (fused and
+    /// binary ops read operands below their net effect).
+    pub fn operands(self) -> i32 {
+        match self {
+            Op::MulAdd => 3,
+            Op::Add | Op::Mul => 2,
+            Op::SetTemp(_) | Op::Store { .. } | Op::Pow(_) | Op::Call(_) => 1,
+            Op::LoadMulAdd { .. } => 1,
+            _ => 0,
+        }
+    }
+
     /// Floating-point operations this op performs per point (`Pow` is
     /// costed like the `powi` lowering: one op for the fast cases).
     pub fn flops(self) -> usize {
@@ -267,27 +279,31 @@ impl CompiledCluster {
         self.ops.iter().map(|op| op.flops()).sum()
     }
 
-    /// Walk the program with the static stack-effect table: returns the
-    /// maximum depth reached and asserts the program is balanced and
-    /// never pops an empty stack.
-    pub fn check_stack(&self) -> usize {
+    /// Walk the program with the static operand and stack-effect
+    /// tables: returns the maximum depth reached, or the index of the op
+    /// that pops an empty stack (`ops.len()` when the program exits
+    /// unbalanced) and a description.
+    pub fn stack_walk(&self) -> Result<usize, (usize, String)> {
         let mut depth = 0i32;
         let mut max = 0i32;
-        for op in &self.ops {
-            // Fused/binary ops read operands below the net effect.
-            let reads = match op {
-                Op::MulAdd => 3,
-                Op::Add | Op::Mul => 2,
-                Op::SetTemp(_) | Op::Store { .. } | Op::Pow(_) | Op::Call(_) => 1,
-                Op::LoadMulAdd { .. } => 1,
-                _ => 0,
-            };
-            assert!(depth >= reads, "stack underflow at {op:?}");
+        for (i, op) in self.ops.iter().enumerate() {
+            let reads = op.operands();
+            if depth < reads {
+                return Err((
+                    i,
+                    format!("stack underflow: {op:?} needs {reads} operand(s), depth is {depth}"),
+                ));
+            }
             depth += op.stack_effect();
             max = max.max(depth);
         }
-        assert_eq!(depth, 0, "unbalanced stack");
-        max as usize
+        if depth != 0 {
+            return Err((
+                self.ops.len(),
+                format!("unbalanced stack: program exits at depth {depth}, not 0"),
+            ));
+        }
+        Ok(max as usize)
     }
 
     /// Which ops push a value that may be subnormal — straight from
@@ -402,7 +418,10 @@ pub fn fuse_cluster(mut cc: CompiledCluster) -> CompiledCluster {
         i += 1;
     }
     cc.ops = out;
-    cc.max_stack = cc.check_stack().max(1);
+    cc.max_stack = cc
+        .stack_walk()
+        .expect("fusion broke the stack discipline")
+        .max(1);
     cc
 }
 
@@ -833,7 +852,7 @@ mod tests {
         assert_eq!(fused.num_temps, cc.num_temps);
         // Stack accounting: the static walk agrees with the recorded
         // max_stack and fusion only shrinks the peak.
-        assert_eq!(fused.check_stack().max(1), fused.max_stack);
+        assert_eq!(fused.stack_walk().unwrap().max(1), fused.max_stack);
         assert!(fused.max_stack <= cc.max_stack);
         // Flop accounting: fused ops are costed at full weight, so the
         // GFLOP/s numerator is unchanged by fusion.
@@ -946,7 +965,7 @@ mod tests {
         };
         let cc = compile_cluster(&cl);
         let fused = fuse_cluster(cc.clone());
-        fused.check_stack();
+        fused.stack_walk().unwrap();
         let src: Vec<f32> = (0..8).map(|i| i as f32).collect();
         for at in 1..7 {
             assert_eq!(

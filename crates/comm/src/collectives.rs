@@ -1,134 +1,21 @@
-//! Topology-aware collectives: binomial, k-ary and ring algorithms with
-//! size/rank-count-based selection.
+//! Binomial-tree collectives.
 //!
 //! The paper's generated code leans on `MPI_Allreduce` (adjoint source
 //! terms, norms) and `MPI_Bcast`/`MPI_Gatherv` (model distribution and
-//! result assembly); real MPI implementations pick among several
-//! algorithms per call based on the communicator size and payload. This
-//! module reproduces that structure:
+//! result assembly). Every collective here runs the latency-optimal
+//! binomial (recursive-doubling) tree: `ceil(log2 P)` rounds of one
+//! message each, reduce towards the root and, for allreduce, broadcast
+//! back down the same tree. There is no per-call algorithm choice: the
+//! bandwidth-optimal ring and the shallower k-ary trees that MPI
+//! libraries switch to at scale pay off only when ranks transfer in
+//! parallel, and these ranks are threads sharing a few cores (DESIGN.md
+//! §3.3.2 has the measurements).
 //!
-//! * **binomial tree** — the latency-optimal doubling tree, best at
-//!   small rank counts (`log2 P` rounds of one message each);
-//! * **k-ary tree** (`k = 4`) — shallower than binomial in *rounds a
-//!   given rank participates in* (a node talks to `k` children in one
-//!   round instead of one child per round), which wins once hundreds of
-//!   oversubscribed ranks each pay a scheduling latency per round;
-//! * **ring** (reduce-scatter + allgather, allreduce only) — the
-//!   bandwidth-optimal algorithm for large payloads: every rank sends
-//!   `2·(P-1)/P · n` bytes total instead of the tree's `log2 P · n`.
-//!
-//! Selection is automatic ([`CollectiveAlgo::select_tree`] /
-//! [`CollectiveAlgo::select_allreduce`]) and topology-aware: besides
-//! rank count and payload size it consults the host's parallelism,
-//! because the ring's bandwidth advantage only exists when neighbouring
-//! ranks transfer concurrently — on an oversubscribed single-core host
-//! its `2·(P-1)` serialized rounds lose badly to a tree, so the ring is
-//! gated on [`RING_MIN_CORES`]. Every collective records
-//! the algorithm it ran under `CommStats::collective_algos` (as
-//! `"{op}/{algo}"` counts), so `mpix-perf` and the ranks-sweep benchmark
-//! can attribute collective cost to the algorithm actually used. The
-//! `_with` variants force an algorithm — the equivalence tests drive
-//! every algorithm against the binomial oracle through them.
-//!
-//! All algorithms produce bitwise-identical results for payloads whose
-//! reduction is exact (integer-valued floats); for general floats they
-//! differ only in association order, as MPI's do.
+//! Children are combined in a fixed order, so results are deterministic
+//! run to run; payloads whose reduction is exact (integer-valued floats)
+//! match a serial reduction bitwise.
 
 use crate::comm::{Comm, Tag, RESERVED_TAG_BASE};
-
-/// Which algorithm a collective ran. See the module docs for the
-/// trade-offs; [`label`](Self::label) is the stable string used in
-/// `CommStats::collective_algos` keys and benchmark tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CollectiveAlgo {
-    /// Recursive-doubling tree: `log2 P` rounds, one message per round.
-    Binomial,
-    /// k-ary tree of the given degree: `log_k P` levels, `k` messages
-    /// per inner node per direction.
-    Kary(usize),
-    /// Reduce-scatter + allgather ring: `2·(P-1)` rounds of `n/P`-sized
-    /// messages (allreduce only).
-    Ring,
-}
-
-/// Rank count at and above which tree collectives switch from binomial
-/// to k-ary: below this, `log2 P` single-message rounds beat fan-out.
-pub const KARY_MIN_RANKS: usize = 16;
-
-/// Fan-out degree of the k-ary tree. Four children per node quarters the
-/// number of rounds a rank sits through relative to binomial at P=256
-/// while keeping per-node fan-out far below the thundering-herd regime.
-pub const KARY_DEGREE: usize = 4;
-
-/// Payload size (bytes) at and above which allreduce switches to the
-/// bandwidth-optimal ring. Below it the ring's `2·(P-1)` latency terms
-/// dominate the tree's `2·log2 P`.
-pub const RING_MIN_BYTES: usize = 16 * 1024;
-
-/// Minimum rank count for the ring: at tiny P the chunking overhead
-/// cannot win over one tree round.
-pub const RING_MIN_RANKS: usize = 4;
-
-/// Minimum host parallelism for the ring: its `2·(P-1)` rounds only beat
-/// a tree when neighbouring ranks genuinely transfer in parallel. On an
-/// oversubscribed single-core host every round serializes and the ring's
-/// extra messages are pure loss, so auto-selection falls back to trees.
-pub const RING_MIN_CORES: usize = 2;
-
-impl CollectiveAlgo {
-    /// Stable name used in stats keys and benchmark output.
-    pub fn label(&self) -> String {
-        match self {
-            CollectiveAlgo::Binomial => "binomial".to_string(),
-            CollectiveAlgo::Kary(k) => format!("kary{k}"),
-            CollectiveAlgo::Ring => "ring".to_string(),
-        }
-    }
-
-    /// Algorithm for rooted tree collectives (bcast, scalar reduce):
-    /// binomial below [`KARY_MIN_RANKS`] ranks, k-ary above.
-    pub fn select_tree(ranks: usize) -> CollectiveAlgo {
-        if ranks < KARY_MIN_RANKS {
-            CollectiveAlgo::Binomial
-        } else {
-            CollectiveAlgo::Kary(KARY_DEGREE)
-        }
-    }
-
-    /// Algorithm for vector allreduce: ring for large payloads (the
-    /// bandwidth regime), otherwise the tree choice of
-    /// [`select_tree`](Self::select_tree). Topology-aware: the ring only
-    /// pays off when its `2·(P-1)` chunk transfers actually overlap, so
-    /// the selection consults the host's parallelism
-    /// ([`select_allreduce_for`](Self::select_allreduce_for) takes it
-    /// explicitly for deterministic tests).
-    pub fn select_allreduce(ranks: usize, payload_bytes: usize) -> CollectiveAlgo {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::select_allreduce_for(ranks, payload_bytes, cores)
-    }
-
-    /// [`select_allreduce`](Self::select_allreduce) with the core count
-    /// as an explicit parameter. The ring moves `2·(P-1)/P · n` bytes
-    /// per rank — less than the tree's `log2 P · n` — but spends
-    /// `2·(P-1)` serialized rounds doing it. With ranks pinned to real
-    /// cores those rounds overlap across the ring and bandwidth wins;
-    /// with every rank time-slicing one core the rounds execute back to
-    /// back and the per-message overhead of `P·2·(P-1)` small sends
-    /// dwarfs any copy savings (measured 4x slower than binomial at
-    /// P = 128 on one core). Hence the ring additionally requires the
-    /// host to run at least [`RING_MIN_CORES`] workers in parallel.
-    pub fn select_allreduce_for(
-        ranks: usize,
-        payload_bytes: usize,
-        cores: usize,
-    ) -> CollectiveAlgo {
-        if ranks >= RING_MIN_RANKS && payload_bytes >= RING_MIN_BYTES && cores >= RING_MIN_CORES {
-            CollectiveAlgo::Ring
-        } else {
-            Self::select_tree(ranks)
-        }
-    }
-}
 
 /// Reduction operators for [`Comm::allreduce_f64`] /
 /// [`Comm::allreduce_f32`].
@@ -158,55 +45,20 @@ impl ReduceOp {
 }
 
 // Collective tag block (all ≥ RESERVED_TAG_BASE, disjoint from user
-// tags). Tree up/down phases and the two ring phases get distinct tags
-// so back-to-back collectives on the same communicator cannot
-// cross-match even when a fast rank races ahead a call.
+// tags). Up and down phases get distinct tags so back-to-back
+// collectives on the same communicator cannot cross-match even when a
+// fast rank races ahead a call.
 const TAG_UP: Tag = RESERVED_TAG_BASE + 1;
 const TAG_DOWN: Tag = RESERVED_TAG_BASE + 2;
 const TAG_GATHER: Tag = RESERVED_TAG_BASE + 3;
 const TAG_BCAST: Tag = RESERVED_TAG_BASE + 4;
 const TAG_UP32: Tag = RESERVED_TAG_BASE + 5;
 const TAG_DOWN32: Tag = RESERVED_TAG_BASE + 6;
-const TAG_RING_RS: Tag = RESERVED_TAG_BASE + 7;
-const TAG_RING_AG: Tag = RESERVED_TAG_BASE + 8;
-
-/// Count one collective call under its `"{op}/{algo}"` stats key.
-fn note_algo(comm: &Comm, op: &str, algo: CollectiveAlgo) {
-    let mut s = comm.world.stats[comm.rank].lock().unwrap();
-    *s.collectives
-        .entry(format!("{op}/{}", algo.label()))
-        .or_insert(0) += 1;
-}
 
 impl Comm {
-    /// All-reduce a single `f64` with the given associative op. The
-    /// algorithm is selected by rank count (a scalar payload is never in
-    /// the ring's bandwidth regime); force one with
-    /// [`allreduce_f64_with`](Self::allreduce_f64_with).
+    /// All-reduce a single `f64` with the given associative op (O(log P)
+    /// rounds: reduce to rank 0, broadcast back).
     pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        self.allreduce_f64_with(value, op, CollectiveAlgo::select_tree(self.size))
-    }
-
-    /// [`allreduce_f64`](Self::allreduce_f64) under a caller-chosen
-    /// algorithm. `Ring` is a vector algorithm and is rejected here.
-    pub fn allreduce_f64_with(&self, value: f64, op: ReduceOp, algo: CollectiveAlgo) -> f64 {
-        note_algo(self, "allreduce_f64", algo);
-        if self.size == 1 {
-            return value;
-        }
-        match algo {
-            CollectiveAlgo::Binomial => self.allreduce_f64_binomial(value, op),
-            CollectiveAlgo::Kary(k) => self.allreduce_f64_kary(value, op, k),
-            CollectiveAlgo::Ring => {
-                panic!("ring allreduce needs a vector payload; use allreduce_f32")
-            }
-        }
-    }
-
-    /// Binomial-tree scalar allreduce (O(log P) rounds: reduce to rank
-    /// 0, broadcast back) — the oracle the other algorithms are tested
-    /// against.
-    fn allreduce_f64_binomial(&self, value: f64, op: ReduceOp) -> f64 {
         let size = self.size;
         let vr = self.rank; // tree rooted at rank 0
         let mut acc = value;
@@ -244,59 +96,10 @@ impl Comm {
         acc
     }
 
-    /// k-ary-tree scalar allreduce: node `v`'s children are
-    /// `v·k+1 ..= v·k+k`, its parent `(v-1)/k`. Children are combined in
-    /// increasing rank order so the association order is deterministic.
-    fn allreduce_f64_kary(&self, value: f64, op: ReduceOp, k: usize) -> f64 {
-        assert!(k >= 2, "k-ary tree needs degree >= 2");
-        let size = self.size;
-        let vr = self.rank; // tree rooted at rank 0
-        let mut acc = value;
-        for child in (vr * k + 1)..=(vr * k + k) {
-            if child < size {
-                let v = f64::from_le_bytes(self.recv(child, TAG_UP).try_into().unwrap());
-                acc = op.apply(acc, v);
-            }
-        }
-        if vr != 0 {
-            let parent = (vr - 1) / k;
-            self.send(parent, TAG_UP, &acc.to_le_bytes());
-            acc = f64::from_le_bytes(self.recv(parent, TAG_DOWN).try_into().unwrap());
-        }
-        for child in (vr * k + 1)..=(vr * k + k) {
-            if child < size {
-                self.send(child, TAG_DOWN, &acc.to_le_bytes());
-            }
-        }
-        acc
-    }
-
     /// Element-wise all-reduce of an `f32` vector (all ranks pass
-    /// equal-length slices; all receive the reduced vector). Selects the
-    /// ring for large payloads (bandwidth regime) and a tree otherwise —
-    /// the MPI-style size-based dispatch the ranks-sweep bench measures.
+    /// equal-length slices; all receive the reduced vector) over the
+    /// same tree as [`allreduce_f64`](Self::allreduce_f64).
     pub fn allreduce_f32(&self, data: &[f32], op: ReduceOp) -> Vec<f32> {
-        let algo = CollectiveAlgo::select_allreduce(self.size, data.len() * 4);
-        self.allreduce_f32_with(data, op, algo)
-    }
-
-    /// [`allreduce_f32`](Self::allreduce_f32) under a caller-chosen
-    /// algorithm.
-    pub fn allreduce_f32_with(&self, data: &[f32], op: ReduceOp, algo: CollectiveAlgo) -> Vec<f32> {
-        note_algo(self, "allreduce_f32", algo);
-        if self.size == 1 {
-            return data.to_vec();
-        }
-        match algo {
-            CollectiveAlgo::Binomial => self.allreduce_f32_binomial(data, op),
-            CollectiveAlgo::Kary(k) => self.allreduce_f32_kary(data, op, k),
-            CollectiveAlgo::Ring => self.allreduce_f32_ring(data, op),
-        }
-    }
-
-    /// Binomial-tree vector allreduce (the vector twin of the scalar
-    /// oracle).
-    fn allreduce_f32_binomial(&self, data: &[f32], op: ReduceOp) -> Vec<f32> {
         let size = self.size;
         let vr = self.rank;
         let mut acc = data.to_vec();
@@ -309,7 +112,10 @@ impl Comm {
             let child = vr + mask;
             if child < size {
                 let v = self.recv_f32(child, TAG_UP32);
-                combine(&mut acc, &v, op);
+                assert_eq!(acc.len(), v.len(), "allreduce payload lengths must match");
+                for (a, b) in acc.iter_mut().zip(&v) {
+                    *a = op.apply_f32(*a, *b);
+                }
             }
             mask <<= 1;
         }
@@ -330,90 +136,9 @@ impl Comm {
         acc
     }
 
-    /// k-ary-tree vector allreduce (children combined in increasing rank
-    /// order, like the scalar variant).
-    fn allreduce_f32_kary(&self, data: &[f32], op: ReduceOp, k: usize) -> Vec<f32> {
-        assert!(k >= 2, "k-ary tree needs degree >= 2");
-        let size = self.size;
-        let vr = self.rank;
-        let mut acc = data.to_vec();
-        for child in (vr * k + 1)..=(vr * k + k) {
-            if child < size {
-                let v = self.recv_f32(child, TAG_UP32);
-                combine(&mut acc, &v, op);
-            }
-        }
-        if vr != 0 {
-            let parent = (vr - 1) / k;
-            self.send_f32(parent, TAG_UP32, &acc);
-            acc = self.recv_f32(parent, TAG_DOWN32);
-        }
-        for child in (vr * k + 1)..=(vr * k + k) {
-            if child < size {
-                self.send_f32(child, TAG_DOWN32, &acc);
-            }
-        }
-        acc
-    }
-
-    /// Ring allreduce: reduce-scatter then allgather, `2·(P-1)` rounds
-    /// of `≈n/P`-element messages. Eager sends make the send-then-recv
-    /// ring deadlock-free, and per-`(src, tag)` FIFO lets each phase
-    /// reuse one tag: round `s+1`'s message from the left neighbour
-    /// cannot overtake round `s`'s.
-    fn allreduce_f32_ring(&self, data: &[f32], op: ReduceOp) -> Vec<f32> {
-        let p = self.size;
-        let r = self.rank;
-        let mut acc = data.to_vec();
-        let len = acc.len();
-        // Chunk i spans bound(i)..bound(i+1); uneven divisions (and even
-        // empty chunks when len < P) fall out naturally.
-        let bound = |i: usize| i * len / p;
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        // Reduce-scatter: after step s, our chunk (r-s-1) mod P holds the
-        // partial sum of s+2 ranks; after P-1 steps, chunk (r+1) mod P is
-        // fully reduced on us.
-        for s in 0..p - 1 {
-            let send_c = (r + p - s) % p;
-            let recv_c = (r + p - s - 1) % p;
-            self.isend_f32(right, TAG_RING_RS, &acc[bound(send_c)..bound(send_c + 1)]);
-            let v = self.recv_f32(left, TAG_RING_RS);
-            combine(&mut acc[bound(recv_c)..bound(recv_c + 1)], &v, op);
-        }
-        // Allgather: circulate the completed chunks.
-        for s in 0..p - 1 {
-            let send_c = (r + 1 + p - s) % p;
-            let recv_c = (r + p - s) % p;
-            self.isend_f32(right, TAG_RING_AG, &acc[bound(send_c)..bound(send_c + 1)]);
-            let v = self.recv_f32(left, TAG_RING_AG);
-            acc[bound(recv_c)..bound(recv_c + 1)].copy_from_slice(&v);
-        }
-        acc
-    }
-
     /// Broadcast a `f32` buffer from `root` to everyone; returns the
-    /// data on all ranks. Tree algorithm selected by rank count.
+    /// data on all ranks (O(log P) rounds).
     pub fn bcast_f32(&self, root: usize, data: &[f32]) -> Vec<f32> {
-        self.bcast_f32_with(root, data, CollectiveAlgo::select_tree(self.size))
-    }
-
-    /// [`bcast_f32`](Self::bcast_f32) under a caller-chosen algorithm
-    /// (`Ring` is allreduce-only and rejected here).
-    pub fn bcast_f32_with(&self, root: usize, data: &[f32], algo: CollectiveAlgo) -> Vec<f32> {
-        note_algo(self, "bcast_f32", algo);
-        if self.size == 1 {
-            return data.to_vec();
-        }
-        match algo {
-            CollectiveAlgo::Binomial => self.bcast_f32_binomial(root, data),
-            CollectiveAlgo::Kary(k) => self.bcast_f32_kary(root, data, k),
-            CollectiveAlgo::Ring => panic!("ring is an allreduce algorithm; bcast uses trees"),
-        }
-    }
-
-    /// Binomial-tree broadcast (O(log P) rounds).
-    fn bcast_f32_binomial(&self, root: usize, data: &[f32]) -> Vec<f32> {
         let size = self.size;
         let vr = (self.rank + size - root) % size;
         let buf: Vec<f32>;
@@ -441,33 +166,10 @@ impl Comm {
         buf
     }
 
-    /// k-ary-tree broadcast: each inner node feeds `k` children, so a
-    /// rank sits through `log_k P` levels instead of `log2 P` rounds.
-    fn bcast_f32_kary(&self, root: usize, data: &[f32], k: usize) -> Vec<f32> {
-        assert!(k >= 2, "k-ary tree needs degree >= 2");
-        let size = self.size;
-        let vr = (self.rank + size - root) % size;
-        let abs = |v: usize| (v + root) % size;
-        let buf = if vr == 0 {
-            data.to_vec()
-        } else {
-            self.recv_f32(abs((vr - 1) / k), TAG_BCAST)
-        };
-        for child in (vr * k + 1)..=(vr * k + k) {
-            if child < size {
-                self.send_f32(abs(child), TAG_BCAST, &buf);
-            }
-        }
-        buf
-    }
-
     /// Gather variable-length `f32` buffers on `root` over a binomial
     /// tree; other ranks get `None`. Subtree contributions travel as one
-    /// merged message per tree edge (O(log P) rounds). Binomial-only:
-    /// the merged-subtree payload already amortizes the tree's latency,
-    /// and result assembly is not on any hot path.
+    /// merged message per tree edge (O(log P) rounds).
     pub fn gather_f32(&self, root: usize, data: &[f32]) -> Option<Vec<Vec<f32>>> {
-        note_algo(self, "gather_f32", CollectiveAlgo::Binomial);
         let size = self.size;
         let vr = (self.rank + size - root) % size;
         // (original rank, values) contributions accumulated from our
@@ -512,15 +214,6 @@ impl Comm {
         } else {
             None
         }
-    }
-}
-
-/// `acc[i] = op(acc[i], v[i])` — the element-wise reduction step shared
-/// by every vector algorithm.
-fn combine(acc: &mut [f32], v: &[f32], op: ReduceOp) {
-    assert_eq!(acc.len(), v.len(), "allreduce payload lengths must match");
-    for (a, b) in acc.iter_mut().zip(v) {
-        *a = op.apply_f32(*a, *b);
     }
 }
 
@@ -580,59 +273,6 @@ mod tests {
         let out = Universe::run(3, |c| c.bcast_f32(1, &[9.0, 8.0]));
         for v in out {
             assert_eq!(v, vec![9.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn selection_picks_documented_algorithms() {
-        assert_eq!(CollectiveAlgo::select_tree(8), CollectiveAlgo::Binomial);
-        assert_eq!(
-            CollectiveAlgo::select_tree(KARY_MIN_RANKS),
-            CollectiveAlgo::Kary(KARY_DEGREE)
-        );
-        // Core count pinned so the test is deterministic on any host.
-        assert_eq!(
-            CollectiveAlgo::select_allreduce_for(8, 64, 8),
-            CollectiveAlgo::Binomial
-        );
-        assert_eq!(
-            CollectiveAlgo::select_allreduce_for(64, 64, 8),
-            CollectiveAlgo::Kary(KARY_DEGREE)
-        );
-        assert_eq!(
-            CollectiveAlgo::select_allreduce_for(64, RING_MIN_BYTES, 8),
-            CollectiveAlgo::Ring
-        );
-        // Tiny communicators never ring: chunking can't amortize.
-        assert_eq!(
-            CollectiveAlgo::select_allreduce_for(2, RING_MIN_BYTES, 8),
-            CollectiveAlgo::Binomial
-        );
-        // Oversubscribed single-core hosts never ring either: the
-        // 2·(P-1) rounds serialize and the tree wins on message count.
-        assert_eq!(
-            CollectiveAlgo::select_allreduce_for(64, RING_MIN_BYTES, 1),
-            CollectiveAlgo::Kary(KARY_DEGREE)
-        );
-        // The public entry point agrees with the explicit-core variant
-        // for whatever this host reports.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(
-            CollectiveAlgo::select_allreduce(64, RING_MIN_BYTES),
-            CollectiveAlgo::select_allreduce_for(64, RING_MIN_BYTES, cores)
-        );
-    }
-
-    #[test]
-    fn collective_stats_record_selected_algorithm() {
-        let out = Universe::run(3, |c| {
-            c.allreduce_f64(1.0, ReduceOp::Sum);
-            c.bcast_f32(0, &[1.0]);
-            c.stats()
-        });
-        for s in out {
-            assert_eq!(s.collective_algos.get("allreduce_f64/binomial"), Some(&1));
-            assert_eq!(s.collective_algos.get("bcast_f32/binomial"), Some(&1));
         }
     }
 }

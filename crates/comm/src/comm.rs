@@ -15,22 +15,29 @@
 //! Pools are **per sending rank** (receivers release an envelope back to
 //! the pool of the rank that acquired it), so steady-state sends on
 //! different ranks never serialize on one pool lock and the pooled
-//! capacity scales with the rank count. `MPIX_COMM_SHARDS=1` collapses
-//! to the pre-shard layout: one global capacity-capped pool.
+//! capacity scales with the rank count.
 //!
 //! ## Sharded bucketed matching
 //!
-//! Each rank's mailbox is a power-of-two array of *shards* (default 16,
-//! `MPIX_COMM_SHARDS`), each with its own mutex, condvar and set of
-//! per-`(source, tag)` FIFO queues; a stream hashes to exactly one shard,
-//! preserving MPI's non-overtaking guarantee per `(source, tag)` pair
-//! while concurrent senders from different peers land on different locks.
-//! Matching is an O(1) front pop; persistent requests resolve their
-//! `(shard, slot)` address once at init and skip even the hash on every
-//! message. `MPI_Waitany`-style completion uses a lock-free eventcount
-//! (an atomic push counter plus an advertised-waiter count), so the
-//! arrival-order drain loop in `dmp::halo` costs senders one atomic
-//! add + one atomic load when nobody is parked.
+//! Each rank's mailbox is an array of 16 *shards*, each with its own
+//! mutex, condvar and set of per-`(source, tag)` FIFO queues; a stream
+//! hashes to exactly one shard, preserving MPI's non-overtaking guarantee
+//! per `(source, tag)` pair while concurrent senders from different peers
+//! land on different locks. Matching is an O(1) front pop; persistent
+//! requests resolve their `(shard, slot)` address once at init and skip
+//! even the hash on every message. `MPI_Waitany`-style completion uses a
+//! lock-free eventcount (an atomic push counter plus an advertised-waiter
+//! count), so the arrival-order drain loop in `dmp::halo` costs senders
+//! one atomic add + one atomic load when nobody is parked.
+//!
+//! ## Waiting
+//!
+//! A blocked receive first yields its core 32 times — on an
+//! oversubscribed host the matching send is usually one scheduler handoff
+//! away, and a yield is far cheaper than a futex round-trip — then parks
+//! on a condvar until the message arrives, the world is poisoned, or the
+//! world's receive timeout (the deadlock guard, `MPIX_RECV_TIMEOUT_MS`)
+//! expires.
 //!
 //! ## Fail-fast poison semantics
 //!
@@ -50,11 +57,6 @@ use mpix_san::{San, SendKind};
 use mpix_trace::{MsgDir, MsgRecord};
 
 use crate::stats::{CommStats, StatsInner};
-use crate::tuning::CommTuning;
-
-// Re-exported for path compatibility: callers historically imported the
-// reduction ops from here, before the collectives grew their own module.
-pub use crate::collectives::ReduceOp;
 
 /// Message tag. User tags must stay below [`RESERVED_TAG_BASE`].
 pub type Tag = u32;
@@ -67,18 +69,17 @@ pub const RESERVED_TAG_BASE: Tag = 1 << 30;
 /// panics and re-raises the original payload instead.
 pub const POISONED_MSG: &str = "world poisoned: a peer rank panicked";
 
-/// Upper bound on pooled envelope buffers in the *global* pool layout
-/// (`MPIX_COMM_SHARDS=1`). Sized so a 3-D diagonal exchange on a few
-/// dozen ranks (26 messages each) stays fully pooled; beyond that the
-/// pool degrades gracefully to occasional allocation rather than
-/// unbounded memory.
-const POOL_MAX: usize = 1024;
+/// Mailbox shards per rank (a power of two). Streams hash across them,
+/// so concurrent senders into one rank rarely share a lock.
+pub(crate) const MAILBOX_SHARDS: usize = 16;
 
-/// Upper bound on pooled envelope buffers per *rank* in the sharded
-/// layout. A rank's in-flight window is its neighbour count times the
-/// pipelining depth (26 × a few for 3-D diagonal), so 256 keeps the
-/// steady state allocation-free at any rank count while capping memory
-/// at O(ranks), not O(ranks²).
+/// Sched-yields a blocked receive donates before parking on a condvar.
+pub(crate) const SPIN_YIELDS: usize = 32;
+
+/// Upper bound on pooled envelope buffers per rank. A rank's in-flight
+/// window is its neighbour count times the pipelining depth (26 × a few
+/// for 3-D diagonal), so 256 keeps the steady state allocation-free at
+/// any rank count while capping memory at O(ranks), not O(ranks²).
 const POOL_MAX_PER_RANK: usize = 256;
 
 /// A message payload. `f32` traffic (the halo hot path) is carried
@@ -165,17 +166,16 @@ struct Shard {
 
 /// One mailbox per rank; senders push, the owner matches and pops.
 ///
-/// Matching state is split across `shards.len()` (a power of two)
-/// independently-locked shards keyed by a hash of `(source, tag)`, so
-/// concurrent senders targeting one rank from different streams never
-/// contend on one mutex. The `MPI_Waitany` path rides on a mailbox-wide
-/// *eventcount*: `pushes` counts arrivals across all shards, and a
-/// parked any-waiter advertises itself in `any_waiters` before
-/// re-checking the counter — the SeqCst ordering of both sides makes a
-/// lost wakeup impossible (see [`wait_arrival_beyond`]).
+/// Matching state is split across `MAILBOX_SHARDS` independently-locked
+/// shards keyed by a hash of `(source, tag)`, so concurrent senders
+/// targeting one rank from different streams never contend on one mutex.
+/// The `MPI_Waitany` path rides on a mailbox-wide *eventcount*: `pushes`
+/// counts arrivals across all shards, and a parked any-waiter advertises
+/// itself in `any_waiters` before re-checking the counter — the SeqCst
+/// ordering of both sides makes a lost wakeup impossible (see
+/// [`wait_arrival_beyond`]).
 pub(crate) struct Mailbox {
     shards: Box<[Shard]>,
-    mask: usize,
     /// Monotone arrival counter across all shards (the eventcount word).
     pushes: AtomicU64,
     /// Threads inside `wait_arrival_beyond` that are about to park (or
@@ -186,16 +186,14 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    pub(crate) fn new(shards: usize) -> Mailbox {
-        debug_assert!(shards.is_power_of_two());
+    pub(crate) fn new() -> Mailbox {
         Mailbox {
-            shards: (0..shards)
+            shards: (0..MAILBOX_SHARDS)
                 .map(|_| Shard {
                     inner: Mutex::new(ShardInner::default()),
                     arrived: Condvar::new(),
                 })
                 .collect(),
-            mask: shards - 1,
             pushes: AtomicU64::new(0),
             any_waiters: AtomicUsize::new(0),
             any_lock: Mutex::new(()),
@@ -209,7 +207,7 @@ impl Mailbox {
     fn shard_of(&self, src: usize, tag: Tag) -> usize {
         let h = (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (tag as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        ((h >> 32) as usize) & self.mask
+        ((h >> 32) as usize) % MAILBOX_SHARDS
     }
 
     /// Resolve the `(shard, slot)` address of a stream, creating the
@@ -445,11 +443,10 @@ pub(crate) struct World {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) barrier: PoisonBarrier,
     pub(crate) stats: Vec<Mutex<StatsInner>>,
-    pub(crate) tuning: CommTuning,
-    /// Envelope-buffer pools: one per rank (indexed by the *sending*
-    /// rank; receivers release a buffer back to its origin pool), or a
-    /// single global pool when `tuning.mailbox_shards == 1` (the
-    /// pre-shard baseline layout).
+    /// How long a blocking receive waits before declaring deadlock.
+    recv_timeout: Duration,
+    /// Envelope-buffer pools, one per rank (indexed by the *sending*
+    /// rank; receivers release a buffer back to its origin pool).
     pools: Box<[BufferPool]>,
     poisoned: AtomicBool,
     /// True once any rank enables message logging; senders stamp
@@ -467,21 +464,14 @@ pub(crate) struct World {
 static NEXT_WORLD_ID: AtomicU64 = AtomicU64::new(1);
 
 impl World {
-    pub(crate) fn new(n: usize, san: Option<Arc<San>>, tuning: CommTuning) -> World {
-        let shards = tuning.mailbox_shards;
-        let pools: Box<[BufferPool]> = if shards <= 1 {
-            // Unsharded baseline: one global capacity-capped pool.
-            Box::new([BufferPool::new(POOL_MAX)])
-        } else {
-            (0..n).map(|_| BufferPool::new(POOL_MAX_PER_RANK)).collect()
-        };
+    pub(crate) fn new(n: usize, san: Option<Arc<San>>, recv_timeout: Duration) -> World {
         World {
             id: NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed),
-            mailboxes: (0..n).map(|_| Mailbox::new(shards)).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
             barrier: PoisonBarrier::new(n),
             stats: (0..n).map(|_| Mutex::new(StatsInner::default())).collect(),
-            tuning,
-            pools,
+            recv_timeout,
+            pools: (0..n).map(|_| BufferPool::new(POOL_MAX_PER_RANK)).collect(),
             poisoned: AtomicBool::new(false),
             log_any: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
@@ -489,10 +479,9 @@ impl World {
         }
     }
 
-    /// The envelope pool owned by (sending) `rank`. Collapses to the one
-    /// global pool in the unsharded layout.
+    /// The envelope pool owned by (sending) `rank`.
     fn pool_for(&self, rank: usize) -> &BufferPool {
-        &self.pools[rank % self.pools.len()]
+        &self.pools[rank]
     }
 
     fn is_poisoned(&self) -> bool {
@@ -545,7 +534,7 @@ fn wait_match(
     let shard = &mailbox.shards[shard_idx];
     // Cooperative phase: donate the timeslice to whichever peer owes us
     // the message before paying for a futex park.
-    for _ in 0..world.tuning.spin_yields {
+    for _ in 0..SPIN_YIELDS {
         if let Some(env) = pop(&mut shard.inner.lock().unwrap()) {
             return env;
         }
@@ -629,7 +618,7 @@ fn arrival_seq(world: &World, rank: usize) -> u64 {
 fn wait_arrival_beyond(world: &World, rank: usize, seq: u64) {
     let mailbox = &world.mailboxes[rank];
     // Cooperative phase, as in `wait_match`.
-    for _ in 0..world.tuning.spin_yields {
+    for _ in 0..SPIN_YIELDS {
         if mailbox.pushes.load(Ordering::SeqCst) != seq {
             return;
         }
@@ -638,7 +627,7 @@ fn wait_arrival_beyond(world: &World, rank: usize, seq: u64) {
         }
         std::thread::yield_now();
     }
-    let deadline = Instant::now() + world.tuning.recv_timeout;
+    let deadline = Instant::now() + world.recv_timeout;
     let mut g = mailbox.any_lock.lock().unwrap();
     loop {
         if mailbox.pushes.load(Ordering::SeqCst) != seq {
@@ -768,7 +757,7 @@ impl RecvRequest {
 
     /// Block until the message arrives and return its payload.
     pub fn wait(self) -> Vec<u8> {
-        let timeout = self.world.tuning.recv_timeout;
+        let timeout = self.world.recv_timeout;
         self.wait_timeout(timeout)
     }
 
@@ -782,7 +771,7 @@ impl RecvRequest {
     /// Like [`wait`](Self::wait) but interpreting the payload as `f32`s.
     /// Natively-typed messages are moved out without conversion.
     pub fn wait_f32(mut self) -> Vec<f32> {
-        self.fill(self.world.tuning.recv_timeout);
+        self.fill(self.world.recv_timeout);
         self.take_f32()
     }
 
@@ -885,7 +874,7 @@ impl PersistentRecv {
     /// slot)` address (no per-message hash), sharing the poison/timeout
     /// semantics of [`wait_envelope`].
     fn wait_slot(&self) -> Envelope {
-        let timeout = self.world.tuning.recv_timeout;
+        let timeout = self.world.recv_timeout;
         let slot = self.slot;
         wait_match(
             &self.world,
@@ -1105,10 +1094,10 @@ impl Comm {
         self.world.id
     }
 
-    /// The tuning this world was built with (shard count, spin yields,
-    /// receive timeout).
-    pub fn tuning(&self) -> &CommTuning {
-        &self.world.tuning
+    /// How long a blocking receive in this world waits before
+    /// declaring deadlock (`MPIX_RECV_TIMEOUT_MS`, default 60 s).
+    pub fn recv_timeout(&self) -> Duration {
+        self.world.recv_timeout
     }
 
     /// The happens-before sanitizer attached to this world, if enabled.
@@ -1257,7 +1246,7 @@ impl Comm {
     // ---------------------------------------------------------- collectives
 
     /// Synchronize all ranks. Poison-aware: unwinds promptly if a peer
-    /// rank panics while we wait. (The tree/ring collectives live in
+    /// rank panics while we wait. (The tree collectives live in
     /// [`crate::collectives`].)
     pub fn barrier(&self) {
         // Arrive strictly before blocking: every rank's clock is folded
@@ -1454,48 +1443,6 @@ mod tests {
         });
     }
 
-    /// The pool-recycling contract must hold in the unsharded baseline
-    /// layout too (one global pool, `MPIX_COMM_SHARDS=1`).
-    #[test]
-    fn unsharded_layout_keeps_steady_state_allocation_free() {
-        let tuning = CommTuning::default().with_shards(1).with_spin_yields(4);
-        Universe::run_cfg(2, tuning, None, |c| {
-            assert_eq!(c.tuning().mailbox_shards, 1);
-            if c.rank() == 0 {
-                let send = c.send_init(1, 12);
-                let data = vec![1.0f32; 32];
-                for _ in 0..8 {
-                    send.start(&data);
-                }
-                // Fully in flight before the receiver drains: see
-                // `persistent_requests_cycle_through_pool_without_allocating`.
-                c.barrier();
-                c.barrier();
-                c.reset_stats();
-                for _ in 0..8 {
-                    send.start(&data);
-                }
-                c.barrier();
-                c.barrier();
-                assert_eq!(c.stats().bufs_allocated, 0);
-            } else {
-                let recv = c.recv_init(0, 12);
-                c.barrier();
-                for _ in 0..8 {
-                    recv.wait_with(|_| ());
-                }
-                c.barrier();
-                c.reset_stats();
-                for _ in 0..8 {
-                    recv.wait_with(|_| ());
-                }
-                c.barrier();
-                assert_eq!(c.stats().bufs_allocated, 0);
-                c.barrier();
-            }
-        });
-    }
-
     #[test]
     fn recv_timeout_panic_lists_unmatched_envelopes() {
         let result = std::panic::catch_unwind(|| {
@@ -1523,11 +1470,10 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_is_env_tunable_per_run() {
-        let tuning = CommTuning::default().with_recv_timeout(Duration::from_millis(100));
+    fn short_recv_timeout_is_honored_per_run() {
         let start = Instant::now();
         let result = std::panic::catch_unwind(|| {
-            Universe::run_cfg(2, tuning, None, |c| {
+            Universe::run_cfg(2, Duration::from_millis(100), None, |c| {
                 if c.rank() == 1 {
                     c.recv_f32(0, 3); // never sent
                 } else {

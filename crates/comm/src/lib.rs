@@ -14,7 +14,8 @@
 //!   [`RecvRequest::wait`]) — exactly what the *full* (overlap) pattern
 //!   needs to progress communication during computation,
 //! * collectives ([`Comm::barrier`], [`Comm::allreduce_f64`],
-//!   [`Comm::gather_f32`], [`Comm::bcast_f32`]),
+//!   [`Comm::allreduce_f32`], [`Comm::gather_f32`], [`Comm::bcast_f32`]),
+//!   all over binomial trees,
 //! * Cartesian topologies ([`CartComm`], [`dims_create`]) including the
 //!   26-neighbour (3-D) shifts that the *diagonal* pattern uses,
 //! * per-rank traffic statistics ([`CommStats`]) consumed by the
@@ -23,7 +24,8 @@
 //! Message delivery is *eager*: `send`/`isend` copy into the destination
 //! mailbox immediately and complete. Receives match `(source, tag)` pairs
 //! in arrival order, as MPI does for a fixed source/tag. Matching is
-//! O(1): each mailbox keeps one FIFO queue per `(source, tag)` pair.
+//! O(1): each mailbox keeps one FIFO queue per `(source, tag)` pair,
+//! spread over 16 independently locked shards.
 //!
 //! Two additions serve the zero-copy halo plans (`mpix-dmp`):
 //!
@@ -36,6 +38,9 @@
 //!
 //! A rank panic *poisons* the world: peers blocked in `barrier`/`recv`
 //! unwind promptly and [`Universe::run`] re-raises the original payload.
+//! A receive that waits longer than the world's timeout
+//! (`MPIX_RECV_TIMEOUT_MS`, default 60 s) panics as a deadlock. That
+//! timeout is the substrate's only setting.
 //!
 //! ## Example
 //!
@@ -62,12 +67,10 @@ pub mod cart;
 pub mod collectives;
 pub mod comm;
 pub mod stats;
-pub mod tuning;
 pub mod universe;
 
 pub use cart::{dims_create, CartComm};
-pub use collectives::{CollectiveAlgo, ReduceOp};
+pub use collectives::ReduceOp;
 pub use comm::{Comm, PersistentRecv, PersistentSend, RecvRequest, SendRequest, Tag};
 pub use stats::CommStats;
-pub use tuning::CommTuning;
 pub use universe::Universe;

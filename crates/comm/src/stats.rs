@@ -36,10 +36,6 @@ pub(crate) struct StatsInner {
     /// so parks-per-exchange is the ranks-sweep bench's contention
     /// column.
     pub recv_parks: u64,
-    /// Collective calls per `"{op}/{algo}"` key (e.g.
-    /// `"allreduce_f32/ring"`), recording which algorithm the
-    /// size/rank-count selection actually ran.
-    pub collectives: BTreeMap<String, u64>,
     /// When set, every send/receive appends a [`MsgRecord`] to `msg_log`.
     /// Off by default so the counters stay cheap.
     pub log_messages: bool,
@@ -73,7 +69,6 @@ impl StatsInner {
                 .map(|(d, &c)| (d, c))
                 .collect(),
             recv_parks: self.recv_parks,
-            collective_algos: self.collectives.clone(),
         }
     }
 }
@@ -103,10 +98,6 @@ pub struct CommStats {
     /// after the yield budget ran out) — the contention signal of the
     /// ranks-sweep benchmark.
     pub recv_parks: u64,
-    /// Collective calls per `"{op}/{algo}"` key, exposing which
-    /// algorithm (binomial / k-ary / ring) each collective selected so
-    /// `mpix-perf` can attribute collective cost.
-    pub collective_algos: BTreeMap<String, u64>,
 }
 
 impl CommStats {

@@ -2,11 +2,45 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 use mpix_san::San;
 
-use crate::comm::{Comm, World};
-use crate::tuning::CommTuning;
+use crate::comm::{Comm, World, MAILBOX_SHARDS, SPIN_YIELDS};
+
+/// Receive timeout when `MPIX_RECV_TIMEOUT_MS` is unset: generous for
+/// slow CI machines while still failing fast on real deadlocks.
+const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The world's receive timeout from the environment, looked up through
+/// `var` so tests need not touch the process environment:
+/// `MPIX_RECV_TIMEOUT_MS` (milliseconds, at least 1) or 60 s when unset.
+/// The removed layout knobs `MPIX_COMM_SHARDS` and `MPIX_SPIN_YIELDS`
+/// panic when set, naming the fixed value — a job script that still
+/// sets them expects a layout it would no longer get. A malformed
+/// timeout panics too.
+fn recv_timeout_from(var: impl Fn(&str) -> Option<String>) -> Duration {
+    let removed = [
+        ("MPIX_COMM_SHARDS", MAILBOX_SHARDS, "mailbox shards"),
+        (
+            "MPIX_SPIN_YIELDS",
+            SPIN_YIELDS,
+            "yields before a blocked receive parks",
+        ),
+    ];
+    for (name, fixed, what) in removed {
+        if let Some(v) = var(name) {
+            panic!("{name}={v:?}: removed: fixed at {fixed} {what}; unset {name}");
+        }
+    }
+    match var("MPIX_RECV_TIMEOUT_MS") {
+        None => DEFAULT_RECV_TIMEOUT,
+        Some(v) => match v.parse::<u64>() {
+            Ok(ms) if ms >= 1 => Duration::from_millis(ms),
+            _ => panic!("MPIX_RECV_TIMEOUT_MS={v:?}: expected a timeout in milliseconds >= 1"),
+        },
+    }
+}
 
 /// Entry point for simulated multi-rank execution.
 ///
@@ -35,10 +69,13 @@ impl Universe {
     /// For programmatic access to the reports, build a
     /// [`mpix_san::San`] yourself and use
     /// [`run_with_san`](Self::run_with_san).
-    /// Comm-layer tuning (mailbox shards, spin yields, receive timeout)
-    /// is read from the environment once per run — see
-    /// [`CommTuning::from_env`]; [`run_cfg`](Self::run_cfg) takes an
-    /// explicit [`CommTuning`].
+    ///
+    /// The blocking-receive deadlock timeout is read from
+    /// `MPIX_RECV_TIMEOUT_MS` once per run (default 60 s; a malformed
+    /// value panics); [`run_cfg`](Self::run_cfg) takes it explicitly.
+    /// `MPIX_COMM_SHARDS` and `MPIX_SPIN_YIELDS` were removed — the
+    /// mailbox layout and the waiting behaviour are fixed — and panic
+    /// when set.
     pub fn run<R, F>(n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -59,14 +96,13 @@ impl Universe {
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        Self::run_cfg(n, CommTuning::from_env(), san, f)
+        let recv_timeout = recv_timeout_from(|name| std::env::var(name).ok());
+        Self::run_cfg(n, recv_timeout, san, f)
     }
 
-    /// [`run_with_san`](Self::run_with_san) with explicit comm-layer
-    /// tuning, bypassing the environment entirely. The ranks-sweep
-    /// benchmark drives both arms (sharded vs the `with_shards(1)`
-    /// baseline layout) through this in one process.
-    pub fn run_cfg<R, F>(n: usize, tuning: CommTuning, san: Option<Arc<San>>, f: F) -> Vec<R>
+    /// [`run_with_san`](Self::run_with_san) with an explicit receive
+    /// timeout, bypassing the environment entirely.
+    pub fn run_cfg<R, F>(n: usize, recv_timeout: Duration, san: Option<Arc<San>>, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
@@ -80,7 +116,7 @@ impl Universe {
                 s.nranks()
             );
         }
-        let world = Arc::new(World::new(n, san.clone(), tuning));
+        let world = Arc::new(World::new(n, san.clone(), recv_timeout));
         let f = &f;
         let results: Vec<Option<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -129,7 +165,45 @@ impl Universe {
 mod tests {
     use super::*;
     use crate::comm::POISONED_MSG;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
+
+    /// The message of a caught panic, whether it was raised with a
+    /// literal or a formatted string.
+    fn panic_msg(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn recv_timeout_parses_from_the_given_lookup() {
+        assert_eq!(recv_timeout_from(|_| None), Duration::from_secs(60));
+        let set = |v: &'static str| {
+            move |name: &str| (name == "MPIX_RECV_TIMEOUT_MS").then(|| v.to_string())
+        };
+        assert_eq!(recv_timeout_from(set("250")), Duration::from_millis(250));
+        for bad in ["0", "abc", "-5", ""] {
+            let err = std::panic::catch_unwind(|| recv_timeout_from(set(bad)))
+                .expect_err("malformed timeout must panic");
+            let msg = panic_msg(err);
+            assert!(msg.contains("MPIX_RECV_TIMEOUT_MS"), "{bad:?}: {msg:?}");
+        }
+    }
+
+    #[test]
+    fn removed_layout_knobs_panic_naming_the_fixed_value() {
+        for (name, fixed) in [("MPIX_COMM_SHARDS", "16"), ("MPIX_SPIN_YIELDS", "32")] {
+            let lookup = |n: &str| (n == name).then(|| "4".to_string());
+            let err = std::panic::catch_unwind(|| recv_timeout_from(lookup))
+                .expect_err("a set removed knob must panic");
+            let msg = panic_msg(err);
+            assert!(
+                msg.contains(name) && msg.contains("removed") && msg.contains(fixed),
+                "{msg:?}"
+            );
+        }
+    }
 
     #[test]
     fn results_are_in_rank_order() {

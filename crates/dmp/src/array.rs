@@ -260,20 +260,19 @@ impl DistArray {
     /// Global L2 norm over owned points (collective).
     pub fn norm2(&self, comm: &Comm) -> f64 {
         let local: f64 = self.owned_fold(0.0, |acc, v| acc + (v as f64) * (v as f64));
-        comm.allreduce_f64(local, mpix_comm::comm::ReduceOp::Sum)
-            .sqrt()
+        comm.allreduce_f64(local, mpix_comm::ReduceOp::Sum).sqrt()
     }
 
     /// Global sum over owned points (collective).
     pub fn global_sum(&self, comm: &Comm) -> f64 {
         let local = self.owned_fold(0.0, |acc, v| acc + v as f64);
-        comm.allreduce_f64(local, mpix_comm::comm::ReduceOp::Sum)
+        comm.allreduce_f64(local, mpix_comm::ReduceOp::Sum)
     }
 
     /// Global max |v| over owned points (collective).
     pub fn norm_inf(&self, comm: &Comm) -> f64 {
         let local = self.owned_fold(0.0f64, |acc, v| acc.max(v.abs() as f64));
-        comm.allreduce_f64(local, mpix_comm::comm::ReduceOp::Max)
+        comm.allreduce_f64(local, mpix_comm::ReduceOp::Max)
     }
 
     fn owned_fold<T: Copy>(&self, init: T, mut f: impl FnMut(T, f32) -> T) -> T {

@@ -754,7 +754,7 @@ mod tests {
             // terminates). Yield between polls so peers get the core on
             // a loaded host; a real hang still fails at the world's
             // receive timeout.
-            let deadline = std::time::Instant::now() + cart.comm().tuning().recv_timeout;
+            let deadline = std::time::Instant::now() + cart.comm().recv_timeout();
             while ex.progress(&mut arr, &mut tracer) > 0 {
                 assert!(
                     std::time::Instant::now() < deadline,

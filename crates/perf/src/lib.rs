@@ -36,7 +36,7 @@ pub mod scaling;
 
 pub use admission::{price_job, JobCost};
 pub use machine::{archer2_node, tursa_a100, MachineSpec};
-pub use network::{collective_time, comm_time_per_step, CommBreakdown};
+pub use network::{comm_time_per_step, CommBreakdown};
 pub use profile::KernelProfile;
 pub use roofline::{single_unit_gpts, RooflinePoint};
 pub use scaling::{strong_scaling, weak_scaling, Mode, ScalePoint};

@@ -142,58 +142,6 @@ pub fn comm_time_per_step(
     }
 }
 
-/// Modeled wall-clock cost of one collective call on `units` nodes,
-/// given the algorithm label the substrate records in
-/// `CommStats::collective_algos`. Accepts either the bare algorithm
-/// name (`"binomial"`, `"kary4"`, `"ring"`) or the full stats key
-/// (`"allreduce_f32/ring"`) — the part after the `/` is what's modeled.
-///
-/// Cost structure per algorithm for P ranks and an n-byte payload:
-///
-/// * binomial — `2·ceil(log2 P)` rounds (reduce up, broadcast down) of
-///   one n-byte message each: `2·log2 P · (α + n·β⁻¹)`;
-/// * k-ary — `2·ceil(log_k P)` levels, but an inner node serializes k
-///   child messages per level: `2·log_k P · (α + k·n·β⁻¹)` — half the
-///   latency terms of binomial at k = 4, at the price of fan-out
-///   bandwidth;
-/// * ring — `2·(P-1)` rounds of n/P-byte chunks:
-///   `2·(P-1) · (α + (n/P)·β⁻¹)` — bandwidth-optimal (every rank moves
-///   `~2n` bytes total regardless of P), latency-worst.
-///
-/// This is the attribution hook for the ranks-sweep benchmark and the
-/// scaling model: given which algorithm the run actually used (from the
-/// stats) the model says what it should have cost, and the deltas
-/// between algorithms explain the substrate's topology-aware selection.
-pub fn collective_time(
-    machine: &MachineSpec,
-    units: usize,
-    algo: &str,
-    payload_bytes: usize,
-) -> f64 {
-    let p = (units * machine.ranks_per_unit).max(1) as f64;
-    if p <= 1.0 {
-        return 0.0;
-    }
-    let alpha = machine.net_alpha + machine.net_msg_overhead;
-    let inv_beta = 1.0 / machine.effective_beta(units);
-    let n = payload_bytes as f64;
-    let algo = algo.rsplit('/').next().unwrap_or(algo);
-    if algo == "binomial" {
-        let rounds = p.log2().ceil();
-        2.0 * rounds * (alpha + n * inv_beta)
-    } else if let Some(k) = algo
-        .strip_prefix("kary")
-        .and_then(|k| k.parse::<f64>().ok())
-    {
-        let levels = (p.ln() / k.ln()).ceil().max(1.0);
-        2.0 * levels * (alpha + k * n * inv_beta)
-    } else if algo == "ring" {
-        2.0 * (p - 1.0) * (alpha + n / p * inv_beta)
-    } else {
-        panic!("unknown collective algorithm label {algo:?}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,32 +202,6 @@ mod tests {
         let b = comm_time_per_step(&prof(), &m, 4, &local, Mode::Basic);
         let d = comm_time_per_step(&prof(), &m, 4, &local, Mode::Diagonal);
         assert!(d.time < b.time, "{} !< {}", d.time, b.time);
-    }
-
-    #[test]
-    fn collective_model_matches_selection_regimes() {
-        let m = archer2_node();
-        // Bandwidth regime (16 MiB at 16 nodes): the ring's 2n bytes per
-        // rank beat every tree; exactly why the substrate selects it for
-        // large payloads on parallel hosts.
-        let big = 16 * 1024 * 1024;
-        let ring = collective_time(&m, 16, "ring", big);
-        let binom = collective_time(&m, 16, "binomial", big);
-        let kary = collective_time(&m, 16, "kary4", big);
-        assert!(ring < binom, "{ring} !< {binom}");
-        assert!(ring < kary, "{ring} !< {kary}");
-        // Latency regime (8-byte scalar at 128 nodes): trees win, and
-        // kary4's halved level count beats binomial.
-        let ring = collective_time(&m, 128, "ring", 8);
-        let binom = collective_time(&m, 128, "binomial", 8);
-        let kary = collective_time(&m, 128, "kary4", 8);
-        assert!(binom < ring, "{binom} !< {ring}");
-        assert!(kary < binom, "{kary} !< {binom}");
-        // Full stats keys resolve to the same model as bare labels.
-        assert_eq!(
-            collective_time(&m, 16, "allreduce_f32/ring", big),
-            collective_time(&m, 16, "ring", big)
-        );
     }
 
     #[test]
