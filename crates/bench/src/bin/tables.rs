@@ -13,6 +13,9 @@
 //! cargo run -p mpix-bench --release --bin tables -- bench-kernels [--quick] [--baseline=FILE]
 //! #   scalar vs vectorized interpreter vs jit GPts/s -> BENCH_kernels.json
 //! #   --baseline adds each row's ratio to an earlier record's
+//! cargo run -p mpix-bench --release --bin tables -- bench-build [--quick] [--arm=LABEL] [--baseline=FILE]
+//! #   Operator::build time per phase, every kernel x SDO 2..16 -> BENCH_build.json
+//! #   --arm labels the record; --baseline adds each row's ratio to an earlier one
 //! cargo run -p mpix-bench --release --bin tables -- bench-halo [--quick] [--ranks-sweep]
 //! #   persistent-plan vs legacy halo exchange latency -> BENCH_comm.json
 //! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: diagonal
@@ -49,6 +52,7 @@ fn main() {
         "perf" => tables::print_perf(),
         "bench-kernels" => bench_kernels(&args),
         "bench-halo" => bench_halo(&args),
+        "bench-build" => bench_build(&args),
         "json" => println!("{}", tables::json_dump()),
         "crossovers" => tables::print_crossovers(),
         "all" => {
@@ -77,19 +81,40 @@ fn main() {
 /// `--baseline=FILE` compares every row against an earlier record).
 fn bench_kernels(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
-    let baseline = args
+    let baseline = baseline_arg(args);
+    let json = tables::bench_kernels_json_vs(quick, baseline.as_ref());
+    let path = "BENCH_kernels.json";
+    std::fs::write(path, &json).expect("write BENCH_kernels.json");
+    println!("\nwrote {path}");
+}
+
+/// Measure `Operator::build` per phase for every kernel × SDO and write
+/// the record to `BENCH_build.json` (`--quick` = one build per row;
+/// `--arm=LABEL` names the record, default `current`;
+/// `--baseline=FILE` compares every row against an earlier record).
+fn bench_build(args: &[String]) {
+    let quick = args.iter().any(|a| a == "--quick");
+    let arm = args
         .iter()
+        .find_map(|a| a.strip_prefix("--arm="))
+        .unwrap_or("current");
+    let baseline = baseline_arg(args);
+    let json = tables::bench_build_json(quick, arm, baseline.as_ref());
+    let path = "BENCH_build.json";
+    std::fs::write(path, &json).expect("write BENCH_build.json");
+    println!("\nwrote {path}");
+}
+
+/// The record named by `--baseline=FILE`, if given.
+fn baseline_arg(args: &[String]) -> Option<mpix_json::Value> {
+    args.iter()
         .find_map(|a| a.strip_prefix("--baseline="))
         .map(|path| {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("--baseline={path}: cannot read: {e}"));
             mpix_json::Value::parse(&text)
                 .unwrap_or_else(|e| panic!("--baseline={path}: not a JSON record: {e:?}"))
-        });
-    let json = tables::bench_kernels_json_vs(quick, baseline.as_ref());
-    let path = "BENCH_kernels.json";
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
-    println!("\nwrote {path}");
+        })
 }
 
 /// Measure persistent-plan vs legacy halo-exchange latency per mode and

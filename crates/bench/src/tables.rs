@@ -565,6 +565,127 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
     .pretty()
 }
 
+/// Space orders `tables bench-build` compiles every kernel at.
+pub const BUILD_SDOS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
+
+/// Measured compile time: build every kernel at each of [`BUILD_SDOS`]
+/// through [`Operator::build_profile`](mpix_core::Operator::build_profile)
+/// and return one row per `(kernel, sdo)` as pretty JSON — the median
+/// build time in ms, the median of each phase and CSE's share. The
+/// `tables bench-build` subcommand writes this to `BENCH_build.json`.
+///
+/// Each row is the median of `reps` builds (7; 1 when `quick`, with an
+/// identical schema). The equations are constructed outside the timed
+/// region. `arm` labels this record. With `baseline` (a record the same
+/// subcommand wrote earlier, typically with the parent's compiler on the
+/// same host) rows that match a baseline row by `(kernel, sdo)` gain
+/// `baseline_build_ms`, `baseline_cse_share` and `speedup_vs_baseline`
+/// (baseline build time over this one), and the record names the
+/// baseline's arm.
+pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Value>) -> String {
+    use mpix_core::{BuildProfile, Operator};
+    use mpix_json::{json, Value};
+    use mpix_solvers::{acoustic, elastic, tti, viscoelastic, ModelSpec};
+    use std::time::Instant;
+
+    let reps = if quick { 1 } else { 7 };
+    let spec = ModelSpec::new(&[16, 16, 16]).with_nbl(2);
+    let baseline_row = |kernel: &str, sdo: u32| -> Option<&Value> {
+        baseline?.get("builds")?.as_array()?.iter().find(|r| {
+            r.get("kernel").and_then(Value::as_str) == Some(kernel)
+                && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
+        })
+    };
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+
+    let mut rows = Vec::new();
+    let mut max_build_ms = 0.0f64;
+    println!("\n## Operator::build time per phase ({arm}), median of {reps}");
+    println!(
+        "{:<14} {:>4} {:>10} {:>10} {:>9}",
+        "kernel", "sdo", "build ms", "cse ms", "cse share"
+    );
+    for kind in KernelKind::all() {
+        let equations = match kind {
+            KernelKind::Acoustic => acoustic::equations,
+            KernelKind::Tti => tti::equations,
+            KernelKind::Elastic => elastic::equations,
+            KernelKind::Viscoelastic => viscoelastic::equations,
+        };
+        for sdo in BUILD_SDOS {
+            let runs: Vec<(f64, BuildProfile)> = (0..reps)
+                .map(|_| {
+                    let (ctx, grid, eqs) = equations(&spec, sdo);
+                    let t0 = Instant::now();
+                    let (_, profile) =
+                        Operator::build_profile(ctx, grid, eqs).expect("shipped operator builds");
+                    (ms(t0.elapsed()), profile)
+                })
+                .collect();
+            let phase = |f: fn(&BuildProfile) -> std::time::Duration| {
+                median(runs.iter().map(|(_, p)| ms(f(p))).collect())
+            };
+            let build_ms = median(runs.iter().map(|(t, _)| *t).collect());
+            let cse_ms = phase(|p| p.cse);
+            let cse_share = cse_ms / build_ms;
+            max_build_ms = max_build_ms.max(build_ms);
+            let mut row = vec![
+                ("kernel".to_string(), json!(kind.name())),
+                ("sdo".to_string(), json!(sdo)),
+                ("build_ms".to_string(), json!(build_ms)),
+                ("lowering_ms".to_string(), json!(phase(|p| p.lowering))),
+                ("clusterize_ms".to_string(), json!(phase(|p| p.clusterize))),
+                ("cse_ms".to_string(), json!(cse_ms)),
+                ("halo_ms".to_string(), json!(phase(|p| p.halo))),
+                ("op_counts_ms".to_string(), json!(phase(|p| p.op_counts))),
+                ("iet_ms".to_string(), json!(phase(|p| p.iet))),
+                ("cse_share".to_string(), json!(cse_share)),
+            ];
+            let mut line = format!(
+                "{:<14} {:>4} {:>10.3} {:>10.3} {:>9.3}",
+                kind.name(),
+                sdo,
+                build_ms,
+                cse_ms,
+                cse_share
+            );
+            let base = baseline_row(kind.name(), sdo);
+            let base_ms = base.and_then(|r| r.get("build_ms")?.as_f64());
+            let base_share = base.and_then(|r| r.get("cse_share")?.as_f64());
+            if let (Some(b), Some(share)) = (base_ms, base_share) {
+                row.push(("baseline_build_ms".to_string(), json!(b)));
+                row.push(("baseline_cse_share".to_string(), json!(share)));
+                row.push(("speedup_vs_baseline".to_string(), json!(b / build_ms)));
+                line += &format!("   baseline {b:>9.3} ms {:>7.1}x", b / build_ms);
+            }
+            println!("{line}");
+            rows.push(Value::Obj(row));
+        }
+    }
+    let baseline_arm = baseline.map(|b| {
+        b.get("arm")
+            .and_then(Value::as_str)
+            .unwrap_or("unlabelled")
+            .to_string()
+    });
+    json!({
+        "arm": arm,
+        "baseline_arm": baseline_arm.map_or(Value::Null, Value::from),
+        "grid": vec![16, 16, 16],
+        "nbl": 2,
+        "quick": quick,
+        "reps": reps,
+        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "max_build_ms": max_build_ms,
+        "builds": rows,
+    })
+    .pretty()
+}
+
 /// Measure per-exchange halo latency on a 2×2×2 rank grid for every
 /// mode and radius, comparing the persistent-plan path against a
 /// faithful reproduction of the pre-plan cost model (per-call box
@@ -1015,6 +1136,66 @@ mod tests {
             assert!(
                 jit.iter().zip(&bytecode).any(|(j, b)| j > b),
                 "jit never beat the vectorized interpreter:\n{out}"
+            );
+        }
+    }
+
+    /// Schema of the quick build bench: one row per kernel × SDO with
+    /// every phase and the CSE share, and a baseline's rows joined by
+    /// `(kernel, sdo)`.
+    #[test]
+    fn bench_build_quick_rows_and_schema() {
+        let first = bench_build_json(true, "first", None);
+        let v = mpix_json::Value::parse(&first).expect("valid JSON");
+        assert_eq!(v.get("baseline_arm"), Some(&mpix_json::Value::Null));
+        let out = bench_build_json(true, "second", Some(&v));
+        let v = mpix_json::Value::parse(&out).expect("valid JSON");
+        assert_eq!(
+            v.get("baseline_arm").and_then(mpix_json::Value::as_str),
+            Some("first")
+        );
+        let rows = v
+            .get("builds")
+            .and_then(mpix_json::Value::as_array)
+            .unwrap();
+        assert_eq!(rows.len(), 4 * BUILD_SDOS.len(), "{out}");
+        for row in rows {
+            let mut keys: Vec<&str> = row
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(
+                keys,
+                [
+                    "baseline_build_ms",
+                    "baseline_cse_share",
+                    "build_ms",
+                    "clusterize_ms",
+                    "cse_ms",
+                    "cse_share",
+                    "halo_ms",
+                    "iet_ms",
+                    "kernel",
+                    "lowering_ms",
+                    "op_counts_ms",
+                    "sdo",
+                    "speedup_vs_baseline",
+                ],
+                "{out}"
+            );
+            let share = row
+                .get("cse_share")
+                .and_then(mpix_json::Value::as_f64)
+                .unwrap();
+            assert!((0.0..=1.0).contains(&share), "{out}");
+            assert!(
+                row.get("build_ms")
+                    .and_then(mpix_json::Value::as_f64)
+                    .unwrap()
+                    > 0.0
             );
         }
     }

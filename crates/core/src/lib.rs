@@ -40,7 +40,7 @@ pub mod serve;
 pub mod workspace;
 
 pub use autotune::TuneReport;
-pub use operator::{Applied, ApplyOptions, BuildError, Operator};
+pub use operator::{Applied, ApplyOptions, BuildError, BuildProfile, Operator};
 pub use serve::{
     CacheSnapshot, Job, JobRecord, JobStatus, OperatorCache, OperatorKey, RankPool, RecordSink,
     ServeConfig, ServeReport, Server,

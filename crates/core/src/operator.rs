@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mpix_codegen::executor::{ExecStats, OperatorExec};
 pub use mpix_codegen::ApplyOptions;
@@ -72,9 +73,29 @@ pub struct Operator {
     /// the same kernels. This is the per-operator face of the serve
     /// layer's content-keyed [`crate::serve::OperatorCache`].
     execs: std::sync::Mutex<HashMap<(bool, Backend), Arc<OperatorExec>>>,
+    /// Memoized [`content_key`](Self::content_key)s, keyed like `execs`.
+    keys: std::sync::Mutex<HashMap<(bool, Backend), u64>>,
     /// Memoized per-point bytecode flop count (see
     /// [`bytecode_flops`](Self::bytecode_flops)).
     bc_flops: std::sync::OnceLock<usize>,
+}
+
+/// Wall time of each phase of one [`Operator::build`], in pipeline
+/// order (Fig. 1).
+#[derive(Clone, Copy, Debug)]
+pub struct BuildProfile {
+    /// Symbolic equations to indexed expressions.
+    pub lowering: Duration,
+    /// Grouping statements into clusters.
+    pub clusterize: Duration,
+    /// Parameter extraction and CSE over every cluster.
+    pub cse: Duration,
+    /// Halo-exchange detection.
+    pub halo: Duration,
+    /// Compile-time operation counts.
+    pub op_counts: Duration,
+    /// IET construction.
+    pub iet: Duration,
 }
 
 impl Operator {
@@ -82,19 +103,48 @@ impl Operator {
     /// (each `Eq` must already be in `target = stencil` form; use
     /// [`Eq::solve_for`] first for implicit PDE statements).
     pub fn build(ctx: Context, grid: Grid, eqs: Vec<Eq>) -> Result<Operator, BuildError> {
+        Self::build_profile(ctx, grid, eqs).map(|(op, _)| op)
+    }
+
+    /// [`build`](Self::build), also returning how long each phase took.
+    pub fn build_profile(
+        ctx: Context,
+        grid: Grid,
+        eqs: Vec<Eq>,
+    ) -> Result<(Operator, BuildProfile), BuildError> {
         if eqs.is_empty() {
             return Err(BuildError::Empty);
         }
+        let mut t = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            let d = now - t;
+            t = now;
+            d
+        };
         let lowered = lower_equations(&eqs, &ctx)?;
+        let lowering = lap();
         let mut clusters = clusterize(&lowered);
+        let clusterize = lap();
         let mut next_param = 0;
         for cl in &mut clusters {
             cse_cluster(cl, &mut next_param);
         }
+        let cse = lap();
         let plan = detect_halo_exchanges(&clusters, &ctx);
+        let halo = lap();
         let counts = op_counts(&clusters);
+        let op_counts = lap();
         let iet = build_iet(clusters.clone(), &plan, "Kernel", 0, true);
-        Ok(Operator {
+        let profile = BuildProfile {
+            lowering,
+            clusterize,
+            cse,
+            halo,
+            op_counts,
+            iet: lap(),
+        };
+        let op = Operator {
             ctx,
             grid,
             clusters,
@@ -102,8 +152,10 @@ impl Operator {
             iet,
             counts,
             execs: std::sync::Mutex::new(HashMap::new()),
+            keys: std::sync::Mutex::new(HashMap::new()),
             bc_flops: std::sync::OnceLock::new(),
-        })
+        };
+        Ok((op, profile))
     }
 
     pub fn ctx(&self) -> &Context {
@@ -209,8 +261,19 @@ impl Operator {
     /// emission), their compiled cluster bytecode and the execution
     /// backend all agree; pointer identity plays no part. Same-geometry operators with different
     /// expressions hash apart (different coefficients/opcodes); the same
-    /// equations built twice hash together.
+    /// equations built twice hash together. Computed once per
+    /// `(overlap, backend)` pair, like [`executable_for`](Self::executable_for).
     pub fn content_key(&self, opts: &ApplyOptions) -> u64 {
+        let key = (opts.mode.overlaps_computation(), opts.backend);
+        *self
+            .keys
+            .lock()
+            .expect("content-key memo poisoned by a panicking hash")
+            .entry(key)
+            .or_insert_with(|| self.hash_content(opts))
+    }
+
+    fn hash_content(&self, opts: &ApplyOptions) -> u64 {
         let lowered = lower_halo_spots(self.iet.clone(), opts.mode.overlaps_computation());
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // IET structure + expressions + halo call sites for this mode.
@@ -387,6 +450,56 @@ impl Operator {
 mod tests {
     use super::*;
     use mpix_trace::TraceLevel;
+
+    fn diffusion() -> (Context, Grid, Vec<Eq>) {
+        let mut ctx = Context::new();
+        let g = Grid::new(&[8, 8], &[1.0, 1.0]);
+        let u = ctx.add_time_function("u", &g, 4, 1);
+        let st = Eq::new(u.dt(), u.laplace())
+            .solve_for(&u.forward(), &ctx)
+            .unwrap();
+        (ctx, g, vec![st])
+    }
+
+    #[test]
+    fn memoized_content_key_matches_a_fresh_hash() {
+        let (ctx, g, eqs) = diffusion();
+        let op = Operator::build(ctx, g, eqs).unwrap();
+        for mode in [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full] {
+            for backend in mpix_codegen::available_backends() {
+                let opts = ApplyOptions::default()
+                    .with_mode(mode)
+                    .with_backend(backend);
+                let lowered = lower_halo_spots(op.iet.clone(), mode.overlaps_computation());
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                mpix_codegen::cgen::emit_c(&lowered, &op.ctx).hash(&mut h);
+                mpix_codegen::bytecode_listing(&lowered).hash(&mut h);
+                backend.to_string().hash(&mut h);
+                let fresh = h.finish();
+                assert_eq!(op.content_key(&opts), fresh, "{mode:?} {backend}");
+                assert_eq!(op.content_key(&opts), fresh, "{mode:?} {backend} memoized");
+            }
+        }
+        // basic and diagonal lower alike, so they share a memo entry.
+        assert_eq!(
+            op.keys.lock().unwrap().len(),
+            2 * mpix_codegen::available_backends().len()
+        );
+    }
+
+    #[test]
+    fn build_profile_builds_the_same_operator() {
+        let (ctx, g, eqs) = diffusion();
+        let (op, _) = Operator::build_profile(ctx, g, eqs).unwrap();
+        let (ctx, g, eqs) = diffusion();
+        let built = Operator::build(ctx, g, eqs).unwrap();
+        let opts = ApplyOptions::default();
+        assert_eq!(op.c_code_for(&opts), built.c_code_for(&opts));
+        assert!(matches!(
+            Operator::build_profile(Context::new(), Grid::new(&[4], &[1.0]), vec![]),
+            Err(BuildError::Empty)
+        ));
+    }
 
     #[test]
     fn apply_options_from_env_parses_job_script_values() {

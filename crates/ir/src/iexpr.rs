@@ -128,16 +128,6 @@ impl IExpr {
         }
     }
 
-    /// Number of expression nodes.
-    pub fn size(&self) -> usize {
-        match self {
-            IExpr::Add(xs) | IExpr::Mul(xs) => 1 + xs.iter().map(|x| x.size()).sum::<usize>(),
-            IExpr::Pow(b, _) => 1 + b.size(),
-            IExpr::Func(_, b) => 1 + b.size(),
-            _ => 1,
-        }
-    }
-
     /// Rewrite sub-expressions bottom-up through `f`.
     pub fn rewrite(&self, f: &impl Fn(&IExpr) -> Option<IExpr>) -> IExpr {
         let walked = match self {

@@ -3,9 +3,11 @@
 
 use std::collections::HashMap;
 
+use mpix_symbolic::UnaryFn;
+
 use crate::cluster::{Cluster, Stmt};
 use crate::iet::{Node, RegionKind};
-use crate::iexpr::IExpr;
+use crate::iexpr::{IExpr, IdxAccess};
 
 // ---------------------------------------------------------------------------
 // Cluster-level: parameter extraction + CSE
@@ -16,67 +18,206 @@ use crate::iexpr::IExpr;
 /// grid-varying sub-expressions into per-point temporaries (`tmp0 =
 /// -2*u[t0][x+2][y+2]` — CSE), as in Listing 11.
 ///
+/// Both passes work on value numbers (a hash-cons table): two subtrees
+/// share a parameter or a temporary exactly when they are structurally
+/// equal, constants compared bit for bit.
+///
 /// `next_param` numbers parameters globally across clusters.
 pub fn cse_cluster(cl: &mut Cluster, next_param: &mut usize) {
     extract_params(cl, next_param);
     extract_temps(cl);
 }
 
+/// The variant of an expression node with its children replaced by their
+/// value numbers — the hash-cons key.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Shape {
+    /// Keyed by `f64::to_bits`: `0.1234561` and `0.1234564` (or `0.0`
+    /// and `-0.0`) are different values.
+    Const(u64),
+    Sym(String),
+    Load(IdxAccess),
+    Temp(usize),
+    Param(usize),
+    Add(Vec<usize>),
+    Mul(Vec<usize>),
+    Pow(usize, i32),
+    Func(UnaryFn, usize),
+}
+
+/// One value number: its shape plus the facts CSE asks of every node,
+/// each computed once.
+struct Value {
+    shape: Shape,
+    /// Node count of the subtree ([`IExpr`] nodes).
+    size: usize,
+    /// Only `Const`/`Sym`/`Param` leaves: loop-invariant.
+    invariant: bool,
+    /// Occurrences numbered through [`ValueTable::number`], nested ones
+    /// included.
+    uses: usize,
+}
+
+/// Bottom-up value numbering of expression trees (a hash-cons table):
+/// structurally equal subtrees get the same id, so counting and
+/// matching subtrees is a table lookup instead of a printed-string
+/// comparison.
+#[derive(Default)]
+struct ValueTable {
+    ids: HashMap<Shape, usize>,
+    values: Vec<Value>,
+}
+
+impl ValueTable {
+    /// Value number of `e`, counting one use of it and of every subtree.
+    fn number(&mut self, e: &IExpr) -> usize {
+        let shape = match e {
+            IExpr::Const(c) => Shape::Const(c.to_bits()),
+            IExpr::Sym(s) => Shape::Sym(s.clone()),
+            IExpr::Load(a) => Shape::Load(a.clone()),
+            IExpr::Temp(t) => Shape::Temp(*t),
+            IExpr::Param(p) => Shape::Param(*p),
+            IExpr::Add(xs) => Shape::Add(xs.iter().map(|x| self.number(x)).collect()),
+            IExpr::Mul(xs) => Shape::Mul(xs.iter().map(|x| self.number(x)).collect()),
+            IExpr::Pow(b, k) => Shape::Pow(self.number(b), *k),
+            IExpr::Func(f, b) => Shape::Func(*f, self.number(b)),
+        };
+        let id = self.intern(shape);
+        self.values[id].uses += 1;
+        id
+    }
+
+    /// Value number of `shape`, whose children are already numbered.
+    fn intern(&mut self, shape: Shape) -> usize {
+        if let Some(&id) = self.ids.get(&shape) {
+            return id;
+        }
+        let (size, invariant) = match &shape {
+            Shape::Const(_) | Shape::Sym(_) | Shape::Param(_) => (1, true),
+            Shape::Load(_) | Shape::Temp(_) => (1, false),
+            Shape::Add(xs) | Shape::Mul(xs) => xs.iter().fold((1, true), |(n, inv), &x| {
+                (n + self.values[x].size, inv && self.values[x].invariant)
+            }),
+            Shape::Pow(b, _) | Shape::Func(_, b) => {
+                (1 + self.values[*b].size, self.values[*b].invariant)
+            }
+        };
+        let id = self.values.len();
+        self.ids.insert(shape.clone(), id);
+        self.values.push(Value {
+            shape,
+            size,
+            invariant,
+            uses: 0,
+        });
+        id
+    }
+
+    /// The expression numbered `id`, with every outermost subtree whose
+    /// id `subst` maps replaced by that expression.
+    fn rebuild(&self, id: usize, subst: &impl Fn(usize) -> Option<IExpr>) -> IExpr {
+        subst(id).unwrap_or_else(|| self.expand(id, subst))
+    }
+
+    /// Like [`rebuild`](Self::rebuild), but `id` itself is never
+    /// replaced — only its proper subtrees.
+    fn expand(&self, id: usize, subst: &impl Fn(usize) -> Option<IExpr>) -> IExpr {
+        let kids = |xs: &[usize]| xs.iter().map(|&x| self.rebuild(x, subst)).collect();
+        match &self.values[id].shape {
+            Shape::Const(bits) => IExpr::Const(f64::from_bits(*bits)),
+            Shape::Sym(s) => IExpr::Sym(s.clone()),
+            Shape::Load(a) => IExpr::Load(a.clone()),
+            Shape::Temp(t) => IExpr::Temp(*t),
+            Shape::Param(p) => IExpr::Param(*p),
+            Shape::Add(xs) => IExpr::Add(kids(xs)),
+            Shape::Mul(xs) => IExpr::Mul(kids(xs)),
+            Shape::Pow(b, k) => IExpr::Pow(Box::new(self.rebuild(*b, subst)), *k),
+            Shape::Func(f, b) => IExpr::Func(*f, Box::new(self.rebuild(*b, subst))),
+        }
+    }
+
+    /// The expression numbered `id`, unchanged.
+    fn expr(&self, id: usize) -> IExpr {
+        self.expand(id, &|_| None)
+    }
+
+    /// Hoist only if it saves work at run time: divisions (negative
+    /// powers), powers, or compound expressions.
+    fn worth_hoisting(&self, id: usize) -> bool {
+        matches!(
+            self.values[id].shape,
+            Shape::Pow(..) | Shape::Add(_) | Shape::Mul(_) | Shape::Func(..)
+        )
+    }
+}
+
+/// Parameters of one cluster: the value number of each definition and
+/// the parameter index given to it.
+struct Params {
+    base: usize,
+    defs: Vec<usize>,
+    index: HashMap<usize, usize>,
+}
+
+impl Params {
+    fn of(&mut self, id: usize) -> usize {
+        if let Some(&p) = self.index.get(&id) {
+            return p;
+        }
+        let p = self.base + self.defs.len();
+        self.defs.push(id);
+        self.index.insert(id, p);
+        p
+    }
+}
+
 fn extract_params(cl: &mut Cluster, next_param: &mut usize) {
     // Collect maximal grid-invariant, non-trivial subtrees.
-    let mut defs: Vec<IExpr> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let params_base = *next_param;
+    let mut vt = ValueTable::default();
+    let mut params = Params {
+        base: *next_param,
+        defs: Vec::new(),
+        index: HashMap::new(),
+    };
     for s in &mut cl.stmts {
-        let v = s.value().clone();
-        let rewritten = hoist_invariant(&v, &mut defs, &mut index, params_base);
-        *s.value_mut() = rewritten;
+        let root = vt.number(s.value());
+        *s.value_mut() = hoist_invariant(&mut vt, root, &mut params);
     }
-    for (i, def) in defs.into_iter().enumerate() {
-        cl.params.push((params_base + i, def));
+    for (i, &def) in params.defs.iter().enumerate() {
+        cl.params.push((params.base + i, vt.expr(def)));
     }
-    *next_param = params_base + cl.params.len();
+    *next_param = params.base + cl.params.len();
 }
 
 /// Replace maximal invariant subtrees with `Param` references.
-fn hoist_invariant(
-    e: &IExpr,
-    defs: &mut Vec<IExpr>,
-    index: &mut HashMap<String, usize>,
-    base: usize,
-) -> IExpr {
-    if e.is_grid_invariant() && worth_hoisting(e) {
-        let key = format!("{e}");
-        let id = *index.entry(key).or_insert_with(|| {
-            defs.push(e.clone());
-            base + defs.len() - 1
-        });
-        return IExpr::Param(id);
+fn hoist_invariant(vt: &mut ValueTable, id: usize, params: &mut Params) -> IExpr {
+    if vt.values[id].invariant && vt.worth_hoisting(id) {
+        return IExpr::Param(params.of(id));
     }
-    match e {
-        IExpr::Add(xs) => IExpr::Add(
-            xs.iter()
-                .map(|x| hoist_invariant(x, defs, index, base))
+    match vt.values[id].shape.clone() {
+        Shape::Add(xs) => IExpr::Add(
+            xs.into_iter()
+                .map(|x| hoist_invariant(vt, x, params))
                 .collect(),
         ),
-        IExpr::Mul(xs) => {
+        Shape::Mul(xs) => {
             // Group the invariant factors of a mixed product, so
             // `c * (1/h_x^2) * load` hoists `c/h_x^2` as one parameter.
-            let (inv, var): (Vec<&IExpr>, Vec<&IExpr>) =
-                xs.iter().partition(|x| x.is_grid_invariant());
-            let mut out: Vec<IExpr> = Vec::with_capacity(xs.len());
-            if inv.len() >= 2 || (inv.len() == 1 && worth_hoisting(inv[0])) {
+            let (inv, var): (Vec<usize>, Vec<usize>) =
+                xs.into_iter().partition(|&x| vt.values[x].invariant);
+            let mut out: Vec<IExpr> = Vec::with_capacity(inv.len() + var.len());
+            if inv.len() >= 2 || (inv.len() == 1 && vt.worth_hoisting(inv[0])) {
                 let packed = if inv.len() == 1 {
-                    inv[0].clone()
+                    inv[0]
                 } else {
-                    IExpr::Mul(inv.into_iter().cloned().collect())
+                    vt.intern(Shape::Mul(inv))
                 };
-                out.push(hoist_invariant(&packed, defs, index, base));
+                out.push(hoist_invariant(vt, packed, params));
             } else {
-                out.extend(inv.into_iter().cloned());
+                out.extend(inv.into_iter().map(|x| vt.expr(x)));
             }
             for v in var {
-                out.push(hoist_invariant(v, defs, index, base));
+                out.push(hoist_invariant(vt, v, params));
             }
             if out.len() == 1 {
                 out.pop().unwrap()
@@ -84,27 +225,16 @@ fn hoist_invariant(
                 IExpr::Mul(out)
             }
         }
-        IExpr::Pow(b, e2) => IExpr::Pow(Box::new(hoist_invariant(b, defs, index, base)), *e2),
-        IExpr::Func(fx, b) => IExpr::Func(*fx, Box::new(hoist_invariant(b, defs, index, base))),
-        other => other.clone(),
+        Shape::Pow(b, k) => IExpr::Pow(Box::new(hoist_invariant(vt, b, params)), k),
+        Shape::Func(f, b) => IExpr::Func(f, Box::new(hoist_invariant(vt, b, params))),
+        _ => vt.expr(id),
     }
-}
-
-/// Hoist only if it saves work at run time: divisions (negative powers),
-/// powers, or compound expressions.
-fn worth_hoisting(e: &IExpr) -> bool {
-    matches!(
-        e,
-        IExpr::Pow(_, _) | IExpr::Add(_) | IExpr::Mul(_) | IExpr::Func(_, _)
-    )
 }
 
 fn extract_temps(cl: &mut Cluster) {
     // Count non-trivial grid-varying subtrees across all stores.
-    let mut counts: HashMap<String, (IExpr, usize)> = HashMap::new();
-    for s in &cl.stmts {
-        count_subtrees(s.value(), &mut counts);
-    }
+    let mut vt = ValueTable::default();
+    let roots: Vec<usize> = cl.stmts.iter().map(|s| vt.number(s.value())).collect();
     // Temps are hoisted to the top of the point body, so a candidate must
     // not load a buffer this cluster writes (the load would then observe
     // the pre-store value).
@@ -119,48 +249,42 @@ fn extract_temps(cl: &mut Cluster) {
         hit
     };
     // Candidates: seen >= 2 times, contain at least one load, size >= 2.
-    let mut cands: Vec<(String, IExpr)> = counts
-        .into_iter()
-        .filter(|(_, (e, n))| {
-            *n >= 2 && !e.is_grid_invariant() && e.size() >= 2 && !reads_written(e)
+    // Deterministic order — size, then printed form, then first
+    // occurrence; smaller subtrees first so bigger candidates can
+    // reference the temps of smaller ones (a contained subtree is
+    // strictly smaller, so it always has the earlier temp).
+    let mut cands: Vec<(usize, String, usize)> = vt
+        .values
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.uses >= 2 && !v.invariant && v.size >= 2)
+        .filter_map(|(id, v)| {
+            let e = vt.expr(id);
+            (!reads_written(&e)).then(|| (v.size, format!("{e}"), id))
         })
-        .map(|(k, (e, _))| (k, e))
         .collect();
-    // Deterministic order; smaller subtrees first so bigger candidates
-    // can reference the temps of smaller ones: a contained subtree is
-    // strictly smaller, so by the time a candidate is substituted every
-    // candidate inside it has already been replaced — in the statements
-    // AND in this candidate's own definition, which is rewritten in
-    // lockstep so its key keeps matching the statements.
-    cands.sort_by_key(|(k, e)| (e.size(), k.clone()));
+    cands.sort_unstable();
     if cands.is_empty() {
         return;
     }
-    let mut cands: Vec<IExpr> = cands.into_iter().map(|(_, e)| e).collect();
     let temp_base = cl.num_temps;
-    let mut lets: Vec<Stmt> = Vec::new();
-    for i in 0..cands.len() {
-        let temp = temp_base + i;
-        let (head, tail) = cands.split_at_mut(i + 1);
-        let key = format!("{}", head[i]);
-        let subst = |x: &IExpr| {
-            if format!("{x}") == key {
-                Some(IExpr::Temp(temp))
-            } else {
-                None
-            }
-        };
-        for s in &mut cl.stmts {
-            let v = s.value().rewrite(&subst);
-            *s.value_mut() = v;
-        }
-        for later in tail.iter_mut() {
-            *later = later.rewrite(&subst);
-        }
-        lets.push(Stmt::Let {
-            temp,
-            value: head[i].clone(),
-        });
+    let mut temp_of: Vec<Option<usize>> = vec![None; vt.values.len()];
+    for (i, &(_, _, id)) in cands.iter().enumerate() {
+        temp_of[id] = Some(temp_base + i);
+    }
+    // Each statement and each candidate definition is rebuilt once, its
+    // outermost candidate subtrees replaced by their temps.
+    let subst = |id: usize| temp_of[id].map(IExpr::Temp);
+    let lets: Vec<Stmt> = cands
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, _, id))| Stmt::Let {
+            temp: temp_base + i,
+            value: vt.expand(id, &subst),
+        })
+        .collect();
+    for (s, &root) in cl.stmts.iter_mut().zip(&roots) {
+        *s.value_mut() = vt.rebuild(root, &subst);
     }
     // Dead-let elimination: a candidate whose occurrences all sat inside
     // other candidates can end up with zero remaining reads; emitting it
@@ -205,26 +329,6 @@ fn extract_temps(cl: &mut Cluster) {
     // the sort order above).
     kept.append(&mut cl.stmts);
     cl.stmts = kept;
-}
-
-fn count_subtrees(e: &IExpr, counts: &mut HashMap<String, (IExpr, usize)>) {
-    match e {
-        IExpr::Add(xs) | IExpr::Mul(xs) => {
-            for x in xs {
-                count_subtrees(x, counts);
-            }
-        }
-        IExpr::Pow(b, _) => count_subtrees(b, counts),
-        IExpr::Func(_, b) => count_subtrees(b, counts),
-        _ => {}
-    }
-    if !e.is_grid_invariant() && e.size() >= 2 {
-        let key = format!("{e}");
-        counts
-            .entry(key)
-            .and_modify(|(_, n)| *n += 1)
-            .or_insert((e.clone(), 1));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,6 +495,82 @@ mod tests {
             "expected a temp for the repeated subtree"
         );
         assert!(matches!(cl.stmts[0], Stmt::Let { .. }));
+    }
+
+    fn load(field: u32) -> IExpr {
+        IExpr::Load(IdxAccess {
+            field: mpix_symbolic::FieldId(field),
+            time_offset: 0,
+            deltas: vec![0, 0],
+        })
+    }
+
+    /// A cluster storing `value` to a field no load reads.
+    fn store(value: IExpr) -> Cluster {
+        Cluster {
+            stmts: vec![Stmt::Store {
+                target: IdxAccess {
+                    field: mpix_symbolic::FieldId(9),
+                    time_offset: 1,
+                    deltas: vec![0, 0],
+                },
+                value,
+            }],
+            params: vec![],
+            num_temps: 0,
+        }
+    }
+
+    // The three collision tests below pin cases a printed-string key
+    // merges: constants equal to 6 decimals, and products that print
+    // alike but group differently.
+
+    #[test]
+    fn constants_equal_to_six_decimals_stay_two_params() {
+        let c = |v: f64| IExpr::Mul(vec![IExpr::Const(v), IExpr::Sym("dt".into()), load(0)]);
+        let mut cl = store(IExpr::Add(vec![c(0.1234561), c(0.1234564)]));
+        cse_cluster(&mut cl, &mut 0);
+        let defs: Vec<&IExpr> = cl.params.iter().map(|(_, d)| d).collect();
+        let dt = |v: f64| IExpr::Mul(vec![IExpr::Const(v), IExpr::Sym("dt".into())]);
+        assert_eq!(defs, [&dt(0.1234561), &dt(0.1234564)]);
+    }
+
+    #[test]
+    fn constants_equal_to_six_decimals_stay_two_temps() {
+        let a = IExpr::Mul(vec![IExpr::Const(0.1234561), load(0)]);
+        let b = IExpr::Mul(vec![IExpr::Const(0.1234564), load(0)]);
+        let scaled = |s: &str, e: &IExpr| IExpr::Mul(vec![IExpr::Sym(s.into()), e.clone()]);
+        let mut cl = store(IExpr::Add(vec![
+            a.clone(),
+            scaled("p", &a),
+            b.clone(),
+            scaled("q", &b),
+        ]));
+        cse_cluster(&mut cl, &mut 0);
+        assert_eq!(cl.num_temps, 2);
+        let lets: Vec<&IExpr> = cl.stmts[..2].iter().map(Stmt::value).collect();
+        assert_eq!(lets, [&a, &b]);
+        assert_eq!(
+            *cl.stmts[2].value(),
+            IExpr::Add(vec![
+                IExpr::Temp(0),
+                scaled("p", &IExpr::Temp(0)),
+                IExpr::Temp(1),
+                scaled("q", &IExpr::Temp(1)),
+            ])
+        );
+    }
+
+    #[test]
+    fn differently_grouped_products_are_not_merged() {
+        let left = IExpr::Mul(vec![load(0), IExpr::Mul(vec![load(1), load(2)])]);
+        let right = IExpr::Mul(vec![IExpr::Mul(vec![load(0), load(1)]), load(2)]);
+        assert_eq!(format!("{left}"), format!("{right}"));
+        let value = IExpr::Add(vec![left, right]);
+        let mut cl = store(value.clone());
+        cse_cluster(&mut cl, &mut 0);
+        assert_eq!(cl.num_temps, 0);
+        assert_eq!(*cl.stmts[0].value(), value);
     }
 
     #[test]

@@ -6,12 +6,19 @@
 //! `u` + `m` + `damp`), matching the paper's field count.
 
 use mpix_core::{Operator, Workspace};
-use mpix_symbolic::Context;
+use mpix_symbolic::{Context, Eq, Grid};
 
 use crate::model::ModelSpec;
 
 /// Build the acoustic operator at spatial order `so`.
 pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
+    let (ctx, grid, eqs) = equations(spec, so);
+    Operator::build(ctx, grid, eqs).expect("acoustic operator builds")
+}
+
+/// The acoustic update equations at spatial order `so`, before
+/// compilation: what [`operator`] builds.
+pub fn equations(spec: &ModelSpec, so: u32) -> (Context, Grid, Vec<Eq>) {
     let grid = spec.grid();
     let mut ctx = Context::new();
     let u = ctx.add_time_function("u", &grid, so, 2);
@@ -20,7 +27,7 @@ pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
     // m u_tt - ∇²u + damp u_t = 0
     let pde = m.center() * u.dt2() - u.laplace() + damp.center() * u.dt();
     let stencil = mpix_symbolic::solve(&pde, &u.forward(), &ctx).expect("linear in u.forward");
-    Operator::build(ctx, grid, vec![stencil]).expect("acoustic operator builds")
+    (ctx, grid, vec![stencil])
 }
 
 /// Seed model parameters (`m`, `damp`) on a rank's workspace.

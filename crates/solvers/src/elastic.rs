@@ -18,7 +18,7 @@
 
 use mpix_core::{Operator, Workspace};
 use mpix_symbolic::context::{averaged_at, deriv_of};
-use mpix_symbolic::{Context, Eq, FieldHandle, Stagger};
+use mpix_symbolic::{Context, Eq, FieldHandle, Grid, Stagger};
 
 use crate::model::ModelSpec;
 
@@ -30,6 +30,13 @@ pub const T_FIELDS: [&str; 6] = ["txx", "tyy", "tzz", "txy", "txz", "tyz"];
 
 /// Build the elastic operator at spatial order `so` (3-D only).
 pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
+    let (ctx, grid, eqs) = equations(spec, so);
+    Operator::build(ctx, grid, eqs).expect("elastic operator builds")
+}
+
+/// The elastic update equations at spatial order `so`, before
+/// compilation: what [`operator`] builds.
+pub fn equations(spec: &ModelSpec, so: u32) -> (Context, Grid, Vec<Eq>) {
     assert_eq!(spec.shape.len(), 3, "elastic kernel is 3-D");
     let grid = spec.grid();
     let mut ctx = Context::new();
@@ -117,7 +124,7 @@ pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
     .map(|(eq, fwd)| eq.solve_for(&fwd, &ctx).expect("explicit update"))
     .collect();
 
-    Operator::build(ctx, grid, eqs).expect("elastic operator builds")
+    (ctx, grid, eqs)
 }
 
 /// Seed Lamé parameters, buoyancy and damping.

@@ -13,7 +13,7 @@
 
 use mpix_core::{Operator, Workspace};
 use mpix_symbolic::context::deriv_of;
-use mpix_symbolic::{Context, Eq, Expr};
+use mpix_symbolic::{Context, Eq, Expr, Grid};
 
 use crate::model::ModelSpec;
 
@@ -21,6 +21,13 @@ use crate::model::ModelSpec;
 ///
 /// Only 3-D models are supported (the rotation needs a z axis).
 pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
+    let (ctx, grid, eqs) = equations(spec, so);
+    Operator::build(ctx, grid, eqs).expect("tti operator builds")
+}
+
+/// The TTI update equations at spatial order `so`, before
+/// compilation: what [`operator`] builds.
+pub fn equations(spec: &ModelSpec, so: u32) -> (Context, Grid, Vec<Eq>) {
     assert_eq!(spec.shape.len(), 3, "TTI is a 3-D kernel");
     let grid = spec.grid();
     let mut ctx = Context::new();
@@ -74,7 +81,7 @@ pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
     let pde_v = m.center() * v.dt2() + damp.center() * v.dt() - sqd.center() * h0_u - gzz_v;
     let st_u = mpix_symbolic::solve(&pde_u, &u.forward(), &ctx).expect("linear in u.forward");
     let st_v = mpix_symbolic::solve(&pde_v, &v.forward(), &ctx).expect("linear in v.forward");
-    Operator::build(ctx, grid, vec![eq_qu, eq_qv, st_u, st_v]).expect("tti operator builds")
+    (ctx, grid, vec![eq_qu, eq_qv, st_u, st_v])
 }
 
 /// Constant background model: tilt and azimuth (radians) and Thomsen

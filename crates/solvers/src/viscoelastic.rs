@@ -14,7 +14,7 @@
 
 use mpix_core::{Operator, Workspace};
 use mpix_symbolic::context::{averaged_at, deriv_of};
-use mpix_symbolic::{Context, Eq, Expr, FieldHandle, Stagger};
+use mpix_symbolic::{Context, Eq, Expr, FieldHandle, Grid, Stagger};
 
 use crate::model::ModelSpec;
 
@@ -43,6 +43,13 @@ impl Default for Relaxation {
 
 /// Build the viscoelastic operator at spatial order `so` (3-D only).
 pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
+    let (ctx, grid, eqs) = equations(spec, so);
+    Operator::build(ctx, grid, eqs).expect("viscoelastic operator builds")
+}
+
+/// The viscoelastic update equations at spatial order `so`, before
+/// compilation: what [`operator`] builds.
+pub fn equations(spec: &ModelSpec, so: u32) -> (Context, Grid, Vec<Eq>) {
     assert_eq!(spec.shape.len(), 3, "viscoelastic kernel is 3-D");
     let grid = spec.grid();
     let mut ctx = Context::new();
@@ -185,7 +192,7 @@ pub fn operator(spec: &ModelSpec, so: u32) -> Operator {
         .into_iter()
         .map(|(eq, fwd)| eq.solve_for(&fwd, &ctx).expect("explicit update"))
         .collect();
-    Operator::build(ctx, grid, eqs).expect("viscoelastic operator builds")
+    (ctx, grid, eqs)
 }
 
 /// Seed moduli, buoyancy, damping; relaxation ratios go in as scalars via
