@@ -533,6 +533,35 @@ mod tests {
         );
     }
 
+    /// `verify_operator` matches each `(halo, radius)` schedule once
+    /// with an empty location and prepends each buffer's location to the
+    /// findings; that must equal matching under the buffer's location.
+    #[test]
+    fn findings_under_a_location_are_the_prefixed_empty_location_findings() {
+        let sctx = ctx2([16, 16], [2, 2], 2, 2);
+        let clean = collect_schedules(&sctx.global, &sctx.dims, 2, HaloMode::Diagonal, 2);
+        let mut deleted = clean.clone();
+        deleted[0].steps[0].pop();
+        let mut retagged = clean.clone();
+        retagged[1].steps[0][0].recv_tag += 1000;
+        let mut shrunk = clean.clone();
+        let r = shrunk[0].steps[0][0].recv_box[1].clone();
+        shrunk[0].steps[0][0].recv_box[1] = r.start..r.end - 1;
+        for plans in [deleted, retagged, shrunk, clean[..3].to_vec()] {
+            let location = "u[t+0] / Diagonal on 4 ranks [2, 2]";
+            let direct = match_schedule(&plans, &sctx, location);
+            let prefixed: Vec<Diagnostic> = match_schedule(&plans, &sctx, "")
+                .into_iter()
+                .map(|d| Diagnostic {
+                    location: format!("{location}{}", d.location),
+                    ..d
+                })
+                .collect();
+            assert!(!direct.is_empty());
+            assert_eq!(direct, prefixed);
+        }
+    }
+
     #[test]
     fn corrupted_tag_is_detected() {
         let sctx = ctx2([16, 16], [2, 2], 2, 2);

@@ -39,6 +39,7 @@
 //! used by `Operator::run` (behind `ApplyOptions::verify` /
 //! `MPIX_VERIFY=1`) and the `mpix-verify` binary.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use mpix_codegen::bytecode::{compile_cluster, fold_constants, fuse_cluster};
@@ -265,7 +266,12 @@ pub fn verify_operator(
         }
     }
 
-    // Pass 2: comm schedules, per mode × topology × exchange key.
+    // Pass 2: comm schedules, per mode × topology × exchange key. A
+    // schedule depends on the buffer only through its `(halo, radius)`,
+    // so each distinct pair is collected and matched once per topology
+    // (with an empty location) and every key gets a copy of the verdict
+    // behind its own location: each `match_schedule` location is
+    // `{location}` or `{location} / {detail}`.
     let keys = comm_schedule::exchange_keys(plan);
     diags.extend(comm_schedule::check_tag_windows(
         ctx,
@@ -279,6 +285,7 @@ pub fn verify_operator(
                 continue; // single rank: no messages, nothing to match
             }
             let dims = dims_create(p, nd);
+            let mut matched: HashMap<(usize, usize), Vec<Diagnostic>> = HashMap::new();
             for &(f, toff, radius) in &keys {
                 if radius == 0 {
                     continue;
@@ -302,15 +309,21 @@ pub fn verify_operator(
                     ));
                     continue;
                 }
-                let plans =
-                    comm_schedule::collect_schedules(&grid.shape, &dims, halo, mode, radius);
-                let sctx = comm_schedule::ScheduleCtx {
-                    global: grid.shape.clone(),
-                    dims: dims.clone(),
-                    halo,
-                    radius,
-                };
-                diags.extend(comm_schedule::match_schedule(&plans, &sctx, &location));
+                let verdict = matched.entry((halo, radius)).or_insert_with(|| {
+                    let plans =
+                        comm_schedule::collect_schedules(&grid.shape, &dims, halo, mode, radius);
+                    let sctx = comm_schedule::ScheduleCtx {
+                        global: grid.shape.clone(),
+                        dims: dims.clone(),
+                        halo,
+                        radius,
+                    };
+                    comm_schedule::match_schedule(&plans, &sctx, "")
+                });
+                diags.extend(verdict.iter().map(|d| Diagnostic {
+                    location: format!("{location}{}", d.location),
+                    ..d.clone()
+                }));
             }
         }
     }

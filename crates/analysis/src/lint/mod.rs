@@ -302,6 +302,64 @@ mod tests {
         }
     }
 
+    /// The schedule prover runs once per `(mode, nd)` and its findings
+    /// are copied to every exchange key: above the modelled
+    /// dimensionality each key must still get its own `MPX014` per mode
+    /// (and `MPX010` for *diagonal* and *full*, whose 4-D tag layout of
+    /// 3^4 messages overflows the window), each located under its own
+    /// buffer. `Grid::new` stops at 3-D, so the 4-D fields and their
+    /// exchange plan are built by hand.
+    #[test]
+    fn four_dimensional_findings_are_reported_per_key() {
+        use mpix_ir::halo::HaloXchg;
+        use mpix_symbolic::Grid;
+
+        let mut ctx = Context::new();
+        let g = Grid {
+            shape: vec![8; 4],
+            extent: vec![1.0; 4],
+        };
+        let u = ctx.add_time_function("u", &g, 2, 2).id();
+        let v = ctx.add_time_function("v", &g, 2, 2).id();
+        let m = ctx.add_function("m", &g, 2).id();
+        let xchg = |field, time_offset| HaloXchg {
+            field,
+            time_offset,
+            radius: vec![1; 4],
+        };
+        let plan = HaloPlan {
+            hoisted: vec![xchg(m, 0)],
+            per_cluster: vec![vec![xchg(u, 0), xchg(v, 0)], vec![xchg(u, 1)]],
+        };
+        let keys = crate::comm_schedule::exchange_keys(&plan);
+        assert_eq!(keys.len(), 4, "{keys:?}");
+
+        let modes = [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full];
+        let diags = lint_operator(&ctx, &[], &plan, &modes, None, &LintConfig::new());
+        for &(f, toff, _) in &keys {
+            let buf = crate::buf_name(&ctx, f, toff);
+            for mode in modes {
+                let prefix = format!("{buf} / {mode:?} (all P) / ");
+                let codes: Vec<&str> = diags
+                    .iter()
+                    .filter(|d| d.location.starts_with(&prefix))
+                    .filter_map(|d| d.code.as_deref())
+                    .collect();
+                let want = if mode != HaloMode::Basic {
+                    vec!["MPX010", "MPX014"]
+                } else {
+                    vec!["MPX014"]
+                };
+                assert_eq!(codes, want, "{prefix}: {diags:?}");
+            }
+        }
+        let schedule_findings = diags
+            .iter()
+            .filter(|d| matches!(d.code.as_deref(), Some("MPX010" | "MPX014")))
+            .count();
+        assert_eq!(schedule_findings, keys.len() * (modes.len() + 2));
+    }
+
     #[test]
     fn apply_drops_allowed_and_maps_severity() {
         let mut cfg = LintConfig::new();

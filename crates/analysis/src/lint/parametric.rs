@@ -33,7 +33,7 @@
 //! concrete matcher at P ∈ {2, 3, 5, 8, 32, 128, 512}: both clean, for
 //! every mode.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use mpix_comm::CartComm;
@@ -700,7 +700,14 @@ pub fn prove_parametric(mode: HaloMode, nd: usize, loc_prefix: &str) -> Vec<Lint
 }
 
 /// Top-level entry: prove every exchange key of the plan, per mode.
+///
+/// The proof depends only on `(mode, nd)`, not on the buffer, so each
+/// distinct pair is proven once (with an empty location prefix) and
+/// every key gets a copy of its findings behind its own prefix. Every
+/// [`prove_parametric`] location starts with its prefix, so the output
+/// is the same, in the same order, as proving each key separately.
 pub fn lint_schedules(ctx: &Context, plan: &HaloPlan, modes: &[HaloMode]) -> Vec<LintFinding> {
+    let mut proofs: HashMap<(HaloMode, usize), Vec<LintFinding>> = HashMap::new();
     let mut out = Vec::new();
     for (f, toff, radius) in crate::comm_schedule::exchange_keys(plan) {
         if radius == 0 {
@@ -709,7 +716,13 @@ pub fn lint_schedules(ctx: &Context, plan: &HaloPlan, modes: &[HaloMode]) -> Vec
         let nd = ctx.field(f).ndim();
         for &mode in modes {
             let prefix = format!("{} / {mode:?} (all P) / ", crate::buf_name(ctx, f, toff));
-            out.extend(prove_parametric(mode, nd, &prefix));
+            let proof = proofs
+                .entry((mode, nd))
+                .or_insert_with(|| prove_parametric(mode, nd, ""));
+            out.extend(proof.iter().map(|x| LintFinding {
+                location: format!("{prefix}{}", x.location),
+                ..x.clone()
+            }));
         }
     }
     out

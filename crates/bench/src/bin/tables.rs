@@ -16,6 +16,9 @@
 //! cargo run -p mpix-bench --release --bin tables -- bench-build [--quick] [--arm=LABEL] [--baseline=FILE]
 //! #   Operator::build time per phase, every kernel x SDO 2..16 -> BENCH_build.json
 //! #   --arm labels the record; --baseline adds each row's ratio to an earlier one
+//! cargo run -p mpix-bench --release --bin tables -- bench-verify [--quick] [--arm=LABEL] [--baseline=FILE]
+//! #   Operator::run's verify gate (jit), kernel x SDO {4,8,16} x {basic,diagonal}
+//! #   x ranks {1,2} -> BENCH_verify.json; --arm/--baseline as for bench-build
 //! cargo run -p mpix-bench --release --bin tables -- bench-halo [--quick] [--ranks-sweep]
 //! #   persistent-plan vs legacy halo exchange latency -> BENCH_comm.json
 //! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: diagonal
@@ -53,6 +56,7 @@ fn main() {
         "bench-kernels" => bench_kernels(&args),
         "bench-halo" => bench_halo(&args),
         "bench-build" => bench_build(&args),
+        "bench-verify" => bench_verify(&args),
         "json" => println!("{}", tables::json_dump()),
         "crossovers" => tables::print_crossovers(),
         "all" => {
@@ -94,15 +98,33 @@ fn bench_kernels(args: &[String]) {
 /// `--baseline=FILE` compares every row against an earlier record).
 fn bench_build(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
-    let arm = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--arm="))
-        .unwrap_or("current");
+    let arm = arm_arg(args);
     let baseline = baseline_arg(args);
     let json = tables::bench_build_json(quick, arm, baseline.as_ref());
     let path = "BENCH_build.json";
     std::fs::write(path, &json).expect("write BENCH_build.json");
     println!("\nwrote {path}");
+}
+
+/// Measure the verify gate for every kernel × SDO × mode × ranks and
+/// write the record to `BENCH_verify.json` (`--quick` = one gate call
+/// per row; `--arm=LABEL` names the record, default `current`;
+/// `--baseline=FILE` compares every row against an earlier record).
+fn bench_verify(args: &[String]) {
+    let quick = args.iter().any(|a| a == "--quick");
+    let arm = arm_arg(args);
+    let baseline = baseline_arg(args);
+    let json = tables::bench_verify_json(quick, arm, baseline.as_ref());
+    let path = "BENCH_verify.json";
+    std::fs::write(path, &json).expect("write BENCH_verify.json");
+    println!("\nwrote {path}");
+}
+
+/// The record label named by `--arm=LABEL`, default `current`.
+fn arm_arg(args: &[String]) -> &str {
+    args.iter()
+        .find_map(|a| a.strip_prefix("--arm="))
+        .unwrap_or("current")
 }
 
 /// The record named by `--baseline=FILE`, if given.

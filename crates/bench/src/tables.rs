@@ -565,6 +565,41 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
     .pretty()
 }
 
+/// A shipped solver's equation builder (`acoustic::equations`, …).
+type Equations = fn(
+    &mpix_solvers::ModelSpec,
+    u32,
+) -> (
+    mpix_symbolic::Context,
+    mpix_symbolic::Grid,
+    Vec<mpix_symbolic::Eq>,
+);
+
+/// The equation builder of one shipped solver.
+fn equations_of(kind: KernelKind) -> Equations {
+    use mpix_solvers::{acoustic, elastic, tti, viscoelastic};
+    match kind {
+        KernelKind::Acoustic => acoustic::equations,
+        KernelKind::Tti => tti::equations,
+        KernelKind::Elastic => elastic::equations,
+        KernelKind::Viscoelastic => viscoelastic::equations,
+    }
+}
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The `arm` label of a baseline record, `null` without one.
+fn baseline_arm(baseline: Option<&mpix_json::Value>) -> mpix_json::Value {
+    baseline.map_or(mpix_json::Value::Null, |b| {
+        let arm = b.get("arm").and_then(mpix_json::Value::as_str);
+        mpix_json::Value::from(arm.unwrap_or("unlabelled"))
+    })
+}
+
 /// Space orders `tables bench-build` compiles every kernel at.
 pub const BUILD_SDOS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 
@@ -585,7 +620,7 @@ pub const BUILD_SDOS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Value>) -> String {
     use mpix_core::{BuildProfile, Operator};
     use mpix_json::{json, Value};
-    use mpix_solvers::{acoustic, elastic, tti, viscoelastic, ModelSpec};
+    use mpix_solvers::ModelSpec;
     use std::time::Instant;
 
     let reps = if quick { 1 } else { 7 };
@@ -597,10 +632,6 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
         })
     };
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
 
     let mut rows = Vec::new();
     let mut max_build_ms = 0.0f64;
@@ -610,12 +641,7 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
         "kernel", "sdo", "build ms", "cse ms", "cse share"
     );
     for kind in KernelKind::all() {
-        let equations = match kind {
-            KernelKind::Acoustic => acoustic::equations,
-            KernelKind::Tti => tti::equations,
-            KernelKind::Elastic => elastic::equations,
-            KernelKind::Viscoelastic => viscoelastic::equations,
-        };
+        let equations = equations_of(kind);
         for sdo in BUILD_SDOS {
             let runs: Vec<(f64, BuildProfile)> = (0..reps)
                 .map(|_| {
@@ -666,15 +692,9 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
             rows.push(Value::Obj(row));
         }
     }
-    let baseline_arm = baseline.map(|b| {
-        b.get("arm")
-            .and_then(Value::as_str)
-            .unwrap_or("unlabelled")
-            .to_string()
-    });
     json!({
         "arm": arm,
-        "baseline_arm": baseline_arm.map_or(Value::Null, Value::from),
+        "baseline_arm": baseline_arm(baseline),
         "grid": vec![16, 16, 16],
         "nbl": 2,
         "quick": quick,
@@ -682,6 +702,122 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
         "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "max_build_ms": max_build_ms,
         "builds": rows,
+    })
+    .pretty()
+}
+
+/// Space orders `tables bench-verify` gates every kernel at.
+pub const VERIFY_SDOS: [u32; 3] = [4, 8, 16];
+/// Halo modes `tables bench-verify` gates every operator in.
+pub const VERIFY_MODES: [mpix_dmp::HaloMode; 2] =
+    [mpix_dmp::HaloMode::Basic, mpix_dmp::HaloMode::Diagonal];
+/// Rank counts `tables bench-verify` gates every operator on.
+pub const VERIFY_RANKS: [usize; 2] = [1, 2];
+
+/// Measured verify-gate time: the gate `Operator::run` applies with
+/// `verify` on ([`AnalysisConfig::for_run`](mpix_analysis::AnalysisConfig::for_run)
+/// on `jit`), for every kernel × [`VERIFY_SDOS`] × [`VERIFY_MODES`] ×
+/// [`VERIFY_RANKS`] on the largest `serve-mixed` grid (24³ + 4-cell
+/// absorbing layer). Returns one row per configuration as pretty JSON:
+/// the number of exchange keys and the median gate time in ms. The
+/// `tables bench-verify` subcommand writes this to `BENCH_verify.json`.
+///
+/// Each row is the median of `reps` gate calls (7; 1 when `quick`, with
+/// an identical schema); operators are built outside the timed region.
+/// `arm` labels this record. With `baseline` (a record the same
+/// subcommand wrote earlier, typically against the parent's analysis
+/// crate on the same host) rows that match a baseline row by
+/// `(kernel, sdo, mode, ranks)` gain `baseline_verify_ms` and
+/// `speedup_vs_baseline` (baseline time over this one), and the record
+/// names the baseline's arm.
+pub fn bench_verify_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Value>) -> String {
+    use mpix_analysis::AnalysisConfig;
+    use mpix_codegen::Backend;
+    use mpix_core::Operator;
+    use mpix_json::{json, Value};
+    use mpix_solvers::ModelSpec;
+    use std::time::Instant;
+
+    let reps = if quick { 1 } else { 7 };
+    let spec = ModelSpec::new(&[24, 24, 24]).with_nbl(4);
+    let baseline_row = |kernel: &str, sdo: u32, mode: &str, ranks: usize| -> Option<&Value> {
+        baseline?.get("gates")?.as_array()?.iter().find(|r| {
+            r.get("kernel").and_then(Value::as_str) == Some(kernel)
+                && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
+                && r.get("mode").and_then(Value::as_str) == Some(mode)
+                && r.get("ranks").and_then(Value::as_u64) == Some(ranks as u64)
+        })
+    };
+
+    let mut rows = Vec::new();
+    let mut max_verify_ms = 0.0f64;
+    println!("\n## verify gate time ({arm}, jit), median of {reps}");
+    println!(
+        "{:<14} {:>4} {:<9} {:>5} {:>5} {:>10}",
+        "kernel", "sdo", "mode", "ranks", "keys", "verify ms"
+    );
+    for kind in KernelKind::all() {
+        let equations = equations_of(kind);
+        for sdo in VERIFY_SDOS {
+            let (ctx, grid, eqs) = equations(&spec, sdo);
+            let op = Operator::build(ctx, grid, eqs).expect("shipped operator builds");
+            let keys = mpix_analysis::comm_schedule::exchange_keys(op.halo_plan()).len();
+            for mode in VERIFY_MODES {
+                for ranks in VERIFY_RANKS {
+                    let times: Vec<f64> = (0..reps)
+                        .map(|_| {
+                            let t0 = Instant::now();
+                            let cfg = AnalysisConfig::for_run(mode, ranks, 1, 0, Backend::Jit);
+                            let report = op.verify(&cfg);
+                            let ms = t0.elapsed().as_secs_f64() * 1e3;
+                            assert!(!report.has_errors(), "{report}");
+                            ms
+                        })
+                        .collect();
+                    let verify_ms = median(times);
+                    max_verify_ms = max_verify_ms.max(verify_ms);
+                    let mode = format!("{mode:?}").to_lowercase();
+                    let mut row = vec![
+                        ("kernel".to_string(), json!(kind.name())),
+                        ("sdo".to_string(), json!(sdo)),
+                        ("mode".to_string(), json!(mode.as_str())),
+                        ("ranks".to_string(), json!(ranks)),
+                        ("keys".to_string(), json!(keys)),
+                        ("verify_ms".to_string(), json!(verify_ms)),
+                    ];
+                    let mut line = format!(
+                        "{:<14} {:>4} {:<9} {:>5} {:>5} {:>10.3}",
+                        kind.name(),
+                        sdo,
+                        mode,
+                        ranks,
+                        keys,
+                        verify_ms
+                    );
+                    let base = baseline_row(kind.name(), sdo, &mode, ranks)
+                        .and_then(|r| r.get("verify_ms")?.as_f64());
+                    if let Some(b) = base {
+                        row.push(("baseline_verify_ms".to_string(), json!(b)));
+                        row.push(("speedup_vs_baseline".to_string(), json!(b / verify_ms)));
+                        line += &format!("   baseline {b:>9.3} ms {:>6.2}x", b / verify_ms);
+                    }
+                    println!("{line}");
+                    rows.push(Value::Obj(row));
+                }
+            }
+        }
+    }
+    json!({
+        "arm": arm,
+        "baseline_arm": baseline_arm(baseline),
+        "grid": vec![24, 24, 24],
+        "nbl": 4,
+        "backend": "jit",
+        "quick": quick,
+        "reps": reps,
+        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "max_verify_ms": max_verify_ms,
+        "gates": rows,
     })
     .pretty()
 }
@@ -1078,6 +1214,11 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
 mod tests {
     use super::*;
 
+    /// Held by the halo bench's timing gate and by the verify bench,
+    /// whose rank threads and JIT compiles would otherwise share the
+    /// cores with the gate's two timed arms.
+    static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn cpu_rows_are_positive_and_grow() {
         let rows = model_cpu_rows(KernelKind::Acoustic, 8);
@@ -1200,12 +1341,61 @@ mod tests {
         }
     }
 
+    /// Schema of the quick verify bench: one row per kernel × SDO × mode
+    /// × ranks with the key count and gate time, and a baseline's rows
+    /// joined by `(kernel, sdo, mode, ranks)`.
+    #[test]
+    fn bench_verify_quick_rows_and_schema() {
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
+        let first = bench_verify_json(true, "first", None);
+        let v = mpix_json::Value::parse(&first).expect("valid JSON");
+        assert_eq!(v.get("baseline_arm"), Some(&mpix_json::Value::Null));
+        let out = bench_verify_json(true, "second", Some(&v));
+        let v = mpix_json::Value::parse(&out).expect("valid JSON");
+        assert_eq!(
+            v.get("baseline_arm").and_then(mpix_json::Value::as_str),
+            Some("first")
+        );
+        let rows = v.get("gates").and_then(mpix_json::Value::as_array).unwrap();
+        assert_eq!(
+            rows.len(),
+            4 * VERIFY_SDOS.len() * VERIFY_MODES.len() * VERIFY_RANKS.len(),
+            "{out}"
+        );
+        for row in rows {
+            let mut keys: Vec<&str> = row
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(
+                keys,
+                [
+                    "baseline_verify_ms",
+                    "kernel",
+                    "keys",
+                    "mode",
+                    "ranks",
+                    "sdo",
+                    "speedup_vs_baseline",
+                    "verify_ms",
+                ],
+                "{out}"
+            );
+            let get = |k: &str| row.get(k).and_then(mpix_json::Value::as_f64).unwrap();
+            assert!(get("keys") >= 1.0 && get("verify_ms") > 0.0, "{out}");
+        }
+    }
+
     /// Smoke for the ranks-sweep axis: the quick sweep must emit one row
     /// per swept P in the single-arm schema, each with the
     /// zero-allocation steady state. Also pins the mode×radius row count
     /// so `--ranks-sweep` cannot silently drop the existing axis.
     #[test]
     fn bench_halo_quick_emits_exchange_and_ranks_sweep_rows() {
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
         let out = bench_halo_json_opts(true, true);
         let v = mpix_json::Value::parse(&out).expect("valid JSON");
         let rows = v
