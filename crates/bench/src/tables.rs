@@ -609,6 +609,11 @@ pub const BUILD_SDOS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 /// build time in ms, the median of each phase and CSE's share. The
 /// `tables bench-build` subcommand writes this to `BENCH_build.json`.
 ///
+/// Each row also records the layout the build chose: `workspace_bytes`,
+/// the field buffers of a 1-rank `Workspace` built from the operator's
+/// context (stencil-reach halos), and `space_order_bytes`, the same
+/// fields at the pre-build default of a halo of `space_order` per side.
+///
 /// Each row is the median of `reps` builds (7; 1 when `quick`, with an
 /// identical schema). The equations are constructed outside the timed
 /// region. `arm` labels this record. With `baseline` (a record the same
@@ -689,9 +694,35 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
                 line += &format!("   baseline {b:>9.3} ms {:>7.1}x", b / build_ms);
             }
             println!("{line}");
-            rows.push(Value::Obj(row));
+            rows.push(row);
         }
     }
+    // Layouts are measured after every timed build: allocating and
+    // dropping workspaces between builds slows the builds that follow.
+    let configs = KernelKind::all()
+        .into_iter()
+        .flat_map(|k| BUILD_SDOS.map(|so| (k, so)));
+    for (row, (kind, sdo)) in rows.iter_mut().zip(configs) {
+        let (ctx, grid, eqs) = equations_of(kind)(&spec, sdo);
+        let op = Operator::build(ctx, grid, eqs).expect("shipped operator builds");
+        let workspace_bytes = mpix_comm::Universe::run(1, |comm| {
+            let cart = mpix_comm::CartComm::new(comm, &vec![1; op.grid().ndim()]);
+            mpix_core::Workspace::new(op.ctx(), op.grid(), cart).bytes()
+        })[0];
+        let space_order_bytes: usize = op
+            .ctx()
+            .fields()
+            .iter()
+            .map(|f| {
+                let pad = 2 * f.space_order as usize;
+                let points: usize = f.shape.iter().map(|&n| n + pad).product();
+                f.time_buffers() * points * std::mem::size_of::<f32>()
+            })
+            .sum();
+        row.push(("workspace_bytes".to_string(), json!(workspace_bytes)));
+        row.push(("space_order_bytes".to_string(), json!(space_order_bytes)));
+    }
+    let rows: Vec<Value> = rows.into_iter().map(Value::Obj).collect();
     json!({
         "arm": arm,
         "baseline_arm": baseline_arm(baseline),
@@ -1214,9 +1245,10 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
 mod tests {
     use super::*;
 
-    /// Held by the halo bench's timing gate and by the verify bench,
-    /// whose rank threads and JIT compiles would otherwise share the
-    /// cores with the gate's two timed arms.
+    /// Held by the halo bench's timing gate and by every other test that
+    /// times work (the kernel, build and verify benches), whose rank
+    /// threads and JIT compiles would otherwise share the cores with the
+    /// gate's two timed arms.
     static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -1245,6 +1277,7 @@ mod tests {
     #[test]
     fn bench_kernels_has_backend_rows_and_jit_wins_somewhere() {
         use mpix_core::{available_backends, Backend};
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
 
         let out = bench_kernels_json(true);
         let v = mpix_json::Value::parse(&out).expect("valid JSON");
@@ -1286,6 +1319,7 @@ mod tests {
     /// `(kernel, sdo)`.
     #[test]
     fn bench_build_quick_rows_and_schema() {
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
         let first = bench_build_json(true, "first", None);
         let v = mpix_json::Value::parse(&first).expect("valid JSON");
         assert_eq!(v.get("baseline_arm"), Some(&mpix_json::Value::Null));
@@ -1323,8 +1357,18 @@ mod tests {
                     "lowering_ms",
                     "op_counts_ms",
                     "sdo",
+                    "space_order_bytes",
                     "speedup_vs_baseline",
+                    "workspace_bytes",
                 ],
+                "{out}"
+            );
+            let bytes = |k: &str| row.get(k).and_then(mpix_json::Value::as_u64).unwrap();
+            // Every shipped stencil reads at most `so / 2` points out, so
+            // the reach-sized layout is always the smaller.
+            assert!(bytes("workspace_bytes") > 0, "{out}");
+            assert!(
+                bytes("workspace_bytes") < bytes("space_order_bytes"),
                 "{out}"
             );
             let share = row

@@ -90,7 +90,7 @@ pub struct BuildProfile {
     pub clusterize: Duration,
     /// Parameter extraction and CSE over every cluster.
     pub cse: Duration,
-    /// Halo-exchange detection.
+    /// Halo sizing (each field's stencil reach) and exchange detection.
     pub halo: Duration,
     /// Compile-time operation counts.
     pub op_counts: Duration,
@@ -108,7 +108,7 @@ impl Operator {
 
     /// [`build`](Self::build), also returning how long each phase took.
     pub fn build_profile(
-        ctx: Context,
+        mut ctx: Context,
         grid: Grid,
         eqs: Vec<Eq>,
     ) -> Result<(Operator, BuildProfile), BuildError> {
@@ -131,6 +131,21 @@ impl Operator {
             cse_cluster(cl, &mut next_param);
         }
         let cse = lap();
+        // Allocate only the halo the stencils read: each field's halo is
+        // the largest radius any cluster reads it at, over every
+        // dimension and time offset. Every consumer (workspace, launch
+        // geometry, C emission, slab partition, analyses) reads this one
+        // value from `self.ctx`.
+        let mut reach = vec![0u32; ctx.fields().len()];
+        for cl in &clusters {
+            for (f, _, radius) in cl.reads() {
+                let r = &mut reach[f.0 as usize];
+                *r = radius.into_iter().fold(*r, |m, x| m.max(x as u32));
+            }
+        }
+        for (i, halo) in reach.into_iter().enumerate() {
+            ctx.set_halo(mpix_symbolic::FieldId(i as u32), halo);
+        }
         let plan = detect_halo_exchanges(&clusters, &ctx);
         let halo = lap();
         let counts = op_counts(&clusters);
@@ -308,7 +323,35 @@ impl Operator {
 
     /// Run on an existing per-rank workspace (the low-level entry point;
     /// `apply_distributed` wraps it).
+    ///
+    /// Panics if a workspace buffer's halo differs from the one the
+    /// executable was compiled for, e.g. a workspace built from the
+    /// pre-build `Context` (space-order halos) rather than
+    /// [`ctx`](Self::ctx) (stencil-reach halos): it would run, but at the
+    /// wider layout's footprint.
     pub fn apply(&self, ws: &mut Workspace, exec: &OperatorExec, opts: &ApplyOptions) -> ExecStats {
+        assert_eq!(
+            ws.fields.len(),
+            exec.halos().len(),
+            "operator '{}': the workspace has {} fields but the executable {}; build \
+             the Workspace from op.ctx(), the context the operator allocates from",
+            opts.label,
+            ws.fields.len(),
+            exec.halos().len()
+        );
+        for fs in &ws.fields {
+            let want = exec.halos()[fs.field.0 as usize];
+            let have = fs.buffers[0].halo();
+            assert_eq!(
+                have,
+                want,
+                "operator '{}': workspace field '{}' has halo {have} but the executable \
+                 expects halo {want}; build the Workspace from op.ctx(), the context \
+                 the operator allocates from",
+                opts.label,
+                self.ctx.field(fs.field).name
+            );
+        }
         let scalars = self.default_scalars(opts);
         let Workspace {
             cart,
@@ -499,6 +542,21 @@ mod tests {
             Operator::build_profile(Context::new(), Grid::new(&[4], &[1.0]), vec![]),
             Err(BuildError::Empty)
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "workspace field 'u' has halo 4 but the executable \
+                               expects halo 2; build the Workspace from op.ctx()")]
+    fn apply_rejects_a_workspace_built_from_the_pre_build_context() {
+        let (ctx, g, eqs) = diffusion();
+        let op = Operator::build(ctx.clone(), g.clone(), eqs).unwrap();
+        let opts = ApplyOptions::default().with_verify(false);
+        let exec = op.executable_for(&opts);
+        Universe::run(1, |comm| {
+            let cart = CartComm::new(comm, &[1, 1]);
+            let mut ws = Workspace::new(&ctx, &g, cart);
+            op.apply(&mut ws, &exec, &opts);
+        });
     }
 
     #[test]

@@ -57,6 +57,15 @@ impl Workspace {
         }
     }
 
+    /// Bytes held by every field buffer on this rank, halos included.
+    pub fn bytes(&self) -> usize {
+        self.fields
+            .iter()
+            .flat_map(|f| &f.buffers)
+            .map(|b| std::mem::size_of_val(b.raw()))
+            .sum()
+    }
+
     fn field_index(&self, name: &str) -> usize {
         self.names
             .iter()
@@ -199,6 +208,8 @@ mod tests {
             assert_eq!(ws.fields[0].buffers.len(), 3); // time_order 2
             assert_eq!(ws.fields[1].buffers.len(), 1); // Function
             assert_eq!(ws.field_data("u", 0).local_shape(), &[4, 4]);
+            // u: 3 buffers of (4 + 2·2)², m: 1 buffer of (4 + 2·2)².
+            assert_eq!(ws.bytes(), 4 * 64 * 4);
         });
     }
 

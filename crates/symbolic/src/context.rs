@@ -50,15 +50,17 @@ pub struct Field {
     pub kind: FieldKind,
     /// Global grid shape this field is defined on (the `data` region).
     pub shape: Vec<usize>,
-    /// Spatial discretization order; also the default allocated halo
-    /// width per side, as in Devito (the paper: "assuming u has an SDO of
-    /// 2, it has, by default, a halo of size 2").
+    /// Spatial discretization order: the accuracy of the field's
+    /// derivatives, and the allocated halo width until
+    /// [`Context::set_halo`] narrows it.
     pub space_order: u32,
     /// Temporal discretization order; `time_order + 1` buffers are kept.
     /// Zero for [`FieldKind::Function`].
     pub time_order: u32,
     /// Per-dimension staggering.
     pub stagger: Vec<Stagger>,
+    /// Allocated halo width per side (see [`Field::halo`]).
+    halo: u32,
 }
 
 impl Field {
@@ -70,9 +72,15 @@ impl Field {
         }
     }
 
-    /// Allocated halo width per side, per dimension.
+    /// Allocated halo width per side, in every dimension. A freshly
+    /// registered field defaults to its space order, as in Devito (the
+    /// paper: "assuming u has an SDO of 2, it has, by default, a halo of
+    /// size 2"). `Operator::build` narrows every field of the operator's
+    /// own context to its stencil reach: the largest radius at which any
+    /// cluster reads it (`space_order / 2` for the shipped wavefields, 0
+    /// or 1 for most material fields).
     pub fn halo(&self) -> u32 {
-        self.space_order
+        self.halo
     }
 
     /// Number of spatial dimensions.
@@ -162,6 +170,7 @@ impl Context {
             space_order,
             time_order,
             stagger: stagger.unwrap_or_else(|| vec![Stagger::Node; grid.ndim()]),
+            halo: space_order,
         };
         self.fields.push(field.clone());
         FieldHandle { meta: field }
@@ -170,6 +179,11 @@ impl Context {
     /// Look up a field by id.
     pub fn field(&self, id: FieldId) -> &Field {
         &self.fields[id.0 as usize]
+    }
+
+    /// Set a field's allocated halo width per side (see [`Field::halo`]).
+    pub fn set_halo(&mut self, id: FieldId, halo: u32) {
+        self.fields[id.0 as usize].halo = halo;
     }
 
     /// Look up a field by name.
@@ -436,9 +450,13 @@ mod tests {
 
     #[test]
     fn halo_defaults_to_space_order() {
-        // Matches the paper §III d: SDO 2 -> halo of size 2.
+        // The pre-build default matches the paper §III d: SDO 2 -> halo
+        // of size 2. `Operator::build` narrows it to the stencil reach.
         let mut ctx = Context::new();
         let u = ctx.add_time_function("u", &grid2(), 2, 1);
         assert_eq!(ctx.field(u.id()).halo(), 2);
+        ctx.set_halo(u.id(), 1);
+        assert_eq!(ctx.field(u.id()).halo(), 1);
+        assert_eq!(ctx.field(u.id()).space_order, 2);
     }
 }

@@ -39,8 +39,8 @@ void Kernel(const int time_m, const int time_M)
       #pragma omp simd aligned(u:32)
       for (int y = y_m; y <= y_M; y += 1)
       {
-        float r4 = -2.0F*u[t0][x + 2][y + 2];
-        u[t1][x + 2][y + 2] = r0*(r1*u[t0][x + 2][y + 2] + r2*(u[t0][x + 1][y + 2] + u[t0][x + 3][y + 2] + r4) + r3*(u[t0][x + 2][y + 1] + u[t0][x + 2][y + 3] + r4));
+        float r4 = -2.0F*u[t0][x + 1][y + 1];
+        u[t1][x + 1][y + 1] = r0*(r1*u[t0][x + 1][y + 1] + r2*(u[t0][x][y + 1] + u[t0][x + 2][y + 1] + r4) + r3*(u[t0][x + 1][y] + u[t0][x + 1][y + 2] + r4));
       }
     }
   }

@@ -239,7 +239,9 @@ fn run_cse(mut cls: Vec<Cluster>, cse: fn(&mut Cluster, &mut usize)) -> Vec<Clus
 }
 
 /// `Operator::content_key` computed from explicit post-CSE clusters: the
-/// same lowering and the same hashed emissions.
+/// same lowering and the same hashed emissions. `ctx` must be the
+/// operator's own (`op.ctx()`, with its stencil-reach halos): the C
+/// emission indexes every access through the allocated halo.
 fn content_key(cls: &[Cluster], ctx: &Context, opts: &ApplyOptions) -> u64 {
     let plan = detect_halo_exchanges(cls, ctx);
     let iet = build_iet(cls.to_vec(), &plan, "Kernel", 0, true);
@@ -263,7 +265,7 @@ fn matches_oracle(name: &str, equations: Equations) {
             format!("{old:?}"),
             "{name} SDO {so}: post-CSE clusters differ from the oracle"
         );
-        let op = Operator::build(ctx.clone(), grid, eqs).unwrap();
+        let op = Operator::build(ctx, grid, eqs).unwrap();
         assert_eq!(format!("{:?}", op.clusters()), format!("{new:?}"));
         for mode in [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full] {
             for backend in [Backend::Bytecode, Backend::Jit] {
@@ -271,10 +273,10 @@ fn matches_oracle(name: &str, equations: Equations) {
                     .with_mode(mode)
                     .with_backend(backend);
                 let key = op.content_key(&opts);
-                assert_eq!(key, content_key(&new, &ctx, &opts), "{name} SDO {so}");
+                assert_eq!(key, content_key(&new, op.ctx(), &opts), "{name} SDO {so}");
                 assert_eq!(
                     key,
-                    content_key(&old, &ctx, &opts),
+                    content_key(&old, op.ctx(), &opts),
                     "{name} SDO {so} {mode:?} {backend}: content_key differs from the oracle's"
                 );
             }
