@@ -23,7 +23,7 @@
 //! out.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
-use mpix_codegen::{compile_kernel, Backend, BytecodeKernel, ClusterKernel, Launch};
+use mpix_codegen::{compile_kernel, Backend, BytecodeKernel, ClusterKernel, Launch, Stream};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
 
@@ -148,8 +148,10 @@ fn run_kernel(
         params: &geo.params,
         block,
     };
-    let mut slices: Vec<&mut [f32]> = bufs.iter_mut().map(|v| v.as_mut_slice()).collect();
-    kernel.exec_box(&launch, &geo.bx, &mut slices);
+    let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
+        .map(|(v, &w)| Stream::whole(v, w))
+        .collect();
+    kernel.exec_box(&launch, &geo.bx, &mut streams);
     bufs
 }
 

@@ -1,32 +1,36 @@
 //! Pass 4: slab write-disjointness proofs for the threaded executor.
 //!
-//! The shared-memory backend splits the outermost loop dimension into
-//! `nthreads` contiguous chunks and hands each thread a disjoint linear
-//! *slab* of every **written** stream's buffer (read-only streams are
-//! shared). Two proof obligations follow:
+//! The shared-memory backend splits a box's outermost loop dimension
+//! into contiguous chunks ([`slab_chunks`]) and hands each worker a
+//! disjoint linear *slab* of every **written** stream's buffer (read-only
+//! streams are shared); every worker runs the same kernel entry point
+//! the serial path does. Two proof obligations follow:
 //!
 //! * [`check_written_offsets`] — a load from a *written* stream at a
-//!   nonzero outer-dimension offset would cross into another thread's
-//!   slab, where the value is nondeterministically pre- or post-update
-//!   (a read/write race) → Error. Nonzero offsets in inner dimensions
-//!   stay inside the slab but still read neighbours the same sweep
-//!   updates, making the result traversal-order-dependent → Warning.
-//!   (The clusterizer only splits on flow dependences, not
-//!   anti-dependences, so such programs can reach the executor.)
-//! * [`check_cluster_slabs`] — replays the executor's exact slab
-//!   arithmetic (`chunk = ceil(len / nthreads)`, slab `[(x + halo) *
-//!   stride0, (xe + halo) * stride0)`) for every region box, thread
-//!   count and written stream, and proves the chunks tile the loop range
+//!   nonzero outer-dimension offset ([`crosses_slab`]) would cross into
+//!   another thread's slab, where the value is nondeterministically pre-
+//!   or post-update (a read/write race) → Error; `OperatorExec::run`
+//!   refuses such an operator at `threads > 1` by the same rule.
+//!   Nonzero offsets in inner dimensions stay inside the slab but still
+//!   read neighbours the same sweep updates, making the result
+//!   traversal-order-dependent → Warning. (The clusterizer only splits
+//!   on flow dependences, not anti-dependences, so such programs can
+//!   reach the executor.)
+//! * [`check_cluster_slabs`] — takes the executor's own partition
+//!   ([`slab_chunks`]) of every region box, thread count and written
+//!   stream, derives each chunk's slab `[(x + halo) * stride0, (xe +
+//!   halo) * stride0)`, and proves the chunks tile the loop range
 //!   exactly and the slabs are pairwise disjoint and cover the written
 //!   rows — i.e. every output point is written by exactly one thread.
 //!
-//! Both checks are pure functions over artifacts; the slab replay is
+//! Both checks are pure functions over artifacts; the slab table is
 //! split into [`compute_slabs`] / [`check_slabs`] so the mutation corpus
 //! can corrupt a slab table directly.
 
 use std::ops::Range;
 
-use mpix_codegen::{CompiledCluster, Op};
+use mpix_codegen::executor::{crosses_slab, slab_chunks};
+use mpix_codegen::CompiledCluster;
 use mpix_dmp::regions::{region_box, remainder_boxes, Region};
 use mpix_symbolic::Context;
 use mpix_trace::Diagnostic;
@@ -39,13 +43,7 @@ const PASS: &str = "thread-safety";
 pub fn check_written_offsets(ctx: &Context, ci: usize, cc: &CompiledCluster) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut reported: Vec<(u32, u32)> = Vec::new();
-    for op in &cc.ops {
-        let (stream, off) = match *op {
-            Op::Load { stream, off }
-            | Op::LoadMul { stream, off, .. }
-            | Op::LoadMulAdd { stream, off, .. } => (stream, off),
-            _ => continue,
-        };
+    for (stream, off) in cc.ops.iter().filter_map(|op| op.load()) {
         let s = stream as usize;
         if s >= cc.written.len() || !cc.written[s] || (off as usize) >= cc.offsets.len() {
             continue; // unwritten stream, or structurally invalid (pass 3 reports)
@@ -56,7 +54,7 @@ pub fn check_written_offsets(ctx: &Context, ci: usize, cc: &CompiledCluster) -> 
         reported.push((stream, off));
         let deltas = &cc.offsets[off as usize].1;
         let name = &ctx.field(cc.streams[s].0).name;
-        if deltas.first().is_some_and(|&d0| d0 != 0) {
+        if crosses_slab(deltas) {
             diags.push(Diagnostic::error(
                 PASS,
                 format!("cluster {ci} / stream {s} ({name})"),
@@ -80,24 +78,20 @@ pub fn check_written_offsets(ctx: &Context, ci: usize, cc: &CompiledCluster) -> 
     diags
 }
 
-/// The executor's slab partition for one written stream: returns
-/// `(rows, linear)` per thread, where `rows` is the chunk of the outer
-/// loop range and `linear` the buffer slab handed to that thread.
-/// Mirrors `exec_box_threaded` exactly.
+/// The executor's slab partition for one written stream: `(rows,
+/// linear)` per worker, where `rows` is the worker's chunk of the outer
+/// loop range ([`slab_chunks`]) and `linear` the buffer slab bound to
+/// it. `None` when the executor runs the box unsplit, with every
+/// buffer bound whole.
 pub fn compute_slabs(
     range0: &Range<usize>,
     nthreads: usize,
     halo: usize,
     stride0: usize,
-) -> Vec<(Range<usize>, Range<usize>)> {
-    let chunk = range0.len().div_ceil(nthreads);
-    (0..nthreads)
-        .map(|t| {
-            let x = (range0.start + t * chunk).min(range0.end);
-            let xe = (range0.start + (t + 1) * chunk).min(range0.end);
-            (x..xe, (x + halo) * stride0..(xe + halo) * stride0)
-        })
-        .collect()
+) -> Option<Vec<(Range<usize>, Range<usize>)>> {
+    let chunks = slab_chunks(range0, nthreads)?;
+    let slab = |r: &Range<usize>| (r.start + halo) * stride0..(r.end + halo) * stride0;
+    Some(chunks.into_iter().map(|r| (r.clone(), slab(&r))).collect())
 }
 
 /// Prove a slab table partitions the written rows: chunks tile `range0`
@@ -185,12 +179,9 @@ pub fn check_cluster_slabs(
         boxes.push((format!("REMAINDER[{i}]"), b));
     }
     for &t in threads {
-        if t < 2 {
-            continue;
-        }
         for (bname, bx) in &boxes {
-            if bx.iter().any(|r| r.is_empty()) || bx[0].len() < 2 * t {
-                continue; // executor runs this box sequentially
+            if bx.iter().any(|r| r.is_empty()) {
+                continue;
             }
             for (s, &(f, _)) in cc.streams.iter().enumerate() {
                 if !cc.written[s] {
@@ -198,7 +189,9 @@ pub fn check_cluster_slabs(
                 }
                 let halo = ctx.field(f).halo() as usize;
                 let stride0: usize = local[1..].iter().map(|&n| n + 2 * halo).product();
-                let slabs = compute_slabs(&bx[0], t, halo, stride0);
+                let Some(slabs) = compute_slabs(&bx[0], t, halo, stride0) else {
+                    continue; // executor runs this box unsplit
+                };
                 let location = format!(
                     "cluster {ci} / stream {s} ({}) / {bname} / {t} threads",
                     ctx.field(f).name
@@ -214,6 +207,7 @@ pub fn check_cluster_slabs(
 mod tests {
     use super::*;
     use mpix_codegen::bytecode::{compile_cluster, fuse_cluster};
+    use mpix_codegen::Op;
     use mpix_ir::cluster::clusterize;
     use mpix_ir::lowering::lower_equations;
     use mpix_symbolic::Grid;
@@ -288,20 +282,34 @@ mod tests {
 
     #[test]
     fn slab_partition_is_exact_for_awkward_sizes() {
-        // Sizes that don't divide evenly, including empty trailing chunks.
+        // Sizes that don't divide evenly, including ones that leave a
+        // thread without rows, and boxes too thin to split.
         for len in [7usize, 8, 9, 13, 64] {
             for t in [2usize, 3, 4, 5] {
                 let r = 3..3 + len;
-                let slabs = compute_slabs(&r, t, 4, 40);
-                assert!(check_slabs(&slabs, &r, 4, 40, "t").is_empty(), "{len}/{t}");
+                match compute_slabs(&r, t, 4, 40) {
+                    Some(slabs) => {
+                        assert!(slabs.len() <= t, "{len}/{t}");
+                        assert!(check_slabs(&slabs, &r, 4, 40, "t").is_empty(), "{len}/{t}");
+                    }
+                    None => assert!(len < 2 * t, "{len}/{t} runs unsplit"),
+                }
             }
         }
+        // The executor stops at the range end: 9 rows on 4 threads are
+        // three chunks of 3.
+        let rows: Vec<_> = compute_slabs(&(0..9), 4, 0, 1)
+            .unwrap()
+            .into_iter()
+            .map(|(rows, _)| rows)
+            .collect();
+        assert_eq!(rows, vec![0..3, 3..6, 6..9]);
     }
 
     #[test]
     fn corrupted_slab_is_flagged() {
         let r = 0..16;
-        let mut slabs = compute_slabs(&r, 4, 2, 20);
+        let mut slabs = compute_slabs(&r, 4, 2, 20).unwrap();
         // Overlap: thread 1 starts one row early.
         slabs[1].0 = slabs[1].0.start - 1..slabs[1].0.end;
         slabs[1].1 = (slabs[1].0.start + 2) * 20..(slabs[1].0.end + 2) * 20;
@@ -312,7 +320,7 @@ mod tests {
         );
 
         // Gap: drop a whole chunk's rows.
-        let mut slabs = compute_slabs(&r, 4, 2, 20);
+        let mut slabs = compute_slabs(&r, 4, 2, 20).unwrap();
         slabs[2].0 = slabs[2].0.end..slabs[2].0.end;
         slabs[2].1 = (slabs[2].0.start + 2) * 20..(slabs[2].0.end + 2) * 20;
         let diags = check_slabs(&slabs, &r, 2, 20, "t");
@@ -322,7 +330,7 @@ mod tests {
         );
 
         // Inconsistent linear slab for the rows.
-        let mut slabs = compute_slabs(&r, 4, 2, 20);
+        let mut slabs = compute_slabs(&r, 4, 2, 20).unwrap();
         slabs[0].1 = slabs[0].1.start..slabs[0].1.end + 20;
         let diags = check_slabs(&slabs, &r, 2, 20, "t");
         assert!(

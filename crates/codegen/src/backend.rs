@@ -6,9 +6,10 @@
 //! everything that is backend-independent (time loop, halo exchanges,
 //! region boxes, loop blocking, slab threading, sanitizer hooks), while
 //! a backend owns only the innermost question — how to evaluate one
-//! compiled cluster over one box. That keeps the backends
-//! interchangeable at the box boundary, which is exactly the boundary
-//! the equivalence gate in `mpix-analysis` verifies.
+//! compiled cluster over one box, through its one entry point
+//! [`ClusterKernel::exec_box`]. That keeps the backends interchangeable
+//! at the box boundary, which is exactly the boundary the equivalence
+//! gate in `mpix-analysis` verifies.
 //!
 //! C is not a runtime backend: the paper-style C source is an emission
 //! format (`cgen::emit_c`, `Operator::c_code_for`) that nothing here
@@ -133,6 +134,32 @@ pub struct Launch<'a> {
     pub block: usize,
 }
 
+/// One stream's binding for a kernel call. Either way the kernel
+/// indexes the stream in its full padded buffer's linear index space.
+pub enum Stream<'a> {
+    /// A stream the cluster only reads: its whole padded buffer, shared
+    /// by every worker of a split box.
+    Read(&'a [f32]),
+    /// A written stream: `slab` holds linear indices `off ..
+    /// off + slab.len()` of its padded buffer. That is the whole buffer
+    /// at `off = 0` when the box runs unsplit, and one worker's dim-0
+    /// rows ([`slab_chunks`](crate::executor::slab_chunks)) when it is
+    /// split.
+    Write { slab: &'a mut [f32], off: usize },
+}
+
+impl<'a> Stream<'a> {
+    /// Bind a stream's whole padded buffer: written at offset 0, or
+    /// read.
+    pub fn whole(buf: &'a mut [f32], written: bool) -> Stream<'a> {
+        if written {
+            Stream::Write { slab: buf, off: 0 }
+        } else {
+            Stream::Read(buf)
+        }
+    }
+}
+
 /// One compiled cluster, executable over region boxes. Implementations
 /// must be bitwise-deterministic: the same launch over the same box
 /// must produce results identical to the scalar oracle
@@ -140,9 +167,11 @@ pub struct Launch<'a> {
 /// `mpix-analysis`' backend equivalence pass and
 /// `tests/backend_equivalence.rs`).
 pub trait ClusterKernel: Send + Sync {
-    /// Execute over `bx` with whole-buffer bindings (single-threaded
-    /// path; `buffers[s]` is stream `s`'s full padded buffer).
-    fn exec_box(&self, launch: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]);
+    /// Execute over `bx` (owned-local coordinates); `streams[s]` binds
+    /// stream `s`. The executor calls this once per unsplit box and
+    /// once per worker of a split one, with the worker's rows in
+    /// `bx[0]`.
+    fn exec_box(&self, launch: &Launch<'_>, bx: &BoxNd, streams: &mut [Stream<'_>]);
 
     /// How many natively-compiled per-geometry modules this kernel holds
     /// in its cache. `0` for interpreter kernels, which compile nothing
@@ -151,17 +180,6 @@ pub trait ClusterKernel: Send + Sync {
     fn cached_modules(&self) -> usize {
         0
     }
-
-    /// Execute over `bx` with split bindings (threaded path): shared
-    /// read slices and per-worker write slabs carrying their linear
-    /// start offset, as produced by the executor's slab partitioner.
-    fn exec_box_mixed(
-        &self,
-        launch: &Launch<'_>,
-        bx: &BoxNd,
-        reads: &mut [Option<&[f32]>],
-        writes: &mut [Option<(&mut [f32], usize)>],
-    );
 }
 
 /// Compile one cluster into an executable kernel for `backend`.
@@ -216,18 +234,8 @@ impl BytecodeKernel<1> {
 }
 
 impl<const W: usize> ClusterKernel for BytecodeKernel<W> {
-    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
-        interp::exec_box::<W>(&self.0, l, bx, buffers);
-    }
-
-    fn exec_box_mixed(
-        &self,
-        l: &Launch<'_>,
-        bx: &BoxNd,
-        reads: &mut [Option<&[f32]>],
-        writes: &mut [Option<(&mut [f32], usize)>],
-    ) {
-        interp::exec_box_mixed::<W>(&self.0, l, bx, reads, writes);
+    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, streams: &mut [Stream<'_>]) {
+        interp::exec_box::<W>(&self.0, l, bx, streams);
     }
 }
 

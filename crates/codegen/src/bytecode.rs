@@ -153,10 +153,16 @@ impl Op {
 
     /// Stream slot this op loads from (fused taps included), if any.
     pub fn stream_read(self) -> Option<u32> {
+        self.load().map(|(stream, _)| stream)
+    }
+
+    /// `(stream slot, offset-table entry)` of this op's load (fused
+    /// taps included), if any.
+    pub fn load(self) -> Option<(u32, u32)> {
         match self {
-            Op::Load { stream, .. }
-            | Op::LoadMul { stream, .. }
-            | Op::LoadMulAdd { stream, .. } => Some(stream),
+            Op::Load { stream, off }
+            | Op::LoadMul { stream, off, .. }
+            | Op::LoadMulAdd { stream, off, .. } => Some((stream, off)),
             _ => None,
         }
     }
@@ -641,40 +647,33 @@ pub fn compile_cluster(cl: &Cluster) -> CompiledCluster {
     }
 }
 
-/// Evaluate one point of a compiled cluster. `bases[slot]` is the linear
-/// index of the evaluation point in stream `slot`'s buffer;
-/// `resolved_offsets[k]` the linear delta of offset entry `k`; `temps`
-/// holds the temporaries' values before and after.
-///
-/// The scalar reference entry point: the interpreter at one lane, so it
-/// shares every op's kernel arithmetic ([`crate::arith`]) with the
-/// interpreter paths the executor runs.
-pub fn eval_point(
-    cc: &CompiledCluster,
-    buffers: &mut [&mut [f32]],
-    bases: &[usize],
-    resolved_offsets: &[isize],
-    scalar_values: &[f32],
-    param_values: &[f32],
-    temps: &mut [f32],
-) {
-    let launch = crate::backend::Launch {
-        cc,
-        strides: &[],
-        halos: &[],
-        resolved: resolved_offsets,
-        scalars: scalar_values,
-        params: param_values,
-        block: 0,
-    };
-    let prog = crate::interp::Program::new(cc);
-    crate::interp::eval_point(&prog, &launch, buffers, bases, temps);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BytecodeKernel, ClusterKernel, Launch, Stream};
+    use mpix_dmp::regions::BoxNd;
     use mpix_ir::iexpr::IdxAccess as IA;
+
+    /// Run `cc` through the scalar oracle at point `at` of 1-D buffers
+    /// (stride 1, no halo); `bufs[s]` is stream `s`'s buffer.
+    fn exec_1d_point(cc: &CompiledCluster, bufs: &mut [Vec<f32>], at: usize) {
+        let n = cc.streams.len();
+        let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
+        let launch = Launch {
+            cc,
+            strides: &vec![vec![1]; n],
+            halos: &vec![0; n],
+            resolved: &resolved,
+            scalars: &[],
+            params: &[],
+            block: 0,
+        };
+        let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
+            .map(|(b, &w)| Stream::whole(b, w))
+            .collect();
+        let bx: BoxNd = std::iter::once(at..at + 1).collect();
+        BytecodeKernel::scalar_oracle(cc).exec_box(&launch, &bx, &mut streams);
+    }
 
     fn store(field: u32, value: IExpr) -> Stmt {
         Stmt::Store {
@@ -713,29 +712,14 @@ mod tests {
         assert_eq!(cc.streams.len(), 2); // (f0,t0) read, (f0,t1) written
         assert!(cc.max_stack <= 3);
 
-        // 1-D buffers of length 8, halo 1, point at index 3.
-        let mut read = vec![0.0f32; 8];
-        read[2] = 2.0;
-        read[4] = 4.0;
-        let mut write = vec![0.0f32; 8];
+        // 1-D buffers of length 8, point at index 3.
         let read_slot = cc.stream_slot(FieldId(0), 0).unwrap();
         let write_slot = cc.stream_slot(FieldId(0), 1).unwrap();
-        let mut bases = vec![0usize; 2];
-        bases[read_slot] = 3;
-        bases[write_slot] = 3;
-        let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
-        let mut bufs: Vec<&mut [f32]> = Vec::new();
-        // Order buffers by slot.
-        if read_slot == 0 {
-            bufs.push(&mut read);
-            bufs.push(&mut write);
-        } else {
-            bufs.push(&mut write);
-            bufs.push(&mut read);
-        }
-        eval_point(&cc, &mut bufs, &bases, &resolved, &[], &[], &mut []);
-        let w = if read_slot == 0 { &bufs[1] } else { &bufs[0] };
-        assert_eq!(w[3], 3.0);
+        let mut bufs = vec![vec![0.0f32; 8]; 2];
+        bufs[read_slot][2] = 2.0;
+        bufs[read_slot][4] = 4.0;
+        exec_1d_point(&cc, &mut bufs, 3);
+        assert_eq!(bufs[write_slot][3], 3.0);
     }
 
     #[test]
@@ -753,20 +737,12 @@ mod tests {
             num_temps: 1,
         };
         let cc = compile_cluster(&cl);
-        let mut read = vec![3.0f32; 4];
-        let mut write = vec![0.0f32; 4];
         let rs = cc.stream_slot(FieldId(0), 0).unwrap();
-        let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
-        let mut temps = vec![0.0f32; 1];
-        let mut bufs: Vec<&mut [f32]> = if rs == 0 {
-            vec![&mut read, &mut write]
-        } else {
-            vec![&mut write, &mut read]
-        };
-        eval_point(&cc, &mut bufs, &[1, 1], &resolved, &[], &[], &mut temps);
-        let w = if rs == 0 { &bufs[1] } else { &bufs[0] };
-        assert_eq!(w[1], 12.0);
-        assert_eq!(temps[0], 6.0);
+        let mut bufs = vec![vec![0.0f32; 4]; 2];
+        bufs[rs] = vec![3.0; 4];
+        exec_1d_point(&cc, &mut bufs, 1);
+        // 2·3 flows through tmp0 into both operands of the store.
+        assert_eq!(bufs[1 - rs][1], 12.0);
     }
 
     #[test]
@@ -804,18 +780,11 @@ mod tests {
     }
 
     fn eval_1d(cc: &CompiledCluster, src: &[f32], at: usize) -> f32 {
-        let mut read = src.to_vec();
-        let mut write = vec![0.0f32; src.len()];
         let rs = cc.stream_slot(FieldId(0), 0).unwrap();
-        let resolved: Vec<isize> = cc.offsets.iter().map(|(_, d)| d[0] as isize).collect();
-        let mut temps = vec![0.0f32; cc.num_temps];
-        let mut bufs: Vec<&mut [f32]> = if rs == 0 {
-            vec![&mut read, &mut write]
-        } else {
-            vec![&mut write, &mut read]
-        };
-        eval_point(cc, &mut bufs, &[at, at], &resolved, &[], &[], &mut temps);
-        write[at]
+        let mut bufs = vec![vec![0.0f32; src.len()]; 2];
+        bufs[rs] = src.to_vec();
+        exec_1d_point(cc, &mut bufs, at);
+        bufs[1 - rs][at]
     }
 
     #[test]

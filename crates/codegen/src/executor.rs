@@ -8,6 +8,7 @@
 //! and optional shared-memory threading (the "X" in MPI-X).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use mpix_comm::comm::RESERVED_TAG_BASE;
@@ -23,7 +24,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
 use crate::backend::{
-    compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel, Launch,
+    compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel, Launch, Stream,
 };
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
 use crate::jit::ClusterRoute;
@@ -179,6 +180,10 @@ pub struct OperatorExec {
     nbuffers: Vec<usize>,
     /// Allocated halo per field id.
     halos: Vec<usize>,
+    /// The first load of a written stream that crosses its slab
+    /// ([`crosses_slab`]), described for [`run`](Self::run)'s
+    /// `threads > 1` check.
+    slab_crossing: Option<String>,
 }
 
 impl OperatorExec {
@@ -202,6 +207,13 @@ impl OperatorExec {
         };
         let nbuffers = ctx.fields().iter().map(|f| f.time_buffers()).collect();
         let halos = ctx.fields().iter().map(|f| f.halo() as usize).collect();
+        let slab_crossing = compiled.iter().enumerate().find_map(|(ci, cc)| {
+            let (s, deltas) = slab_crossing_load(cc)?;
+            let name = &ctx.field(cc.streams[s].0).name;
+            Some(format!(
+                "cluster {ci} loads the field it writes, {name}, at offset {deltas:?}"
+            ))
+        });
         Ok(OperatorExec {
             iet,
             param_defs,
@@ -210,6 +222,7 @@ impl OperatorExec {
             backend,
             nbuffers,
             halos,
+            slab_crossing,
         })
     }
 
@@ -230,6 +243,7 @@ impl OperatorExec {
             backend: Backend::Bytecode,
             nbuffers: self.nbuffers.clone(),
             halos: self.halos.clone(),
+            slab_crossing: self.slab_crossing.clone(),
         }
     }
 
@@ -251,9 +265,8 @@ impl OperatorExec {
     }
 
     /// Which backend actually executes each compiled cluster (in
-    /// [`compiled_clusters`](Self::compiled_clusters) order), on the
-    /// serial and the threaded path, and why the JIT fell back where it
-    /// did.
+    /// [`compiled_clusters`](Self::compiled_clusters) order), and why
+    /// the JIT fell back where it did.
     pub fn cluster_routes(&self) -> Vec<ClusterRoute> {
         self.compiled
             .iter()
@@ -269,6 +282,9 @@ impl OperatorExec {
     }
 
     /// Run the operator for time steps `opts.t0 .. opts.t0 + opts.nt`.
+    ///
+    /// Panics when `opts.threads > 1` and a cluster loads a field it
+    /// writes at a nonzero dim-0 offset: split boxes would race on it.
     pub fn run(
         &self,
         cart: &CartComm,
@@ -277,6 +293,13 @@ impl OperatorExec {
         sparse: &mut [SparseOp],
         opts: &ApplyOptions,
     ) -> ExecStats {
+        if let (Some(what), 2..) = (&self.slab_crossing, opts.threads) {
+            panic!(
+                "threads = {}: {what}, which reads rows another worker's dim-0 slab \
+                 writes (a read/write race); run this operator with threads = 1",
+                opts.threads
+            );
+        }
         // Evaluate precomputed parameters (r0 = 1/dt, ...).
         let max_param = self
             .param_defs
@@ -624,7 +647,6 @@ impl OperatorExec {
             .map(|&(f, b)| std::mem::take(st.fields[f].buffers[b].raw_vec_mut()))
             .collect();
 
-        let nthreads = st.opts.threads.max(1);
         let launch = Launch {
             cc,
             strides: &strides,
@@ -640,22 +662,11 @@ impl OperatorExec {
                 continue;
             }
             points += box_len(b) as u64;
-            if nthreads <= 1 || b[0].len() < 2 * nthreads {
-                let mut slices: Vec<&mut [f32]> =
-                    moved.iter_mut().map(|v| v.as_mut_slice()).collect();
-                kernel.exec_box(&launch, b, &mut slices);
-            } else {
-                exec_box_threaded(
-                    kernel,
-                    &launch,
-                    b,
-                    &mut moved,
-                    nthreads,
-                    st.cart.comm().san().map(|a| a.as_ref()),
-                    st.cart.rank(),
-                    st.opts.fault,
-                );
+            let chunks = slab_chunks(&b[0], st.opts.threads);
+            if let (Some(chunks), Some(san)) = (&chunks, st.cart.comm().san()) {
+                declare_slabs(san, st.cart.rank(), &b[0], chunks, st.opts.fault);
             }
+            exec_box(kernel, &launch, b, &mut moved, chunks.as_deref());
         }
         st.stats.points_updated += points;
 
@@ -735,131 +746,113 @@ pub(crate) fn tiles(bx: &BoxNd, block: usize) -> Vec<BoxNd> {
     v
 }
 
-/// Threaded execution: split the outermost dimension across workers. The
-/// written buffers are *not* split (each worker re-binds the full
-/// buffers), so this function moves buffers into thread-disjoint slabs:
-/// it partitions dimension 0, and workers only touch padded rows inside
-/// their slab for written streams. Reads may cross slabs, so read-only
-/// streams are shared immutably; written streams are sliced by the
-/// worker's padded row range.
-#[allow(clippy::too_many_arguments)]
-fn exec_box_threaded(
+/// Whether a load at `deltas` leaves the loading point's dim-0 row. On
+/// a written stream such a load reads rows another worker's slab
+/// writes when the box is split: the rule behind
+/// [`OperatorExec::run`]'s `threads > 1` check and the thread-safety
+/// pass's error.
+pub fn crosses_slab(deltas: &[i32]) -> bool {
+    deltas.first().is_some_and(|&d| d != 0)
+}
+
+/// The first load in `cc` of a written stream that crosses its slab:
+/// the stream's slot and the load's deltas.
+fn slab_crossing_load(cc: &CompiledCluster) -> Option<(usize, &[i32])> {
+    cc.ops
+        .iter()
+        .filter_map(|op| op.load())
+        .find_map(|(s, off)| {
+            let (s, deltas) = (s as usize, cc.offsets[off as usize].1.as_slice());
+            (cc.written[s] && crosses_slab(deltas)).then_some((s, deltas))
+        })
+}
+
+/// The dim-0 chunks a box whose outermost range is `rows` runs as on
+/// `nthreads` workers, or `None` when it runs unsplit: at one thread,
+/// or with fewer than two rows per worker. Chunks are `ceil(len /
+/// nthreads)` rows, the last one shorter, so there may be fewer chunks
+/// than threads (9 rows on 4 threads → 3 + 3 + 3).
+pub fn slab_chunks(rows: &Range<usize>, nthreads: usize) -> Option<Vec<Range<usize>>> {
+    if nthreads <= 1 || rows.len() < 2 * nthreads {
+        return None;
+    }
+    let chunk = rows.len().div_ceil(nthreads);
+    let starts = rows.clone().step_by(chunk);
+    Some(starts.map(|x| x..(x + chunk).min(rows.end)).collect())
+}
+
+/// Declare a split box's dim-0 partition to the sanitizer before its
+/// workers start: overlapping or gapped declarations are exactly the
+/// write-conflict / missed-coverage bugs the slab detector owns. The
+/// injected faults mutate only the *declared* ranges, never the real
+/// split, so the numerics stay correct while the detector must fire.
+fn declare_slabs(
+    san: &San,
+    rank: usize,
+    rows: &Range<usize>,
+    chunks: &[Range<usize>],
+    fault: Option<Fault>,
+) {
+    let mut declared: Vec<(usize, usize)> = chunks.iter().map(|c| (c.start, c.end)).collect();
+    match fault {
+        Some(Fault::OverlapSlabs) => {
+            for i in 0..declared.len().saturating_sub(1) {
+                declared[i].1 += 1;
+            }
+        }
+        Some(Fault::GapSlabs) => {
+            for d in declared.iter_mut().skip(1) {
+                d.0 += 1;
+            }
+        }
+        _ => {}
+    }
+    san.slab_partition(rank, (rows.start, rows.end), &declared);
+}
+
+/// Run `kernel` over `bx`. Unsplit (`chunks = None`), every stream is
+/// bound whole. Split, each worker runs its chunk's rows with the
+/// written streams' padded rows of that chunk — disjoint slabs carved
+/// from the buffers — while read-only streams are shared.
+fn exec_box(
     kernel: &dyn ClusterKernel,
     l: &Launch<'_>,
     bx: &BoxNd,
     moved: &mut [Vec<f32>],
-    nthreads: usize,
-    san: Option<&San>,
-    rank: usize,
-    fault: Option<Fault>,
+    chunks: Option<&[Range<usize>]>,
 ) {
-    let cc = l.cc;
-    let (strides, halos) = (l.strides, l.halos);
-    let r0 = bx[0].clone();
-    let chunk = r0.len().div_ceil(nthreads);
-    let nstreams_total = moved.len();
-
-    // Partition written buffers into per-worker slabs along dim 0;
-    // read-only buffers are shared.
-    enum Binding<'a> {
-        Shared(&'a [f32]),
-        // One slab per worker: (slice, linear offset of slice start).
-        Slabs(Vec<(&'a mut [f32], usize)>),
-    }
-    let mut bindings: Vec<Binding<'_>> = Vec::with_capacity(moved.len());
-    for (s, buf) in moved.iter_mut().enumerate() {
-        if cc.written[s] {
-            let mut slabs = Vec::with_capacity(nthreads);
-            let mut rest: &mut [f32] = buf.as_mut_slice();
-            let mut consumed = 0usize;
-            let mut x = r0.start;
-            for _ in 0..nthreads {
-                let xe = (x + chunk).min(r0.end);
-                // Worker covers padded rows [x + halo, xe + halo): linear
-                // [ (x+halo)*stride0 , (xe+halo)*stride0 ).
-                let lo = (x + halos[s]) * strides[s][0];
-                let hi = (xe + halos[s]) * strides[s][0];
-                let (_, tail) = rest.split_at_mut(lo - consumed);
-                let (slab, tail2) = tail.split_at_mut(hi - lo);
-                slabs.push((slab, lo));
-                rest = tail2;
-                consumed = hi;
-                x = xe;
-                if x >= r0.end {
-                    break;
-                }
-            }
-            bindings.push(Binding::Slabs(slabs));
-        } else {
-            bindings.push(Binding::Shared(buf.as_slice()));
-        }
-    }
-    // Distribute slabs to workers.
-    struct WorkerCtx<'a> {
-        reads: Vec<Option<&'a [f32]>>,
-        writes: Vec<Option<(&'a mut [f32], usize)>>,
-        range0: std::ops::Range<usize>,
-    }
-    let mut workers: Vec<WorkerCtx<'_>> = Vec::new();
-    let mut x = r0.start;
-    while x < r0.end {
-        let xe = (x + chunk).min(r0.end);
-        workers.push(WorkerCtx {
-            reads: vec![None; nstreams_total],
-            writes: (0..nstreams_total).map(|_| None).collect(),
-            range0: x..xe,
-        });
-        x = xe;
-    }
-    for (s, b) in bindings.into_iter().enumerate() {
-        match b {
-            Binding::Shared(sl) => {
-                for wk in workers.iter_mut() {
-                    wk.reads[s] = Some(sl);
-                }
-            }
-            Binding::Slabs(slabs) => {
-                for (wk, slab) in workers.iter_mut().zip(slabs) {
-                    wk.writes[s] = Some(slab);
-                }
-            }
-        }
-    }
-
-    // Declare the dim-0 slab partition to the sanitizer before spawning:
-    // overlapping or gapped declarations are exactly the write-conflict /
-    // missed-coverage bugs the slab detector owns. The injected fault
-    // mutates only the *declared* ranges, never the real split, so the
-    // numerics stay correct while the detector must still fire.
-    if let Some(san) = san {
-        let mut declared: Vec<(usize, usize)> = workers
-            .iter()
-            .map(|wk| (wk.range0.start, wk.range0.end))
+    let written = &l.cc.written;
+    let Some(chunks) = chunks else {
+        let mut streams: Vec<Stream<'_>> = (moved.iter_mut().zip(written))
+            .map(|(buf, &w)| Stream::whole(buf, w))
             .collect();
-        match fault {
-            Some(Fault::OverlapSlabs) => {
-                for i in 0..declared.len().saturating_sub(1) {
-                    declared[i].1 += 1;
-                }
+        return kernel.exec_box(l, bx, &mut streams);
+    };
+    let mut workers: Vec<Vec<Stream<'_>>> = chunks.iter().map(|_| Vec::new()).collect();
+    for (s, buf) in moved.iter_mut().enumerate() {
+        if !written[s] {
+            let shared: &[f32] = buf;
+            for w in &mut workers {
+                w.push(Stream::Read(shared));
             }
-            Some(Fault::GapSlabs) => {
-                for d in declared.iter_mut().skip(1) {
-                    d.0 += 1;
-                }
-            }
-            _ => {}
+            continue;
         }
-        san.slab_partition(rank, (r0.start, r0.end), &declared);
+        let (row, halo) = (l.strides[s][0], l.halos[s]);
+        let (mut rest, mut consumed): (&mut [f32], usize) = (buf, 0);
+        for (w, rows) in workers.iter_mut().zip(chunks) {
+            let (lo, hi) = ((rows.start + halo) * row, (rows.end + halo) * row);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo - consumed);
+            let (slab, tail) = tail.split_at_mut(hi - lo);
+            w.push(Stream::Write { slab, off: lo });
+            (rest, consumed) = (tail, hi);
+        }
     }
-
     std::thread::scope(|scope| {
-        for wk in workers.into_iter() {
+        for (mut streams, rows) in workers.into_iter().zip(chunks) {
             scope.spawn(move || {
-                let mut sub = bx.to_vec();
-                sub[0] = wk.range0.clone();
-                let mut reads = wk.reads;
-                let mut writes = wk.writes;
-                kernel.exec_box_mixed(l, &sub, &mut reads, &mut writes);
+                let mut sub = bx.clone();
+                sub[0] = rows.clone();
+                kernel.exec_box(l, &sub, &mut streams);
             });
         }
     });
@@ -1136,6 +1129,95 @@ mod tests {
                 "threads={threads}+block={block} differs"
             );
         }
+    }
+
+    /// `u[t+1] = u[t+1](point + deltas) / 2 + u[t]` on a 12 × 7 × 21
+    /// grid: a cluster that loads the field it writes.
+    fn self_reading_operator(deltas: [i32; 3]) -> (Context, mpix_symbolic::FieldHandle, Node) {
+        let mut ctx = Context::new();
+        let grid = Grid::new(&[12, 7, 21], &[1.0, 1.0, 1.0]);
+        let u = ctx.add_time_function("u", &grid, 2, 1);
+        let eq = Eq::new(u.forward(), 0.5 * u.at(1, &deltas) + u.center());
+        let mut cls = clusterize(&lower_equations(&[eq], &ctx).unwrap());
+        let mut next = 0;
+        for c in &mut cls {
+            cse_cluster(c, &mut next);
+        }
+        let plan = detect_halo_exchanges(&cls, &ctx);
+        let iet = lower_halo_spots(build_iet(cls, &plan, "K", 0, false), false);
+        (ctx, u, iet)
+    }
+
+    /// Run `exec` for 3 steps on one rank from a fixed fill of both
+    /// time buffers; returns every buffer.
+    fn run_self_reading(
+        exec: &OperatorExec,
+        u: &mpix_symbolic::FieldHandle,
+        threads: usize,
+        block: usize,
+    ) -> Vec<Vec<f32>> {
+        Universe::run(1, |comm| {
+            let cart = mpix_comm::CartComm::new(comm, &[1, 1, 1]);
+            let dc = Arc::new(Decomposition::new(&[12, 7, 21], &[1, 1, 1]));
+            let mut fields = vec![FieldState::new(u.id(), 2, dc, &[0, 0, 0], 2)];
+            for (b, buf) in fields[0].buffers.iter_mut().enumerate() {
+                for (k, v) in buf.raw_mut().iter_mut().enumerate() {
+                    *v = ((k * 7 + b * 3) % 23) as f32 * 0.25 - 2.0;
+                }
+            }
+            let opts = ApplyOptions::default()
+                .with_nt(3)
+                .with_block(block)
+                .with_threads(threads);
+            exec.run(&cart, &mut fields, &HashMap::new(), &mut [], &opts);
+            fields[0].buffers.iter().map(|b| b.raw().to_vec()).collect()
+        })
+        .pop()
+        .unwrap()
+    }
+
+    /// Loads of the written field at inner-dimension offsets stay inside
+    /// each worker's dim-0 slab: the JIT runs such a cluster natively on
+    /// split boxes, bitwise equal to the scalar oracle.
+    #[test]
+    fn inner_offset_loads_of_a_written_field_run_threaded_on_the_jit() {
+        if !crate::backend::available_backends().contains(&Backend::Jit) {
+            return; // host cannot run native code
+        }
+        for deltas in [[0, 0, 1], [0, 1, 0]] {
+            let (ctx, u, iet) = self_reading_operator(deltas);
+            let jit = OperatorExec::with_backend(iet, &ctx, Backend::Jit).unwrap();
+            let routes = jit.cluster_routes();
+            assert!(
+                routes.iter().all(|r| r.backend == Backend::Jit),
+                "{routes:?}"
+            );
+            let oracle = run_self_reading(&jit.scalar_oracle(), &u, 1, 0);
+            for (threads, block) in [(2, 0), (3, 0), (2, 4)] {
+                let got = run_self_reading(&jit, &u, threads, block);
+                let mut same = oracle.iter().flatten().zip(got.iter().flatten());
+                assert!(
+                    same.all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "deltas={deltas:?} threads={threads} block={block}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threads = 2: cluster 0 loads the field it writes, u, at \
+                               offset [1, 0, 0], which reads rows another worker's dim-0 \
+                               slab writes (a read/write race); run this operator with \
+                               threads = 1")]
+    fn threaded_run_of_an_outer_offset_load_of_a_written_field_panics() {
+        let (ctx, u, iet) = self_reading_operator([1, 0, 0]);
+        let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
+        // One thread runs it; two would race across the slab boundary.
+        assert_eq!(
+            run_self_reading(&exec, &u, 1, 0),
+            run_self_reading(&exec.scalar_oracle(), &u, 1, 0)
+        );
+        run_self_reading(&exec, &u, 2, 0);
     }
 
     /// The native JIT backend must be bitwise identical to the bytecode

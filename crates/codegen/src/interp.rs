@@ -28,7 +28,7 @@ use mpix_dmp::regions::BoxNd;
 use mpix_symbolic::UnaryFn;
 
 use crate::arith;
-use crate::backend::Launch;
+use crate::backend::{Launch, Stream};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 use crate::executor::tiles;
 
@@ -367,106 +367,50 @@ impl Program {
     }
 }
 
-/// Uniform view over the executor's two buffer-binding styles: the
-/// single-threaded path binds whole buffers per stream, the threaded
-/// path binds shared read slices plus per-worker write slabs.
-pub(crate) trait StreamAccess {
-    /// `w` contiguous values of stream `s` starting at linear `idx`.
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32];
-    /// Mutable run of stream `s` starting at linear `idx` (stores only
-    /// target written streams).
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32];
-}
-
-/// Whole-buffer bindings (single-threaded path).
-pub(crate) struct FlatAccess<'a, 'b>(pub(crate) &'b mut [&'a mut [f32]]);
-
-impl StreamAccess for FlatAccess<'_, '_> {
-    #[inline]
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
-        &self.0[s][idx..idx + w]
-    }
-    #[inline]
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
-        &mut self.0[s][idx..idx + w]
-    }
-}
-
-/// Read-slice / write-slab bindings (threaded path). Written streams
-/// index relative to their slab offset.
-struct MixedAccess<'r, 'w, 'b> {
-    reads: &'b [Option<&'r [f32]>],
-    writes: &'b mut [Option<(&'w mut [f32], usize)>],
-}
-
-impl StreamAccess for MixedAccess<'_, '_, '_> {
-    #[inline]
-    fn load_run(&self, s: usize, idx: usize, w: usize) -> &[f32] {
-        match (&self.reads[s], &self.writes[s]) {
-            (Some(r), _) => &r[idx..idx + w],
-            (None, Some((wb, off))) => &wb[idx - *off..idx - *off + w],
-            (None, None) => unreachable!("unbound stream"),
+// The strip engine indexes each binding from its own start: a row's
+// base subtracts the binding's linear start offset once, so the
+// per-load accessors below do no arithmetic.
+impl Stream<'_> {
+    /// The binding's linear start offset in its stream's padded buffer.
+    fn off(&self) -> usize {
+        match self {
+            Stream::Read(_) => 0,
+            Stream::Write { off, .. } => *off,
         }
     }
-    #[inline]
-    fn store_run(&mut self, s: usize, idx: usize, w: usize) -> &mut [f32] {
-        let (wb, off) = self.writes[s].as_mut().expect("store to unbound stream");
-        &mut wb[idx - *off..idx - *off + w]
+
+    /// `w` contiguous values from index `idx` of the binding.
+    #[inline(always)]
+    fn run(&self, idx: usize, w: usize) -> &[f32] {
+        let data: &[f32] = match self {
+            Stream::Read(r) => r,
+            Stream::Write { slab, .. } => slab,
+        };
+        &data[idx..idx + w]
+    }
+
+    /// Mutable run of `w` values from index `idx` of the binding
+    /// (stores only target written streams).
+    #[inline(always)]
+    fn run_mut(&mut self, idx: usize, w: usize) -> &mut [f32] {
+        match self {
+            Stream::Write { slab, .. } => &mut slab[idx..idx + w],
+            Stream::Read(_) => unreachable!("store to a read-only stream"),
+        }
     }
 }
 
 /// Execute `prog` over every point of `bx` (owned-local coordinates)
-/// in strips of `W` with whole-buffer bindings, tile by tile: the
-/// bytecode backend's single-threaded entry point.
+/// in strips of `W`, tile by tile: the bytecode backend's entry point.
 pub(crate) fn exec_box<const W: usize>(
     prog: &Program,
     l: &Launch<'_>,
     bx: &BoxNd,
-    buffers: &mut [&mut [f32]],
+    streams: &mut [Stream<'_>],
 ) {
-    let mut acc = FlatAccess(buffers);
     let coeffs = prog.coeffs(l);
     for tile in tiles(bx, l.block) {
-        exec_strips_box::<W>(prog, l, &coeffs, &tile, &mut acc);
-    }
-}
-
-/// Like [`exec_box`] but with per-stream read/write bindings (threaded
-/// path). Written streams index relative to their slab offset.
-pub(crate) fn exec_box_mixed<const W: usize>(
-    prog: &Program,
-    l: &Launch<'_>,
-    bx: &BoxNd,
-    reads: &mut [Option<&[f32]>],
-    writes: &mut [Option<(&mut [f32], usize)>],
-) {
-    let mut acc = MixedAccess { reads, writes };
-    let coeffs = prog.coeffs(l);
-    for tile in tiles(bx, l.block) {
-        exec_strips_box::<W>(prog, l, &coeffs, &tile, &mut acc);
-    }
-}
-
-/// Evaluate `prog` at one point with whole-buffer bindings: `bases[s]`
-/// is the point's linear index in stream `s`. `temps` holds the temps'
-/// values before and after.
-pub(crate) fn eval_point(
-    prog: &Program,
-    l: &Launch<'_>,
-    buffers: &mut [&mut [f32]],
-    bases: &[usize],
-    temps: &mut [f32],
-) {
-    let mut acc = FlatAccess(buffers);
-    let coeffs = prog.coeffs(l);
-    let mut regs = prog.registers::<1>(l);
-    let temp0 = prog.consts.len();
-    for (r, &t) in regs[temp0..].iter_mut().zip(temps.iter()) {
-        *r = [t];
-    }
-    eval_strip::<1>(&prog.ins, &coeffs, &mut acc, bases, l.resolved, &mut regs);
-    for (t, r) in temps.iter_mut().zip(&regs[temp0..]) {
-        *t = r[0];
+        exec_strips_box::<W>(prog, l, &coeffs, &tile, streams);
     }
 }
 
@@ -481,13 +425,13 @@ fn lanes<const W: usize>(f: impl Fn(usize) -> f32) -> [f32; W] {
 }
 
 /// Execute the program once over `W` contiguous innermost points.
-/// `bases[s]` is the linear index of lane 0 in stream `s`; lanes `l`
+/// `bases[s]` is lane 0's index in stream `s`'s binding; lanes `l`
 /// live at `bases[s] + l` (innermost stride is 1 for every stream).
 #[inline(always)]
 fn eval_strip<const W: usize>(
     ins: &[Ins],
     coeffs: &[arith::Coeff],
-    acc: &mut impl StreamAccess,
+    streams: &mut [Stream<'_>],
     bases: &[usize],
     resolved: &[isize],
     regs: &mut [[f32; W]],
@@ -501,7 +445,7 @@ fn eval_strip<const W: usize>(
                 off,
                 daz,
             } => {
-                let src = acc.load_run(stream as usize, at(stream, off), W);
+                let src = streams[stream as usize].run(at(stream, off), W);
                 regs[dst as usize] = if daz {
                     lanes(|l| arith::flush(src[l]))
                 } else {
@@ -510,7 +454,8 @@ fn eval_strip<const W: usize>(
             }
             Ins::Store { src, stream } => {
                 let s = stream as usize;
-                acc.store_run(s, bases[s], W)
+                streams[s]
+                    .run_mut(bases[s], W)
                     .copy_from_slice(&regs[src as usize]);
             }
             Ins::Flush { dst, src } => {
@@ -545,7 +490,7 @@ fn eval_strip<const W: usize>(
                 stream,
                 off,
             } => {
-                let src = acc.load_run(stream as usize, at(stream, off), W);
+                let src = streams[stream as usize].run(at(stream, off), W);
                 let c = coeffs[k as usize];
                 regs[dst as usize] = lanes(|l| c.times(src[l]));
             }
@@ -556,7 +501,7 @@ fn eval_strip<const W: usize>(
                 stream,
                 off,
             } => {
-                let src = acc.load_run(stream as usize, at(stream, off), W);
+                let src = streams[stream as usize].run(at(stream, off), W);
                 let (c, a) = (coeffs[k as usize], regs[a as usize]);
                 regs[dst as usize] = lanes(|l| arith::add_flushed(a[l], c.times(src[l])));
             }
@@ -574,7 +519,7 @@ fn exec_strips_box<const W: usize>(
     l: &Launch<'_>,
     coeffs: &[arith::Coeff],
     bx: &BoxNd,
-    acc: &mut impl StreamAccess,
+    streams: &mut [Stream<'_>],
 ) {
     let nd = bx.len();
     if bx.iter().any(|r| r.is_empty()) {
@@ -585,6 +530,7 @@ fn exec_strips_box<const W: usize>(
     let inner = bx[nd - 1].clone();
     let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
     let mut bases = vec![0usize; nstreams];
+    let offs: Vec<usize> = streams.iter().map(Stream::off).collect();
     // Lane registers, plus one-lane registers for the row-tail points.
     let mut regs = prog.registers::<W>(l);
     let mut sregs = prog.registers::<1>(l);
@@ -595,12 +541,12 @@ fn exec_strips_box<const W: usize>(
                 base += (outer[d] + halos[s]) * strides[s][d];
             }
             base += (inner.start + halos[s]) * strides[s][nd - 1];
-            bases[s] = base;
+            bases[s] = base - offs[s];
         }
         let n = inner.len();
         let mut i = 0;
         while i + W <= n {
-            eval_strip::<W>(&prog.ins, coeffs, acc, &bases, resolved, &mut regs);
+            eval_strip::<W>(&prog.ins, coeffs, streams, &bases, resolved, &mut regs);
             for b in bases.iter_mut() {
                 *b += W;
             }
@@ -614,11 +560,11 @@ fn exec_strips_box<const W: usize>(
             for b in bases.iter_mut() {
                 *b -= back;
             }
-            eval_strip::<W>(&prog.ins, coeffs, acc, &bases, resolved, &mut regs);
+            eval_strip::<W>(&prog.ins, coeffs, streams, &bases, resolved, &mut regs);
             i = n;
         }
         while i < n {
-            eval_strip::<1>(&prog.ins, coeffs, acc, &bases, resolved, &mut sregs);
+            eval_strip::<1>(&prog.ins, coeffs, streams, &bases, resolved, &mut sregs);
             for b in bases.iter_mut() {
                 *b += 1;
             }
@@ -692,18 +638,16 @@ mod tests {
             num_temps: 1,
             max_stack: 2,
         };
-        let (mut x, mut out) = (vec![1.5f32, 2.25], vec![0.0f32]);
-        let mut temps = [0.0f32];
-        let l = launch(&cc, &[]);
-        eval_point(
+        let (x, mut out) = ([1.5f32, 2.25], [0.0f32]);
+        let strides = [vec![1], vec![1]];
+        let bx: BoxNd = std::iter::once(0..1).collect();
+        exec_box::<1>(
             &Program::new(&cc),
-            &l,
-            &mut [&mut x, &mut out],
-            &[0, 0],
-            &mut temps,
+            &launch(&cc, &strides),
+            &bx,
+            &mut [Stream::Read(&x), Stream::whole(&mut out, true)],
         );
         assert_eq!(out[0], 3.75);
-        assert_eq!(temps[0], 2.25);
     }
 
     #[test]
@@ -730,7 +674,7 @@ mod tests {
         let (strides, bx): (_, BoxNd) = ([vec![1]], std::iter::once(0..n).collect());
         let l = launch(&cc, &strides);
         let mut u: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        exec_box::<LANES>(&prog, &l, &bx, &mut [&mut u]);
+        exec_box::<LANES>(&prog, &l, &bx, &mut [Stream::whole(&mut u, true)]);
         assert!(
             u.iter().enumerate().all(|(i, &v)| v == i as f32 + 1.0),
             "{u:?}"
@@ -765,9 +709,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut slices: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+        let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
+            .map(|(b, &w)| Stream::whole(b, w))
+            .collect();
         let bx: BoxNd = vec![0..rows, 0..n];
-        exec_box::<W>(&Program::new(cc), &l, &bx, &mut slices);
+        exec_box::<W>(&Program::new(cc), &l, &bx, &mut streams);
         bufs
     }
 

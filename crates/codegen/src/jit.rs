@@ -81,11 +81,11 @@
 //! Clusters the JIT cannot prove it supports fall back to the bytecode
 //! interpreter per cluster, and [`ClusterRoute`] says which and why
 //! ([`Fallback`]): elementary-function calls, exotic `Pow` exponents, a
-//! stack deeper than the register file; the threaded (slab) path
-//! additionally requires that no load targets a written stream with a
-//! nonzero offset, since such reads could escape the worker's slab.
-//! Fallbacks preserve results exactly — the interpreter *is* the
-//! reference semantics.
+//! stack deeper than the register file. A cluster runs on the same
+//! backend whether its box is whole or one worker's dim-0 slab: each
+//! stream's origin is its binding's pointer less the binding's linear
+//! start offset (0 unsplit). Fallbacks preserve results exactly — the
+//! interpreter *is* the reference semantics.
 
 use std::collections::HashMap;
 use std::mem::offset_of;
@@ -95,7 +95,7 @@ use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
 use mpix_dmp::regions::BoxNd;
 
 use crate::arith;
-use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch};
+use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch, Stream};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
 
 /// Process-wide count of native modules actually encoded and finalized
@@ -150,8 +150,7 @@ macro_rules! arg {
     };
 }
 
-/// Why the JIT hands a cluster (or its threaded path) to the bytecode
-/// interpreter.
+/// Why the JIT hands a cluster to the bytecode interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fallback {
     /// An elementary-function `Call` op has no native lowering.
@@ -161,52 +160,33 @@ pub enum Fallback {
     /// The expression stack is deeper than the 12 registers one strip
     /// may use.
     Stack(usize),
-    /// Threaded path only: a load reads a written stream at a nonzero
-    /// offset, which could escape the worker's write slab.
-    NotMixedSafe,
 }
 
-/// Which backend actually executes one compiled cluster, per executor
-/// path. Under [`Backend::Bytecode`] both paths are the interpreter and
-/// `fallback` is `None`.
+/// Which backend actually executes one compiled cluster, whole boxes
+/// and slabs alike. Under [`Backend::Bytecode`] it is the interpreter
+/// and `fallback` is `None`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterRoute {
-    /// Runs whole-buffer boxes (`threads = 1`, or boxes too thin to
-    /// split).
-    pub serial: Backend,
-    /// Runs the per-worker slabs of threaded boxes.
-    pub threaded: Backend,
-    /// Why the JIT handed a path to the interpreter.
+    /// Runs the cluster's boxes.
+    pub backend: Backend,
+    /// Why the JIT handed the cluster to the interpreter.
     pub fallback: Option<Fallback>,
 }
 
 impl ClusterRoute {
     /// The route of `cc` compiled for `backend`.
     pub fn of(backend: Backend, cc: &CompiledCluster) -> ClusterRoute {
-        let interp = ClusterRoute {
-            serial: Backend::Bytecode,
-            threaded: Backend::Bytecode,
-            fallback: None,
+        let fallback = match backend {
+            Backend::Bytecode => None,
+            Backend::Jit => JitPlan::analyze(cc).fallback,
         };
-        if backend == Backend::Bytecode {
-            return interp;
-        }
-        let plan = JitPlan::analyze(cc);
-        match (plan.fallback, plan.mixed_safe) {
-            (Some(why), _) => ClusterRoute {
-                fallback: Some(why),
-                ..interp
+        ClusterRoute {
+            backend: if fallback.is_some() {
+                Backend::Bytecode
+            } else {
+                backend
             },
-            (None, false) => ClusterRoute {
-                serial: backend,
-                fallback: Some(Fallback::NotMixedSafe),
-                ..interp
-            },
-            (None, true) => ClusterRoute {
-                serial: backend,
-                threaded: backend,
-                fallback: None,
-            },
+            fallback,
         }
     }
 }
@@ -216,9 +196,6 @@ impl ClusterRoute {
 struct JitPlan {
     /// Why the cluster runs on the interpreter; `None` = native.
     fallback: Option<Fallback>,
-    /// No load targets a written stream at a nonzero offset, so slab
-    /// pointers cannot be escaped by reads — the threaded path may JIT.
-    mixed_safe: bool,
     /// Registers per strip (the cluster's maximum stack depth).
     stack: usize,
     /// 8-lane strips per wide-loop iteration.
@@ -240,7 +217,6 @@ impl JitPlan {
     fn analyze(cc: &CompiledCluster) -> JitPlan {
         let mut fallback = (cc.max_stack > MAX_JIT_STACK).then_some(Fallback::Stack(cc.max_stack));
         let mut needs_one = false;
-        let mut mixed_safe = true;
         let mut refs = vec![0usize; cc.streams.len()];
         // Bank uses per byte offset, with first appearance as tiebreak.
         let mut uses: Vec<(i32, usize)> = Vec::new();
@@ -252,6 +228,9 @@ impl JitPlan {
             if let Some(src) = bank_src(op) {
                 use_bank(bank_off(cc, src));
             }
+            if let Some(s) = op.stream_read().or(op.stream_written()) {
+                refs[s as usize] += 1;
+            }
             match *op {
                 Op::Call(_) => {
                     fallback.get_or_insert(Fallback::Call);
@@ -262,17 +241,6 @@ impl JitPlan {
                     }
                     needs_one = true;
                 }
-                Op::Load { stream, off }
-                | Op::LoadMul { stream, off, .. }
-                | Op::LoadMulAdd { stream, off, .. } => {
-                    refs[stream as usize] += 1;
-                    if cc.written[stream as usize]
-                        && cc.offsets[off as usize].1.iter().any(|&d| d != 0)
-                    {
-                        mixed_safe = false;
-                    }
-                }
-                Op::Store { stream } => refs[stream as usize] += 1,
                 _ => {}
             }
         }
@@ -303,7 +271,6 @@ impl JitPlan {
         let pins = uses.iter().map(|&(off, _)| off).zip(free).collect();
         JitPlan {
             fallback,
-            mixed_safe,
             stack,
             strips,
             hot: order,
@@ -325,6 +292,45 @@ impl JitPlan {
     }
 }
 
+/// One geometry's native module, with each stream's [`Reach`].
+struct Native {
+    module: CompiledModule,
+    reach: Vec<Reach>,
+}
+
+/// How far one stream's accesses reach from the current point: the
+/// least and greatest linear delta of its loads and stores (a store is
+/// at delta 0), and whether the cluster stores to it. An untouched
+/// stream has `least > most`.
+#[derive(Clone, Copy)]
+struct Reach {
+    least: isize,
+    most: isize,
+    stored: bool,
+}
+
+/// Each stream's reach under `resolved`.
+fn reach(cc: &CompiledCluster, resolved: &[isize]) -> Vec<Reach> {
+    let untouched = Reach {
+        least: isize::MAX,
+        most: isize::MIN,
+        stored: false,
+    };
+    let mut reach = vec![untouched; cc.streams.len()];
+    for op in &cc.ops {
+        let (s, delta) = match (op.load(), op.stream_written()) {
+            (Some((s, off)), _) => (s, resolved[off as usize]),
+            (None, Some(s)) => (s, 0),
+            (None, None) => continue,
+        };
+        let r = &mut reach[s as usize];
+        r.least = r.least.min(delta);
+        r.most = r.most.max(delta);
+        r.stored |= op.stream_written().is_some();
+    }
+    reach
+}
+
 /// A JIT-compiled cluster. Machine code is generated lazily per
 /// geometry (the resolved linear offsets are the key — a simulated
 /// multi-rank universe shares one kernel across ranks whose local
@@ -332,7 +338,7 @@ impl JitPlan {
 pub struct JitKernel {
     ctx: JitContext,
     plan: JitPlan,
-    modules: Mutex<HashMap<Vec<isize>, Option<Arc<CompiledModule>>>>,
+    modules: Mutex<HashMap<Vec<isize>, Option<Arc<Native>>>>,
     fallback: BytecodeKernel,
 }
 
@@ -351,7 +357,7 @@ impl JitKernel {
 
     /// Fetch or build the native module for this geometry. `None` when
     /// the cluster (or this geometry's displacements) cannot be JITted.
-    fn module_for(&self, cc: &CompiledCluster, resolved: &[isize]) -> Option<Arc<CompiledModule>> {
+    fn module_for(&self, cc: &CompiledCluster, resolved: &[isize]) -> Option<Arc<Native>> {
         if self.plan.fallback.is_some() {
             return None;
         }
@@ -360,7 +366,11 @@ impl JitKernel {
             return hit.clone();
         }
         let built = codegen_box_fn(cc, resolved, &self.plan)
-            .and_then(|asm| self.ctx.finalize(asm).ok().map(Arc::new));
+            .and_then(|asm| self.ctx.finalize(asm).ok())
+            .map(|module| {
+                let reach = reach(cc, resolved);
+                Arc::new(Native { module, reach })
+            });
         if built.is_some() {
             JIT_MODULES_BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
@@ -379,45 +389,59 @@ impl ClusterKernel for JitKernel {
             .count()
     }
 
-    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, buffers: &mut [&mut [f32]]) {
+    fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, streams: &mut [Stream<'_>]) {
         match self.module_for(l.cc, l.resolved) {
-            Some(module) => {
-                let origins: Vec<*mut f32> = buffers.iter_mut().map(|b| b.as_mut_ptr()).collect();
-                run_box(&module, &self.plan, l, bx, &origins);
-            }
-            None => self.fallback.exec_box(l, bx, buffers),
-        }
-    }
-
-    fn exec_box_mixed(
-        &self,
-        l: &Launch<'_>,
-        bx: &BoxNd,
-        reads: &mut [Option<&[f32]>],
-        writes: &mut [Option<(&mut [f32], usize)>],
-    ) {
-        if !self.plan.mixed_safe {
-            return self.fallback.exec_box_mixed(l, bx, reads, writes);
-        }
-        match self.module_for(l.cc, l.resolved) {
-            Some(module) => {
-                // Per-stream origin pointers in full-array linear index
-                // space: a write slab starting at linear offset `off`
-                // rebases to `slab_ptr - off`. The generated code only
-                // dereferences in-slab indices (stores hit the current
-                // point; `mixed_safe` rules out escaping loads), and
-                // read bindings are never written through.
-                let origins: Vec<*mut f32> = (0..l.cc.streams.len())
-                    .map(|s| match (&reads[s], &mut writes[s]) {
-                        (Some(r), _) => r.as_ptr() as *mut f32,
-                        (None, Some((w, off))) => w.as_mut_ptr().wrapping_sub(*off),
-                        (None, None) => unreachable!("unbound stream"),
+            Some(native) => {
+                assert_in_bounds(l, bx, streams, &native.reach);
+                // Per-stream origins in full-buffer linear index space:
+                // a written slab starting at linear `off` rebases to
+                // `slab − off`. Read bindings are never written through.
+                let origins: Vec<*mut f32> = streams
+                    .iter_mut()
+                    .map(|s| match s {
+                        Stream::Read(r) => r.as_ptr() as *mut f32,
+                        Stream::Write { slab, off } => slab.as_mut_ptr().wrapping_sub(*off),
                     })
                     .collect();
-                run_box(&module, &self.plan, l, bx, &origins);
+                run_box(&native.module, &self.plan, l, bx, &origins);
             }
-            None => self.fallback.exec_box_mixed(l, bx, reads, writes),
+            None => self.fallback.exec_box(l, bx, streams),
         }
+    }
+}
+
+/// Panic unless every element the launch's loads and stores touch over
+/// `bx` lies inside its stream's binding, and every stream it stores to
+/// is bound for writing, as the interpreter's slicing checks point by
+/// point. Linear indices grow with every coordinate, so the box's first
+/// and last points, moved by each stream's reach, bound its accesses.
+fn assert_in_bounds(l: &Launch<'_>, bx: &BoxNd, streams: &[Stream<'_>], reach: &[Reach]) {
+    if bx.iter().any(|r| r.is_empty()) {
+        return;
+    }
+    for (s, (stream, r)) in streams.iter().zip(reach).enumerate() {
+        if r.least > r.most {
+            continue;
+        }
+        let linear = |corner: fn(&std::ops::Range<usize>) -> usize| -> isize {
+            let at = bx.iter().zip(&l.strides[s]);
+            at.map(|(r, &stride)| (corner(r) + l.halos[s]) * stride)
+                .sum::<usize>() as isize
+        };
+        let (lo, len) = match stream {
+            Stream::Read(_) if r.stored => panic!("stream {s} is stored to but bound read-only"),
+            Stream::Read(data) => (0, data.len()),
+            Stream::Write { slab, off } => (*off, slab.len()),
+        };
+        let (a, b) = (
+            linear(|r| r.start) + r.least,
+            linear(|r| r.end - 1) + r.most,
+        );
+        assert!(
+            a >= lo as isize && b < (lo + len) as isize,
+            "stream {s}: linear indices {a}..={b} leave its binding {lo}..{}",
+            lo + len
+        );
     }
 }
 
@@ -492,9 +516,8 @@ fn run_box(
             // SAFETY: the generated function implements the
             // `extern "C" fn(*mut u8)` box ABI; every address it forms
             // is `row pointer + (i + resolved[off]) * 4` for `i < n` on
-            // one of the tile's rows, in-bounds by the same argument as
-            // the interpreter's (verified by mpix-analysis'
-            // check_bounds pass over each row's points).
+            // one of the tile's rows, inside the stream's binding
+            // (`assert_in_bounds`, checked by the caller).
             unsafe { module.call(&mut args as *mut BoxArgs as *mut u8) };
             // Odometer over the dimensions outside the native loops.
             let mut d = odometer;
@@ -893,10 +916,11 @@ mod tests {
     fn routes_record_why_the_jit_falls_back() {
         let route = |cc: &CompiledCluster| ClusterRoute::of(Backend::Jit, cc);
         let native = route(&cluster(&[Op::Pow(-2)], 1, false));
-        assert_eq!(
-            (native.serial, native.threaded, native.fallback),
-            (Backend::Jit, Backend::Jit, None)
-        );
+        assert_eq!((native.backend, native.fallback), (Backend::Jit, None));
+        // Reading the written stream off the point runs natively too:
+        // split boxes bind slabs the generated code rebases.
+        let r = route(&cluster(&[], 1, true));
+        assert_eq!((r.backend, r.fallback), (Backend::Jit, None));
         let cases = [
             (
                 cluster(&[Op::Call(mpix_symbolic::UnaryFn::Sqrt)], 1, false),
@@ -910,28 +934,64 @@ mod tests {
         ];
         for (cc, why) in cases {
             let r = route(&cc);
-            assert_eq!(
-                (r.serial, r.threaded, r.fallback),
-                (Backend::Bytecode, Backend::Bytecode, Some(why))
-            );
+            assert_eq!((r.backend, r.fallback), (Backend::Bytecode, Some(why)));
         }
-        // Reading the written stream off the point: serial stays native,
-        // the slab path falls back.
-        let r = route(&cluster(&[], 1, true));
-        assert_eq!(
-            (r.serial, r.threaded, r.fallback),
-            (
-                Backend::Jit,
-                Backend::Bytecode,
-                Some(Fallback::NotMixedSafe)
-            )
-        );
         // The interpreter backend has nothing to fall back from.
         let r = ClusterRoute::of(Backend::Bytecode, &cluster(&[Op::Pow(3)], 1, false));
-        assert_eq!(
-            (r.serial, r.threaded, r.fallback),
-            (Backend::Bytecode, Backend::Bytecode, None)
-        );
+        assert_eq!((r.backend, r.fallback), (Backend::Bytecode, None));
+    }
+
+    /// Bounds of `out = 0.5 · a[x + 1]` over `x ∈ 0..4`, no halo, with
+    /// `a` bound to `a_len` points and `out` to a slab over `out`
+    /// (bound read-only when `out_read`).
+    fn bounds(a_len: usize, out: std::ops::Range<usize>, out_read: bool) {
+        let cc = cluster(&[], 1, false);
+        let strides = [vec![1], vec![1]];
+        let l = Launch {
+            cc: &cc,
+            strides: &strides,
+            halos: &[0, 0],
+            resolved: &[1],
+            scalars: &[],
+            params: &[],
+            block: 0,
+        };
+        let (a, mut slab) = (vec![0.0; a_len], vec![0.0; out.len()]);
+        let written = if out_read {
+            Stream::Read(&slab)
+        } else {
+            Stream::Write {
+                slab: &mut slab,
+                off: out.start,
+            }
+        };
+        let streams = [Stream::Read(&a), written];
+        let bx = std::iter::once(0..4).collect();
+        assert_in_bounds(&l, &bx, &streams, &reach(&cc, l.resolved));
+    }
+
+    #[test]
+    fn bindings_covering_the_box_pass_the_bounds_check() {
+        bounds(5, 0..4, false);
+        bounds(5, 0..9, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 0: linear indices 1..=4 leave its binding 0..4")]
+    fn a_load_past_its_binding_panics() {
+        bounds(4, 0..4, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 1: linear indices 0..=3 leave its binding 1..4")]
+    fn a_store_outside_its_slab_panics() {
+        bounds(5, 1..4, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream 1 is stored to but bound read-only")]
+    fn a_stored_stream_bound_read_only_panics() {
+        bounds(5, 0..4, true);
     }
 
     #[test]

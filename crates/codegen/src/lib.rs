@@ -25,9 +25,11 @@
 //!   MPI-X) space loops over DOMAIN/CORE/REMAINDER regions, and the
 //!   three halo-exchange patterns from `mpix-dmp`.
 //! * [`backend`] — the seam tying them together: the
-//!   [`ClusterKernel`] launch surface and [`compile_kernel`], which
-//!   builds a cluster's kernel for one of the two runtime backends
-//!   (`bytecode`, `jit`).
+//!   [`ClusterKernel`] launch surface, whose one entry point
+//!   [`ClusterKernel::exec_box`] runs a box over per-stream [`Stream`]
+//!   bindings (whole buffers, or one worker's dim-0 slab of each written
+//!   stream), and [`compile_kernel`], which builds a cluster's kernel
+//!   for one of the two runtime backends (`bytecode`, `jit`).
 //! * [`options`] — [`ApplyOptions`], the run knobs the executor borrows.
 
 // Numerical kernels index several arrays with one loop variable; the
@@ -46,7 +48,7 @@ pub mod options;
 
 pub use backend::{
     available_backends, bytecode_listing, compile_kernel, Backend, BackendError, BytecodeKernel,
-    ClusterKernel, Launch, BACKEND_NAMES,
+    ClusterKernel, Launch, Stream, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;

@@ -234,7 +234,7 @@ fn jit_inner_extent_sweep_bitwise() {
             let native = exec
                 .cluster_routes()
                 .iter()
-                .filter(|r| r.serial == Backend::Jit)
+                .filter(|r| r.backend == Backend::Jit)
                 .count();
             assert!(native > 0, "{kind:?}: no cluster runs natively");
             assert_eq!(
@@ -247,8 +247,8 @@ fn jit_inner_extent_sweep_bitwise() {
 }
 
 /// Which backend runs each shipped cluster under `jit`, pinned: every
-/// cluster of every solver at SDO 4/8/12/16 runs natively on both the
-/// serial and the threaded path. A register-plan change that pushes a
+/// cluster of every solver at SDO 4/8/12/16 runs natively, whole boxes
+/// and slabs alike. A register-plan change that pushes a
 /// cluster onto the interpreter must show up here, not only as a
 /// slowdown.
 #[test]
@@ -267,8 +267,8 @@ fn shipped_clusters_run_natively() {
             assert_eq!(routes.len(), clusters, "{kind:?} sdo={sdo}");
             for (ci, r) in routes.iter().enumerate() {
                 assert_eq!(
-                    (r.serial, r.threaded, r.fallback),
-                    (Backend::Jit, Backend::Jit, None),
+                    (r.backend, r.fallback),
+                    (Backend::Jit, None),
                     "{kind:?} sdo={sdo} cluster {ci}"
                 );
             }

@@ -584,7 +584,7 @@ mod verification_oracle {
         }
         {
             let r = 0..16;
-            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20);
+            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20).unwrap();
             slabs[1].0 = slabs[1].0.start - 1..slabs[1].0.end; // overlap
             slabs[1].1 = (slabs[1].0.start + 2) * 20..(slabs[1].0.end + 2) * 20;
             cases.push((
@@ -595,7 +595,7 @@ mod verification_oracle {
         }
         {
             let r = 0..16;
-            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20);
+            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20).unwrap();
             slabs[2].0 = slabs[2].0.end..slabs[2].0.end; // gap
             slabs[2].1 = (slabs[2].0.start + 2) * 20..(slabs[2].0.end + 2) * 20;
             cases.push((
@@ -606,7 +606,7 @@ mod verification_oracle {
         }
         {
             let r = 0..16;
-            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20);
+            let mut slabs = thread_safety::compute_slabs(&r, 4, 2, 20).unwrap();
             slabs[0].1 = slabs[0].1.start..slabs[0].1.end + 20; // stray linear slab
             cases.push((
                 "slab-linear-mismatch",

@@ -87,7 +87,9 @@ const GOLDEN: [(&str, u32, u64); 12] = [
 
 /// The reach-sized layout reproduces the space-order layout's outputs
 /// bit for bit: 4 solvers × SDO {4, 8, 12} × ranks {1, 2, 4} × every
-/// runtime backend × {basic, diagonal, full}.
+/// runtime backend × {basic, diagonal, full}. Environment overrides
+/// apply on top (`MPIX_THREADS=2` runs every case on dim-0 slabs): no
+/// run configuration may change a hash.
 #[test]
 fn outputs_match_the_space_order_layout_bitwise() {
     let spec = ModelSpec::new(&[8, 8, 8]).with_nbl(2);
@@ -116,7 +118,8 @@ fn outputs_match_the_space_order_layout_bitwise() {
                         .with_ranks(ranks)
                         .with_backend(backend)
                         .with_mode(mode)
-                        .with_verify(false);
+                        .with_verify(false)
+                        .env_overrides();
                     let h = prop.op.run(&opts, init, hash).results[0];
                     assert_eq!(
                         h, golden,
