@@ -11,18 +11,23 @@
 //! synthetic geometry with deterministic fills; any store whose bits
 //! differ from the oracle's is an error. For the bytecode backend that
 //! is the interpreter's own [`LANES`](mpix_codegen::LANES)-wide
-//! strips, plain and cache-blocked, so one pass discharges "the JIT is
-//! the interpreter" and "the interpreter's strips are its scalar
-//! engine" together.
+//! strips, over the whole box and on cache-blocked dim-0 slabs, so one
+//! pass discharges "the JIT is the interpreter" and "the interpreter's
+//! strips are its scalar engine" together.
 //!
 //! The synthetic geometry's innermost extent ([`INNER_EXTENT`]) runs
-//! every loop of every strip engine: the JIT's interleaved multi-strip
-//! loop, its single-strip loop and its scalar tail, and the
-//! interpreter's full strips and overlapping tail strip. Per-axis
+//! every rung of every strip engine: on AVX-512F hosts the JIT's
+//! 16-lane loop, its 8-lane strip and its scalar tail; on AVX-only
+//! hosts its interleaved 8-lane loop, single 8-lane loop and tail; and
+//! the interpreter's full strips and overlapping tail strip. Per-axis
 //! distinct extents make sure a transposed stride bug cannot cancel
-//! out.
+//! out, and the outermost extent ([`OUTER_ROWS`]) splits into two
+//! workers' dim-0 slabs ([`slab_chunks`]), the way the
+//! executor binds a threaded box.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
+use mpix_codegen::executor::{slab_bindings, slab_chunks, slab_crossing_load};
+use mpix_codegen::jit::{MAX_STRIPS, YMM_LANES, ZMM_LANES};
 use mpix_codegen::{compile_kernel, Backend, BytecodeKernel, ClusterKernel, Launch, Stream};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
@@ -31,136 +36,216 @@ use mpix_trace::Diagnostic;
 pub const PASS: &str = "backend";
 
 /// Innermost extent of the synthetic geometry: two passes of the JIT's
-/// two-strip loop (32 points, also two full interpreter strips), one
-/// pass of its single-strip loop (8) and an odd scalar tail (5); the
-/// interpreter's tail is one strip overlapping its second.
-pub const INNER_EXTENT: usize = 45;
+/// widest loop (16 lanes on AVX-512F hosts; `MAX_STRIPS` interleaved
+/// 8-lane strips, also 16 points, elsewhere), one 8-lane strip and an
+/// odd scalar tail (5): 45. That is also two full interpreter strips
+/// and a tail strip overlapping the second.
+pub const INNER_EXTENT: usize = 2 * ZMM_LANES + YMM_LANES + 5;
+
+/// Outermost extent of the synthetic geometry: the fewest rows
+/// [`slab_chunks`] splits between the slab leg's two workers.
+pub const OUTER_ROWS: usize = 2 * SLAB_WORKERS;
+
+/// Workers of the slab leg.
+const SLAB_WORKERS: usize = 2;
+
+// The interleaved 8-lane loop of AVX-only hosts covers as many points
+// per pass as the 16-lane loop, so one extent runs both ladders.
+const _: () = assert!(YMM_LANES * MAX_STRIPS == ZMM_LANES);
 
 /// A self-contained launch geometry for one cluster: every stream gets
 /// the same padded allocation (uniform halo = the cluster's max offset
-/// reach), mirroring the single-rank executor layout.
-struct Geometry {
-    strides: Vec<Vec<usize>>,
-    halos: Vec<usize>,
-    resolved: Vec<isize>,
-    scalars: Vec<f32>,
-    params: Vec<f32>,
+/// reach), mirroring the single-rank executor layout, with
+/// deterministic fills. The backend pass builds one per cluster
+/// ([`Geometry::for_gate`]); `tables bench-kernels` times kernels on
+/// larger ones.
+pub struct Geometry {
+    pub strides: Vec<Vec<usize>>,
+    pub halos: Vec<usize>,
+    pub resolved: Vec<isize>,
+    pub scalars: Vec<f32>,
+    pub params: Vec<f32>,
     /// Initial padded buffer contents, one per stream.
-    init: Vec<Vec<f32>>,
-    bx: BoxNd,
+    pub init: Vec<Vec<f32>>,
+    /// The box over the whole interior.
+    pub bx: BoxNd,
 }
 
-fn build_geometry(cc: &CompiledCluster, num_params: usize) -> Geometry {
-    let nd = cc
-        .offsets
-        .iter()
-        .map(|(_, d)| d.len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let halo = cc
-        .offsets
-        .iter()
-        .flat_map(|(_, d)| d.iter().map(|x| x.unsigned_abs() as usize))
-        .max()
-        .unwrap_or(0);
-    // Every strip loop and the tail live innermost; distinct outer
-    // extents (stride transpositions cannot alias), kept small because
-    // the verify gate runs the scalar oracle over every point.
-    let extents: Vec<usize> = (0..nd)
-        .map(|d| if d == nd - 1 { INNER_EXTENT } else { 2 + d })
-        .collect();
-    let padded: Vec<usize> = extents.iter().map(|e| e + 2 * halo).collect();
-    let mut stride = vec![0usize; nd];
-    stride[nd - 1] = 1;
-    for d in (0..nd - 1).rev() {
-        stride[d] = stride[d + 1] * padded[d + 1];
+impl Geometry {
+    /// The gate's geometry for `cc`: every strip loop and the tail live
+    /// innermost ([`INNER_EXTENT`]); the outermost splits into slabs
+    /// ([`OUTER_ROWS`]); the extents between are distinct and small
+    /// (stride transpositions cannot alias), because the gate runs the
+    /// scalar oracle over every point.
+    pub fn for_gate(cc: &CompiledCluster, num_params: usize) -> Geometry {
+        let nd = cc
+            .offsets
+            .iter()
+            .map(|(_, d)| d.len())
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let extents: Vec<usize> = (0..nd)
+            .map(|d| match d {
+                _ if d == nd - 1 => INNER_EXTENT,
+                0 => OUTER_ROWS,
+                _ => 1 + d,
+            })
+            .collect();
+        Geometry::new(cc, num_params, &extents)
     }
-    let len: usize = padded.iter().product();
 
-    let resolved: Vec<isize> = cc
-        .offsets
-        .iter()
-        .map(|(_, deltas)| {
-            deltas
-                .iter()
-                .zip(&stride)
-                .map(|(&d, &s)| d as isize * s as isize)
-                .sum()
-        })
-        .collect();
+    /// `cc` over an interior of `extents` points per dimension, with
+    /// `num_params` parameter values.
+    pub fn new(cc: &CompiledCluster, num_params: usize, extents: &[usize]) -> Geometry {
+        let nd = extents.len();
+        let halo = cc
+            .offsets
+            .iter()
+            .flat_map(|(_, d)| d.iter().map(|x| x.unsigned_abs() as usize))
+            .max()
+            .unwrap_or(0);
+        let padded: Vec<usize> = extents.iter().map(|e| e + 2 * halo).collect();
+        let mut stride = vec![0usize; nd];
+        stride[nd - 1] = 1;
+        for d in (0..nd - 1).rev() {
+            stride[d] = stride[d + 1] * padded[d + 1];
+        }
+        let len: usize = padded.iter().product();
 
-    // Deterministic, sign-varying, exactly-representable fills — the
-    // same recipe as `bytecode_check`'s fusion spot check.
-    let init: Vec<Vec<f32>> = (0..cc.streams.len())
-        .map(|s| {
-            (0..len)
-                .map(|i| (((i * 31 + s * 17 + 7) % 97) as f32) * 0.0625 - 3.0)
-                .collect()
-        })
-        .collect();
-    let scalars: Vec<f32> = (0..cc.scalars.len())
-        .map(|j| 0.5 + 0.25 * (j + 1) as f32)
-        .collect();
-    let params: Vec<f32> = (0..num_params)
-        .map(|k| 0.375 * (k + 1) as f32 + 0.5)
-        .collect();
+        let resolved: Vec<isize> = cc
+            .offsets
+            .iter()
+            .map(|(_, deltas)| {
+                deltas
+                    .iter()
+                    .zip(&stride)
+                    .map(|(&d, &s)| d as isize * s as isize)
+                    .sum()
+            })
+            .collect();
 
-    Geometry {
-        strides: vec![stride; cc.streams.len()],
-        halos: vec![halo; cc.streams.len()],
-        resolved,
-        scalars,
-        params,
-        init,
-        bx: extents.iter().map(|&e| 0..e).collect(),
+        // Deterministic, sign-varying, exactly-representable fills — the
+        // same recipe as `bytecode_check`'s fusion spot check. Element
+        // `i` of stream `s` is `((31i + 17s + 7) mod 97) / 16 - 3`, the
+        // residue stepped rather than divided out per element.
+        let init: Vec<Vec<f32>> = (0..cc.streams.len())
+            .map(|s| {
+                let mut k = (s * 17 + 7) % 97;
+                (0..len)
+                    .map(|_| {
+                        let v = k as f32 * 0.0625 - 3.0;
+                        k = (k + 31) % 97;
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
+        let scalars: Vec<f32> = (0..cc.scalars.len())
+            .map(|j| 0.5 + 0.25 * (j + 1) as f32)
+            .collect();
+        let params: Vec<f32> = (0..num_params)
+            .map(|k| 0.375 * (k + 1) as f32 + 0.5)
+            .collect();
+
+        Geometry {
+            strides: vec![stride; cc.streams.len()],
+            halos: vec![halo; cc.streams.len()],
+            resolved,
+            scalars,
+            params,
+            init,
+            bx: extents.iter().map(|&e| 0..e).collect(),
+        }
+    }
+
+    /// The launch of `cc` over this geometry with tile edge `block`.
+    pub fn launch<'a>(&'a self, cc: &'a CompiledCluster, block: usize) -> Launch<'a> {
+        Launch {
+            cc,
+            strides: &self.strides,
+            halos: &self.halos,
+            resolved: &self.resolved,
+            scalars: &self.scalars,
+            params: &self.params,
+            block,
+        }
     }
 }
 
-/// True when the program indexes a parameter slot `>= num_params` — the
-/// slot-validity pass owns that error; running would index out of
-/// bounds, so equivalence is skipped for such (already-flagged) programs.
-fn has_invalid_params(cc: &CompiledCluster, num_params: usize) -> bool {
-    cc.ops.iter().any(|op| match *op {
-        Op::Param(k) => k as usize >= num_params,
-        Op::LoadMul { coeff, .. } | Op::LoadMulAdd { coeff, .. } => match coeff {
-            CoeffSrc::Param(k) => k as usize >= num_params,
-            _ => false,
-        },
-        _ => false,
-    })
+/// One past the highest parameter slot `cc` reads (0 when it reads
+/// none): the parameter values a launch of it needs.
+pub fn params_read(cc: &CompiledCluster) -> usize {
+    cc.ops
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Param(k)
+            | Op::LoadMul {
+                coeff: CoeffSrc::Param(k),
+                ..
+            }
+            | Op::LoadMulAdd {
+                coeff: CoeffSrc::Param(k),
+                ..
+            } => Some(k as usize + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
-/// Run `kernel` over the geometry and return the final buffers.
+/// Run `kernel` over the geometry on `bufs`, a working copy of its
+/// initial buffers: whole, or (`slabs`) as the executor's dim-0 slabs
+/// of [`SLAB_WORKERS`] workers ([`slab_bindings`]), one worker after
+/// another. Only written streams are reset to their initial contents
+/// first: the others are bound read-only, so no backend can change
+/// them.
 fn run_kernel(
     cc: &CompiledCluster,
     geo: &Geometry,
+    bufs: &mut [Vec<f32>],
     kernel: &dyn ClusterKernel,
     block: usize,
-) -> Vec<Vec<f32>> {
-    let mut bufs = geo.init.clone();
-    let launch = Launch {
-        cc,
-        strides: &geo.strides,
-        halos: &geo.halos,
-        resolved: &geo.resolved,
-        scalars: &geo.scalars,
-        params: &geo.params,
-        block,
-    };
-    let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
-        .map(|(v, &w)| Stream::whole(v, w))
-        .collect();
-    kernel.exec_box(&launch, &geo.bx, &mut streams);
-    bufs
+    slabs: bool,
+) {
+    for ((buf, init), _) in bufs
+        .iter_mut()
+        .zip(&geo.init)
+        .zip(&cc.written)
+        .filter(|(_, &w)| w)
+    {
+        buf.copy_from_slice(init);
+    }
+    let launch = geo.launch(cc, block);
+    if !slabs {
+        let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
+            .map(|(buf, &w)| Stream::whole(buf, w))
+            .collect();
+        return kernel.exec_box(&launch, &geo.bx, &mut streams);
+    }
+    let chunks = slab_chunks(&geo.bx[0], SLAB_WORKERS).expect("the geometry splits into slabs");
+    for (mut streams, rows) in slab_bindings(&launch, bufs, &chunks)
+        .into_iter()
+        .zip(chunks)
+    {
+        let mut sub = geo.bx.clone();
+        sub[0] = rows;
+        kernel.exec_box(&launch, &sub, &mut streams);
+    }
 }
 
-/// The scalar oracle's final buffers over the geometry.
-fn run_oracle(cc: &CompiledCluster, geo: &Geometry) -> Vec<Vec<f32>> {
-    run_kernel(cc, geo, &BytecodeKernel::scalar_oracle(cc), 0)
+/// The scalar oracle's final written buffers over the geometry (empty
+/// for the streams it only reads), run on `bufs`.
+fn run_oracle(cc: &CompiledCluster, geo: &Geometry, bufs: &mut [Vec<f32>]) -> Vec<Vec<f32>> {
+    run_kernel(cc, geo, bufs, &BytecodeKernel::scalar_oracle(cc), 0, false);
+    bufs.iter()
+        .zip(&cc.written)
+        .map(|(b, &w)| if w { b.clone() } else { Vec::new() })
+        .collect()
 }
 
-/// Compare one backend run against the oracle buffers, bitwise.
+/// Compare one backend run against the oracle's written buffers,
+/// bitwise (streams the oracle holds empty are read-only).
 fn compare(
     ci: usize,
     cc: &CompiledCluster,
@@ -200,10 +285,13 @@ fn compare(
 }
 
 /// Prove every backend in `backends` produces stores bitwise identical
-/// to the scalar oracle on this cluster, plain and cache-blocked (the
-/// executor hands kernels tile-sized boxes through the same entry
-/// point). For the bytecode backend this checks the interpreter's
-/// strips against its own scalar engine.
+/// to the scalar oracle on this cluster, run two ways through the
+/// executor's binding path: the whole box, and the box split into two
+/// workers' dim-0 slabs, cache-blocked (tile-sized boxes through the
+/// same entry point). The slab leg is skipped for a cluster that loads
+/// a written stream across its slab, which the executor never splits.
+/// For the bytecode backend this checks the interpreter's strips
+/// against its own scalar engine.
 pub fn check_backend_equivalence(
     ci: usize,
     cc: &CompiledCluster,
@@ -214,11 +302,14 @@ pub fn check_backend_equivalence(
     if cc.ops.is_empty() || cc.streams.is_empty() || !cc.written.iter().any(|&w| w) {
         return diags; // nothing stored → nothing to compare
     }
-    if has_invalid_params(cc, num_params) {
-        return diags; // bytecode_check flags this; running would be UB
+    if params_read(cc) > num_params {
+        // The slot-validity pass (`bytecode_check`) owns this error;
+        // running would index out of bounds.
+        return diags;
     }
-    let geo = build_geometry(cc, num_params);
-    let oracle = run_oracle(cc, &geo);
+    let geo = Geometry::for_gate(cc, num_params);
+    let mut bufs = geo.init.clone();
+    let oracle = run_oracle(cc, &geo, &mut bufs);
 
     for &backend in backends {
         let kernel = match compile_kernel(backend, cc) {
@@ -232,10 +323,31 @@ pub fn check_backend_equivalence(
                 continue;
             }
         };
-        for block in [0, 2] {
-            let got = run_kernel(cc, &geo, &*kernel, block);
-            let what = format!("backend {backend} (block={block})");
-            compare(ci, cc, &oracle, &got, &what, &mut diags);
+        let mut legs = vec![(format!("backend {backend}"), 0, false)];
+        if slab_crossing_load(cc).is_none() {
+            let what = format!("backend {backend} ({SLAB_WORKERS} slabs, block=2)");
+            legs.push((what, 2, true));
+        }
+        for (what, block, slabs) in legs {
+            // A backend that indexes outside a binding panics (safe
+            // slicing, or the JIT's bounds check): report it as this
+            // leg's error rather than abort the gate.
+            let run = || run_kernel(cc, &geo, &mut bufs, &*kernel, block, slabs);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(()) => compare(ci, cc, &oracle, &bufs, &what, &mut diags),
+                Err(payload) => {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic payload");
+                    diags.push(Diagnostic::error(
+                        PASS,
+                        format!("cluster {ci} / {what}"),
+                        format!("the backend panicked where the scalar oracle ran: {msg}"),
+                    ));
+                }
+            }
         }
     }
     diags
@@ -272,8 +384,8 @@ mod tests {
         // Self-check of the comparator: perturb the oracle manually and
         // make sure `compare` reports a bitwise mismatch.
         let cc = star_cluster();
-        let geo = build_geometry(&cc, 0);
-        let oracle = run_oracle(&cc, &geo);
+        let geo = Geometry::for_gate(&cc, 0);
+        let oracle = run_oracle(&cc, &geo, &mut geo.init.clone());
         let mut got = oracle.clone();
         let s = cc.written.iter().position(|&w| w).unwrap();
         let mid = got[s].len() / 2;
@@ -286,22 +398,30 @@ mod tests {
 
     #[test]
     fn geometry_has_unit_innermost_stride_and_odd_extent() {
-        use mpix_codegen::jit::MAX_STRIPS;
         use mpix_codegen::LANES;
 
         let cc = star_cluster();
-        let geo = build_geometry(&cc, 0);
+        let geo = Geometry::for_gate(&cc, 0);
         for s in &geo.strides {
             assert_eq!(*s.last().unwrap(), 1);
         }
         let n = geo.bx.last().unwrap().len();
         assert_eq!(n % 2, 1, "tail must stay live");
-        // The JIT's interleaved loop runs, then its single-strip loop
-        // (8 points left), then the scalar tail.
+        // AVX-512F: the 16-lane loop runs, then one 8-lane strip, then
+        // the scalar tail.
+        assert!(n >= ZMM_LANES, "16-lane body must run");
+        assert!(n % ZMM_LANES > YMM_LANES, "8-lane strip and tail must run");
+        // AVX only: the interleaved loop runs, then its single-strip
+        // loop (8 points left), then the scalar tail.
         assert!(n >= 8 * MAX_STRIPS, "interleaved body must run");
         assert!(
             n % (8 * MAX_STRIPS) > 8,
             "single-strip body and tail must run"
+        );
+        // Two workers each get a slab of the outermost rows.
+        assert_eq!(
+            slab_chunks(&geo.bx[0], SLAB_WORKERS).map(|c| c.len()),
+            Some(SLAB_WORKERS)
         );
         // The interpreter runs full strips and an overlapping tail strip.
         assert!(

@@ -577,42 +577,31 @@ fn semantic_spot_check(
         })
         .collect();
     // Deterministic fills: exact multiples of 1/16 so arithmetic differs
-    // only if the programs genuinely differ.
-    let fill = |s: usize, i: usize| -> f32 {
-        (((i * 31 + s * 17 + seed as usize * 7) % 97) as f32) * 0.0625 - 3.0
-    };
-    let mk = |cc: &CompiledCluster| -> Vec<Vec<f32>> {
-        (0..cc.streams.len())
-            .map(|s| (0..len).map(|i| fill(s, i)).collect())
-            .collect()
-    };
+    // only if the programs genuinely differ. Element `i` of stream `s` is
+    // `((31i + 17s + 7·seed) mod 97) / 16 - 3`, the residue stepped
+    // rather than divided out per element.
+    let buf_a: Vec<Vec<f32>> = (0..folded.streams.len())
+        .map(|s| {
+            let mut k = (s * 17 + seed as usize * 7) % 97;
+            (0..len)
+                .map(|_| {
+                    let v = k as f32 * 0.0625 - 3.0;
+                    k = (k + 31) % 97;
+                    v
+                })
+                .collect()
+        })
+        .collect();
     let scalars: Vec<f32> = (0..folded.scalars.len())
         .map(|j| 0.5 + 0.25 * (j as f32 + 1.0))
         .collect();
-    let nparams = folded
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            Op::Param(k) => Some(*k as usize + 1),
-            Op::LoadMul {
-                coeff: CoeffSrc::Param(k),
-                ..
-            }
-            | Op::LoadMulAdd {
-                coeff: CoeffSrc::Param(k),
-                ..
-            } => Some(*k as usize + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let params: Vec<f32> = (0..nparams)
+    let params: Vec<f32> = (0..crate::backend_check::params_read(folded))
         .map(|k| 0.375 * (k as f32 + 1.0) + 0.5)
         .collect();
     let bases = vec![base; folded.streams.len()];
 
-    let mut buf_a = mk(folded);
-    let mut buf_b = mk(fused);
+    // The metadata check above makes the two programs' streams identical.
+    let (mut buf_a, mut buf_b) = (buf_a.clone(), buf_a);
     let a = eval_program(folded, &mut buf_a, &bases, &resolved, &scalars, &params);
     let b = eval_program(fused, &mut buf_b, &bases, &resolved, &scalars, &params);
     let loc = format!("cluster {ci} / fusion");

@@ -24,7 +24,8 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
 use crate::backend::{
-    compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel, Launch, Stream,
+    compile_jit_kernel, compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel,
+    Launch, Stream,
 };
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
 use crate::jit::ClusterRoute;
@@ -247,6 +248,33 @@ impl OperatorExec {
         }
     }
 
+    /// This executable with every kernel recompiled by the JIT for
+    /// `ctx`'s target ([`compile_jit_kernel`]): a masked target
+    /// ([`cranelift::TargetInfo::without_avx512f`]) runs the 8-lane code
+    /// on an AVX-512F host. Like [`scalar_oracle`](Self::scalar_oracle)
+    /// this is a constructor seam for tests and benchmarks, not a run
+    /// option; it reports [`Backend::Jit`].
+    pub fn with_jit_context(
+        &self,
+        ctx: cranelift::JitContext,
+    ) -> Result<OperatorExec, BackendError> {
+        let kernels = self
+            .compiled
+            .iter()
+            .map(|cc| compile_jit_kernel(ctx, cc))
+            .collect::<Result<_, _>>()?;
+        Ok(OperatorExec {
+            iet: self.iet.clone(),
+            param_defs: self.param_defs.clone(),
+            compiled: self.compiled.clone(),
+            kernels,
+            backend: Backend::Jit,
+            nbuffers: self.nbuffers.clone(),
+            halos: self.halos.clone(),
+            slab_crossing: self.slab_crossing.clone(),
+        })
+    }
+
     pub fn iet(&self) -> &Node {
         &self.iet
     }
@@ -265,13 +293,10 @@ impl OperatorExec {
     }
 
     /// Which backend actually executes each compiled cluster (in
-    /// [`compiled_clusters`](Self::compiled_clusters) order), and why
-    /// the JIT fell back where it did.
+    /// [`compiled_clusters`](Self::compiled_clusters) order), why the
+    /// JIT fell back where it did, and at how many lanes its strips ran.
     pub fn cluster_routes(&self) -> Vec<ClusterRoute> {
-        self.compiled
-            .iter()
-            .map(|cc| ClusterRoute::of(self.backend, cc))
-            .collect()
+        self.kernels.iter().map(|k| k.route()).collect()
     }
 
     /// Total natively-compiled per-geometry modules held across this
@@ -756,8 +781,9 @@ pub fn crosses_slab(deltas: &[i32]) -> bool {
 }
 
 /// The first load in `cc` of a written stream that crosses its slab:
-/// the stream's slot and the load's deltas.
-fn slab_crossing_load(cc: &CompiledCluster) -> Option<(usize, &[i32])> {
+/// the stream's slot and the load's deltas. A cluster with one cannot
+/// run on split boxes.
+pub fn slab_crossing_load(cc: &CompiledCluster) -> Option<(usize, &[i32])> {
     cc.ops
         .iter()
         .filter_map(|op| op.load())
@@ -810,10 +836,10 @@ fn declare_slabs(
     san.slab_partition(rank, (rows.start, rows.end), &declared);
 }
 
-/// Run `kernel` over `bx`. Unsplit (`chunks = None`), every stream is
-/// bound whole. Split, each worker runs its chunk's rows with the
-/// written streams' padded rows of that chunk — disjoint slabs carved
-/// from the buffers — while read-only streams are shared.
+/// Run `kernel` over `bx` on the streams' whole padded buffers `moved`.
+/// Unsplit (`chunks = None`), every stream is bound whole. Split (the
+/// [`slab_chunks`] of `bx[0]`), each worker runs its chunk's rows on its
+/// [`slab_bindings`], one scoped thread per chunk.
 fn exec_box(
     kernel: &dyn ClusterKernel,
     l: &Launch<'_>,
@@ -821,16 +847,38 @@ fn exec_box(
     moved: &mut [Vec<f32>],
     chunks: Option<&[Range<usize>]>,
 ) {
-    let written = &l.cc.written;
     let Some(chunks) = chunks else {
-        let mut streams: Vec<Stream<'_>> = (moved.iter_mut().zip(written))
+        let mut streams: Vec<Stream<'_>> = (moved.iter_mut().zip(&l.cc.written))
             .map(|(buf, &w)| Stream::whole(buf, w))
             .collect();
         return kernel.exec_box(l, bx, &mut streams);
     };
+    let workers = slab_bindings(l, moved, chunks);
+    std::thread::scope(|scope| {
+        for (mut streams, rows) in workers.into_iter().zip(chunks) {
+            scope.spawn(move || {
+                let mut sub = bx.clone();
+                sub[0] = rows.clone();
+                kernel.exec_box(l, &sub, &mut streams);
+            });
+        }
+    });
+}
+
+/// Each worker's stream bindings for a box split into dim-0 `chunks`:
+/// the written streams' padded rows of the worker's chunk — disjoint
+/// slabs carved from the buffers `moved` — and the read-only streams
+/// shared whole. The executor runs each worker's rows on its bindings
+/// in a thread of its own; the verify gate's backend pass runs them one
+/// after another.
+pub fn slab_bindings<'a>(
+    l: &Launch<'_>,
+    moved: &'a mut [Vec<f32>],
+    chunks: &[Range<usize>],
+) -> Vec<Vec<Stream<'a>>> {
     let mut workers: Vec<Vec<Stream<'_>>> = chunks.iter().map(|_| Vec::new()).collect();
     for (s, buf) in moved.iter_mut().enumerate() {
-        if !written[s] {
+        if !l.cc.written[s] {
             let shared: &[f32] = buf;
             for w in &mut workers {
                 w.push(Stream::Read(shared));
@@ -847,15 +895,7 @@ fn exec_box(
             (rest, consumed) = (tail, hi);
         }
     }
-    std::thread::scope(|scope| {
-        for (mut streams, rows) in workers.into_iter().zip(chunks) {
-            scope.spawn(move || {
-                let mut sub = bx.clone();
-                sub[0] = rows.clone();
-                kernel.exec_box(l, &sub, &mut streams);
-            });
-        }
-    });
+    workers
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 //! run to run; payloads whose reduction is exact (integer-valued floats)
 //! match a serial reduction bitwise.
 
-use crate::comm::{Comm, Tag, RESERVED_TAG_BASE};
+use crate::comm::{send_pooled_with, Comm, Tag, RESERVED_TAG_BASE};
 
 /// Reduction operators for [`Comm::allreduce_f64`] /
 /// [`Comm::allreduce_f32`].
@@ -139,12 +139,25 @@ impl Comm {
     /// Broadcast a `f32` buffer from `root` to everyone; returns the
     /// data on all ranks (O(log P) rounds).
     pub fn bcast_f32(&self, root: usize, data: &[f32]) -> Vec<f32> {
+        let data = if self.rank == root {
+            data.to_vec()
+        } else {
+            Vec::new()
+        };
+        self.bcast_f32_from(root, data)
+    }
+
+    /// [`bcast_f32`](Self::bcast_f32) of a buffer `root` owns: `root`
+    /// returns `data` itself, so the only copies are the wire copies
+    /// towards its children. Other ranks' `data` is ignored (pass an
+    /// empty `Vec`).
+    pub fn bcast_f32_from(&self, root: usize, data: Vec<f32>) -> Vec<f32> {
         let size = self.size;
         let vr = (self.rank + size - root) % size;
         let buf: Vec<f32>;
         let mut mask = 1usize;
         if vr == 0 {
-            buf = data.to_vec();
+            buf = data;
             while mask < size {
                 mask <<= 1;
             }
@@ -170,51 +183,123 @@ impl Comm {
     /// tree; other ranks get `None`. Subtree contributions travel as one
     /// merged message per tree edge (O(log P) rounds).
     pub fn gather_f32(&self, root: usize, data: &[f32]) -> Option<Vec<Vec<f32>>> {
+        let mut parts =
+            self.gather_f32_with(root, data.len(), |buf| buf.extend_from_slice(data))?;
+        parts[root] = data.to_vec();
+        Some(parts)
+    }
+
+    /// Gather on `root` the `len` floats each other rank writes with
+    /// `fill` straight into its outgoing wire buffer (the analogue of
+    /// [`PersistentSend::start_with`](crate::PersistentSend::start_with)):
+    /// `root` gets one `Vec` per rank, its own entry empty (`root` never
+    /// calls `fill`); other ranks get `None`. Same binomial tree as
+    /// [`gather_f32`](Self::gather_f32). A message carries its parts'
+    /// values back to back followed by a trailer `[(rank, len)…, count]`
+    /// (bit-cast `u32`s), so the first part of each message arriving at
+    /// `root` is that message's buffer truncated, not a copy: on two
+    /// ranks the payload is copied once, into the wire.
+    pub fn gather_f32_with(
+        &self,
+        root: usize,
+        len: usize,
+        fill: impl FnOnce(&mut Vec<f32>),
+    ) -> Option<Vec<Vec<f32>>> {
         let size = self.size;
         let vr = (self.rank + size - root) % size;
-        // (original rank, values) contributions accumulated from our
-        // subtree; serialized as [count, (rank, len, values…)…].
-        let mut parts: Vec<(usize, Vec<f32>)> = vec![(self.rank, data.to_vec())];
+        // Messages received from our subtree, each with its parts.
+        let mut msgs: Vec<GatherMsg> = Vec::new();
         let mut mask = 1usize;
         while mask < size {
             if vr & mask != 0 {
                 let parent = (vr - mask + root) % size;
-                let payload_len: usize = 1 + parts.iter().map(|(_, v)| 2 + v.len()).sum::<usize>();
-                let mut buf = Vec::with_capacity(payload_len);
-                buf.push(parts.len() as f32);
-                for (r, vals) in &parts {
-                    buf.push(*r as f32);
-                    buf.push(vals.len() as f32);
-                    buf.extend_from_slice(vals);
-                }
-                self.send_f32(parent, TAG_GATHER, &buf);
-                break;
+                self.forward_gather(parent, len, fill, &msgs);
+                return None;
             }
             let child = vr + mask;
             if child < size {
-                let buf = self.recv_f32((child + root) % size, TAG_GATHER);
-                let n = buf[0] as usize;
-                let mut i = 1;
-                for _ in 0..n {
-                    let r = buf[i] as usize;
-                    let len = buf[i + 1] as usize;
-                    i += 2;
-                    parts.push((r, buf[i..i + len].to_vec()));
-                    i += len;
-                }
+                let mut msg = self.recv_f32((child + root) % size, TAG_GATHER);
+                let parts = split_trailer(&mut msg);
+                msgs.push((msg, parts));
             }
             mask <<= 1;
         }
-        if self.rank == root {
-            let mut out = vec![Vec::new(); size];
-            for (r, vals) in parts {
-                out[r] = vals;
+        let mut out = vec![Vec::new(); size];
+        let mut copied = 0usize;
+        for (mut msg, parts) in msgs {
+            let mut at = parts[0].1;
+            for &(r, n) in &parts[1..] {
+                out[r] = msg[at..at + n].to_vec();
+                copied += n;
+                at += n;
             }
-            Some(out)
-        } else {
-            None
+            msg.truncate(parts[0].1);
+            out[parts[0].0] = msg;
         }
+        if copied > 0 {
+            self.world.stats[self.rank].lock().unwrap().bytes_copied += 4 * copied as u64;
+        }
+        Some(out)
     }
+
+    /// Send our `len`-float part (written by `fill`) and every part our
+    /// subtree sent us to `parent` as one message, packed straight into
+    /// the wire buffer.
+    fn forward_gather(
+        &self,
+        parent: usize,
+        len: usize,
+        fill: impl FnOnce(&mut Vec<f32>),
+        msgs: &[GatherMsg],
+    ) {
+        let mut parts = vec![(self.rank, len)];
+        parts.extend(msgs.iter().flat_map(|(_, p)| p.iter().copied()));
+        let values: usize = parts.iter().map(|&(_, n)| n).sum();
+        let total = values + 2 * parts.len() + 1;
+        send_pooled_with(
+            &self.world,
+            self.rank,
+            parent,
+            TAG_GATHER,
+            None,
+            total,
+            |buf| {
+                fill(buf);
+                assert_eq!(buf.len(), len, "gather fill wrote a different length");
+                for (msg, p) in msgs {
+                    let n: usize = p.iter().map(|&(_, n)| n).sum();
+                    buf.extend_from_slice(&msg[..n]);
+                }
+                for &(r, n) in &parts {
+                    buf.push(word(r));
+                    buf.push(word(n));
+                }
+                buf.push(word(parts.len()));
+            },
+        );
+    }
+}
+
+/// A received gather message: its parts' values back to back, and each
+/// part's `(rank, len)`.
+type GatherMsg = (Vec<f32>, Vec<(usize, usize)>);
+
+/// A count carried in an `f32` message, bit-cast so every `u32` is exact.
+fn word(n: usize) -> f32 {
+    f32::from_bits(u32::try_from(n).expect("gather count exceeds u32"))
+}
+
+/// Strip a gather message's trailer: its `(rank, len)` parts, in the
+/// order their values sit at the front of `msg`.
+fn split_trailer(msg: &mut Vec<f32>) -> Vec<(usize, usize)> {
+    let count = msg.pop().expect("empty gather message").to_bits() as usize;
+    let at = msg.len() - 2 * count;
+    let parts = msg[at..]
+        .chunks(2)
+        .map(|w| (w[0].to_bits() as usize, w[1].to_bits() as usize))
+        .collect();
+    msg.truncate(at);
+    parts
 }
 
 #[cfg(test)]
@@ -236,6 +321,38 @@ mod tests {
             assert_eq!(s, 15.0);
             assert_eq!(mn, 1.0);
             assert_eq!(mx, 5.0);
+        }
+    }
+
+    /// Packed gathers over every tree shape up to 7 ranks, each rank
+    /// sending a different length (0 included), to every root: the root
+    /// gets each rank's values, its own entry empty, and no other rank
+    /// gets anything.
+    #[test]
+    fn packed_gather_over_every_tree_shape() {
+        for p in 1..=7usize {
+            for root in 0..p {
+                let out = Universe::run(p, |c| {
+                    let me = c.rank();
+                    let vals: Vec<f32> = (0..me * 3).map(|i| (me * 100 + i) as f32).collect();
+                    c.gather_f32_with(root, vals.len(), |buf| buf.extend_from_slice(&vals))
+                });
+                for (r, got) in out.into_iter().enumerate() {
+                    if r != root {
+                        assert!(got.is_none(), "p={p} root={root} rank {r}");
+                        continue;
+                    }
+                    let got = got.expect("root gathers");
+                    for (q, part) in got.iter().enumerate() {
+                        let want: Vec<f32> = if q == root {
+                            Vec::new()
+                        } else {
+                            (0..q * 3).map(|i| (q * 100 + i) as f32).collect()
+                        };
+                        assert_eq!(part, &want, "p={p} root={root} part {q}");
+                    }
+                }
+            }
         }
     }
 

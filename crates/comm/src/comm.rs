@@ -1003,7 +1003,7 @@ pub(crate) fn send_f32_pooled(
 /// `addr` is the destination-mailbox `(shard, slot)` when the caller
 /// resolved it at init time (persistent sends); `None` falls back to the
 /// hash lookup.
-fn send_pooled_with(
+pub(crate) fn send_pooled_with(
     world: &World,
     rank: usize,
     dest: usize,

@@ -209,52 +209,90 @@ impl DistArray {
 
     /// Gather the full global array onto every rank (root gathers, then
     /// broadcasts). This is the support behind user-side global reads.
-    /// Both sides move whole innermost rows: each rank packs its owned
-    /// box row by row, and the root copies each rank's rows into place.
+    /// Both sides move whole innermost rows: each other rank packs its
+    /// owned rows straight into its wire buffer
+    /// ([`Comm::gather_f32_with`]), and the root appends every global
+    /// row from its own shard or the received parts into the result,
+    /// which it then broadcasts without another copy
+    /// ([`Comm::bcast_f32_from`]).
     pub fn gather_global(&self, comm: &Comm) -> Vec<f32> {
-        let nd = self.decomp.ndim();
+        let len = self.local_shape.iter().product();
+        let pack = |buf: &mut Vec<f32>| self.for_each_owned_row(|row| buf.extend_from_slice(row));
+        let assembled = match comm.gather_f32_with(0, len, pack) {
+            Some(parts) => self.assemble(comm.rank(), &parts),
+            None => Vec::new(),
+        };
+        comm.bcast_f32_from(0, assembled)
+    }
+
+    /// Call `f` on each owned innermost row, in local row-major order.
+    fn for_each_owned_row(&self, mut f: impl FnMut(&[f32])) {
+        let nd = self.local_shape.len();
         let inner = self.local_shape[nd - 1];
-        let mut flat = Vec::with_capacity(self.local_shape.iter().product());
         let outer: BoxNd = self.local_shape[..nd - 1].iter().map(|&n| 0..n).collect();
         for_each_index(&outer, |idx| {
-            let row: usize = idx
-                .iter()
-                .chain([&0])
-                .zip(&self.strides)
-                .map(|(&i, &s)| (i + self.halo) * s)
-                .sum();
-            flat.extend_from_slice(&self.data[row..row + inner]);
+            let row = self.row_offset(idx);
+            f(&self.data[row..row + inner]);
         });
+    }
 
-        let gathered = comm.gather_f32(0, &flat);
+    /// Padded linear index of the first owned point of the innermost row
+    /// at owned-local outer index `outer`.
+    fn row_offset(&self, outer: &[usize]) -> usize {
+        outer
+            .iter()
+            .chain([&0])
+            .zip(&self.strides)
+            .map(|(&i, &s)| (i + self.halo) * s)
+            .sum()
+    }
+
+    /// The global array in row-major order, assembled on rank `me` from
+    /// its own shard and every other rank's packed rows (`parts`, in
+    /// each owner's local row-major order): each global row is its
+    /// owners' segments in the order of the last dimension's coordinate,
+    /// appended straight into the result.
+    fn assemble(&self, me: usize, parts: &[Vec<f32>]) -> Vec<f32> {
+        let nd = self.decomp.ndim();
+        let dims = self.decomp.dims();
         let global_shape = self.decomp.global_shape();
-        let total: usize = global_shape.iter().product();
-        let assembled = if let Some(parts) = gathered {
-            // Root assembles in global coordinates, one row at a time.
-            let mut out = vec![0.0f32; total];
-            let dims = self.decomp.dims();
-            for (rank, part) in parts.iter().enumerate() {
-                let coords = mpix_comm::CartComm::coords_of(dims, rank);
-                let owned: BoxNd = (0..nd)
-                    .map(|d| self.decomp.owned_range(d, coords[d]))
-                    .collect();
-                let n = owned[nd - 1].len();
-                let mut k = 0;
-                for_each_index(&owned[..nd - 1].to_vec(), |idx| {
-                    let row = idx
-                        .iter()
-                        .chain([&owned[nd - 1].start])
-                        .zip(global_shape)
-                        .fold(0, |off, (&i, &g)| off * g + i);
-                    out[row..row + n].copy_from_slice(&part[k..k + n]);
-                    k += n;
-                });
+        // Per dimension, each global index's owning coordinate and its
+        // index inside that owner's range.
+        let owner: Vec<Vec<(usize, usize)>> = (0..nd)
+            .map(|d| {
+                (0..dims[d])
+                    .flat_map(|c| (0..self.decomp.owned_range(d, c).len()).map(move |k| (c, k)))
+                    .collect()
+            })
+            .collect();
+        let locals: Vec<Vec<usize>> = (0..parts.len())
+            .map(|r| {
+                self.decomp
+                    .local_shape(&mpix_comm::CartComm::coords_of(dims, r))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(global_shape.iter().product());
+        let outer: BoxNd = global_shape[..nd - 1].iter().map(|&n| 0..n).collect();
+        let mut coords = vec![0usize; nd];
+        let mut local = vec![0usize; nd - 1];
+        for_each_index(&outer, |g| {
+            for d in 0..nd - 1 {
+                (coords[d], local[d]) = owner[d][g[d]];
             }
-            out
-        } else {
-            vec![0.0f32; total]
-        };
-        comm.bcast_f32(0, &assembled)
+            for c in 0..dims[nd - 1] {
+                coords[nd - 1] = c;
+                let r = mpix_comm::CartComm::rank_of(dims, &coords);
+                let n = locals[r][nd - 1];
+                if r == me {
+                    let row = self.row_offset(&local);
+                    out.extend_from_slice(&self.data[row..row + n]);
+                } else {
+                    let k = (0..nd - 1).fold(0, |k, d| k * locals[r][d] + local[d]);
+                    out.extend_from_slice(&parts[r][k * n..(k + 1) * n]);
+                }
+            }
+        });
+        out
     }
 
     /// Global L2 norm over owned points (collective).
@@ -552,6 +590,27 @@ mod tests {
         for dims in [[1, 1, 1], [2, 1, 1], [1, 3, 1], [1, 2, 2], [2, 1, 2]] {
             check_gather(&[5, 3, 4], &dims);
         }
+    }
+
+    /// A 2-rank gather copies each payload once inside the comm layer:
+    /// rank 1's rows into its wire buffer (plus the 3-word trailer) and
+    /// the assembled array into the broadcast's.
+    #[test]
+    fn two_rank_gather_copies_each_payload_once() {
+        let shape = [9usize, 6, 5];
+        let out = Universe::run(2, |comm| {
+            let dc = Arc::new(Decomposition::new(&shape, &[2, 1, 1]));
+            let coords = mpix_comm::CartComm::coords_of(&[2, 1, 1], comm.rank());
+            let a = DistArray::new(dc, &coords, 2);
+            let owned: usize = a.local_shape().iter().product();
+            let before = comm.stats().bytes_copied;
+            a.gather_global(&comm);
+            (owned, comm.stats().bytes_copied - before)
+        });
+        let total: usize = shape.iter().product();
+        let copied: u64 = out.iter().map(|&(_, c)| c).sum();
+        let bound = 4 * (out[1].0 + 3 + total) as u64;
+        assert!(copied <= bound, "{copied} bytes copied, bound {bound}");
     }
 
     #[test]
