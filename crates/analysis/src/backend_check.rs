@@ -16,18 +16,16 @@
 //! strips are its scalar engine" together.
 //!
 //! The synthetic geometry's innermost extent ([`INNER_EXTENT`]) runs
-//! every rung of every strip engine: on AVX-512F hosts the JIT's
-//! 16-lane loop, its 8-lane strip and its scalar tail; on AVX-only
-//! hosts its interleaved 8-lane loop, single 8-lane loop and tail; and
-//! the interpreter's full strips and overlapping tail strip. Per-axis
+//! every loop of every strip engine: the JIT's interleaved multi-strip
+//! loop, its single-strip loop and its scalar tail, and the
+//! interpreter's full strips and overlapping tail strip. Per-axis
 //! distinct extents make sure a transposed stride bug cannot cancel
 //! out, and the outermost extent ([`OUTER_ROWS`]) splits into two
-//! workers' dim-0 slabs ([`slab_chunks`]), the way the
-//! executor binds a threaded box.
+//! workers' dim-0 slabs ([`slab_chunks`]), the way the executor binds
+//! a threaded box.
 
 use mpix_codegen::bytecode::{CoeffSrc, CompiledCluster, Op};
 use mpix_codegen::executor::{slab_bindings, slab_chunks, slab_crossing_load};
-use mpix_codegen::jit::{MAX_STRIPS, YMM_LANES, ZMM_LANES};
 use mpix_codegen::{compile_kernel, Backend, BytecodeKernel, ClusterKernel, Launch, Stream};
 use mpix_dmp::regions::BoxNd;
 use mpix_trace::Diagnostic;
@@ -36,11 +34,10 @@ use mpix_trace::Diagnostic;
 pub const PASS: &str = "backend";
 
 /// Innermost extent of the synthetic geometry: two passes of the JIT's
-/// widest loop (16 lanes on AVX-512F hosts; `MAX_STRIPS` interleaved
-/// 8-lane strips, also 16 points, elsewhere), one 8-lane strip and an
-/// odd scalar tail (5): 45. That is also two full interpreter strips
-/// and a tail strip overlapping the second.
-pub const INNER_EXTENT: usize = 2 * ZMM_LANES + YMM_LANES + 5;
+/// two-strip loop (32 points, also two full interpreter strips), one
+/// pass of its single-strip loop (8) and an odd scalar tail (5); the
+/// interpreter's tail is one strip overlapping its second.
+pub const INNER_EXTENT: usize = 45;
 
 /// Outermost extent of the synthetic geometry: the fewest rows
 /// [`slab_chunks`] splits between the slab leg's two workers.
@@ -49,26 +46,19 @@ pub const OUTER_ROWS: usize = 2 * SLAB_WORKERS;
 /// Workers of the slab leg.
 const SLAB_WORKERS: usize = 2;
 
-// The interleaved 8-lane loop of AVX-only hosts covers as many points
-// per pass as the 16-lane loop, so one extent runs both ladders.
-const _: () = assert!(YMM_LANES * MAX_STRIPS == ZMM_LANES);
-
 /// A self-contained launch geometry for one cluster: every stream gets
 /// the same padded allocation (uniform halo = the cluster's max offset
 /// reach), mirroring the single-rank executor layout, with
-/// deterministic fills. The backend pass builds one per cluster
-/// ([`Geometry::for_gate`]); `tables bench-kernels` times kernels on
-/// larger ones.
-pub struct Geometry {
-    pub strides: Vec<Vec<usize>>,
-    pub halos: Vec<usize>,
-    pub resolved: Vec<isize>,
-    pub scalars: Vec<f32>,
-    pub params: Vec<f32>,
+/// deterministic fills.
+struct Geometry {
+    strides: Vec<Vec<usize>>,
+    halos: Vec<usize>,
+    resolved: Vec<isize>,
+    scalars: Vec<f32>,
+    params: Vec<f32>,
     /// Initial padded buffer contents, one per stream.
-    pub init: Vec<Vec<f32>>,
-    /// The box over the whole interior.
-    pub bx: BoxNd,
+    init: Vec<Vec<f32>>,
+    bx: BoxNd,
 }
 
 impl Geometry {
@@ -77,7 +67,7 @@ impl Geometry {
     /// ([`OUTER_ROWS`]); the extents between are distinct and small
     /// (stride transpositions cannot alias), because the gate runs the
     /// scalar oracle over every point.
-    pub fn for_gate(cc: &CompiledCluster, num_params: usize) -> Geometry {
+    fn new(cc: &CompiledCluster, num_params: usize) -> Geometry {
         let nd = cc
             .offsets
             .iter()
@@ -92,13 +82,6 @@ impl Geometry {
                 _ => 1 + d,
             })
             .collect();
-        Geometry::new(cc, num_params, &extents)
-    }
-
-    /// `cc` over an interior of `extents` points per dimension, with
-    /// `num_params` parameter values.
-    pub fn new(cc: &CompiledCluster, num_params: usize, extents: &[usize]) -> Geometry {
-        let nd = extents.len();
         let halo = cc
             .offsets
             .iter()
@@ -125,21 +108,8 @@ impl Geometry {
             })
             .collect();
 
-        // Deterministic, sign-varying, exactly-representable fills — the
-        // same recipe as `bytecode_check`'s fusion spot check. Element
-        // `i` of stream `s` is `((31i + 17s + 7) mod 97) / 16 - 3`, the
-        // residue stepped rather than divided out per element.
         let init: Vec<Vec<f32>> = (0..cc.streams.len())
-            .map(|s| {
-                let mut k = (s * 17 + 7) % 97;
-                (0..len)
-                    .map(|_| {
-                        let v = k as f32 * 0.0625 - 3.0;
-                        k = (k + 31) % 97;
-                        v
-                    })
-                    .collect()
-            })
+            .map(|s| fill_stream(s, 1, len))
             .collect();
         let scalars: Vec<f32> = (0..cc.scalars.len())
             .map(|j| 0.5 + 0.25 * (j + 1) as f32)
@@ -160,7 +130,7 @@ impl Geometry {
     }
 
     /// The launch of `cc` over this geometry with tile edge `block`.
-    pub fn launch<'a>(&'a self, cc: &'a CompiledCluster, block: usize) -> Launch<'a> {
+    fn launch<'a>(&'a self, cc: &'a CompiledCluster, block: usize) -> Launch<'a> {
         Launch {
             cc,
             strides: &self.strides,
@@ -173,9 +143,26 @@ impl Geometry {
     }
 }
 
+/// A deterministic, sign-varying, exactly-representable fill of `len`
+/// values for stream `s`, shared by this pass and `bytecode_check`'s
+/// fusion spot check: element `i` is `k / 16 - 3` with
+/// `k = (31i + 17s + 7·seed) mod 97`, multiples of 1/16 so arithmetic
+/// differs only where the programs genuinely differ. The residue is
+/// stepped rather than divided out per element.
+pub(crate) fn fill_stream(s: usize, seed: usize, len: usize) -> Vec<f32> {
+    let mut k = (s * 17 + seed * 7) % 97;
+    (0..len)
+        .map(|_| {
+            let v = k as f32 * 0.0625 - 3.0;
+            k = (k + 31) % 97;
+            v
+        })
+        .collect()
+}
+
 /// One past the highest parameter slot `cc` reads (0 when it reads
 /// none): the parameter values a launch of it needs.
-pub fn params_read(cc: &CompiledCluster) -> usize {
+pub(crate) fn params_read(cc: &CompiledCluster) -> usize {
     cc.ops
         .iter()
         .filter_map(|op| match *op {
@@ -307,7 +294,7 @@ pub fn check_backend_equivalence(
         // running would index out of bounds.
         return diags;
     }
-    let geo = Geometry::for_gate(cc, num_params);
+    let geo = Geometry::new(cc, num_params);
     let mut bufs = geo.init.clone();
     let oracle = run_oracle(cc, &geo, &mut bufs);
 
@@ -384,7 +371,7 @@ mod tests {
         // Self-check of the comparator: perturb the oracle manually and
         // make sure `compare` reports a bitwise mismatch.
         let cc = star_cluster();
-        let geo = Geometry::for_gate(&cc, 0);
+        let geo = Geometry::new(&cc, 0);
         let oracle = run_oracle(&cc, &geo, &mut geo.init.clone());
         let mut got = oracle.clone();
         let s = cc.written.iter().position(|&w| w).unwrap();
@@ -398,21 +385,18 @@ mod tests {
 
     #[test]
     fn geometry_has_unit_innermost_stride_and_odd_extent() {
+        use mpix_codegen::jit::MAX_STRIPS;
         use mpix_codegen::LANES;
 
         let cc = star_cluster();
-        let geo = Geometry::for_gate(&cc, 0);
+        let geo = Geometry::new(&cc, 0);
         for s in &geo.strides {
             assert_eq!(*s.last().unwrap(), 1);
         }
         let n = geo.bx.last().unwrap().len();
         assert_eq!(n % 2, 1, "tail must stay live");
-        // AVX-512F: the 16-lane loop runs, then one 8-lane strip, then
-        // the scalar tail.
-        assert!(n >= ZMM_LANES, "16-lane body must run");
-        assert!(n % ZMM_LANES > YMM_LANES, "8-lane strip and tail must run");
-        // AVX only: the interleaved loop runs, then its single-strip
-        // loop (8 points left), then the scalar tail.
+        // The JIT's interleaved loop runs, then its single-strip loop
+        // (8 points left), then the scalar tail.
         assert!(n >= 8 * MAX_STRIPS, "interleaved body must run");
         assert!(
             n % (8 * MAX_STRIPS) > 8,

@@ -576,21 +576,8 @@ fn semantic_spot_check(
                 .sum()
         })
         .collect();
-    // Deterministic fills: exact multiples of 1/16 so arithmetic differs
-    // only if the programs genuinely differ. Element `i` of stream `s` is
-    // `((31i + 17s + 7·seed) mod 97) / 16 - 3`, the residue stepped
-    // rather than divided out per element.
     let buf_a: Vec<Vec<f32>> = (0..folded.streams.len())
-        .map(|s| {
-            let mut k = (s * 17 + seed as usize * 7) % 97;
-            (0..len)
-                .map(|_| {
-                    let v = k as f32 * 0.0625 - 3.0;
-                    k = (k + 31) % 97;
-                    v
-                })
-                .collect()
-        })
+        .map(|s| crate::backend_check::fill_stream(s, seed as usize, len))
         .collect();
     let scalars: Vec<f32> = (0..folded.scalars.len())
         .map(|j| 0.5 + 0.25 * (j as f32 + 1.0))

@@ -561,118 +561,8 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
         "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "reps": reps,
         "kernels": rows,
-        "kernel_only": kernel_only_json(quick),
     })
     .pretty()
-}
-
-/// The kernel-only arm of `bench-kernels`: `ClusterKernel::exec_box`
-/// timed in this process on every shipped cluster (4 solvers × SDO
-/// {4, 8, 16}) over one box, at the JIT's 8-lane width and, where the
-/// host has AVX-512F, its 16-lane width. The width is pinned by
-/// compiling the cluster for a masked target
-/// ([`TargetInfo::without_avx512f`](mpix_codegen::TargetInfo::without_avx512f)),
-/// not by a run option. The two widths alternate call by call, so host
-/// drift hits both alike; each row reports the median ns per point of
-/// each width and `ratio_16_over_8` (16-lane ns/pt over 8-lane ns/pt,
-/// below 1 when the wide strips are faster). `null` without the JIT or
-/// the wider width.
-fn kernel_only_json(quick: bool) -> mpix_json::Value {
-    use mpix_analysis::backend_check::{params_read, Geometry};
-    use mpix_codegen::{compile_jit_kernel, ClusterKernel, JitContext, Stream, TargetInfo};
-    use mpix_core::{available_backends, Backend};
-    use mpix_json::{json, Value};
-    use mpix_solvers::{ModelSpec, Propagator};
-    use std::time::Instant;
-
-    let (shape, calls) = if quick {
-        ([6usize, 6, 40], 3usize)
-    } else {
-        ([24, 24, 96], 41)
-    };
-    if !available_backends().contains(&Backend::Jit) {
-        return Value::Null;
-    }
-    let host = TargetInfo::host();
-    // The 8-lane context, then the host's 16-lane one where it has them.
-    let mut contexts = vec![JitContext::for_target(host.without_avx512f())];
-    if host.has_avx512f {
-        contexts.push(JitContext::new());
-    }
-    println!(
-        "\n## Kernel only: ClusterKernel::exec_box per cluster, jit 8 vs 16 lanes, \
-         {}x{}x{} box, median of {calls} calls",
-        shape[0], shape[1], shape[2]
-    );
-    println!(
-        "{:<14} {:>4} {:>7} {:>10} {:>10} {:>8}",
-        "kernel", "sdo", "cluster", "ns/pt 8", "ns/pt 16", "16/8"
-    );
-    let mut rows = Vec::new();
-    for kind in KernelKind::all() {
-        for sdo in [4u32, 8, 16] {
-            let spec = ModelSpec::new(&[8, 8, 8]).with_nbl(0);
-            let p = Propagator::build(kind, spec, sdo);
-            let exec = p.op.executable_for(&p.apply_options(1));
-            for (ci, cc) in exec.compiled_clusters().iter().enumerate() {
-                let geo = Geometry::new(cc, params_read(cc), &shape);
-                let mut bufs = geo.init.clone();
-                let points: usize = shape.iter().product();
-                let launch = geo.launch(cc, 0);
-                // One `exec_box` over the whole box; its ns per point.
-                let mut time = |k: &dyn ClusterKernel| {
-                    let mut streams: Vec<Stream<'_>> = (bufs.iter_mut().zip(&cc.written))
-                        .map(|(buf, &w)| Stream::whole(buf, w))
-                        .collect();
-                    let t0 = Instant::now();
-                    k.exec_box(&launch, &geo.bx, &mut streams);
-                    t0.elapsed().as_secs_f64() * 1e9 / points as f64
-                };
-                let kernels: Vec<_> = contexts
-                    .iter()
-                    .map(|&ctx| compile_jit_kernel(ctx, cc).expect("jit available"))
-                    .collect();
-                // One untimed call each encodes the module and touches
-                // every page.
-                for k in &kernels {
-                    time(&**k);
-                }
-                let mut ns: Vec<Vec<f64>> = vec![Vec::new(); kernels.len()];
-                for _ in 0..calls {
-                    for (w, k) in kernels.iter().enumerate() {
-                        ns[w].push(time(&**k));
-                    }
-                }
-                let ns: Vec<f64> = ns.into_iter().map(median).collect();
-                let (ns8, ns16) = (ns[0], ns.get(1).copied());
-                let ratio = ns16.map(|n| n / ns8);
-                let show = |x: Option<f64>| x.map_or("-".to_string(), |x| format!("{x:.3}"));
-                println!(
-                    "{:<14} {:>4} {:>7} {:>10.3} {:>10} {:>8}",
-                    kind.name(),
-                    sdo,
-                    ci,
-                    ns8,
-                    show(ns16),
-                    show(ratio)
-                );
-                rows.push(json!({
-                    "kernel": kind.name(),
-                    "sdo": sdo,
-                    "cluster": ci,
-                    "ns_per_pt_8": ns8,
-                    "ns_per_pt_16": ns16.map_or(Value::Null, Value::from),
-                    "ratio_16_over_8": ratio.map_or(Value::Null, Value::from),
-                }));
-            }
-        }
-    }
-    json!({
-        "box": shape.to_vec(),
-        "calls": calls,
-        "avx512f": host.has_avx512f,
-        "rows": rows,
-    })
 }
 
 /// A shipped solver's equation builder (`acoustic::equations`, …).
@@ -1421,34 +1311,6 @@ mod tests {
                 jit.iter().zip(&bytecode).any(|(j, b)| j > b),
                 "jit never beat the vectorized interpreter:\n{out}"
             );
-        }
-        // The kernel-only arm: one row per shipped cluster at SDO
-        // {4, 8, 16} (acoustic has one cluster, the others two), the
-        // 8-lane time always and the 16-lane time and ratio exactly where
-        // the host has AVX-512F.
-        let ko = v.get("kernel_only").unwrap();
-        if !have_jit {
-            assert_eq!(ko, &mpix_json::Value::Null);
-            return;
-        }
-        let wide = ko
-            .get("avx512f")
-            .and_then(mpix_json::Value::as_bool)
-            .unwrap();
-        assert_eq!(wide, mpix_codegen::TargetInfo::host().has_avx512f);
-        let rows = ko.get("rows").and_then(mpix_json::Value::as_array).unwrap();
-        assert_eq!(rows.len(), 3 * (1 + 2 + 2 + 2), "{out}");
-        for row in rows {
-            let num = |k: &str| row.get(k).and_then(mpix_json::Value::as_f64);
-            let ns8 = num("ns_per_pt_8").unwrap();
-            assert!(ns8 > 0.0, "{out}");
-            match (num("ns_per_pt_16"), num("ratio_16_over_8")) {
-                (Some(ns16), Some(ratio)) if wide => {
-                    assert!(ns16 > 0.0 && (ratio - ns16 / ns8).abs() < 1e-12, "{out}");
-                }
-                (None, None) if !wide => {}
-                other => panic!("16-lane columns {other:?} on avx512f={wide}:\n{out}"),
-            }
         }
     }
 

@@ -24,7 +24,7 @@ use mpix_ir::iet::Node;
 use crate::bytecode::CompiledCluster;
 use crate::executor;
 use crate::interp::{self, Program, LANES};
-use crate::jit::{ClusterRoute, JitKernel};
+use crate::jit::JitKernel;
 
 /// A runtime backend for compiled clusters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -173,10 +173,6 @@ pub trait ClusterKernel: Send + Sync {
     /// `bx[0]`.
     fn exec_box(&self, launch: &Launch<'_>, bx: &BoxNd, streams: &mut [Stream<'_>]);
 
-    /// Which backend runs this kernel's boxes, why the JIT fell back
-    /// (if it did), and how many lanes its widest strips have.
-    fn route(&self) -> ClusterRoute;
-
     /// How many natively-compiled per-geometry modules this kernel holds
     /// in its cache. `0` for interpreter kernels, which compile nothing
     /// at run time. `tests/serve_load.rs` uses this to prove repeated
@@ -197,31 +193,21 @@ pub fn compile_kernel(
 ) -> Result<Box<dyn ClusterKernel>, BackendError> {
     match backend {
         Backend::Bytecode => Ok(Box::new(BytecodeKernel::new(cc))),
-        Backend::Jit => compile_jit_kernel(cranelift::JitContext::new(), cc),
+        Backend::Jit => {
+            let ctx = cranelift::JitContext::new();
+            let target = ctx.target();
+            if !target.supports_jit() {
+                return Err(BackendError::Unsupported {
+                    backend: Backend::Jit,
+                    reason: format!(
+                        "requires x86_64-linux with AVX, host is {}-{} (avx: {})",
+                        target.arch, target.os, target.has_avx
+                    ),
+                });
+            }
+            Ok(Box::new(JitKernel::new(ctx, cc)))
+        }
     }
-}
-
-/// Compile one cluster into a JIT kernel generating code for `ctx`'s
-/// target. [`compile_kernel`] passes the host's context; a context for
-/// a masked target ([`cranelift::JitContext::for_target`]) pins the
-/// narrower code on a wider host, the way
-/// [`BytecodeKernel::scalar_oracle`] pins the scalar interpreter. No
-/// run option reaches this.
-pub fn compile_jit_kernel(
-    ctx: cranelift::JitContext,
-    cc: &CompiledCluster,
-) -> Result<Box<dyn ClusterKernel>, BackendError> {
-    let target = ctx.target();
-    if !target.supports_jit() {
-        return Err(BackendError::Unsupported {
-            backend: Backend::Jit,
-            reason: format!(
-                "requires x86_64-linux with AVX, host is {}-{} (avx: {})",
-                target.arch, target.os, target.has_avx
-            ),
-        });
-    }
-    Ok(Box::new(JitKernel::new(ctx, cc)))
 }
 
 /// Interpreter kernel: the cluster's register program (`interp`),
@@ -250,14 +236,6 @@ impl BytecodeKernel<1> {
 impl<const W: usize> ClusterKernel for BytecodeKernel<W> {
     fn exec_box(&self, l: &Launch<'_>, bx: &BoxNd, streams: &mut [Stream<'_>]) {
         interp::exec_box::<W>(&self.0, l, bx, streams);
-    }
-
-    fn route(&self) -> ClusterRoute {
-        ClusterRoute {
-            backend: Backend::Bytecode,
-            fallback: None,
-            lanes: W,
-        }
     }
 }
 

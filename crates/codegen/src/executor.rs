@@ -24,8 +24,7 @@ use mpix_trace::{Section, TraceLevel, TraceReport, Tracer};
 
 use crate::arith;
 use crate::backend::{
-    compile_jit_kernel, compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel,
-    Launch, Stream,
+    compile_kernel, Backend, BackendError, BytecodeKernel, ClusterKernel, Launch, Stream,
 };
 use crate::bytecode::{compile_cluster, fuse_cluster, CompiledCluster};
 use crate::jit::ClusterRoute;
@@ -248,33 +247,6 @@ impl OperatorExec {
         }
     }
 
-    /// This executable with every kernel recompiled by the JIT for
-    /// `ctx`'s target ([`compile_jit_kernel`]): a masked target
-    /// ([`cranelift::TargetInfo::without_avx512f`]) runs the 8-lane code
-    /// on an AVX-512F host. Like [`scalar_oracle`](Self::scalar_oracle)
-    /// this is a constructor seam for tests and benchmarks, not a run
-    /// option; it reports [`Backend::Jit`].
-    pub fn with_jit_context(
-        &self,
-        ctx: cranelift::JitContext,
-    ) -> Result<OperatorExec, BackendError> {
-        let kernels = self
-            .compiled
-            .iter()
-            .map(|cc| compile_jit_kernel(ctx, cc))
-            .collect::<Result<_, _>>()?;
-        Ok(OperatorExec {
-            iet: self.iet.clone(),
-            param_defs: self.param_defs.clone(),
-            compiled: self.compiled.clone(),
-            kernels,
-            backend: Backend::Jit,
-            nbuffers: self.nbuffers.clone(),
-            halos: self.halos.clone(),
-            slab_crossing: self.slab_crossing.clone(),
-        })
-    }
-
     pub fn iet(&self) -> &Node {
         &self.iet
     }
@@ -293,10 +265,13 @@ impl OperatorExec {
     }
 
     /// Which backend actually executes each compiled cluster (in
-    /// [`compiled_clusters`](Self::compiled_clusters) order), why the
-    /// JIT fell back where it did, and at how many lanes its strips ran.
+    /// [`compiled_clusters`](Self::compiled_clusters) order), and why
+    /// the JIT fell back where it did.
     pub fn cluster_routes(&self) -> Vec<ClusterRoute> {
-        self.kernels.iter().map(|k| k.route()).collect()
+        self.compiled
+            .iter()
+            .map(|cc| ClusterRoute::of(self.backend, cc))
+            .collect()
     }
 
     /// Total natively-compiled per-geometry modules held across this

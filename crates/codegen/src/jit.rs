@@ -1,19 +1,16 @@
 //! Native JIT backend: compiles cluster bytecode to x86-64 AVX machine
 //! code through the vendored `cranelift` crate.
 //!
-//! The generated function mirrors the strip interpreter exactly — vector
-//! strips at the host's width (16 lanes in zmm registers on AVX-512F
-//! hosts, 8 in ymm on AVX-only ones) plus a scalar tail, evaluating the
-//! same ops in the same order with the same mul-then-add rounding (no
-//! FMA) under the same flush-to-zero arithmetic ([`crate::arith`]: the
-//! hardware's MXCSR FTZ|DAZ mode here, its emulation in the interpreter)
-//! — so its results are bitwise identical to the bytecode oracle on
-//! every input, at either width. That is a *structural* property: each
-//! bytecode op maps to a fixed vector sequence whose lane arithmetic is
-//! the IEEE operation the interpreter performs (EVEX ops without
-//! embedded rounding obey MXCSR as the VEX ones do), and every point is
-//! evaluated independently of the strip it falls in. The
-//! `mpix-analysis` backend-equivalence pass and
+//! The generated function mirrors the strip interpreter exactly — 8-lane
+//! vector strips plus a scalar tail, evaluating the same ops in the same
+//! order with the same mul-then-add rounding (no FMA) under the same
+//! flush-to-zero arithmetic ([`crate::arith`]: the hardware's MXCSR
+//! FTZ|DAZ mode here, its emulation in the interpreter) — so its results
+//! are bitwise identical to the bytecode oracle on every input. That is
+//! a *structural* property: each bytecode op maps to a fixed AVX
+//! sequence whose lane arithmetic is the IEEE operation the interpreter
+//! performs, and every point is evaluated independently of the strip it
+//! falls in. The `mpix-analysis` backend-equivalence pass and
 //! `tests/backend_equivalence.rs` check it end to end.
 //!
 //! ## Code shape
@@ -36,31 +33,17 @@
 //!           saved_csr = MXCSR; MXCSR = saved_csr | FTZ | DAZ
 //!           rsi=ptrs rdx=n r8=bank r9=temps rbp=planes
 //!           r10..r15 = the hottest streams' first-row pointers
-//!           v15 = 1.0 (when Pow ops need it)
-//!           pinned v = the most-used bank values, broadcast once
+//!           ymm15 = 1.0 (when Pow ops need it)
+//!           pinned ymm = the most-used bank values, broadcast once
 //! plane:    rbx = rows
 //! row:      rcx = 0
-//!           16 lanes (AVX-512F):
-//!             while rcx+16 <= n: one 16-wide strip (zmm),     rcx += 16
-//!             while rcx+8  <= n: one 8-wide strip (ymm),      rcx += 8
-//!           8 lanes (AVX only):
-//!             while rcx+8U <= n: U interleaved 8-wide strips, rcx += 8U
-//!             while rcx+8  <= n: one 8-wide strip,            rcx += 8
-//!           while rcx < n: scalar body (ss ops),              rcx += 1
+//!           while rcx+8U <= n: U interleaved 8-wide strips, rcx += 8U
+//!           while rcx+8  <= n: one 8-wide strip,            rcx += 8
+//!           while rcx    <  n: scalar body (ss ops),        rcx += 1
 //!           every stream pointer += row_step[s]; --rbx → row
 //!           every stream pointer += plane_step[s]; --rbp → plane
 //! epilogue: MXCSR = saved_csr; vzeroupper; pop; ret
 //! ```
-//!
-//! The width is the host's ([`TargetInfo::widest_vl`]): 16 lanes (EVEX
-//! zmm ops, `v` = zmm) where it has AVX-512F, else 8 (VEX ymm ops, `v` =
-//! ymm). It is read from the [`JitContext`]'s target, not from any run
-//! option; a context built from a masked target
-//! ([`TargetInfo::without_avx512f`]) generates the 8-lane code on an
-//! AVX-512F host, which is how the tests run both ladders there. Every
-//! rung emits the same body through one emitter (`Lanes`) whose width
-//! picks the encoding; [`ClusterRoute::lanes`] records the width that
-//! runs.
 //!
 //! The pointer steps are bytes, passed at run time, so a module depends
 //! only on the resolved offsets and is shared by every box of its
@@ -71,38 +54,26 @@
 //! The *bank* is `[1.0, consts…, scalars…, params…]` — every
 //! point-invariant value at a compile-time-known offset.
 //!
-//! **Register plan.** A strip's stack slots live in consecutive vector
-//! registers from 0 (the deepest shipped solver stack is 6; the
-//! JIT accepts up to 12). Counting down from register 15 come
+//! **Register plan.** A strip's stack slots live in consecutive ymm
+//! registers from `ymm0` (the deepest shipped solver stack is 6; the
+//! JIT accepts up to 12). Counting down from `ymm15` come
 //! `1.0` (only when `Pow` needs it), the product scratch and, when
 //! strips interleave, a separate splat scratch. The registers left
 //! between hold the bank values used most often — constant, scalar and
 //! parameter pushes and the coefficients of fused `LoadMul*` taps — each
 //! broadcast once per call. A push of a pinned value costs nothing: the
 //! stack slot aliases the pinned register until an op overwrites it.
-//! Every other bank value is broadcast at each use. The plan names
-//! registers 0–15 only, so it is the same at both widths (zmm or ymm)
-//! and `vzeroupper` clears every upper half the code dirtied.
+//! Every other bank value is broadcast at each use.
 //!
-//! **Interleaving.** The 8-lane wide loop evaluates `U` independent
+//! **Interleaving.** The wide loop evaluates `U` independent 8-lane
 //! strips op by op (strip `k` owns stack registers `k·stack ..`,
 //! addresses `+ 32k` bytes and temporary slots `temps + 32·(t·U + k)`),
 //! so the strips share each coefficient broadcast and stream-pointer
 //! reload, and their dependency chains overlap. `U` is a property of
 //! the cluster, not a knob: the most strips (up to [`MAX_STRIPS`]) whose
-//! stack registers fit the file with both scratches and `1.0`. 16-lane
-//! strips do not interleave: one covers what two 8-lane strips do, and
-//! on the acoustic SDO 8 shot geometry two interleaved zmm strips ran
-//! 10–20% slower than one. Points are still visited in row order and
-//! each is computed by the same ops, so neither interleaving nor the
-//! width can change a bit.
-//!
-//! **Temporaries.** 16-lane code keeps one 64-byte slot per temporary,
-//! `temps + 64t`, and `temps` starts on a 64-byte boundary, so no slot
-//! straddles a cache line. With the allocator's 16-byte alignment and a
-//! slot per 8-lane strip, the 16-lane code of the elastic and
-//! viscoelastic SDO 16 clusters (150–192 temporaries) took 1.2–1.6× the
-//! 8-lane code's time per point; packed and aligned, 0.88–0.95×.
+//! stack registers fit the file with both scratches and `1.0`. Points
+//! are still visited in row order and each is computed by the same ops,
+//! so interleaving cannot change a bit.
 //!
 //! **FP mode.** MXCSR switches once per call, in the prologue, and is
 //! restored in the epilogue — as in the paper's generated operators.
@@ -120,16 +91,12 @@ use std::collections::HashMap;
 use std::mem::offset_of;
 use std::sync::{Arc, Mutex};
 
-#[cfg(doc)]
-use cranelift::TargetInfo;
-use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Vl, Ymm};
+use cranelift::{Asm, Cc, CompiledModule, JitContext, Reg, Ymm};
 use mpix_dmp::regions::BoxNd;
 
 use crate::arith;
 use crate::backend::{Backend, BytecodeKernel, ClusterKernel, Launch, Stream};
 use crate::bytecode::{CoeffSrc, CompiledCluster, Op};
-#[cfg(doc)]
-use crate::interp::LANES;
 
 /// Process-wide count of native modules actually encoded and finalized
 /// (cache misses in [`JitKernel::module_for`]). Repeated runs of a
@@ -142,18 +109,12 @@ pub fn jit_modules_built() -> u64 {
     JIT_MODULES_BUILT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Vector registers the generated code uses (zmm/ymm 0–15: the VEX
-/// register file, so `vzeroupper` covers them at either width).
+/// Size of the AVX register file.
 const NUM_YMM: usize = 16;
 /// Deepest expression stack one strip may map to registers.
 const MAX_JIT_STACK: usize = 12;
 /// Most 8-lane strips one wide-loop iteration interleaves.
 pub const MAX_STRIPS: usize = 2;
-/// Lanes of a strip on AVX-512F hosts (zmm).
-pub const ZMM_LANES: usize = Vl::Z512.lanes();
-/// Lanes of a strip on AVX-only hosts (ymm), and of the rung below the
-/// 16-lane strips on AVX-512F ones.
-pub const YMM_LANES: usize = Vl::Y256.lanes();
 /// Registers pinning the hottest streams' row pointers, hottest first.
 const HOT: [Reg; 6] = [Reg::R10, Reg::R11, Reg::R12, Reg::R13, Reg::R14, Reg::R15];
 
@@ -202,18 +163,32 @@ pub enum Fallback {
 }
 
 /// Which backend actually executes one compiled cluster, whole boxes
-/// and slabs alike, and how wide its strips are
-/// ([`ClusterKernel::route`]). Under [`Backend::Bytecode`] it is the
-/// interpreter and `fallback` is `None`.
+/// and slabs alike. Under [`Backend::Bytecode`] it is the interpreter
+/// and `fallback` is `None`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterRoute {
     /// Runs the cluster's boxes.
     pub backend: Backend,
     /// Why the JIT handed the cluster to the interpreter.
     pub fallback: Option<Fallback>,
-    /// Lanes of the widest strip that runs: the JIT's 16 (AVX-512F) or
-    /// 8, the interpreter's [`LANES`], or 1 for the scalar oracle.
-    pub lanes: usize,
+}
+
+impl ClusterRoute {
+    /// The route of `cc` compiled for `backend`.
+    pub fn of(backend: Backend, cc: &CompiledCluster) -> ClusterRoute {
+        let fallback = match backend {
+            Backend::Bytecode => None,
+            Backend::Jit => JitPlan::analyze(cc).fallback,
+        };
+        ClusterRoute {
+            backend: if fallback.is_some() {
+                Backend::Bytecode
+            } else {
+                backend
+            },
+            fallback,
+        }
+    }
 }
 
 /// What the structural analysis of a cluster decided: whether it can be
@@ -311,15 +286,6 @@ impl JitPlan {
         self.hot.iter().position(|&h| h == s).map(|i| HOT[i])
     }
 
-    /// Strips one wide-loop iteration interleaves at vector length `vl`:
-    /// only 8-lane strips interleave (see the module docs).
-    fn strips_at(&self, vl: Vl) -> usize {
-        match vl {
-            Vl::Y256 => self.strips,
-            Vl::Z512 => 1,
-        }
-    }
-
     /// The register pinning the bank value at byte offset `off`, if any.
     fn pinned(&self, off: i32) -> Option<Ymm> {
         self.pins.iter().find(|&&(o, _)| o == off).map(|&(_, r)| r)
@@ -371,8 +337,6 @@ fn reach(cc: &CompiledCluster, resolved: &[isize]) -> Vec<Reach> {
 /// shapes may differ).
 pub struct JitKernel {
     ctx: JitContext,
-    /// The widest strip: the context target's vector length.
-    vl: Vl,
     plan: JitPlan,
     modules: Mutex<HashMap<Vec<isize>, Option<Arc<Native>>>>,
     fallback: BytecodeKernel,
@@ -385,7 +349,6 @@ impl JitKernel {
     pub(crate) fn new(ctx: JitContext, cc: &CompiledCluster) -> JitKernel {
         JitKernel {
             ctx,
-            vl: ctx.target().widest_vl(),
             plan: JitPlan::analyze(cc),
             modules: Mutex::new(HashMap::new()),
             fallback: BytecodeKernel::new(cc),
@@ -402,7 +365,7 @@ impl JitKernel {
         if let Some(hit) = cache.get(resolved) {
             return hit.clone();
         }
-        let built = codegen_box_fn(cc, resolved, &self.plan, self.vl)
+        let built = codegen_box_fn(cc, resolved, &self.plan)
             .and_then(|asm| self.ctx.finalize(asm).ok())
             .map(|module| {
                 let reach = reach(cc, resolved);
@@ -417,20 +380,6 @@ impl JitKernel {
 }
 
 impl ClusterKernel for JitKernel {
-    fn route(&self) -> ClusterRoute {
-        match self.plan.fallback {
-            None => ClusterRoute {
-                backend: Backend::Jit,
-                fallback: None,
-                lanes: self.vl.lanes(),
-            },
-            Some(why) => ClusterRoute {
-                fallback: Some(why),
-                ..self.fallback.route()
-            },
-        }
-    }
-
     fn cached_modules(&self) -> usize {
         self.modules
             .lock()
@@ -454,7 +403,7 @@ impl ClusterKernel for JitKernel {
                         Stream::Write { slab, off } => slab.as_mut_ptr().wrapping_sub(*off),
                     })
                     .collect();
-                run_box(&native.module, &self.plan, self.vl, l, bx, &origins);
+                run_box(&native.module, &self.plan, l, bx, &origins);
             }
             None => self.fallback.exec_box(l, bx, streams),
         }
@@ -506,7 +455,6 @@ fn assert_in_bounds(l: &Launch<'_>, bx: &BoxNd, streams: &[Stream<'_>], reach: &
 fn run_box(
     module: &CompiledModule,
     plan: &JitPlan,
-    vl: Vl,
     l: &Launch<'_>,
     bx: &BoxNd,
     origins: &[*mut f32],
@@ -523,12 +471,9 @@ fn run_box(
     bank.extend_from_slice(&cc.consts);
     bank.extend_from_slice(l.scalars);
     bank.extend_from_slice(l.params);
-    // Widest-strip memory slots for temporaries, one per interleaved
-    // strip (narrower rungs use the first lanes of strip 0's), from a
-    // 64-byte boundary so no slot straddles a cache line.
-    let slots = cc.num_temps * vl.lanes() * plan.strips_at(vl);
-    let mut temps = vec![0.0f32; slots + 16];
-    let temps_at = temps.as_ptr().align_offset(64);
+    // 8-lane memory slots for temporaries, one per interleaved strip
+    // (the scalar tail uses lane 0 of strip 0's).
+    let mut temps = vec![0.0f32; cc.num_temps * 8 * plan.strips];
 
     // The generated code walks rows (dimension nd-2) and planes (nd-3);
     // a box with fewer dimensions has one of each, with no step.
@@ -560,7 +505,7 @@ fn run_box(
                 ptrs: ptrs.as_mut_ptr(),
                 n: tile[nd - 1].len() as u64,
                 bank: bank.as_ptr(),
-                temps: temps[temps_at..].as_mut_ptr(),
+                temps: temps.as_mut_ptr(),
                 row_step: row_step.as_ptr(),
                 plane_step: plane_step.as_ptr(),
                 rows: rows as u64,
@@ -595,13 +540,11 @@ fn run_box(
 // Code generation
 // ---------------------------------------------------------------------------
 
-/// Generate the box function for one `(cluster, resolved)` pair with
-/// widest strips of `vl`, or `None` if a displacement overflows the
-/// disp32 addressing we emit.
-fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan, vl: Vl) -> Option<Asm> {
-    let strips = plan.strips_at(vl);
+/// Generate the box function for one `(cluster, resolved)` pair, or
+/// `None` if a displacement overflows the disp32 addressing we emit.
+fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> Option<Asm> {
     // Every load's byte displacement, in every strip, must fit disp32.
-    let span = vl.bytes() as isize * (strips as isize - 1);
+    let span = 32 * (plan.strips as isize - 1);
     for &r in resolved {
         i32::try_from(r.checked_mul(4)?.checked_add(span)?).ok()?;
     }
@@ -632,10 +575,10 @@ fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan, vl: 
         a.mov_r_m(HOT[i], Reg::Rsi, (s * 8) as i32);
     }
     if let Some(one) = plan.one {
-        a.vbroadcastss(vl, one, Reg::R8, 0);
+        a.vbroadcastss(one, Reg::R8, 0);
     }
     for &(off, r) in &plan.pins {
-        a.vbroadcastss(vl, r, Reg::R8, off);
+        a.vbroadcastss(r, Reg::R8, off);
     }
 
     let plane_top = a.new_label();
@@ -645,28 +588,21 @@ fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan, vl: 
     a.mov_r_m(Reg::Rbx, Reg::Rdi, arg!(rows));
     a.bind(row_top);
     a.xor_r(Reg::Rcx);
-    // The rungs `(strips, width)`: the U-strip loop at the widest
-    // length, then (when U > 1) its 1-strip loop for what is left of
-    // whole strips, then one 8-lane strip below 16-lane ones. Each runs
-    // while a whole iteration fits; the scalar tail takes the rest.
-    let mut rungs = vec![(strips, vl)];
-    if strips > 1 {
-        rungs.push((1, vl));
+    // The U-strip loop, then (when U > 1) the 1-strip loop for what is
+    // left of whole strips.
+    let mut widths = vec![plan.strips];
+    if plan.strips > 1 {
+        widths.push(1);
     }
-    if vl == Vl::Z512 {
-        rungs.push((1, Vl::Y256));
-    }
-    let slot = vl.bytes();
-    for (u, w) in rungs {
-        let step = (w.lanes() * u) as i32;
+    for u in widths {
         let top = a.new_label();
         let next = a.new_label();
         a.bind(top);
-        a.lea(Reg::Rax, Reg::Rcx, step);
+        a.lea(Reg::Rax, Reg::Rcx, 8 * u as i32);
         a.cmp_r_r(Reg::Rax, Reg::Rdx);
         a.jcc(Cc::A, next);
-        emit_body(&mut a, cc, resolved, plan, (u, strips), Some(w), slot);
-        a.add_r_imm(Reg::Rcx, step);
+        emit_body(&mut a, cc, resolved, plan, u, true);
+        a.add_r_imm(Reg::Rcx, 8 * u as i32);
         a.jmp(top);
         a.bind(next);
     }
@@ -674,7 +610,7 @@ fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan, vl: 
     a.bind(tail);
     a.cmp_r_r(Reg::Rcx, Reg::Rdx);
     a.jcc(Cc::Ae, row_end);
-    emit_body(&mut a, cc, resolved, plan, (1, strips), None, slot);
+    emit_body(&mut a, cc, resolved, plan, 1, false);
     a.inc_r(Reg::Rcx);
     a.jmp(tail);
 
@@ -734,104 +670,93 @@ fn bank_src(op: &Op) -> Option<CoeffSrc> {
     }
 }
 
-/// The forms of the ops a body emits at one width: packed at vector
-/// length `vl` (ymm VEX or zmm EVEX), or scalar lane-0 `ss` forms when
-/// `vl` is `None`.
+/// Packed (8-lane) or scalar (lane 0) forms of the ops a body emits.
 struct Lanes<'a> {
     a: &'a mut Asm,
-    vl: Option<Vl>,
+    wide: bool,
 }
 
 impl Lanes<'_> {
-    /// Bytes between interleaved strips (0 for the scalar body, which
-    /// never interleaves).
-    fn strip_bytes(&self) -> i32 {
-        self.vl.map_or(0, Vl::bytes)
-    }
-
     fn load(&mut self, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
-        match self.vl {
-            Some(vl) => self.a.vmovups_load(vl, dst, base, index, disp),
-            None => self.a.vmovss_load(dst, base, index, disp),
+        if self.wide {
+            self.a.vmovups_load(dst, base, index, disp);
+        } else {
+            self.a.vmovss_load(dst, base, index, disp);
         }
     }
 
     fn store(&mut self, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
-        match self.vl {
-            Some(vl) => self.a.vmovups_store(vl, base, index, disp, src),
-            None => self.a.vmovss_store(base, index, disp, src),
+        if self.wide {
+            self.a.vmovups_store(base, index, disp, src);
+        } else {
+            self.a.vmovss_store(base, index, disp, src);
         }
-    }
-
-    /// Register copy: the full width, or the low 8 lanes (a ymm move)
-    /// in the scalar body, which reads lane 0 only.
-    fn copy(&mut self, dst: Ymm, src: Ymm) {
-        self.a.vmovups_rr(self.vl.unwrap_or(Vl::Y256), dst, src);
     }
 
     /// Splat (or scalar-load) the bank value at `off` into `dst`.
     fn bank(&mut self, dst: Ymm, off: i32) {
-        match self.vl {
-            Some(vl) => self.a.vbroadcastss(vl, dst, Reg::R8, off),
-            None => self.a.vmovss_load(dst, Reg::R8, None, off),
+        if self.wide {
+            self.a.vbroadcastss(dst, Reg::R8, off);
+        } else {
+            self.a.vmovss_load(dst, Reg::R8, None, off);
         }
     }
 
     fn add(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        match self.vl {
-            Some(vl) => self.a.vaddps_rr(vl, d, x, y),
-            None => self.a.vaddss_rr(d, x, y),
+        if self.wide {
+            self.a.vaddps_rr(d, x, y);
+        } else {
+            self.a.vaddss_rr(d, x, y);
         }
     }
 
     fn mul(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        match self.vl {
-            Some(vl) => self.a.vmulps_rr(vl, d, x, y),
-            None => self.a.vmulss_rr(d, x, y),
+        if self.wide {
+            self.a.vmulps_rr(d, x, y);
+        } else {
+            self.a.vmulss_rr(d, x, y);
         }
     }
 
     fn div(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        match self.vl {
-            Some(vl) => self.a.vdivps_rr(vl, d, x, y),
-            None => self.a.vdivss_rr(d, x, y),
+        if self.wide {
+            self.a.vdivps_rr(d, x, y);
+        } else {
+            self.a.vdivss_rr(d, x, y);
         }
     }
 
     fn mul_m(&mut self, d: Ymm, x: Ymm, base: Reg, disp: i32) {
-        match self.vl {
-            Some(vl) => self.a.vmulps_rm(vl, d, x, base, Some(Reg::Rcx), disp),
-            None => self.a.vmulss_rm(d, x, base, Some(Reg::Rcx), disp),
+        if self.wide {
+            self.a.vmulps_rm(d, x, base, Some(Reg::Rcx), disp);
+        } else {
+            self.a.vmulss_rm(d, x, base, Some(Reg::Rcx), disp);
         }
     }
 }
 
-/// Emit the cluster body once over `u` interleaved strips, packed at
-/// vector length `vl` or scalar (`vl = None`, `u` = 1). Temporary
-/// slots are `slot_bytes` apart (the widest strip's size), `strips`
-/// per temporary (the widest loop's). Every op is
-/// emitted for strip 0, 1, … in turn; strip `k`'s stack slot `j` is
-/// register `k·stack + j` unless a push aliased the slot to a pinned
-/// bank register. The scalar body swaps packed ops for their `ss` forms
-/// and broadcasts for lane-0 loads, so the tail computes exactly what
-/// the interpreter's scalar remainder does.
+/// Emit the cluster body once over `u` interleaved strips, 8-wide
+/// (`wide`) or scalar (`u` = 1). Every op is emitted for strip 0, 1, …
+/// in turn; strip `k`'s stack slot `j` is `ymm(k·stack + j)` unless a
+/// push aliased the slot to a pinned bank register. The scalar body
+/// swaps packed ops for their `ss` forms and broadcasts for lane-0
+/// loads, so the tail computes exactly what the interpreter's scalar
+/// remainder does.
 fn emit_body(
     a: &mut Asm,
     cc: &CompiledCluster,
     resolved: &[isize],
     plan: &JitPlan,
-    (u, strips): (usize, usize),
-    vl: Option<Vl>,
-    slot_bytes: i32,
+    u: usize,
+    wide: bool,
 ) {
-    let mut e = Lanes { a, vl };
-    let strip = e.strip_bytes();
+    let mut e = Lanes { a, wide };
     let slot = |k: usize, j: usize| Ymm((k * plan.stack + j) as u8);
     // Where stack slot `j` lives when a push left it in a pinned register.
     let mut alias: Vec<Option<Ymm>> = vec![None; plan.stack];
     let src = |alias: &[Option<Ymm>], k: usize, j: usize| alias[j].unwrap_or(slot(k, j));
-    let disp = |off: u32, k: usize| (resolved[off as usize] * 4) as i32 + strip * k as i32;
-    let temp = |t: u32, k: usize| slot_bytes * (t as usize * strips + k) as i32;
+    let disp = |off: u32, k: usize| (resolved[off as usize] * 4) as i32 + 32 * k as i32;
+    let temp = |t: u32, k: usize| (32 * (t as usize * plan.strips + k)) as i32;
     // The pointer register for a stream: pinned, or reloaded into rax.
     let stream_ptr = |a: &mut Asm, s: u32| -> Reg {
         plan.hot_reg(s as usize).unwrap_or_else(|| {
@@ -850,7 +775,7 @@ fn emit_body(
                 if alias[sp].is_none() {
                     e.bank(slot(0, sp), off);
                     for k in 1..u {
-                        e.copy(slot(k, sp), slot(0, sp));
+                        e.a.vmovups_rr(slot(k, sp), slot(0, sp));
                     }
                 }
                 sp += 1;
@@ -880,7 +805,7 @@ fn emit_body(
                 sp -= 1;
                 let p = stream_ptr(e.a, stream);
                 for k in 0..u {
-                    e.store(p, Some(Reg::Rcx), strip * k as i32, src(&alias, k, sp));
+                    e.store(p, Some(Reg::Rcx), 32 * k as i32, src(&alias, k, sp));
                 }
             }
             Op::Add | Op::Mul => {
@@ -901,7 +826,7 @@ fn emit_body(
                 for k in 0..u {
                     let (t, x) = (slot(k, j), src(&alias, k, j));
                     match n {
-                        0 => e.copy(t, one()),
+                        0 => e.a.vmovups_rr(t, one()),
                         2 => e.mul(t, x, x),
                         -1 => e.div(t, one(), x),
                         -2 => {
@@ -960,7 +885,6 @@ fn coeff_reg(e: &mut Lanes<'_>, cc: &CompiledCluster, plan: &JitPlan, coeff: Coe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::LANES;
 
     /// `out = coeff · a[x + dx]` plus `extra` ops before the store: one
     /// read stream (0) and one written (1), both 1-D.
@@ -990,18 +914,9 @@ mod tests {
 
     #[test]
     fn routes_record_why_the_jit_falls_back() {
-        let host = JitContext::new();
-        let route = |cc: &CompiledCluster| JitKernel::new(host, cc).route();
-        let lanes = host.target().widest_vl().lanes();
+        let route = |cc: &CompiledCluster| ClusterRoute::of(Backend::Jit, cc);
         let native = route(&cluster(&[Op::Pow(-2)], 1, false));
-        assert_eq!(
-            (native.backend, native.fallback, native.lanes),
-            (Backend::Jit, None, lanes)
-        );
-        // A masked target records the 8 lanes it runs.
-        let masked = JitContext::for_target(host.target().without_avx512f());
-        let r = JitKernel::new(masked, &cluster(&[Op::Pow(-2)], 1, false)).route();
-        assert_eq!((r.backend, r.lanes), (Backend::Jit, YMM_LANES));
+        assert_eq!((native.backend, native.fallback), (Backend::Jit, None));
         // Reading the written stream off the point runs natively too:
         // split boxes bind slabs the generated code rebases.
         let r = route(&cluster(&[], 1, true));
@@ -1019,19 +934,11 @@ mod tests {
         ];
         for (cc, why) in cases {
             let r = route(&cc);
-            assert_eq!(
-                (r.backend, r.fallback, r.lanes),
-                (Backend::Bytecode, Some(why), LANES)
-            );
+            assert_eq!((r.backend, r.fallback), (Backend::Bytecode, Some(why)));
         }
         // The interpreter backend has nothing to fall back from.
-        let r = BytecodeKernel::new(&cluster(&[Op::Pow(3)], 1, false)).route();
-        assert_eq!(
-            (r.backend, r.fallback, r.lanes),
-            (Backend::Bytecode, None, LANES)
-        );
-        let r = BytecodeKernel::scalar_oracle(&cluster(&[], 1, false)).route();
-        assert_eq!(r.lanes, 1);
+        let r = ClusterRoute::of(Backend::Bytecode, &cluster(&[Op::Pow(3)], 1, false));
+        assert_eq!((r.backend, r.fallback), (Backend::Bytecode, None));
     }
 
     /// Bounds of `out = 0.5 · a[x + 1]` over `x ∈ 0..4`, no halo, with
@@ -1092,8 +999,6 @@ mod tests {
         // Shallow stack: two strips, the rest of the file pins bank values.
         let plan = JitPlan::analyze(&cluster(&[Op::Pow(-2)], 4, false));
         assert_eq!(plan.strips, 2);
-        // Only 8-lane strips interleave.
-        assert_eq!((plan.strips_at(Vl::Y256), plan.strips_at(Vl::Z512)), (2, 1));
         assert_eq!(plan.one, Some(Ymm(15)));
         assert_ne!(plan.prod, plan.splat);
         assert_eq!(plan.pins, vec![(4, Ymm(8))]);

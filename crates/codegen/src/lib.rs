@@ -12,11 +12,9 @@
 //!   register/stack program with precomputed array-offset tables — the
 //!   portable default backend and the semantic oracle the other
 //!   backends are verified against.
-//! * [`jit`] — lowers the same compiled clusters to native x86-64
+//! * [`jit`] — lowers the same compiled clusters to native x86-64 AVX
 //!   machine code at runtime (the paper's JIT compilation step made
-//!   real), in 16-lane AVX-512F strips where the host has them and
-//!   8-lane AVX ones elsewhere, bitwise-equivalent to the bytecode
-//!   engine by construction.
+//!   real), bitwise-equivalent to the bytecode engine by construction.
 //! * [`arith`] — the FTZ/DAZ kernel arithmetic every backend
 //!   implements (hardware mode in the JIT, emulated in the
 //!   interpreter).
@@ -49,15 +47,11 @@ pub mod jit;
 pub mod options;
 
 pub use backend::{
-    available_backends, bytecode_listing, compile_jit_kernel, compile_kernel, Backend,
-    BackendError, BytecodeKernel, ClusterKernel, Launch, Stream, BACKEND_NAMES,
+    available_backends, bytecode_listing, compile_kernel, Backend, BackendError, BytecodeKernel,
+    ClusterKernel, Launch, Stream, BACKEND_NAMES,
 };
 pub use bytecode::{compile_cluster, fold_constants, fuse_cluster, CompiledCluster, Op};
 pub use cgen::emit_c;
-/// The JIT's target seam: [`compile_jit_kernel`] and
-/// [`OperatorExec::with_jit_context`] take a [`JitContext`], and
-/// [`TargetInfo::without_avx512f`] masks the host down to 8-lane code.
-pub use cranelift::{JitContext, TargetInfo};
 pub use executor::{exec_compiles, halo_tag_base, sparse_tag, FieldState, OperatorExec, SparseOp};
 pub use interp::LANES;
 pub use jit::{jit_modules_built, ClusterRoute, Fallback};

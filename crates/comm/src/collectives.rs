@@ -137,21 +137,10 @@ impl Comm {
     }
 
     /// Broadcast a `f32` buffer from `root` to everyone; returns the
-    /// data on all ranks (O(log P) rounds).
-    pub fn bcast_f32(&self, root: usize, data: &[f32]) -> Vec<f32> {
-        let data = if self.rank == root {
-            data.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.bcast_f32_from(root, data)
-    }
-
-    /// [`bcast_f32`](Self::bcast_f32) of a buffer `root` owns: `root`
-    /// returns `data` itself, so the only copies are the wire copies
-    /// towards its children. Other ranks' `data` is ignored (pass an
-    /// empty `Vec`).
-    pub fn bcast_f32_from(&self, root: usize, data: Vec<f32>) -> Vec<f32> {
+    /// data on all ranks (O(log P) rounds). `root` returns `data` itself,
+    /// so the only copies are the wire copies towards its children. Other
+    /// ranks' `data` is ignored (pass an empty `Vec`).
+    pub fn bcast_f32(&self, root: usize, data: Vec<f32>) -> Vec<f32> {
         let size = self.size;
         let vr = (self.rank + size - root) % size;
         let buf: Vec<f32>;
@@ -179,27 +168,18 @@ impl Comm {
         buf
     }
 
-    /// Gather variable-length `f32` buffers on `root` over a binomial
-    /// tree; other ranks get `None`. Subtree contributions travel as one
-    /// merged message per tree edge (O(log P) rounds).
-    pub fn gather_f32(&self, root: usize, data: &[f32]) -> Option<Vec<Vec<f32>>> {
-        let mut parts =
-            self.gather_f32_with(root, data.len(), |buf| buf.extend_from_slice(data))?;
-        parts[root] = data.to_vec();
-        Some(parts)
-    }
-
     /// Gather on `root` the `len` floats each other rank writes with
     /// `fill` straight into its outgoing wire buffer (the analogue of
     /// [`PersistentSend::start_with`](crate::PersistentSend::start_with)):
     /// `root` gets one `Vec` per rank, its own entry empty (`root` never
-    /// calls `fill`); other ranks get `None`. Same binomial tree as
-    /// [`gather_f32`](Self::gather_f32). A message carries its parts'
+    /// calls `fill`; it already holds its part); other ranks get `None`.
+    /// Subtree contributions travel as one merged message per edge of a
+    /// binomial tree (O(log P) rounds). A message carries its parts'
     /// values back to back followed by a trailer `[(rank, len)…, count]`
     /// (bit-cast `u32`s), so the first part of each message arriving at
     /// `root` is that message's buffer truncated, not a copy: on two
     /// ranks the payload is copied once, into the wire.
-    pub fn gather_f32_with(
+    pub fn gather_f32(
         &self,
         root: usize,
         len: usize,
@@ -335,7 +315,7 @@ mod tests {
                 let out = Universe::run(p, |c| {
                     let me = c.rank();
                     let vals: Vec<f32> = (0..me * 3).map(|i| (me * 100 + i) as f32).collect();
-                    c.gather_f32_with(root, vals.len(), |buf| buf.extend_from_slice(&vals))
+                    c.gather_f32(root, vals.len(), |buf| buf.extend_from_slice(&vals))
                 });
                 for (r, got) in out.into_iter().enumerate() {
                     if r != root {
@@ -358,10 +338,14 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = Universe::run(4, |c| c.gather_f32(0, &[c.rank() as f32; 2]));
+        let out = Universe::run(4, |c| {
+            let me = [c.rank() as f32; 2];
+            c.gather_f32(0, 2, |buf| buf.extend_from_slice(&me))
+        });
         assert!(out[1].is_none());
         let g = out[0].as_ref().unwrap();
-        for (r, buf) in g.iter().enumerate() {
+        assert!(g[0].is_empty(), "the root's own part stays with it");
+        for (r, buf) in g.iter().enumerate().skip(1) {
             assert_eq!(buf, &vec![r as f32; 2]);
         }
     }
@@ -370,13 +354,14 @@ mod tests {
     fn gather_supports_nonzero_root_and_uneven_lengths() {
         let out = Universe::run(5, |c| {
             let data: Vec<f32> = (0..c.rank()).map(|i| i as f32).collect();
-            c.gather_f32(3, &data)
+            c.gather_f32(3, data.len(), |buf| buf.extend_from_slice(&data))
         });
         for (r, o) in out.iter().enumerate() {
             if r == 3 {
                 let g = o.as_ref().unwrap();
                 for (src, buf) in g.iter().enumerate() {
-                    let want: Vec<f32> = (0..src).map(|i| i as f32).collect();
+                    let n = if src == 3 { 0 } else { src };
+                    let want: Vec<f32> = (0..n).map(|i| i as f32).collect();
                     assert_eq!(buf, &want, "root view of rank {src}");
                 }
             } else {
@@ -387,7 +372,16 @@ mod tests {
 
     #[test]
     fn bcast_reaches_everyone() {
-        let out = Universe::run(3, |c| c.bcast_f32(1, &[9.0, 8.0]));
+        let out = Universe::run(3, |c| {
+            c.bcast_f32(
+                1,
+                if c.rank() == 1 {
+                    vec![9.0, 8.0]
+                } else {
+                    Vec::new()
+                },
+            )
+        });
         for v in out {
             assert_eq!(v, vec![9.0, 8.0]);
         }

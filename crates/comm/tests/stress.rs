@@ -189,9 +189,9 @@ fn tree_collectives_match_serial_reference() {
             let sum = c.allreduce_f64(v, ReduceOp::Sum);
             let min = c.allreduce_f64(v, ReduceOp::Min);
             let max = c.allreduce_f64(v, ReduceOp::Max);
-            let bc = c.bcast_f32(p - 1, &[me as f32 + 0.5]);
+            let bc = c.bcast_f32(p - 1, vec![me as f32 + 0.5]);
             let data: Vec<f32> = (0..me + 1).map(|i| (me * 10 + i) as f32).collect();
-            let gathered = c.gather_f32(0, &data);
+            let gathered = c.gather_f32(0, data.len(), |buf| buf.extend_from_slice(&data));
             (sum, min, max, bc, gathered)
         });
         // Serial references.
@@ -204,7 +204,8 @@ fn tree_collectives_match_serial_reference() {
             if r == 0 {
                 let g = gathered.as_ref().expect("root gets gather result");
                 assert_eq!(g.len(), p);
-                for (src, buf) in g.iter().enumerate() {
+                assert!(g[0].is_empty(), "P={p} the root keeps its own part");
+                for (src, buf) in g.iter().enumerate().skip(1) {
                     let want: Vec<f32> = (0..src + 1).map(|i| (src * 10 + i) as f32).collect();
                     assert_eq!(buf, &want, "P={p} gather from {src}");
                 }
@@ -232,7 +233,7 @@ fn tree_collectives_match_local_reference_at_scale() {
                 c.allreduce_f64(scalar(me), ReduceOp::Min),
                 c.allreduce_f32(&vector(me), ReduceOp::Sum),
                 c.allreduce_f32(&vector(me), ReduceOp::Max),
-                c.bcast_f32(root, &[me as f32; 3]),
+                c.bcast_f32(root, vec![me as f32; 3]),
             )
         });
         let want_sum: f64 = (0..p).map(scalar).sum();

@@ -1,6 +1,6 @@
-//! x86-64 instruction builder: the general-purpose, AVX (VEX-encoded)
-//! and AVX-512F (EVEX-encoded) subset a finite-difference kernel body
-//! needs, with label-based rel32 branch fixups.
+//! x86-64 instruction builder: the general-purpose and AVX (VEX-encoded)
+//! subset a finite-difference kernel body needs, with label-based rel32
+//! branch fixups.
 //!
 //! Encoding conventions, chosen for uniformity over code size:
 //!
@@ -8,18 +8,13 @@
 //!   `[base + index*4 + disp32]` when an index register is given (the
 //!   index is an f32 *element* counter, hence the fixed ×4 scale) or
 //!   `[base + disp32]` without one. One form, no special cases for
-//!   RBP/R12-class registers, and no EVEX disp8×N compression: a disp32
-//!   is never scaled, so both encodings take the same byte displacement.
-//! * Packed `ps` ops take a vector length ([`Vl`]): 256-bit ymm through
-//!   the 3-byte `C4` VEX prefix (`L=1`), or 512-bit zmm through the
-//!   4-byte `62` EVEX prefix (`L'L=10`, no masking, no broadcast, no
-//!   embedded rounding — so, like the VEX forms, they obey MXCSR). The
-//!   scalar `ss` forms are VEX with `L=0`. Vector registers are 0–15
-//!   only, so `vzeroupper` before `ret` clears every upper half the code
-//!   dirtied. No legacy-SSE register ops are emitted
-//!   (`stmxcsr`/`ldmxcsr` touch only MXCSR), so that is the only
+//!   RBP/R12-class registers.
+//! * Vector instructions always use the 3-byte `C4` VEX prefix, 256-bit
+//!   (`L=1`) for the packed `ps` forms and `L=0` for the scalar `ss`
+//!   forms. No legacy-SSE register ops are emitted (`stmxcsr`/`ldmxcsr`
+//!   touch only MXCSR), so `vzeroupper` before `ret` is the only
 //!   transition-penalty concern.
-//! * Three-operand vector ops follow the VEX convention
+//! * Three-operand AVX ops follow the VEX convention
 //!   `op dst, src1, src2/mem`: `dst` in ModRM.reg, `src1` in `vvvv`,
 //!   `src2` in ModRM.rm.
 
@@ -52,34 +47,9 @@ impl Reg {
     }
 }
 
-/// Vector register 0–15: xmm, ymm or zmm by the width of the
-/// instruction that names it.
+/// AVX vector register ymm0–ymm15.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Ymm(pub u8);
-
-/// Vector length of a packed instruction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Vl {
-    /// 256-bit ymm, VEX-encoded (AVX): 8 f32 lanes.
-    Y256,
-    /// 512-bit zmm, EVEX-encoded (AVX-512F): 16 f32 lanes.
-    Z512,
-}
-
-impl Vl {
-    /// f32 lanes per register.
-    pub const fn lanes(self) -> usize {
-        match self {
-            Vl::Y256 => 8,
-            Vl::Z512 => 16,
-        }
-    }
-
-    /// Bytes per register.
-    pub const fn bytes(self) -> i32 {
-        4 * self.lanes() as i32
-    }
-}
 
 /// Condition codes for `jcc` (unsigned compares + equality).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -232,38 +202,6 @@ impl Asm {
         self.code.push((!vvvv & 0xF) << 3 | l << 2 | pp);
     }
 
-    /// 4-byte EVEX prefix for a 512-bit op on registers 0–15. `mm`:
-    /// 1 = 0F map, 2 = 0F38 map; `pp` as for [`vex3`](Self::vex3). The
-    /// high-register bits (`R'`, `V'`) stay set (registers < 16), `W=0`,
-    /// and the last byte is fixed: no zeroing, `L'L=10` (512-bit), no
-    /// broadcast or embedded rounding, mask `k0` (none).
-    fn evex(&mut self, reg: u8, index: u8, base: u8, mm: u8, vvvv: u8, pp: u8) {
-        assert!(
-            reg < 16 && index < 16 && base < 16 && vvvv < 16,
-            "EVEX registers are limited to 0-15 here"
-        );
-        self.code.push(0x62);
-        self.code.push(
-            (!(reg >> 3) & 1) << 7
-                | (!(index >> 3) & 1) << 6
-                | (!(base >> 3) & 1) << 5
-                | 1 << 4 // R' = 1 (inverted): reg < 16
-                | mm,
-        );
-        self.code.push((!vvvv & 0xF) << 3 | 1 << 2 | pp);
-        self.code.push(0b0100_1000); // z=0, L'L=10, b=0, V'=1 (inverted), aaa=0
-    }
-
-    /// The prefix of a packed op at vector length `vl`: VEX with `L=1`
-    /// or EVEX with `L'L=10`, same fields.
-    #[allow(clippy::too_many_arguments)]
-    fn vprefix(&mut self, vl: Vl, reg: u8, index: u8, base: u8, map: u8, vvvv: u8, pp: u8) {
-        match vl {
-            Vl::Y256 => self.vex3(reg, index, base, map, vvvv, 1, pp),
-            Vl::Z512 => self.evex(reg, index, base, map, vvvv, pp),
-        }
-    }
-
     // ---- general-purpose ops ----------------------------------------
 
     /// `mov dst, qword [base + disp]`.
@@ -384,35 +322,35 @@ impl Asm {
         self.mem(ext, base.num(), None, disp);
     }
 
-    // ---- AVX / AVX-512F: packed moves and broadcast -----------------
+    // ---- AVX: moves and broadcast -----------------------------------
 
-    /// `vmovups dst, [base + index*4 + disp]` (ymmword or zmmword).
-    pub fn vmovups_load(&mut self, vl: Vl, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
+    /// `vmovups dst, ymmword [base + index*4 + disp]`.
+    pub fn vmovups_load(&mut self, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
         let x = index.map_or(0, Reg::num);
-        self.vprefix(vl, dst.0, x, base.num(), 1, 0, 0);
+        self.vex3(dst.0, x, base.num(), 1, 0, 1, 0);
         self.code.push(0x10);
         self.mem(dst.0, base.num(), index.map(Reg::num), disp);
     }
 
-    /// `vmovups [base + index*4 + disp], src` (ymmword or zmmword).
-    pub fn vmovups_store(&mut self, vl: Vl, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
+    /// `vmovups ymmword [base + index*4 + disp], src`.
+    pub fn vmovups_store(&mut self, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
         let x = index.map_or(0, Reg::num);
-        self.vprefix(vl, src.0, x, base.num(), 1, 0, 0);
+        self.vex3(src.0, x, base.num(), 1, 0, 1, 0);
         self.code.push(0x11);
         self.mem(src.0, base.num(), index.map(Reg::num), disp);
     }
 
     /// `vmovups dst, src` — full-width register move.
-    pub fn vmovups_rr(&mut self, vl: Vl, dst: Ymm, src: Ymm) {
-        self.vprefix(vl, dst.0, 0, src.0, 1, 0, 0);
+    pub fn vmovups_rr(&mut self, dst: Ymm, src: Ymm) {
+        self.vex3(dst.0, 0, src.0, 1, 0, 1, 0);
         self.code.push(0x10);
         self.modrm_rr(dst.0, src.0);
     }
 
-    /// `vbroadcastss dst, dword [base + disp]` — splat one f32 to every
-    /// lane.
-    pub fn vbroadcastss(&mut self, vl: Vl, dst: Ymm, base: Reg, disp: i32) {
-        self.vprefix(vl, dst.0, 0, base.num(), 2, 0, 1);
+    /// `vbroadcastss dst, dword [base + disp]` — splat one f32 to all
+    /// eight lanes.
+    pub fn vbroadcastss(&mut self, dst: Ymm, base: Reg, disp: i32) {
+        self.vex3(dst.0, 0, base.num(), 2, 0, 1, 1);
         self.code.push(0x18);
         self.mem(dst.0, base.num(), None, disp);
     }
@@ -433,73 +371,47 @@ impl Asm {
         self.mem(src.0, base.num(), index.map(Reg::num), disp);
     }
 
-    // ---- AVX / AVX-512F: packed arithmetic ---------------------------
+    // ---- AVX: packed arithmetic (256-bit) ---------------------------
 
     /// `vaddps dst, a, b`.
-    pub fn vaddps_rr(&mut self, vl: Vl, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ps_rr(vl, 0x58, dst, a, b);
+    pub fn vaddps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
+        self.ps_rr(0x58, dst, a, b);
     }
 
-    /// `vaddps dst, a, [base + index*4 + disp]`.
-    pub fn vaddps_rm(
-        &mut self,
-        vl: Vl,
-        dst: Ymm,
-        a: Ymm,
-        base: Reg,
-        index: Option<Reg>,
-        disp: i32,
-    ) {
-        self.ps_rm(vl, 0x58, dst, a, base, index, disp);
+    /// `vaddps dst, a, ymmword [base + index*4 + disp]`.
+    pub fn vaddps_rm(&mut self, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
+        self.ps_rm(0x58, dst, a, base, index, disp);
     }
 
     /// `vmulps dst, a, b`.
-    pub fn vmulps_rr(&mut self, vl: Vl, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ps_rr(vl, 0x59, dst, a, b);
+    pub fn vmulps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
+        self.ps_rr(0x59, dst, a, b);
     }
 
-    /// `vmulps dst, a, [base + index*4 + disp]`.
-    pub fn vmulps_rm(
-        &mut self,
-        vl: Vl,
-        dst: Ymm,
-        a: Ymm,
-        base: Reg,
-        index: Option<Reg>,
-        disp: i32,
-    ) {
-        self.ps_rm(vl, 0x59, dst, a, base, index, disp);
+    /// `vmulps dst, a, ymmword [base + index*4 + disp]`.
+    pub fn vmulps_rm(&mut self, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
+        self.ps_rm(0x59, dst, a, base, index, disp);
     }
 
     /// `vsubps dst, a, b` (computes `a - b`).
-    pub fn vsubps_rr(&mut self, vl: Vl, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ps_rr(vl, 0x5C, dst, a, b);
+    pub fn vsubps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
+        self.ps_rr(0x5C, dst, a, b);
     }
 
     /// `vdivps dst, a, b` (computes `a / b`).
-    pub fn vdivps_rr(&mut self, vl: Vl, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ps_rr(vl, 0x5E, dst, a, b);
+    pub fn vdivps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
+        self.ps_rr(0x5E, dst, a, b);
     }
 
-    fn ps_rr(&mut self, vl: Vl, op: u8, dst: Ymm, a: Ymm, b: Ymm) {
-        self.vprefix(vl, dst.0, 0, b.0, 1, a.0, 0);
+    fn ps_rr(&mut self, op: u8, dst: Ymm, a: Ymm, b: Ymm) {
+        self.vex3(dst.0, 0, b.0, 1, a.0, 1, 0);
         self.code.push(op);
         self.modrm_rr(dst.0, b.0);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn ps_rm(
-        &mut self,
-        vl: Vl,
-        op: u8,
-        dst: Ymm,
-        a: Ymm,
-        base: Reg,
-        index: Option<Reg>,
-        disp: i32,
-    ) {
+    fn ps_rm(&mut self, op: u8, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
         let x = index.map_or(0, Reg::num);
-        self.vprefix(vl, dst.0, x, base.num(), 1, a.0, 0);
+        self.vex3(dst.0, x, base.num(), 1, a.0, 1, 0);
         self.code.push(op);
         self.mem(dst.0, base.num(), index.map(Reg::num), disp);
     }
@@ -571,7 +483,7 @@ mod tests {
     fn known_encodings() {
         // vmovups ymm0, [rax + rcx*4 + 16]
         let mut a = Asm::new();
-        a.vmovups_load(Vl::Y256, Ymm(0), Reg::Rax, Some(Reg::Rcx), 16);
+        a.vmovups_load(Ymm(0), Reg::Rax, Some(Reg::Rcx), 16);
         assert_eq!(
             a.finish(),
             vec![0xC4, 0xE1, 0x7C, 0x10, 0x84, 0x88, 16, 0, 0, 0]
@@ -579,7 +491,7 @@ mod tests {
 
         // vbroadcastss ymm13, [r8 + 4]
         let mut a = Asm::new();
-        a.vbroadcastss(Vl::Y256, Ymm(13), Reg::R8, 4);
+        a.vbroadcastss(Ymm(13), Reg::R8, 4);
         assert_eq!(
             a.finish(),
             vec![0xC4, 0x42, 0x7D, 0x18, 0xAC, 0x20, 4, 0, 0, 0]
@@ -587,7 +499,7 @@ mod tests {
 
         // vaddps ymm1, ymm2, ymm3 ; vzeroupper ; ret
         let mut a = Asm::new();
-        a.vaddps_rr(Vl::Y256, Ymm(1), Ymm(2), Ymm(3));
+        a.vaddps_rr(Ymm(1), Ymm(2), Ymm(3));
         a.vzeroupper();
         a.ret();
         assert_eq!(
@@ -652,127 +564,6 @@ mod tests {
         a.pop_r(Reg::R12);
         a.pop_r(Reg::Rbx);
         assert_eq!(a.finish(), vec![0x53, 0x41, 0x54, 0x41, 0x5C, 0x5B]);
-    }
-
-    /// The 512-bit (EVEX) forms the kernel body emits, byte for byte.
-    /// References from `llvm-mc -show-encoding` (Intel syntax); bases
-    /// without an index are r12/rsp, which need the SIB byte in every
-    /// encoding, so llvm-mc's bytes and the one form emitted here agree.
-    #[test]
-    fn evex_encodings() {
-        use Reg::*;
-        let z = Vl::Z512;
-        type Case = (fn(&mut Asm), Vec<u8>);
-        let cases: Vec<Case> = vec![
-            // vmovups zmm0, zmmword ptr [rax + 4*rcx + 4100]
-            (
-                |a| a.vmovups_load(Vl::Z512, Ymm(0), Rax, Some(Rcx), 4100),
-                vec![0x62, 0xF1, 0x7C, 0x48, 0x10, 0x84, 0x88, 0x04, 0x10, 0, 0],
-            ),
-            // vmovups zmm13, zmmword ptr [r10 + 4*rcx + 4100]
-            (
-                |a| a.vmovups_load(Vl::Z512, Ymm(13), R10, Some(Rcx), 4100),
-                vec![0x62, 0x51, 0x7C, 0x48, 0x10, 0xAC, 0x8A, 0x04, 0x10, 0, 0],
-            ),
-            // vmovups zmm9, zmmword ptr [r12 + 4100]
-            (
-                |a| a.vmovups_load(Vl::Z512, Ymm(9), R12, None, 4100),
-                vec![0x62, 0x51, 0x7C, 0x48, 0x10, 0x8C, 0x24, 0x04, 0x10, 0, 0],
-            ),
-            // vmovups zmmword ptr [r11 + 4*rcx + 4100], zmm14
-            (
-                |a| a.vmovups_store(Vl::Z512, R11, Some(Rcx), 4100, Ymm(14)),
-                vec![0x62, 0x51, 0x7C, 0x48, 0x11, 0xB4, 0x8B, 0x04, 0x10, 0, 0],
-            ),
-            // vmovups zmmword ptr [r9 + 4*rcx - 200], zmm3
-            (
-                |a| a.vmovups_store(Vl::Z512, R9, Some(Rcx), -200, Ymm(3)),
-                vec![
-                    0x62, 0xD1, 0x7C, 0x48, 0x11, 0x9C, 0x89, 0x38, 0xFF, 0xFF, 0xFF,
-                ],
-            ),
-            // vmovups zmmword ptr [r12 + 4100], zmm1
-            (
-                |a| a.vmovups_store(Vl::Z512, R12, None, 4100, Ymm(1)),
-                vec![0x62, 0xD1, 0x7C, 0x48, 0x11, 0x8C, 0x24, 0x04, 0x10, 0, 0],
-            ),
-            // vmovups zmm2, zmm11 ; vmovups zmm12, zmm3
-            (
-                |a| a.vmovups_rr(Vl::Z512, Ymm(2), Ymm(11)),
-                vec![0x62, 0xD1, 0x7C, 0x48, 0x10, 0xD3],
-            ),
-            (
-                |a| a.vmovups_rr(Vl::Z512, Ymm(12), Ymm(3)),
-                vec![0x62, 0x71, 0x7C, 0x48, 0x10, 0xE3],
-            ),
-            // vbroadcastss zmm13, dword ptr [r12 + 4100]
-            (
-                |a| a.vbroadcastss(Vl::Z512, Ymm(13), R12, 4100),
-                vec![0x62, 0x52, 0x7D, 0x48, 0x18, 0xAC, 0x24, 0x04, 0x10, 0, 0],
-            ),
-            // vbroadcastss zmm1, dword ptr [rsp + 4100]
-            (
-                |a| a.vbroadcastss(Vl::Z512, Ymm(1), Rsp, 4100),
-                vec![0x62, 0xF2, 0x7D, 0x48, 0x18, 0x8C, 0x24, 0x04, 0x10, 0, 0],
-            ),
-            // vaddps zmm1, zmm2, zmm3 ; vaddps zmm12, zmm9, zmm15
-            (
-                |a| a.vaddps_rr(Vl::Z512, Ymm(1), Ymm(2), Ymm(3)),
-                vec![0x62, 0xF1, 0x6C, 0x48, 0x58, 0xCB],
-            ),
-            (
-                |a| a.vaddps_rr(Vl::Z512, Ymm(12), Ymm(9), Ymm(15)),
-                vec![0x62, 0x51, 0x34, 0x48, 0x58, 0xE7],
-            ),
-            // vmulps zmm4, zmm14, zmm0 ; vmulps zmm15, zmm1, zmm10
-            (
-                |a| a.vmulps_rr(Vl::Z512, Ymm(4), Ymm(14), Ymm(0)),
-                vec![0x62, 0xF1, 0x0C, 0x48, 0x59, 0xE0],
-            ),
-            (
-                |a| a.vmulps_rr(Vl::Z512, Ymm(15), Ymm(1), Ymm(10)),
-                vec![0x62, 0x51, 0x74, 0x48, 0x59, 0xFA],
-            ),
-            // vdivps zmm5, zmm15, zmm6 ; vdivps zmm8, zmm2, zmm13
-            (
-                |a| a.vdivps_rr(Vl::Z512, Ymm(5), Ymm(15), Ymm(6)),
-                vec![0x62, 0xF1, 0x04, 0x48, 0x5E, 0xEE],
-            ),
-            (
-                |a| a.vdivps_rr(Vl::Z512, Ymm(8), Ymm(2), Ymm(13)),
-                vec![0x62, 0x51, 0x6C, 0x48, 0x5E, 0xC5],
-            ),
-            // vmulps zmm3, zmm14, zmmword ptr [r13 + 4*rcx + 4100]
-            (
-                |a| a.vmulps_rm(Vl::Z512, Ymm(3), Ymm(14), R13, Some(Rcx), 4100),
-                vec![0x62, 0xD1, 0x0C, 0x48, 0x59, 0x9C, 0x8D, 0x04, 0x10, 0, 0],
-            ),
-            // vmulps zmm11, zmm2, zmmword ptr [rax + 4*rcx - 4100]
-            (
-                |a| a.vmulps_rm(Vl::Z512, Ymm(11), Ymm(2), Rax, Some(Rcx), -4100),
-                vec![
-                    0x62, 0x71, 0x6C, 0x48, 0x59, 0x9C, 0x88, 0xFC, 0xEF, 0xFF, 0xFF,
-                ],
-            ),
-            // vaddps zmm6, zmm7, zmmword ptr [r15 + 4*rcx + 4100]
-            (
-                |a| a.vaddps_rm(Vl::Z512, Ymm(6), Ymm(7), R15, Some(Rcx), 4100),
-                vec![0x62, 0xD1, 0x44, 0x48, 0x58, 0xB4, 0x8F, 0x04, 0x10, 0, 0],
-            ),
-        ];
-        for (i, (emit, want)) in cases.into_iter().enumerate() {
-            let mut a = Asm::new();
-            emit(&mut a);
-            assert_eq!(a.finish(), want, "case {i}");
-        }
-        // The same op at the two widths differs only in its prefix: the
-        // opcode, ModRM, SIB and disp32 bytes are shared.
-        let (mut y, mut zz) = (Asm::new(), Asm::new());
-        y.vmulps_rm(Vl::Y256, Ymm(3), Ymm(14), R13, Some(Rcx), 4100);
-        zz.vmulps_rm(z, Ymm(3), Ymm(14), R13, Some(Rcx), 4100);
-        let (y, zz) = (y.finish(), zz.finish());
-        assert_eq!((y.len(), zz.len()), (10, 11));
-        assert_eq!(y[3..], zz[4..]);
     }
 
     #[test]

@@ -5,21 +5,18 @@
 //! this crate provides exactly the JIT surface `mpix-codegen` needs in
 //! place of the real `cranelift`/`cranelift-jit` crates: a host target
 //! probe, W^X executable-memory management, and an x86-64 assembler
-//! with AVX (VEX-encoded) and AVX-512F (EVEX-encoded) vector
-//! instructions and label fixups.
+//! with AVX (VEX-encoded) vector instructions and label fixups.
 //!
 //! The module layout mirrors a Cranelift-style backend (`types`,
 //! `build`/[`asm`], [`memory`], and a [`JitContext`]/[`CompiledModule`]
 //! pair) so a future swap to the real crates is a drop-in:
 //!
 //! * [`TargetInfo`] — host architecture/feature probe; JIT is gated on
-//!   `x86_64-linux` with AVX, and AVX-512F decides the widest vector
-//!   length the generated code may use.
+//!   `x86_64-linux` with AVX.
 //! * [`asm::Asm`] — instruction builder: GP moves/arithmetic, rel32
-//!   branches with labels, and the packed ops a finite-difference
-//!   kernel body needs (`vmovups`, `vbroadcastss`,
-//!   `vaddps`/`vmulps`/`vdivps`) at 256 bits (VEX, ymm) or 512 bits
-//!   (EVEX, zmm, [`Vl`]), their scalar `ss` forms, plus
+//!   branches with labels, and the 256-bit/scalar AVX ops a
+//!   finite-difference kernel body needs (`vmovups`, `vbroadcastss`,
+//!   `vaddps`/`vmulps`/`vdivps` and their `ss` forms), plus
 //!   `stmxcsr`/`ldmxcsr` to switch the rounding/flush mode.
 //! * [`memory::ExecMem`] — `mmap`(RW) → copy → `mprotect`(RX) via raw
 //!   syscalls (no libc dependency), unmapped on drop.
@@ -35,7 +32,7 @@
 pub mod asm;
 pub mod memory;
 
-pub use asm::{Asm, Cc, Reg, Vl, Ymm};
+pub use asm::{Asm, Cc, Reg, Ymm};
 pub use memory::{ExecMem, MemError};
 
 /// Host target description — the stand-in for Cranelift's ISA builder.
@@ -45,9 +42,6 @@ pub struct TargetInfo {
     pub os: &'static str,
     /// 256-bit AVX available at runtime (required by the vector bodies).
     pub has_avx: bool,
-    /// 512-bit AVX-512F available at runtime: the generated code may
-    /// use zmm registers.
-    pub has_avx512f: bool,
 }
 
 impl TargetInfo {
@@ -57,7 +51,6 @@ impl TargetInfo {
             arch: std::env::consts::ARCH,
             os: std::env::consts::OS,
             has_avx: detect_avx(),
-            has_avx512f: detect_avx512f(),
         }
     }
 
@@ -65,25 +58,6 @@ impl TargetInfo {
     /// Linux with AVX. Everything else must stay on the interpreter.
     pub fn supports_jit(&self) -> bool {
         self.arch == "x86_64" && self.os == "linux" && self.has_avx
-    }
-
-    /// The widest vector length this target runs: zmm with AVX-512F,
-    /// ymm otherwise.
-    pub fn widest_vl(&self) -> Vl {
-        if self.has_avx512f {
-            Vl::Z512
-        } else {
-            Vl::Y256
-        }
-    }
-
-    /// This target with AVX-512F masked off: code generated for it uses
-    /// ymm registers only, as on an AVX2 host.
-    pub fn without_avx512f(self) -> TargetInfo {
-        TargetInfo {
-            has_avx512f: false,
-            ..self
-        }
     }
 }
 
@@ -94,16 +68,6 @@ fn detect_avx() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect_avx() -> bool {
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_avx512f() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_avx512f() -> bool {
     false
 }
 
@@ -142,19 +106,6 @@ impl JitContext {
         JitContext {
             target: TargetInfo::host(),
         }
-    }
-
-    /// A context for `target`, a feature subset of the host (say
-    /// [`TargetInfo::without_avx512f`]): what a host with only those
-    /// features would generate, runnable here. Panics when `target`
-    /// claims a feature the host lacks, whose code could not run.
-    pub fn for_target(target: TargetInfo) -> JitContext {
-        let host = TargetInfo::host();
-        assert!(
-            (host.has_avx || !target.has_avx) && (host.has_avx512f || !target.has_avx512f),
-            "target {target:?} claims features the host {host:?} lacks"
-        );
-        JitContext { target }
     }
 
     pub fn target(&self) -> TargetInfo {
@@ -209,32 +160,15 @@ impl CompiledModule {
 mod tests {
     use super::*;
 
-    /// The vector lengths this host runs: ymm, and zmm with AVX-512F.
-    fn host_widths() -> Vec<Vl> {
-        let mut v = vec![Vl::Y256];
-        if TargetInfo::host().has_avx512f {
-            v.push(Vl::Z512);
-        }
-        v
-    }
-
-    /// JIT `out[i] = a[i] + 2.0 * b[i]` over n floats (full-width strips
-    /// and a scalar tail) and check it end to end at every vector length
-    /// the host runs — the whole stack in one test: assembler, W^X
-    /// memory, ABI, VEX and EVEX encodings, label fixups.
+    /// JIT `out[i] = a[i] + 2.0 * b[i]` over n floats (8-wide strips +
+    /// scalar tail) and check it end to end — the whole stack in one
+    /// test: assembler, W^X memory, ABI, AVX encodings, label fixups.
     #[test]
     fn jit_axpy_roundtrip() {
         let ctx = JitContext::new();
         if !ctx.target().supports_jit() {
             return; // nothing to test on non-x86-64 hosts
         }
-        for vl in host_widths() {
-            axpy_roundtrip(&ctx, vl);
-        }
-    }
-
-    fn axpy_roundtrip(ctx: &JitContext, vl: Vl) {
-        let w = vl.lanes() as i32;
         // args layout: [out: *mut f32, a: *const f32, b: *const f32,
         //               n: u64, k: *const f32]
         let mut a = Asm::new();
@@ -244,20 +178,20 @@ mod tests {
         a.mov_r_m(R10, Rdi, 16); // b
         a.mov_r_m(Rdx, Rdi, 24); // n
         a.mov_r_m(R11, Rdi, 32); // k
-        a.vbroadcastss(vl, Ymm(1), R11, 0); // splat k
+        a.vbroadcastss(Ymm(1), R11, 0); // ymm1 = splat k
         a.xor_r(Rcx);
         let vec_top = a.new_label();
         let tail = a.new_label();
         let done = a.new_label();
         a.bind(vec_top);
-        a.lea(Rax, Rcx, w);
+        a.lea(Rax, Rcx, 8);
         a.cmp_r_r(Rax, Rdx);
         a.jcc(Cc::A, tail);
-        a.vmovups_load(vl, Ymm(0), R10, Some(Rcx), 0); // b[i..]
-        a.vmulps_rr(vl, Ymm(0), Ymm(1), Ymm(0)); // k*b
-        a.vaddps_rm(vl, Ymm(0), Ymm(0), R9, Some(Rcx), 0); // + a[i..]
-        a.vmovups_store(vl, R8, Some(Rcx), 0, Ymm(0));
-        a.add_r_imm(Rcx, w);
+        a.vmovups_load(Ymm(0), R10, Some(Rcx), 0); // b[i..]
+        a.vmulps_rr(Ymm(0), Ymm(1), Ymm(0)); // k*b
+        a.vaddps_rm(Ymm(0), Ymm(0), R9, Some(Rcx), 0); // + a[i..]
+        a.vmovups_store(R8, Some(Rcx), 0, Ymm(0));
+        a.add_r_imm(Rcx, 8);
         a.jmp(vec_top);
         a.bind(tail);
         a.cmp_r_r(Rcx, Rdx);
@@ -273,7 +207,7 @@ mod tests {
         a.ret();
 
         let m = ctx.finalize(a).expect("finalize");
-        let n = vl.lanes() + 5; // one full strip + 5-point tail
+        let n = 13usize; // one full strip + 5-point tail
         let av: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
         let bv: Vec<f32> = (0..n).map(|i| (i as f32) - 3.0).collect();
         let mut out = vec![0.0f32; n];
@@ -296,23 +230,7 @@ mod tests {
         unsafe { m.call(&mut args as *mut Args as *mut u8) };
         for i in 0..n {
             let want = av[i] + k * bv[i];
-            assert_eq!(out[i].to_bits(), want.to_bits(), "{vl:?} i={i}");
-        }
-    }
-
-    #[test]
-    fn masked_target_reports_ymm_and_rejects_missing_features() {
-        let host = TargetInfo::host();
-        let masked = JitContext::for_target(host.without_avx512f()).target();
-        assert_eq!(masked.widest_vl(), Vl::Y256);
-        assert_eq!(JitContext::new().target().has_avx512f, host.has_avx512f);
-        if !host.has_avx512f {
-            let claim = TargetInfo {
-                has_avx512f: true,
-                ..host
-            };
-            let err = std::panic::catch_unwind(|| JitContext::for_target(claim));
-            assert!(err.is_err(), "a feature the host lacks must be refused");
+            assert_eq!(out[i].to_bits(), want.to_bits(), "i={i}");
         }
     }
 
@@ -338,7 +256,7 @@ mod tests {
         a.mov_r_m(Rdx, Rdi, 16); // n
         a.mov_r_m(Rbx, Rdi, 24); // rows
         a.mov_r_m(R11, Rdi, 40); // k
-        a.vbroadcastss(Vl::Y256, Ymm(1), R11, 0);
+        a.vbroadcastss(Ymm(1), R11, 0);
         let row_top = a.new_label();
         let vec_top = a.new_label();
         let tail = a.new_label();
@@ -349,8 +267,8 @@ mod tests {
         a.lea(Rax, Rcx, 8);
         a.cmp_r_r(Rax, Rdx);
         a.jcc(Cc::A, tail);
-        a.vaddps_rm(Vl::Y256, Ymm(0), Ymm(1), R12, Some(Rcx), 0);
-        a.vmovups_store(Vl::Y256, R8, Some(Rcx), 0, Ymm(0));
+        a.vaddps_rm(Ymm(0), Ymm(1), R12, Some(Rcx), 0);
+        a.vmovups_store(R8, Some(Rcx), 0, Ymm(0));
         a.add_r_imm(Rcx, 8);
         a.jmp(vec_top);
         a.bind(tail);

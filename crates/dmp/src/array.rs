@@ -211,18 +211,18 @@ impl DistArray {
     /// broadcasts). This is the support behind user-side global reads.
     /// Both sides move whole innermost rows: each other rank packs its
     /// owned rows straight into its wire buffer
-    /// ([`Comm::gather_f32_with`]), and the root appends every global
+    /// ([`Comm::gather_f32`]), and the root appends every global
     /// row from its own shard or the received parts into the result,
     /// which it then broadcasts without another copy
-    /// ([`Comm::bcast_f32_from`]).
+    /// ([`Comm::bcast_f32`]).
     pub fn gather_global(&self, comm: &Comm) -> Vec<f32> {
         let len = self.local_shape.iter().product();
         let pack = |buf: &mut Vec<f32>| self.for_each_owned_row(|row| buf.extend_from_slice(row));
-        let assembled = match comm.gather_f32_with(0, len, pack) {
+        let assembled = match comm.gather_f32(0, len, pack) {
             Some(parts) => self.assemble(comm.rank(), &parts),
             None => Vec::new(),
         };
-        comm.bcast_f32_from(0, assembled)
+        comm.bcast_f32(0, assembled)
     }
 
     /// Call `f` on each owned innermost row, in local row-major order.
@@ -353,10 +353,11 @@ impl DistArray {
             }
             None => Vec::new(),
         };
-        let gathered = comm.gather_f32(0, &payload);
+        let gathered = comm.gather_f32(0, payload.len(), |buf| buf.extend_from_slice(&payload));
         let slice_shape: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
         let total: usize = slice_shape.iter().product();
-        let assembled = if let Some(parts) = gathered {
+        let assembled = if let Some(mut parts) = gathered {
+            parts[0] = payload;
             let mut out = vec![0.0f32; total];
             for part in parts {
                 if part.is_empty() {
@@ -377,9 +378,9 @@ impl DistArray {
             }
             out
         } else {
-            vec![0.0f32; total]
+            Vec::new()
         };
-        comm.bcast_f32(0, &assembled)
+        comm.bcast_f32(0, assembled)
     }
 
     /// Copy a padded-coordinate box into a flat buffer (message packing).

@@ -11,37 +11,12 @@
 //! prove it supports fall back to the interpreter per cluster. Selecting
 //! a backend may change speed, never results.
 
-use mpix::codegen::{JitContext, OperatorExec, TargetInfo};
 use mpix::prelude::*;
 use mpix::solvers::{KernelKind, ModelSpec, Propagator};
 use proptest::prelude::*;
 
 fn have_jit() -> bool {
     mpix::available_backends().contains(&Backend::Jit)
-}
-
-/// The JIT widths to test, each with the context that pins it: 8 lanes
-/// (the host with AVX-512F masked off) everywhere the JIT runs, and 16
-/// lanes where the host has AVX-512F. Prints why the 16-lane leg is
-/// skipped on other hosts.
-fn jit_widths() -> Vec<(usize, JitContext)> {
-    if !have_jit() {
-        return Vec::new();
-    }
-    let host = TargetInfo::host();
-    let mut v = vec![(8, JitContext::for_target(host.without_avx512f()))];
-    if host.has_avx512f {
-        v.push((16, JitContext::new()));
-    } else {
-        println!("16-lane JIT leg skipped: the host has no AVX-512F");
-    }
-    v
-}
-
-/// `op`'s JIT executable for `opts`, generating code for `ctx`.
-fn jit_exec(op: &Operator, opts: &ApplyOptions, ctx: JitContext) -> OperatorExec {
-    let exec = op.executable_for(&opts.clone().with_backend(Backend::Jit));
-    exec.with_jit_context(ctx).expect("jit available")
 }
 
 /// Diffusion-style operator `u.dt = laplace(u)` over an arbitrary grid.
@@ -203,27 +178,24 @@ fn all_kernels_all_orders_bitwise_equal() {
     }
 }
 
-/// The JIT's loop nest at every inner extent, at both widths (8 and,
-/// on AVX-512F hosts, 16 lanes): from a lone scalar tail to past one
-/// widest-loop pass, one single strip, an 8-lane strip and a tail (1 ..=
-/// 2·16 + 9; a grid needs two points per axis, so extent 1 is the ragged
-/// 2-D tile at 17 + 1): acoustic SDO 8 in 2-D and 3-D and the deep-stack
-/// elastic kernel in 3-D, plain, blocked with ragged tiles and threaded
-/// (the slab path). Each geometry encodes exactly one module per
-/// natively-run cluster, whatever the blocking and threading (counted
-/// on the executable: the process-wide `jit_modules_built` also counts
-/// other tests' modules), and every route records the width that ran.
+/// The JIT's loop nest at every inner extent from a lone scalar tail to
+/// past one interleaved pass, one single strip and a tail (1 ..= 8·U + 9
+/// for U = `MAX_STRIPS` strips; a grid needs two points per axis, so
+/// extent 1 is the ragged 2-D tile at 17 + 1): acoustic SDO 8 in 2-D
+/// and 3-D and the deep-stack elastic kernel in 3-D, plain, blocked
+/// with ragged tiles and threaded (the slab path). Each geometry
+/// encodes exactly one module per natively-run cluster, whatever the
+/// blocking and threading (counted on the executable: the process-wide
+/// `jit_modules_built` also counts other tests' modules).
 #[test]
 fn jit_inner_extent_sweep_bitwise() {
-    let widths = jit_widths();
-    if widths.is_empty() {
+    if !have_jit() {
         return;
     }
-    let max_inner = 2 * mpix::codegen::jit::ZMM_LANES + 9;
-    assert!(max_inner > 8 * mpix::codegen::jit::MAX_STRIPS + 8);
+    let max_inner = 8 * mpix::codegen::jit::MAX_STRIPS + 9;
     let cases: [(KernelKind, &[usize], usize); 3] = [
         // 2-D tiles block the inner dimension too: 17 leaves room for
-        // the widest body in the first tile and a ragged second.
+        // the interleaved body in the first tile and a ragged second.
         (KernelKind::Acoustic, &[7], 17),
         (KernelKind::Acoustic, &[5, 4], 3),
         (KernelKind::Elastic, &[5, 4], 3),
@@ -234,61 +206,53 @@ fn jit_inner_extent_sweep_bitwise() {
             shape.push(inner);
             let prop = Propagator::build(kind, ModelSpec::new(&shape).with_nbl(0), 8);
             let field = prop.main_field();
-            let init = |ws: &mut Workspace| {
-                prop.init(ws);
-                fill_pattern(ws, field, &shape);
+            let run = |backend, block: usize, threads: usize| {
+                let opts = prop
+                    .apply_options(3)
+                    .with_block(block)
+                    .with_threads(threads);
+                let init = |ws: &mut Workspace| {
+                    prop.init(ws);
+                    fill_pattern(ws, field, &shape);
+                };
+                run_on(&prop.op, opts, backend, init, |ws| ws.gather(field))
             };
-            let gather = |ws: &mut Workspace| ws.gather(field);
-            let oracle = run_on(&prop.op, prop.apply_options(3), None, init, gather);
-            for &(lanes, ctx) in &widths {
-                let exec = std::sync::Arc::new(jit_exec(&prop.op, &prop.apply_options(3), ctx));
-                for (block, threads) in [(0usize, 1usize), (block, 1), (0, 2)] {
-                    let opts = prop
-                        .apply_options(3)
-                        .with_backend(Backend::Jit)
-                        .with_block(block)
-                        .with_threads(threads);
-                    let jit = prop
-                        .op
-                        .run_with_exec(&exec, &opts, init, gather)
-                        .results
-                        .remove(0);
-                    for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{kind:?} shape={shape:?} lanes={lanes} block={block} \
-                             threads={threads} idx={k}: {a} vs {b}"
-                        );
-                    }
+            let oracle = run(None, 0, 1);
+            for (block, threads) in [(0usize, 1usize), (block, 1), (0, 2)] {
+                let jit = run(Some(Backend::Jit), block, threads);
+                for (k, (a, b)) in oracle.iter().zip(&jit).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{kind:?} shape={shape:?} block={block} threads={threads} idx={k}: {a} vs {b}"
+                    );
                 }
-                let routes = exec.cluster_routes();
-                let native = routes.iter().filter(|r| r.backend == Backend::Jit).count();
-                assert!(native > 0, "{kind:?}: no cluster runs natively");
-                assert!(
-                    routes
-                        .iter()
-                        .all(|r| r.backend != Backend::Jit || r.lanes == lanes),
-                    "{kind:?} lanes={lanes}: {routes:?}"
-                );
-                assert_eq!(
-                    exec.cached_native_modules(),
-                    native,
-                    "{kind:?} shape={shape:?} lanes={lanes}: one module per (cluster, geometry)"
-                );
             }
+            let exec = prop
+                .op
+                .executable_for(&prop.apply_options(3).with_backend(Backend::Jit));
+            let native = exec
+                .cluster_routes()
+                .iter()
+                .filter(|r| r.backend == Backend::Jit)
+                .count();
+            assert!(native > 0, "{kind:?}: no cluster runs natively");
+            assert_eq!(
+                exec.cached_native_modules(),
+                native,
+                "{kind:?} shape={shape:?}: one module per (cluster, geometry)"
+            );
         }
     }
 }
 
-/// Which backend runs each shipped cluster under `jit`, pinned at both
-/// widths: every cluster of every solver at SDO 4/8/12/16 runs
-/// natively, whole boxes and slabs alike, and its route records the
-/// lanes it runs at. A register-plan change that pushes a cluster onto
-/// the interpreter must show up here, not only as a slowdown.
+/// Which backend runs each shipped cluster under `jit`, pinned: every
+/// cluster of every solver at SDO 4/8/12/16 runs natively, whole boxes
+/// and slabs alike. A register-plan change that pushes a
+/// cluster onto the interpreter must show up here, not only as a
+/// slowdown.
 #[test]
 fn shipped_clusters_run_natively() {
-    let widths = jit_widths();
     for kind in KernelKind::all() {
         let clusters = match kind {
             KernelKind::Acoustic => 1,
@@ -296,23 +260,17 @@ fn shipped_clusters_run_natively() {
         };
         for sdo in [4u32, 8, 12, 16] {
             let prop = Propagator::build(kind, ModelSpec::new(&[8, 8, 8]).with_nbl(2), sdo);
-            for &(lanes, ctx) in &widths {
-                let routes = jit_exec(&prop.op, &prop.apply_options(1), ctx).cluster_routes();
-                assert_eq!(routes.len(), clusters, "{kind:?} sdo={sdo}");
-                for (ci, r) in routes.iter().enumerate() {
-                    assert_eq!(
-                        (r.backend, r.fallback, r.lanes),
-                        (Backend::Jit, None, lanes),
-                        "{kind:?} sdo={sdo} cluster {ci}"
-                    );
-                }
-            }
-            // The host's own executable runs its widest width.
-            if let Some(&(lanes, _)) = widths.last() {
-                let exec = prop
-                    .op
-                    .executable_for(&prop.apply_options(1).with_backend(Backend::Jit));
-                assert!(exec.cluster_routes().iter().all(|r| r.lanes == lanes));
+            let exec = prop
+                .op
+                .executable_for(&prop.apply_options(1).with_backend(Backend::Jit));
+            let routes = exec.cluster_routes();
+            assert_eq!(routes.len(), clusters, "{kind:?} sdo={sdo}");
+            for (ci, r) in routes.iter().enumerate() {
+                assert_eq!(
+                    (r.backend, r.fallback),
+                    (Backend::Jit, None),
+                    "{kind:?} sdo={sdo} cluster {ci}"
+                );
             }
         }
     }
