@@ -467,19 +467,6 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
     } else {
         (32, 4, 8, 5)
     };
-    let baseline_gpts = |kernel: &str, sdo: u32, backend: &str| -> Option<f64> {
-        baseline?
-            .get("kernels")?
-            .as_array()?
-            .iter()
-            .find(|r| {
-                r.get("kernel").and_then(Value::as_str) == Some(kernel)
-                    && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
-                    && r.get("backend").and_then(Value::as_str) == Some(backend)
-            })?
-            .get("gpts")?
-            .as_f64()
-    };
     let have_jit = available_backends().contains(&Backend::Jit);
 
     let mut rows = Vec::new();
@@ -501,15 +488,15 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
                 let opts = p.apply_options(nt).with_backend(backend).with_ranks(1);
                 // Untimed warm-up amortizes first-touch and compilation.
                 p.op.run(&opts, init, |_| ());
-                let mut secs: Vec<f64> = (0..reps)
-                    .map(|_| {
-                        let t0 = Instant::now();
-                        p.op.run(&opts, init, |_| ());
-                        t0.elapsed().as_secs_f64()
-                    })
-                    .collect();
-                secs.sort_by(f64::total_cmp);
-                secs[reps / 2]
+                median(
+                    (0..reps)
+                        .map(|_| {
+                            let t0 = Instant::now();
+                            p.op.run(&opts, init, |_| ());
+                            t0.elapsed().as_secs_f64()
+                        })
+                        .collect(),
+                )
             };
             let pts = p.points_per_step() as f64 * nt as f64;
             // The interpreter is the baseline every speedup is measured
@@ -526,7 +513,13 @@ pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -
                 }
                 let speedup = gpts / bytecode;
                 let label = backend.to_string();
-                let base = baseline_gpts(kind.name(), sdo, &label);
+                let key = [
+                    ("kernel", json!(kind.name())),
+                    ("sdo", json!(sdo)),
+                    ("backend", json!(label.as_str())),
+                ];
+                let base =
+                    baseline_row(baseline, "kernels", &key).and_then(|r| r.get("gpts")?.as_f64());
                 println!(
                     "{:<14} {:>4} {:<9} {:>12.4} {:>8.2}x{}",
                     kind.name(),
@@ -592,6 +585,19 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// The row of `baseline`'s `array` whose fields equal every `(key,
+/// value)` pair of `key`: the row a `--baseline` record holds for the
+/// same configuration.
+fn baseline_row<'a>(
+    baseline: Option<&'a mpix_json::Value>,
+    array: &str,
+    key: &[(&str, mpix_json::Value)],
+) -> Option<&'a mpix_json::Value> {
+    let rows = baseline?.get(array)?.as_array()?;
+    rows.iter()
+        .find(|r| key.iter().all(|(k, v)| r.get(k) == Some(v)))
+}
+
 /// The `arm` label of a baseline record, `null` without one.
 fn baseline_arm(baseline: Option<&mpix_json::Value>) -> mpix_json::Value {
     baseline.map_or(mpix_json::Value::Null, |b| {
@@ -630,12 +636,6 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
 
     let reps = if quick { 1 } else { 7 };
     let spec = ModelSpec::new(&[16, 16, 16]).with_nbl(2);
-    let baseline_row = |kernel: &str, sdo: u32| -> Option<&Value> {
-        baseline?.get("builds")?.as_array()?.iter().find(|r| {
-            r.get("kernel").and_then(Value::as_str) == Some(kernel)
-                && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
-        })
-    };
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
 
     let mut rows = Vec::new();
@@ -684,7 +684,8 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
                 cse_ms,
                 cse_share
             );
-            let base = baseline_row(kind.name(), sdo);
+            let key = [("kernel", json!(kind.name())), ("sdo", json!(sdo))];
+            let base = baseline_row(baseline, "builds", &key);
             let base_ms = base.and_then(|r| r.get("build_ms")?.as_f64());
             let base_share = base.and_then(|r| r.get("cse_share")?.as_f64());
             if let (Some(b), Some(share)) = (base_ms, base_share) {
@@ -771,14 +772,6 @@ pub fn bench_verify_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Va
 
     let reps = if quick { 1 } else { 7 };
     let spec = ModelSpec::new(&[24, 24, 24]).with_nbl(4);
-    let baseline_row = |kernel: &str, sdo: u32, mode: &str, ranks: usize| -> Option<&Value> {
-        baseline?.get("gates")?.as_array()?.iter().find(|r| {
-            r.get("kernel").and_then(Value::as_str) == Some(kernel)
-                && r.get("sdo").and_then(Value::as_u64) == Some(sdo as u64)
-                && r.get("mode").and_then(Value::as_str) == Some(mode)
-                && r.get("ranks").and_then(Value::as_u64) == Some(ranks as u64)
-        })
-    };
 
     let mut rows = Vec::new();
     let mut max_verify_ms = 0.0f64;
@@ -825,7 +818,13 @@ pub fn bench_verify_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Va
                         keys,
                         verify_ms
                     );
-                    let base = baseline_row(kind.name(), sdo, &mode, ranks)
+                    let key = [
+                        ("kernel", json!(kind.name())),
+                        ("sdo", json!(sdo)),
+                        ("mode", json!(mode.as_str())),
+                        ("ranks", json!(ranks)),
+                    ];
+                    let base = baseline_row(baseline, "gates", &key)
                         .and_then(|r| r.get("verify_ms")?.as_f64());
                     if let Some(b) = base {
                         row.push(("baseline_verify_ms".to_string(), json!(b)));

@@ -242,8 +242,7 @@ impl<const W: usize> ClusterKernel for BytecodeKernel<W> {
 /// Disassembly of every compiled space-loop body in the IET (post-fusion
 /// bytecode, one block per cluster). `Operator::content_key` hashes it.
 pub fn bytecode_listing(iet: &Node) -> String {
-    let mut compiled = Vec::new();
-    executor::collect_compiled(iet, &mut compiled);
+    let (_, compiled) = executor::RunPlan::new(iet);
     let mut out = String::new();
     for (i, cc) in compiled.iter().enumerate() {
         out.push_str(&format!(

@@ -1,11 +1,15 @@
 //! The executable backend: runs a lowered IET on one rank.
 //!
-//! This module plays the role of the paper's JIT-compiled C code. It
-//! walks the mode-lowered IET (see `mpix_ir::passes::lower_halo_spots`),
-//! maintaining rotating time buffers, performing halo exchanges through
-//! the `mpix-dmp` patterns, and executing each space loop's compiled
-//! bytecode over the DOMAIN / CORE / REMAINDER boxes with loop blocking
-//! and optional shared-memory threading (the "X" in MPI-X).
+//! This module plays the role of the paper's JIT-compiled C code.
+//! [`OperatorExec::with_backend`] flattens the mode-lowered IET (see
+//! `mpix_ir::passes::lower_halo_spots`) once into a run plan: the
+//! hoisted exchanges, then the steps of one time step, each a halo step
+//! on a per-`(field, time offset)` exchanger or a space loop's compiled
+//! kernel. [`OperatorExec::run`] resolves every loop's launch geometry
+//! once, then runs the plan over rotating time buffers, exchanging halos
+//! through the `mpix-dmp` patterns and executing each kernel over the
+//! DOMAIN / CORE / REMAINDER boxes with loop blocking and optional
+//! shared-memory threading (the "X" in MPI-X).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -146,27 +150,122 @@ impl ExecStats {
     pub fn total_secs(&self) -> f64 {
         self.compute_secs + self.halo_secs
     }
-    /// Local throughput in GPts/s (points this rank updated per second).
-    pub fn gpts(&self) -> f64 {
-        if self.total_secs() == 0.0 {
-            0.0
-        } else {
-            self.points_updated as f64 / self.total_secs() / 1e9
-        }
+}
+
+/// One entry of a [`RunPlan`]. A halo step names its exchanger slot,
+/// one per `(field, time offset)` key ([`RunPlan::keys`]), so the sync
+/// and async steps of a key share one [`HaloExchanger`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// Exchange slot `.0`'s buffer at radius `.1` and unpack it.
+    Sync(usize, usize),
+    /// Post slot `.0`'s exchange at radius `.1` (overlap, full mode).
+    Begin(usize, usize),
+    /// Drain slot `.0`'s posted receives and unpack them.
+    Wait(usize),
+    /// Kernel `.0` (the `compiled`/`kernels` index) over region `.1`,
+    /// split at the cluster's widest stencil radius `.2`.
+    Loop(usize, RegionKind, usize),
+}
+
+/// The lowered IET flattened once per executable: the steps before the
+/// time loop (the hoisted exchanges) and the steps of one time step.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RunPlan {
+    prologue: Vec<Step>,
+    body: Vec<Step>,
+    /// The `(field, time offset)` key of each exchanger slot.
+    keys: Vec<(u32, i32)>,
+}
+
+impl RunPlan {
+    /// Flatten `iet` into a plan and the compiled bodies of its space
+    /// loops in order of appearance, which is their kernel index.
+    pub(crate) fn new(iet: &Node) -> (RunPlan, Vec<CompiledCluster>) {
+        let (mut plan, mut compiled) = (RunPlan::default(), Vec::new());
+        plan.flatten(iet, false, &mut compiled);
+        (plan, compiled)
     }
-    /// Fraction of time spent in halo exchanges.
-    pub fn halo_fraction(&self) -> f64 {
-        if self.total_secs() == 0.0 {
-            0.0
-        } else {
-            self.halo_secs / self.total_secs()
+
+    fn flatten(&mut self, n: &Node, in_time: bool, compiled: &mut Vec<CompiledCluster>) {
+        assert!(
+            in_time || self.body.is_empty(),
+            "run plan: the IET has a node after its time loop"
+        );
+        let mut steps: Vec<Step> = Vec::new();
+        match n {
+            Node::TimeLoop { body } => body.iter().for_each(|c| self.flatten(c, true, compiled)),
+            Node::HaloUpdate {
+                exchanges,
+                is_async,
+            } => {
+                let step = if *is_async { Step::Begin } else { Step::Sync };
+                steps.extend(self.slots(exchanges).map(|(s, r)| step(s, r)));
+            }
+            Node::HaloWait { exchanges } => {
+                steps.extend(self.slots(exchanges).map(|(s, _)| Step::Wait(s)));
+            }
+            Node::SpaceLoop {
+                cluster, region, ..
+            } => {
+                let radius = cluster.max_radius(cluster.ndim()).into_iter().max();
+                steps.push(Step::Loop(compiled.len(), *region, radius.unwrap_or(0)));
+                // Every compiled body runs through the superinstruction
+                // fusion pass — fusion is bitwise-neutral, so there is no
+                // scalar/fused configuration axis to test against.
+                compiled.push(fuse_cluster(compile_cluster(cluster)));
+            }
+            Node::Callable { body, .. }
+            | Node::Section { body, .. }
+            | Node::HaloSpot { body, .. } => {
+                body.iter().for_each(|c| self.flatten(c, in_time, compiled))
+            }
         }
+        let out = if in_time {
+            &mut self.body
+        } else {
+            &mut self.prologue
+        };
+        out.extend(steps);
     }
+
+    /// The slot and radius of each exchange with a nonzero radius (a
+    /// radius-0 exchange has nothing to move); new keys get new slots.
+    fn slots<'a>(&'a mut self, xs: &'a [HaloXchg]) -> impl Iterator<Item = (usize, usize)> + 'a {
+        xs.iter().filter_map(|x| {
+            let radius = x.radius.iter().copied().max().filter(|&r| r > 0)?;
+            let key = (x.field.0, x.time_offset);
+            let slot = self.keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                self.keys.push(key);
+                self.keys.len() - 1
+            });
+            Some((slot, radius))
+        })
+    }
+}
+
+/// A loop step's launch, resolved once per run from the workspace. It is
+/// the same for every time buffer of a field: [`FieldState::new`] builds
+/// them alike.
+struct LoopLaunch {
+    /// The region's non-empty boxes, each after its dim-0 split at the
+    /// run's thread count ([`slab_chunks`]).
+    boxes: Vec<(Option<Vec<Range<usize>>>, BoxNd)>,
+    points: u64,
+    strides: Vec<Vec<usize>>,
+    halos: Vec<usize>,
+    /// Offset-table entries resolved to linear deltas.
+    resolved: Vec<isize>,
+    /// Runtime scalar values, in `cc.scalars` order.
+    scalars: Vec<f32>,
+    /// Per stream: a read whose stencil reaches the halo in this region,
+    /// so it must observe a fresh exchange (`mpix-san`'s `halo_read`).
+    halo_reads: Vec<bool>,
 }
 
 /// A compiled, runnable operator (one per `Operator::compile`).
 pub struct OperatorExec {
-    iet: Node,
+    plan: RunPlan,
     /// Parameter slot -> defining expression (grid-invariant).
     param_defs: Vec<(usize, IExpr)>,
     /// Compiled bodies, keyed by space-loop order of appearance.
@@ -176,8 +275,6 @@ pub struct OperatorExec {
     kernels: Vec<Box<dyn ClusterKernel>>,
     /// Which backend compiled the kernels.
     backend: Backend,
-    /// Number of time buffers per field id.
-    nbuffers: Vec<usize>,
     /// Allocated halo per field id.
     halos: Vec<usize>,
     /// The first load of a written stream that crosses its slab
@@ -187,25 +284,23 @@ pub struct OperatorExec {
 }
 
 impl OperatorExec {
-    /// Precompile every space loop in the IET through the chosen
-    /// backend.
+    /// Flatten the lowered IET into a run plan and precompile every space
+    /// loop through the chosen backend.
     pub fn with_backend(
         iet: Node,
         ctx: &Context,
         backend: Backend,
     ) -> Result<OperatorExec, BackendError> {
-        let mut compiled = Vec::new();
-        collect_compiled(&iet, &mut compiled);
+        let (plan, compiled) = RunPlan::new(&iet);
         let kernels = compiled
             .iter()
             .map(|cc| compile_kernel(backend, cc))
             .collect::<Result<_, _>>()?;
         EXEC_COMPILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let param_defs = match &iet {
-            Node::Callable { params, .. } => params.clone(),
+        let param_defs = match iet {
+            Node::Callable { params, .. } => params,
             _ => Vec::new(),
         };
-        let nbuffers = ctx.fields().iter().map(|f| f.time_buffers()).collect();
         let halos = ctx.fields().iter().map(|f| f.halo() as usize).collect();
         let slab_crossing = compiled.iter().enumerate().find_map(|(ci, cc)| {
             let (s, deltas) = slab_crossing_load(cc)?;
@@ -215,12 +310,11 @@ impl OperatorExec {
             ))
         });
         Ok(OperatorExec {
-            iet,
+            plan,
             param_defs,
             compiled,
             kernels,
             backend,
-            nbuffers,
             halos,
             slab_crossing,
         })
@@ -232,7 +326,7 @@ impl OperatorExec {
     /// [`Backend::Bytecode`], so it runs with bytecode options.
     pub fn scalar_oracle(&self) -> OperatorExec {
         OperatorExec {
-            iet: self.iet.clone(),
+            plan: self.plan.clone(),
             param_defs: self.param_defs.clone(),
             compiled: self.compiled.clone(),
             kernels: self
@@ -241,24 +335,17 @@ impl OperatorExec {
                 .map(|cc| Box::new(BytecodeKernel::scalar_oracle(cc)) as Box<dyn ClusterKernel>)
                 .collect(),
             backend: Backend::Bytecode,
-            nbuffers: self.nbuffers.clone(),
             halos: self.halos.clone(),
             slab_crossing: self.slab_crossing.clone(),
         }
     }
 
-    pub fn iet(&self) -> &Node {
-        &self.iet
-    }
     /// The backend whose kernels this executable runs.
     pub fn backend(&self) -> Backend {
         self.backend
     }
     pub fn compiled_clusters(&self) -> &[CompiledCluster] {
         &self.compiled
-    }
-    pub fn nbuffers(&self) -> &[usize] {
-        &self.nbuffers
     }
     pub fn halos(&self) -> &[usize] {
         &self.halos
@@ -285,6 +372,8 @@ impl OperatorExec {
     ///
     /// Panics when `opts.threads > 1` and a cluster loads a field it
     /// writes at a nonzero dim-0 offset: split boxes would race on it.
+    /// Panics before any step runs when two streams of a cluster would
+    /// alias one time buffer of `fields`.
     pub fn run(
         &self,
         cart: &CartComm,
@@ -311,6 +400,17 @@ impl OperatorExec {
         for (i, def) in &self.param_defs {
             params[*i] = eval_invariant(def, scalars, &params);
         }
+        // Loop steps appear in kernel order, so this is indexed by kernel.
+        let launches: Vec<LoopLaunch> = (self.plan.prologue.iter().chain(&self.plan.body))
+            .filter_map(|step| match *step {
+                Step::Loop(k, region, radius) => Some((&self.compiled[k], region, radius)),
+                _ => None,
+            })
+            .map(|(cc, region, radius)| resolve_launch(cc, region, radius, fields, scalars, opts))
+            .collect();
+        let mut exchangers: Vec<HaloExchanger> = (self.plan.keys.iter())
+            .map(|_| HaloExchanger::new(opts.mode))
+            .collect();
         // At Full level the communicator logs every message so the report
         // can break halo traffic down per peer/tag.
         if opts.trace == TraceLevel::Full {
@@ -324,22 +424,32 @@ impl OperatorExec {
         let mut st = ExecState {
             cart,
             fields,
-            scalars,
             params,
             opts,
             t: opts.t0,
-            loop_idx: 0,
-            exchangers: HashMap::new(),
             stats: ExecStats::default(),
             tracer: Tracer::new(opts.trace),
         };
-        let body = match &self.iet {
-            Node::Callable { body, .. } => body,
-            other => std::slice::from_ref(other),
-        };
-        for n in body {
-            self.exec_node(n, &mut st, sparse);
+        for step in &self.plan.prologue {
+            self.exec_step(step, &mut st, &launches, &mut exchangers);
         }
+        let (t0, nt) = (opts.t0, opts.nt);
+        let nsteps = nt.max(0) as usize;
+        for op in sparse.iter_mut() {
+            if let SparseOp::Sample { plan, samples, .. } = op {
+                plan.begin_run(nsteps);
+                samples.extend((0..nsteps).map(|_| vec![f32::NAN; plan.len()]));
+            }
+        }
+        for t in t0..t0 + nt {
+            st.t = t;
+            st.tracer.begin_step(t);
+            for step in &self.plan.body {
+                self.exec_step(step, &mut st, &launches, &mut exchangers);
+            }
+            self.exec_sparse(&mut st, sparse, (t - t0) as usize, nsteps);
+        }
+        self.combine_samples(&mut st, sparse, nsteps);
         let ExecState {
             mut stats, tracer, ..
         } = st;
@@ -366,117 +476,41 @@ impl OperatorExec {
         stats
     }
 
-    fn exec_node(&self, n: &Node, st: &mut ExecState<'_>, sparse: &mut [SparseOp]) {
-        match n {
-            Node::TimeLoop { body } => {
-                let (t0, nt) = (st.opts.t0, st.opts.nt);
-                let first_loop = self.loops_before_time_loop();
-                let steps = nt.max(0) as usize;
-                for op in sparse.iter_mut() {
-                    if let SparseOp::Sample { plan, samples, .. } = op {
-                        plan.begin_run(steps);
-                        samples.extend((0..steps).map(|_| vec![f32::NAN; plan.len()]));
-                    }
-                }
-                for t in t0..t0 + nt {
-                    st.t = t;
-                    st.loop_idx = first_loop;
-                    st.tracer.begin_step(t);
-                    for c in body {
-                        self.exec_node(c, st, sparse);
-                    }
-                    self.exec_sparse(st, sparse, (t - t0) as usize, steps);
-                }
-                self.combine_samples(st, sparse, steps);
-            }
-            Node::HaloUpdate {
-                exchanges,
-                is_async,
-            } => {
-                // Injected mutant (tests only): drop every exchange after
-                // the first step — the runtime face of a bad drop/hoist
-                // decision, which `mpix-san`'s stale-halo detector owns.
-                if st.opts.fault == Some(Fault::DropExchange) && st.t > st.opts.t0 {
-                    return;
-                }
-                let start = Instant::now();
-                if *is_async {
-                    for x in exchanges {
-                        st.begin_async(x);
-                    }
-                } else {
-                    for x in exchanges {
-                        st.sync_exchange(x);
-                    }
-                }
-                st.stats.halo_secs += start.elapsed().as_secs_f64();
-            }
-            Node::HaloWait { exchanges } => {
-                // Injected mutant (tests only): skip the drain, so
-                // remainder regions read halo boxes whose receives never
-                // completed.
-                if st.opts.fault == Some(Fault::SkipHaloWait) && st.t > st.opts.t0 {
-                    return;
-                }
-                let start = Instant::now();
-                for x in exchanges {
-                    st.finish_async(x);
-                }
-                st.stats.halo_secs += start.elapsed().as_secs_f64();
-            }
-            Node::SpaceLoop {
-                cluster, region, ..
-            } => {
-                let loop_idx = st.loop_idx;
-                st.loop_idx += 1;
-                let start = Instant::now();
-                let radius = cluster.max_radius(cluster.ndim());
-                let max_r = radius.iter().copied().max().unwrap_or(0);
-                self.exec_space_loop(loop_idx, *region, max_r, st);
-                let elapsed = start.elapsed().as_secs_f64();
-                st.stats.compute_secs += elapsed;
-                let section = match region {
-                    RegionKind::Remainder => Section::Remainder,
-                    _ => Section::Compute,
-                };
-                st.tracer.add_secs(section, elapsed);
-            }
-            Node::Section { body, .. } | Node::HaloSpot { body, .. } => {
-                for c in body {
-                    self.exec_node(c, st, sparse);
-                }
-            }
-            Node::Callable { body, .. } => {
-                for c in body {
-                    self.exec_node(c, st, sparse);
-                }
-            }
+    fn exec_step(
+        &self,
+        step: &Step,
+        st: &mut ExecState<'_>,
+        launches: &[LoopLaunch],
+        exchangers: &mut [HaloExchanger],
+    ) {
+        let slot = match *step {
+            Step::Sync(slot, _) | Step::Begin(slot, _) | Step::Wait(slot) => slot,
+            Step::Loop(k, region, _) => return self.exec_loop(k, region, &launches[k], st),
+        };
+        // Injected mutants (tests only): drop every exchange after the
+        // first step — the runtime face of a bad drop/hoist decision,
+        // which `mpix-san`'s stale-halo detector owns — or skip the drain,
+        // so remainder regions read halo boxes whose receives never
+        // completed.
+        let fault = match step {
+            Step::Wait(_) => Fault::SkipHaloWait,
+            _ => Fault::DropExchange,
+        };
+        if st.opts.fault == Some(fault) && st.t > st.opts.t0 {
+            return;
         }
-    }
-
-    /// Number of SpaceLoops that appear before the time loop (hoisted
-    /// section) — used to reset the per-iteration loop counter.
-    fn loops_before_time_loop(&self) -> usize {
-        fn count_until_time(nodes: &[Node], n: &mut usize) -> bool {
-            for node in nodes {
-                match node {
-                    Node::TimeLoop { .. } => return true,
-                    Node::SpaceLoop { .. } => *n += 1,
-                    Node::Callable { body, .. }
-                    | Node::Section { body, .. }
-                    | Node::HaloSpot { body, .. }
-                        if count_until_time(body, n) =>
-                    {
-                        return true;
-                    }
-                    _ => {}
-                }
-            }
-            false
+        let start = Instant::now();
+        let (field, toff) = self.plan.keys[slot];
+        let fs = &mut st.fields[field as usize];
+        let b = fs.buffer_index(st.t, toff);
+        let (ex, arr) = (&mut exchangers[slot], &mut fs.buffers[b]);
+        let tag_base = halo_tag_base(field, toff);
+        match *step {
+            Step::Sync(_, radius) => ex.exchange(st.cart, arr, radius, tag_base, &mut st.tracer),
+            Step::Begin(_, radius) => ex.begin(st.cart, arr, radius, tag_base, &mut st.tracer),
+            _ => ex.finish(arr, &mut st.tracer),
         }
-        let mut n = 0;
-        count_until_time(std::slice::from_ref(&self.iet), &mut n);
-        n
+        st.stats.halo_secs += start.elapsed().as_secs_f64();
     }
 
     /// Sparse ops of step `k` of a run of `steps` steps, whose sample
@@ -549,145 +583,136 @@ impl OperatorExec {
         }
     }
 
-    /// Execute one compiled cluster over the chosen region through the
-    /// backend-selected kernel.
-    fn exec_space_loop(
-        &self,
-        loop_idx: usize,
-        region: RegionKind,
-        radius: usize,
-        st: &mut ExecState<'_>,
-    ) {
-        let cc = &self.compiled[loop_idx];
-        let kernel = &*self.kernels[loop_idx];
-        // Local (owned) shape — identical across fields.
-        let some_field = cc.streams[0].0;
-        let local = st.fields[some_field.0 as usize].buffers[0]
-            .local_shape()
-            .to_vec();
-        let boxes: Vec<BoxNd> = match region {
-            RegionKind::Domain => vec![region_box(Region::Domain, &local, 0, 0)],
-            RegionKind::Core => vec![region_box(Region::Core, &local, 0, radius)],
-            RegionKind::Remainder => remainder_boxes(&local, 0, radius),
-        };
-
-        // Resolve streams: buffer selection and per-stream geometry.
-        let nstreams = cc.streams.len();
-        let mut strides: Vec<Vec<usize>> = Vec::with_capacity(nstreams);
-        let mut halos: Vec<usize> = Vec::with_capacity(nstreams);
-        let mut keys: Vec<(usize, usize)> = Vec::with_capacity(nstreams);
-        for &(f, toff) in &cc.streams {
-            let fs = &st.fields[f.0 as usize];
-            let b = fs.buffer_index(st.t, toff);
-            strides.push(fs.buffers[b].strides().to_vec());
-            halos.push(fs.buffers[b].halo());
-            keys.push((f.0 as usize, b));
-        }
-        // No two streams may alias the same buffer (would make the moved
-        // buffer list ambiguous).
-        for i in 0..nstreams {
-            for j in i + 1..nstreams {
-                assert_ne!(
-                    keys[i], keys[j],
-                    "two streams alias one buffer: check time offsets vs buffer count"
-                );
-            }
-        }
+    /// Run kernel `k` over `region` with its resolved launch `l` on this
+    /// step's buffers.
+    fn exec_loop(&self, k: usize, region: RegionKind, l: &LoopLaunch, st: &mut ExecState<'_>) {
+        let (cc, kernel, start) = (&self.compiled[k], &*self.kernels[k], Instant::now());
+        let keys: Vec<(usize, usize)> = (cc.streams.iter())
+            .map(|&(f, toff)| {
+                (
+                    f.0 as usize,
+                    st.fields[f.0 as usize].buffer_index(st.t, toff),
+                )
+            })
+            .collect();
         // Shadow-state hooks: written streams dirty their owned region;
-        // read streams with a nonzero stencil radius touch halo points in
-        // every region except the core (which is halo-free by
-        // construction), so those reads must observe a fresh exchange.
+        // reads that reach the halo must observe a fresh exchange.
         if let Some(san) = st.cart.comm().san() {
             let rank = st.cart.rank();
-            for (slot, key) in keys.iter().enumerate() {
-                let arr_id = st.fields[key.0].buffers[key.1].shadow_id();
+            for (slot, &(f, b)) in keys.iter().enumerate() {
+                let arr_id = st.fields[f].buffers[b].shadow_id();
                 if cc.written[slot] {
                     san.owned_write(rank, arr_id);
-                } else {
-                    let slot_radius = cc
-                        .offsets
-                        .iter()
-                        .filter(|(s, _)| *s as usize == slot)
-                        .flat_map(|(_, deltas)| deltas.iter().map(|d| d.unsigned_abs() as usize))
-                        .max()
-                        .unwrap_or(0);
-                    if slot_radius > 0 && region != RegionKind::Core {
-                        san.halo_read(rank, arr_id, st.t);
-                    }
+                } else if l.halo_reads[slot] {
+                    san.halo_read(rank, arr_id, st.t);
                 }
             }
         }
-
-        // Resolve offsets to linear deltas.
-        let resolved: Vec<isize> = cc
-            .offsets
-            .iter()
-            .map(|(slot, deltas)| {
-                deltas
-                    .iter()
-                    .zip(&strides[*slot as usize])
-                    .map(|(&d, &s)| d as isize * s as isize)
-                    .sum()
-            })
-            .collect();
-        // Scalar values.
-        let scalar_vals: Vec<f32> = cc
-            .scalars
-            .iter()
-            .map(|name| {
-                *st.scalars
-                    .get(name)
-                    .unwrap_or_else(|| panic!("missing runtime scalar {name:?}"))
-            })
-            .collect();
-
-        // Move buffers out (no aliasing per the check above).
+        // Move buffers out (no aliasing: checked when the launch was
+        // resolved).
         let mut moved: Vec<Vec<f32>> = keys
             .iter()
             .map(|&(f, b)| std::mem::take(st.fields[f].buffers[b].raw_vec_mut()))
             .collect();
-
         let launch = Launch {
             cc,
-            strides: &strides,
-            halos: &halos,
-            resolved: &resolved,
-            scalars: &scalar_vals,
+            strides: &l.strides,
+            halos: &l.halos,
+            resolved: &l.resolved,
+            scalars: &l.scalars,
             params: &st.params,
             block: st.opts.block,
         };
-        let mut points = 0u64;
-        for b in &boxes {
-            if b.iter().any(|r| r.is_empty()) {
-                continue;
+        for (chunks, bx) in &l.boxes {
+            if let (Some(chunks), Some(san)) = (chunks, st.cart.comm().san()) {
+                declare_slabs(san, st.cart.rank(), &bx[0], chunks, st.opts.fault);
             }
-            points += box_len(b) as u64;
-            let chunks = slab_chunks(&b[0], st.opts.threads);
-            if let (Some(chunks), Some(san)) = (&chunks, st.cart.comm().san()) {
-                declare_slabs(san, st.cart.rank(), &b[0], chunks, st.opts.fault);
-            }
-            exec_box(kernel, &launch, b, &mut moved, chunks.as_deref());
+            exec_box(kernel, &launch, bx, &mut moved, chunks.as_deref());
         }
-        st.stats.points_updated += points;
-
+        st.stats.points_updated += l.points;
         // Move buffers back.
-        for (k, v) in keys.iter().zip(moved) {
-            *st.fields[k.0].buffers[k.1].raw_vec_mut() = v;
+        for (&(f, b), v) in keys.iter().zip(moved) {
+            *st.fields[f].buffers[b].raw_vec_mut() = v;
         }
+        let elapsed = start.elapsed().as_secs_f64();
+        st.stats.compute_secs += elapsed;
+        let section = match region {
+            RegionKind::Remainder => Section::Remainder,
+            _ => Section::Compute,
+        };
+        st.tracer.add_secs(section, elapsed);
     }
 }
 
-pub(crate) fn collect_compiled(n: &Node, out: &mut Vec<CompiledCluster>) {
-    match n {
-        // Every compiled body runs through the superinstruction fusion
-        // pass — fusion is bitwise-neutral, so there is no scalar/fused
-        // configuration axis to test against.
-        Node::SpaceLoop { cluster, .. } => out.push(fuse_cluster(compile_cluster(cluster))),
-        Node::Callable { body, .. }
-        | Node::TimeLoop { body }
-        | Node::HaloSpot { body, .. }
-        | Node::Section { body, .. } => body.iter().for_each(|c| collect_compiled(c, out)),
-        _ => {}
+/// Resolve the launch of `cc` over `region` (split at `radius`) against
+/// the workspace `fields`. Panics when two of its streams alias one time
+/// buffer.
+fn resolve_launch(
+    cc: &CompiledCluster,
+    region: RegionKind,
+    radius: usize,
+    fields: &[FieldState],
+    scalars: &HashMap<String, f32>,
+    opts: &ApplyOptions,
+) -> LoopLaunch {
+    // Two streams alias one buffer when they name one field at time
+    // offsets a multiple of its buffer count apart, at every step alike
+    // (that would make the moved buffer list ambiguous).
+    for (i, &(f, a)) in cc.streams.iter().enumerate() {
+        let nb = fields[f.0 as usize].buffers.len() as i32;
+        assert!(
+            !cc.streams[i + 1..]
+                .iter()
+                .any(|&(g, b)| g == f && (a - b).rem_euclid(nb) == 0),
+            "two streams alias one buffer: check time offsets vs buffer count"
+        );
+    }
+    let arrays: Vec<&DistArray> = (cc.streams.iter())
+        .map(|&(f, _)| &fields[f.0 as usize].buffers[0])
+        .collect();
+    // Local (owned) shape — identical across fields.
+    let local = arrays[0].local_shape();
+    let boxes: Vec<BoxNd> = match region {
+        RegionKind::Domain => vec![region_box(Region::Domain, local, 0, 0)],
+        RegionKind::Core => vec![region_box(Region::Core, local, 0, radius)],
+        RegionKind::Remainder => remainder_boxes(local, 0, radius),
+    };
+    let boxes: Vec<_> = (boxes.into_iter())
+        .filter(|b| b.iter().all(|r| !r.is_empty()))
+        .map(|b| (slab_chunks(&b[0], opts.threads), b))
+        .collect();
+    let strides: Vec<Vec<usize>> = arrays.iter().map(|a| a.strides().to_vec()).collect();
+    let resolved = (cc.offsets.iter())
+        .map(|(slot, deltas)| {
+            deltas
+                .iter()
+                .zip(&strides[*slot as usize])
+                .map(|(&d, &s)| d as isize * s as isize)
+                .sum()
+        })
+        .collect();
+    // A read with a nonzero stencil radius touches halo points in every
+    // region except the core, which is halo-free by construction.
+    let halo_reads = (0..cc.streams.len())
+        .map(|slot| {
+            let mut offsets = cc.offsets.iter().filter(|(s, _)| *s as usize == slot);
+            let reach = offsets.any(|(_, deltas)| deltas.iter().any(|&d| d != 0));
+            !cc.written[slot] && reach && region != RegionKind::Core
+        })
+        .collect();
+    let scalars = (cc.scalars.iter())
+        .map(|name| {
+            *(scalars.get(name)).unwrap_or_else(|| panic!("missing runtime scalar {name:?}"))
+        })
+        .collect();
+    LoopLaunch {
+        points: boxes.iter().map(|(_, b)| box_len(b) as u64).sum(),
+        boxes,
+        halos: arrays.iter().map(|a| a.halo()).collect(),
+        strides,
+        resolved,
+        scalars,
+        halo_reads,
     }
 }
 
@@ -874,23 +899,15 @@ pub fn slab_bindings<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Per-run mutable state (halo machinery)
+// Per-run mutable state
 // ---------------------------------------------------------------------------
 
 struct ExecState<'a> {
     cart: &'a CartComm,
     fields: &'a mut [FieldState],
-    scalars: &'a HashMap<String, f32>,
     params: Vec<f32>,
     opts: &'a ApplyOptions,
     t: i64,
-    /// Index of the next space loop to execute (into `compiled`).
-    loop_idx: usize,
-    /// One exchanger per (field, time offset), for the synchronous and
-    /// the overlapped exchanges of that key alike: each owns the key's
-    /// `HaloPlan` (peers, tags, boxes) and its receives in flight, reused
-    /// across steps.
-    exchangers: HashMap<(u32, i32), HaloExchanger>,
     stats: ExecStats,
     tracer: Tracer,
 }
@@ -921,49 +938,6 @@ pub fn sparse_tag(si: usize) -> u32 {
         "sparse op {si} outside the {MAX_SPARSE_OPS}-tag sparse window"
     );
     SPARSE_TAG_BASE + si as u32
-}
-
-impl ExecState<'_> {
-    /// What one halo operation on `x` works with: its key's exchanger
-    /// (created on first use), the target buffer, the radius and the
-    /// tracer. `None` when the radius is 0: there is nothing to exchange.
-    fn halo(
-        &mut self,
-        x: &HaloXchg,
-    ) -> Option<(&mut HaloExchanger, &mut DistArray, usize, &mut Tracer)> {
-        let radius = x.radius.iter().copied().max().unwrap_or(0);
-        if radius == 0 {
-            return None;
-        }
-        let mode = self.opts.mode;
-        let fs = &mut self.fields[x.field.0 as usize];
-        let b = fs.buffer_index(self.t, x.time_offset);
-        let ex = self
-            .exchangers
-            .entry((x.field.0, x.time_offset))
-            .or_insert_with(|| HaloExchanger::new(mode));
-        Some((ex, &mut fs.buffers[b], radius, &mut self.tracer))
-    }
-
-    fn sync_exchange(&mut self, x: &HaloXchg) {
-        let (cart, tag_base) = (self.cart, halo_tag_base(x.field.0, x.time_offset));
-        if let Some((ex, arr, radius, tracer)) = self.halo(x) {
-            ex.exchange(cart, arr, radius, tag_base, tracer);
-        }
-    }
-
-    fn begin_async(&mut self, x: &HaloXchg) {
-        let (cart, tag_base) = (self.cart, halo_tag_base(x.field.0, x.time_offset));
-        if let Some((ex, arr, radius, tracer)) = self.halo(x) {
-            ex.begin(cart, arr, radius, tag_base, tracer);
-        }
-    }
-
-    fn finish_async(&mut self, x: &HaloXchg) {
-        if let Some((ex, arr, _, tracer)) = self.halo(x) {
-            ex.finish(arr, tracer);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1076,6 +1050,111 @@ mod tests {
             assert_eq!(b1.get_global(&[2, 3]), Some(2.0 * (3 * 6 + 3) as f32));
             // Bottom row reads the zero halo.
             assert_eq!(b1.get_global(&[5, 0]), Some(0.0));
+        });
+    }
+
+    /// Lower `u[t+1] = u[t] + Δu[t]` (space order 2) on an 8 × 8 grid
+    /// for the given overlap.
+    fn diffusion_iet(overlap: bool) -> (Context, Node) {
+        let mut ctx = Context::new();
+        let grid = Grid::new(&[8, 8], &[1.0, 1.0]);
+        let u = ctx.add_time_function("u", &grid, 2, 1);
+        let st = Eq::new(u.dt(), u.laplace())
+            .solve_for(&u.forward(), &ctx)
+            .unwrap();
+        let mut cls = clusterize(&lower_equations(&[st], &ctx).unwrap());
+        let mut next = 0;
+        for c in &mut cls {
+            cse_cluster(c, &mut next);
+        }
+        let plan = detect_halo_exchanges(&cls, &ctx);
+        let iet = lower_halo_spots(build_iet(cls, &plan, "K", 0, false), overlap);
+        (ctx, iet)
+    }
+
+    #[test]
+    fn full_mode_plan_is_begin_core_wait_remainder_on_one_slot() {
+        let (_, iet) = diffusion_iet(true);
+        let (plan, compiled) = RunPlan::new(&iet);
+        assert_eq!(compiled.len(), 2);
+        assert!(plan.prologue.is_empty());
+        let body = [
+            Step::Begin(0, 1),
+            Step::Loop(0, RegionKind::Core, 1),
+            Step::Wait(0),
+            Step::Loop(1, RegionKind::Remainder, 1),
+        ];
+        assert_eq!(plan.body, body);
+        assert_eq!(plan.keys, [(0, 0)]);
+        // A synchronous exchange of the same key before the time loop
+        // shares the overlapped steps' exchanger.
+        let Node::Callable { name, params, body } = iet else {
+            unreachable!()
+        };
+        let Some(Node::TimeLoop { body: steps }) = body.last() else {
+            unreachable!()
+        };
+        let Node::Section { body: overlap, .. } = &steps[0] else {
+            unreachable!()
+        };
+        let Node::HaloUpdate { exchanges, .. } = &overlap[0] else {
+            unreachable!()
+        };
+        let hoisted = Node::HaloUpdate {
+            exchanges: exchanges.clone(),
+            is_async: false,
+        };
+        let body = std::iter::once(hoisted).chain(body).collect();
+        let (plan, _) = RunPlan::new(&Node::Callable { name, params, body });
+        assert_eq!(plan.prologue, [Step::Sync(0, 1)]);
+        assert_eq!(plan.body[0], Step::Begin(0, 1));
+        assert_eq!(plan.keys, [(0, 0)]);
+    }
+
+    #[test]
+    fn basic_mode_plan_is_one_sync_exchange_and_one_domain_loop() {
+        let (_, iet) = diffusion_iet(false);
+        let (plan, _) = RunPlan::new(&iet);
+        let body = [Step::Sync(0, 1), Step::Loop(0, RegionKind::Domain, 1)];
+        assert_eq!(plan.body, body);
+    }
+
+    /// `u.dt2 = Δu` reads `u` at `t - 1`, `t` and `t + 1`; a workspace
+    /// with two time buffers maps `t - 1` and `t + 1` onto one buffer.
+    #[test]
+    fn too_few_time_buffers_panic_before_any_step_runs() {
+        let mut ctx = Context::new();
+        let grid = Grid::new(&[6, 6], &[1.0, 1.0]);
+        let u = ctx.add_time_function("u", &grid, 2, 2);
+        let st = Eq::new(u.dt2(), u.laplace())
+            .solve_for(&u.forward(), &ctx)
+            .unwrap();
+        let cls = clusterize(&lower_equations(&[st], &ctx).unwrap());
+        let plan = detect_halo_exchanges(&cls, &ctx);
+        let iet = lower_halo_spots(build_iet(cls, &plan, "K", 0, false), false);
+        let exec = OperatorExec::with_backend(iet, &ctx, Backend::Bytecode).unwrap();
+        Universe::run(1, |comm| {
+            let cart = mpix_comm::CartComm::new(comm, &[1, 1]);
+            let dc = Arc::new(Decomposition::new(&[6, 6], &[1, 1]));
+            let mut fields = vec![FieldState::new(u.id(), 2, dc, &[0, 0], 1)];
+            for (b, buf) in fields[0].buffers.iter_mut().enumerate() {
+                buf.raw_mut().fill(b as f32 + 1.0);
+            }
+            let scalars = [("dt", 0.1f32), ("h_x", 1.0), ("h_y", 1.0)]
+                .map(|(k, v)| (k.to_string(), v))
+                .into();
+            let opts = ApplyOptions::default().with_nt(2);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.run(&cart, &mut fields, &scalars, &mut [], &opts)
+            }))
+            .expect_err("aliased streams ran");
+            let msg = (err.downcast_ref::<String>().map(String::as_str))
+                .or(err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains("two streams alias one buffer"), "{msg}");
+            for (b, buf) in fields[0].buffers.iter().enumerate() {
+                assert!(buf.raw().iter().all(|&v| v == b as f32 + 1.0));
+            }
         });
     }
 

@@ -1012,6 +1012,25 @@ pub(crate) fn send_pooled_with(
     len: usize,
     fill: impl FnOnce(&mut Vec<f32>),
 ) -> SendRequest {
+    let (mut buf, allocated) = world.pool_for(rank).acquire(len);
+    fill(&mut buf);
+    enqueue(world, rank, dest, tag, addr, Payload::F32(buf), allocated)
+}
+
+/// The one send core, behind the typed and the byte path: book the
+/// message (stats, message log), report it to the sanitizer, stamp and
+/// enqueue it, notify. `allocated` says whether `payload`'s buffer was
+/// freshly allocated rather than taken from the pool; `addr` is as for
+/// [`send_pooled_with`], and `Some` iff this is a persistent-plan start.
+fn enqueue(
+    world: &World,
+    rank: usize,
+    dest: usize,
+    tag: Tag,
+    addr: Option<(usize, usize)>,
+    payload: Payload,
+    allocated: bool,
+) -> SendRequest {
     assert!(
         dest != rank,
         "self-send unsupported (as in the generated code)"
@@ -1019,9 +1038,7 @@ pub(crate) fn send_pooled_with(
     if world.is_poisoned() {
         panic!("{POISONED_MSG}");
     }
-    let (mut buf, allocated) = world.pool_for(rank).acquire(len);
-    fill(&mut buf);
-    let bytes = buf.len() * 4;
+    let bytes = payload.len_bytes();
     {
         let mut s = world.stats[rank].lock().unwrap();
         s.msgs_sent += 1;
@@ -1043,9 +1060,9 @@ pub(crate) fn send_pooled_with(
     }
     // Sanitizer send event, strictly before the mailbox push: once the
     // envelope is visible the receiver may match it, and the sanitizer's
-    // per-channel FIFO must already hold this send. `addr` is `Some` iff
-    // this is a persistent-plan start — exactly the reuse/matching
-    // discipline the detectors distinguish.
+    // per-channel FIFO must already hold this send. Persistent-plan
+    // starts and ad-hoc sends (collectives, user traffic) follow the
+    // reuse/matching disciplines the detectors distinguish.
     if let Some(san) = &world.san {
         let kind = if addr.is_some() {
             SendKind::Persistent
@@ -1055,7 +1072,7 @@ pub(crate) fn send_pooled_with(
         san.on_send(rank, dest, tag, kind);
     }
     let env = Envelope {
-        payload: Payload::F32(buf),
+        payload,
         // Relaxed is sufficient (audited): `log_any` is a sticky
         // monotonic false->true flag guarding only whether we pay for
         // an `Instant::now` stamp. The stamp itself travels inside
@@ -1120,50 +1137,8 @@ impl Comm {
     /// [`isend_f32`](Self::isend_f32), which is pooled.
     pub fn isend(&self, dest: usize, tag: Tag, data: &[u8]) -> SendRequest {
         assert!(dest < self.size, "send to out-of-range rank {dest}");
-        assert!(
-            dest != self.rank,
-            "self-send unsupported (as in the generated code)"
-        );
-        if self.world.is_poisoned() {
-            panic!("{POISONED_MSG}");
-        }
-        {
-            let mut s = self.world.stats[self.rank].lock().unwrap();
-            s.msgs_sent += 1;
-            s.bytes_sent += data.len() as u64;
-            s.bytes_copied += data.len() as u64;
-            s.bufs_allocated += 1;
-            s.bump_peer(dest);
-            if s.log_messages {
-                s.msg_log.push(MsgRecord {
-                    dir: MsgDir::Sent,
-                    peer: dest,
-                    tag,
-                    bytes: data.len(),
-                    latency_secs: 0.0,
-                });
-            }
-        }
-        // Sanitizer send event before the push, as in `send_pooled_with`.
-        // The byte path is always ad-hoc (collectives and user traffic).
-        if let Some(san) = &self.world.san {
-            san.on_send(self.rank, dest, tag, SendKind::Adhoc);
-        }
-        let env = Envelope {
-            payload: Payload::Bytes(data.to_vec()),
-            // Relaxed is sufficient (audited): same contract as the
-            // typed path in `send_pooled_with` — a sticky best-effort
-            // flag deciding whether to stamp `sent_at`; the stamp
-            // synchronizes via the shard mutex, so no ordering edge is
-            // needed here.
-            sent_at: self
-                .world
-                .log_any
-                .load(Ordering::Relaxed)
-                .then(Instant::now),
-        };
-        self.world.mailboxes[dest].push(None, self.rank, tag, env);
-        SendRequest
+        let payload = Payload::Bytes(data.to_vec());
+        enqueue(&self.world, self.rank, dest, tag, None, payload, true)
     }
 
     /// Blocking receive of a message from `src` with `tag`.

@@ -240,8 +240,7 @@ impl Operator {
     /// share one). The JIT's per-geometry native-module cache lives
     /// inside the returned executable, so repeated runs of the same
     /// geometry reuse machine code instead of re-encoding AVX on every
-    /// call (the pre-serve code rebuilt a fresh `JitKernel` with an empty
-    /// module cache per run).
+    /// call.
     ///
     /// Panics with the backend-availability listing if the requested
     /// backend cannot run on this host (e.g. `jit` without AVX) — a
@@ -322,7 +321,7 @@ impl Operator {
     }
 
     /// Run on an existing per-rank workspace (the low-level entry point;
-    /// `apply_distributed` wraps it).
+    /// [`run_with_exec`](Self::run_with_exec) calls it on every rank).
     ///
     /// Panics if a workspace buffer's halo differs from the one the
     /// executable was compiled for, e.g. a workspace built from the
