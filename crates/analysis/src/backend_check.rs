@@ -17,8 +17,8 @@
 //!
 //! The synthetic geometry's innermost extent ([`INNER_EXTENT`]) runs
 //! every loop of every strip engine: the JIT's interleaved multi-strip
-//! loop, its single-strip loop and its scalar tail, and the
-//! interpreter's full strips and overlapping tail strip. Per-axis
+//! loop, its single-strip loop and its masked partial strip, and the
+//! interpreter's full strips and partial strip. Per-axis
 //! distinct extents make sure a transposed stride bug cannot cancel
 //! out, and the outermost extent ([`OUTER_ROWS`]) splits into two
 //! workers' dim-0 slabs ([`slab_chunks`]), the way the executor binds
@@ -35,8 +35,8 @@ pub const PASS: &str = "backend";
 
 /// Innermost extent of the synthetic geometry: two passes of the JIT's
 /// two-strip loop (32 points, also two full interpreter strips), one
-/// pass of its single-strip loop (8) and an odd scalar tail (5); the
-/// interpreter's tail is one strip overlapping its second.
+/// pass of its single-strip loop (8) and a 5-lane partial strip; the
+/// interpreter follows its two strips with a 13-lane partial strip.
 pub const INNER_EXTENT: usize = 45;
 
 /// Outermost extent of the synthetic geometry: the fewest rows
@@ -394,23 +394,24 @@ mod tests {
             assert_eq!(*s.last().unwrap(), 1);
         }
         let n = geo.bx.last().unwrap().len();
-        assert_eq!(n % 2, 1, "tail must stay live");
+        assert_eq!(n % 2, 1, "partial strips must stay live");
         // The JIT's interleaved loop runs, then its single-strip loop
-        // (8 points left), then the scalar tail.
+        // (8 points left), then a partial strip of 5 lanes.
         assert!(n >= 8 * MAX_STRIPS, "interleaved body must run");
         assert!(
             n % (8 * MAX_STRIPS) > 8,
-            "single-strip body and tail must run"
+            "single-strip body and partial strip must run"
         );
         // Two workers each get a slab of the outermost rows.
         assert_eq!(
             slab_chunks(&geo.bx[0], SLAB_WORKERS).map(|c| c.len()),
             Some(SLAB_WORKERS)
         );
-        // The interpreter runs full strips and an overlapping tail strip.
+        // The interpreter runs full strips and a partial strip of 13
+        // lanes.
         assert!(
             n > LANES && !n.is_multiple_of(LANES),
-            "strips and their tail must run"
+            "strips and their partial strip must run"
         );
         // Offsets resolve symmetrically: the star has matched ± taps.
         assert!(geo.resolved.iter().any(|&r| r > 0));

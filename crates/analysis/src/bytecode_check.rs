@@ -15,8 +15,8 @@
 //!   executor sizes its stack from it);
 //! * **in-bounds proofs** — for every region box the executor runs
 //!   (DOMAIN, CORE, each REMAINDER strip), the interpreter's strips of
-//!   `LANES` and the scalar remainder stay inside the padded allocation
-//!   in every dimension;
+//!   `LANES` and each row's partial strip stay inside the padded
+//!   allocation in every dimension;
 //! * **fusion invariance** — `fuse_cluster` must preserve `flop_count`,
 //!   all metadata, and bitwise semantics relative to the constant-folded
 //!   baseline (folding may legitimately drop flops; fusion on top of it
@@ -250,8 +250,11 @@ pub fn check_compiled(
 /// `local` is the owned local shape; `radius` the cluster's max stencil
 /// radius (defines CORE/REMAINDER). Checks the DOMAIN box (basic and
 /// diagonal modes) plus CORE and every REMAINDER strip (full mode): the
-/// interpreter's [`LANES`]-wide strips and the scalar remainder of each
-/// row must stay within `[0, local_d + 2*halo_s)` in every dimension.
+/// interpreter's [`LANES`]-wide strips and the live lanes of each row's
+/// partial strip must stay within `[0, local_d + 2*halo_s)` in every
+/// dimension. A partial strip's dead lanes are never stored, and they
+/// are loaded only where the whole strip lies inside the stream's
+/// binding, so only the live lanes need the proof.
 pub fn check_bounds(
     ctx: &Context,
     ci: usize,
@@ -300,14 +303,15 @@ pub fn check_bounds(
                 }
             }
             // Innermost dim: the strip segment [start, start + full) in
-            // LANES steps, then the scalar remainder [start + full, end).
+            // LANES steps, then the partial strip's live lanes
+            // [start + full, end).
             let inner = &bx[nd - 1];
             let n = inner.len();
             let full = n - n % LANES;
             let d = nd - 1;
             let phases = [
                 ("strips", inner.start, inner.start + full),
-                ("remainder", inner.start + full, inner.end),
+                ("partial strip", inner.start + full, inner.end),
             ];
             for (phase, start, end) in phases {
                 if start == end {

@@ -35,6 +35,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{LazyLock, Mutex, PoisonError};
 
 use mpix_comm::CartComm;
 use mpix_dmp::halo::HaloMode;
@@ -699,15 +700,22 @@ pub fn prove_parametric(mode: HaloMode, nd: usize, loc_prefix: &str) -> Vec<Lint
     out
 }
 
+/// `(mode, nd)` proofs, each under an empty location prefix.
+type Proofs = HashMap<(HaloMode, usize), Vec<LintFinding>>;
+
+/// Every proof this process has made: a proof depends on nothing but
+/// its `(mode, nd)`, so each is made once (nine for 1-D to 3-D).
+static PROOFS: LazyLock<Mutex<Proofs>> = LazyLock::new(Default::default);
+
 /// Top-level entry: prove every exchange key of the plan, per mode.
 ///
 /// The proof depends only on `(mode, nd)`, not on the buffer, so each
-/// distinct pair is proven once (with an empty location prefix) and
-/// every key gets a copy of its findings behind its own prefix. Every
+/// distinct pair is proven once per process and every key
+/// gets a copy of its findings behind its own prefix. Every
 /// [`prove_parametric`] location starts with its prefix, so the output
 /// is the same, in the same order, as proving each key separately.
 pub fn lint_schedules(ctx: &Context, plan: &HaloPlan, modes: &[HaloMode]) -> Vec<LintFinding> {
-    let mut proofs: HashMap<(HaloMode, usize), Vec<LintFinding>> = HashMap::new();
+    let mut proofs = PROOFS.lock().unwrap_or_else(PoisonError::into_inner);
     let mut out = Vec::new();
     for (f, toff, radius) in crate::comm_schedule::exchange_keys(plan) {
         if radius == 0 {

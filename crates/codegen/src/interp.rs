@@ -12,9 +12,17 @@
 //! computes it. What is left are the loads, the stores and the
 //! arithmetic, each a fixed-trip-count loop over `W` lanes that LLVM
 //! autovectorizes. The engine is generic over the strip width `W` but
-//! runs at two only: `LANES` for every kernel launch, and `W = 1` for a
-//! row's tail points and for the scalar oracle
+//! runs at two only: `LANES` for every kernel launch, and `W = 1` for
+//! the scalar oracle
 //! ([`BytecodeKernel::scalar_oracle`](crate::backend::BytecodeKernel::scalar_oracle)).
+//!
+//! A row's last `n % LANES` points, and every row shorter than a strip,
+//! run as one *partial* strip: the same instructions over all `LANES`
+//! lanes, storing only the live ones. Its loads read a whole strip
+//! where the binding has room (the dead lanes compute on neighbouring
+//! values) and copy just the live values where it does not, so it
+//! touches nothing outside the binding and each live lane computes
+//! what a full strip would.
 //!
 //! Lane arithmetic is the kernel arithmetic of [`crate::arith`]
 //! (FTZ/DAZ, mul-then-add with two roundings, no reassociation), so
@@ -118,9 +126,6 @@ pub(crate) struct Program {
     consts: Vec<(u32, CoeffSrc, bool)>,
     /// Coefficient source of each fused slot `k`.
     coeffs: Vec<CoeffSrc>,
-    /// Whether no stream is both loaded and stored, so evaluating a
-    /// point twice stores the same bits twice.
-    rerun_safe: bool,
 }
 
 /// One value on the simulated stack: the register holding it and, when
@@ -331,18 +336,11 @@ impl Program {
                 }
             }
         }
-        let rerun_safe = !ins.iter().any(|i| match *i {
-            Ins::Load { stream, .. }
-            | Ins::LoadMul { stream, .. }
-            | Ins::LoadMulAdd { stream, .. } => cc.written[stream as usize],
-            _ => false,
-        });
         Program {
             ins,
             nregs,
             consts,
             coeffs,
-            rerun_safe,
         }
     }
 
@@ -379,14 +377,28 @@ impl Stream<'_> {
         }
     }
 
-    /// `w` contiguous values from index `idx` of the binding.
+    /// The strip of `W` values from index `idx` of the binding. A
+    /// partial strip (`Some(live)`) needs only its live values in the
+    /// binding: it reads a whole strip where the binding has room, and
+    /// otherwise copies the live values into `buf` (dead lanes zero).
     #[inline(always)]
-    fn run(&self, idx: usize, w: usize) -> &[f32] {
+    fn strip<'s, const W: usize>(
+        &'s self,
+        idx: usize,
+        partial: Option<usize>,
+        buf: &'s mut [f32; W],
+    ) -> &'s [f32] {
         let data: &[f32] = match self {
             Stream::Read(r) => r,
             Stream::Write { slab, .. } => slab,
         };
-        &data[idx..idx + w]
+        match partial {
+            Some(live) if data.len() < idx + W => {
+                buf[..live].copy_from_slice(&data[idx..idx + live]);
+                buf
+            }
+            _ => &data[idx..idx + W],
+        }
     }
 
     /// Mutable run of `w` values from index `idx` of the binding
@@ -424,19 +436,25 @@ fn lanes<const W: usize>(f: impl Fn(usize) -> f32) -> [f32; W] {
     r
 }
 
-/// Execute the program once over `W` contiguous innermost points.
+/// Execute the program once over `W` contiguous innermost points, or
+/// as a row's partial strip (`PARTIAL`) over its first `live` points.
 /// `bases[s]` is lane 0's index in stream `s`'s binding; lanes `l`
 /// live at `bases[s] + l` (innermost stride is 1 for every stream).
-#[inline(always)]
-fn eval_strip<const W: usize>(
+/// A partial strip computes every lane, on whatever its loads hand the
+/// dead lanes, and stores only the live ones. Out of line: inlining
+/// both forms into the row loop cost full strips 3–7% (bytecode, 1 rank).
+#[inline(never)]
+fn eval_strip<const W: usize, const PARTIAL: bool>(
     ins: &[Ins],
     coeffs: &[arith::Coeff],
     streams: &mut [Stream<'_>],
     bases: &[usize],
     resolved: &[isize],
     regs: &mut [[f32; W]],
+    live: usize,
 ) {
     let at = |s: u32, off: u32| (bases[s as usize] as isize + resolved[off as usize]) as usize;
+    let (partial, mut buf) = (PARTIAL.then_some(live), [0.0f32; W]);
     for &i in ins {
         match i {
             Ins::Load {
@@ -445,7 +463,7 @@ fn eval_strip<const W: usize>(
                 off,
                 daz,
             } => {
-                let src = streams[stream as usize].run(at(stream, off), W);
+                let src = streams[stream as usize].strip(at(stream, off), partial, &mut buf);
                 regs[dst as usize] = if daz {
                     lanes(|l| arith::flush(src[l]))
                 } else {
@@ -453,10 +471,10 @@ fn eval_strip<const W: usize>(
                 };
             }
             Ins::Store { src, stream } => {
-                let s = stream as usize;
+                let (s, w) = (stream as usize, if PARTIAL { live } else { W });
                 streams[s]
-                    .run_mut(bases[s], W)
-                    .copy_from_slice(&regs[src as usize]);
+                    .run_mut(bases[s], w)
+                    .copy_from_slice(&regs[src as usize][..w]);
             }
             Ins::Flush { dst, src } => {
                 let v = regs[src as usize];
@@ -490,7 +508,7 @@ fn eval_strip<const W: usize>(
                 stream,
                 off,
             } => {
-                let src = streams[stream as usize].run(at(stream, off), W);
+                let src = streams[stream as usize].strip(at(stream, off), partial, &mut buf);
                 let c = coeffs[k as usize];
                 regs[dst as usize] = lanes(|l| c.times(src[l]));
             }
@@ -501,7 +519,7 @@ fn eval_strip<const W: usize>(
                 stream,
                 off,
             } => {
-                let src = streams[stream as usize].run(at(stream, off), W);
+                let src = streams[stream as usize].strip(at(stream, off), partial, &mut buf);
                 let (c, a) = (coeffs[k as usize], regs[a as usize]);
                 regs[dst as usize] = lanes(|l| arith::add_flushed(a[l], c.times(src[l])));
             }
@@ -510,9 +528,8 @@ fn eval_strip<const W: usize>(
 }
 
 /// Strip-execute a whole box: odometer over the outer dims, strips of
-/// `W` along the contiguous innermost dim. A row's tail is one more
-/// strip overlapping the last, or single points (`W = 1`) where the row
-/// is shorter than a strip or the program is not safe to rerun.
+/// `W` along the contiguous innermost dim. A row's last `n % W` points
+/// (all of a row shorter than a strip) run as one partial strip.
 #[inline(always)]
 fn exec_strips_box<const W: usize>(
     prog: &Program,
@@ -531,9 +548,7 @@ fn exec_strips_box<const W: usize>(
     let mut outer: Vec<usize> = bx[..nd - 1].iter().map(|r| r.start).collect();
     let mut bases = vec![0usize; nstreams];
     let offs: Vec<usize> = streams.iter().map(Stream::off).collect();
-    // Lane registers, plus one-lane registers for the row-tail points.
     let mut regs = prog.registers::<W>(l);
-    let mut sregs = prog.registers::<1>(l);
     loop {
         for s in 0..nstreams {
             let mut base = 0usize;
@@ -544,31 +559,17 @@ fn exec_strips_box<const W: usize>(
             bases[s] = base - offs[s];
         }
         let n = inner.len();
-        let mut i = 0;
-        while i + W <= n {
-            eval_strip::<W>(&prog.ins, coeffs, streams, &bases, resolved, &mut regs);
+        for _ in 0..n / W {
+            eval_strip::<W, false>(&prog.ins, coeffs, streams, &bases, resolved, &mut regs, W);
             for b in bases.iter_mut() {
                 *b += W;
             }
-            i += W;
         }
-        if i < n && n >= W && prog.rerun_safe {
-            // The row's last `W` points as one strip: the points it
-            // repeats read the same inputs, so they are rewritten with
-            // the same bits.
-            let back = W - (n - i);
-            for b in bases.iter_mut() {
-                *b -= back;
-            }
-            eval_strip::<W>(&prog.ins, coeffs, streams, &bases, resolved, &mut regs);
-            i = n;
-        }
-        while i < n {
-            eval_strip::<1>(&prog.ins, coeffs, streams, &bases, resolved, &mut sregs);
-            for b in bases.iter_mut() {
-                *b += 1;
-            }
-            i += 1;
+        let live = n % W;
+        if live > 0 {
+            eval_strip::<W, true>(
+                &prog.ins, coeffs, streams, &bases, resolved, &mut regs, live,
+            );
         }
         // Odometer over outer dims.
         if nd == 1 {
@@ -669,7 +670,6 @@ mod tests {
             max_stack: 2,
         };
         let prog = Program::new(&cc);
-        assert!(!prog.rerun_safe);
         let n = LANES + 3;
         let (strides, bx): (_, BoxNd) = ([vec![1]], std::iter::once(0..n).collect());
         let l = launch(&cc, &strides);
@@ -719,8 +719,8 @@ mod tests {
 
     #[test]
     fn lanes_match_the_scalar_engine_at_every_inner_extent() {
-        // out = (x[-1]/2 + x/4 - x[+1]/8) · x: rerun-safe, so a row's
-        // tail is one strip overlapping the last full one.
+        // out = (x[-1]/2 + x/4 - x[+1]/8) · x: its partial strips read
+        // whole strips inside the padded rows.
         let stencil = CompiledCluster {
             ops: vec![
                 Op::LoadMul {
@@ -750,8 +750,8 @@ mod tests {
             num_temps: 0,
             max_stack: 2,
         };
-        // u = u·3/4 + 1 in place: loads what it stores, so the tail
-        // runs as single points.
+        // u = u·3/4 + 1 in place: loads what it stores, so the dead
+        // lanes of a partial strip must never be stored.
         let in_place = CompiledCluster {
             ops: vec![
                 Op::Load { stream: 0, off: 0 },
@@ -769,8 +769,6 @@ mod tests {
             num_temps: 0,
             max_stack: 2,
         };
-        assert!(Program::new(&stencil).rerun_safe);
-        assert!(!Program::new(&in_place).rerun_safe);
         // Rows shorter than a strip, exact strips, and every tail length
         // after one, two and three full strips.
         for n in 1..=3 * LANES + 1 {

@@ -2,8 +2,9 @@
 //! code through the vendored `cranelift` crate.
 //!
 //! The generated function mirrors the strip interpreter exactly — 8-lane
-//! vector strips plus a scalar tail, evaluating the same ops in the same
-//! order with the same mul-then-add rounding (no FMA) under the same
+//! vector strips plus one masked partial strip per row tail, evaluating
+//! the same ops in the same order with the same mul-then-add rounding
+//! (no FMA) under the same
 //! flush-to-zero arithmetic ([`crate::arith`]: the hardware's MXCSR
 //! FTZ|DAZ mode here, its emulation in the interpreter) — so its results
 //! are bitwise identical to the bytecode oracle on every input. That is
@@ -27,7 +28,7 @@
 //! rdi = &BoxArgs { ptrs: *mut *mut f32, n: u64, bank: *const f32,
 //!                  temps: *mut f32, row_step: *const isize,
 //!                  plane_step: *const isize, rows: u64, planes: u64,
-//!                  saved_csr: u64, kernel_csr: u64 }
+//!                  saved_csr: u64, kernel_csr: u64, tail_mask: [i32; 8] }
 //!
 //! prologue: push rbx, rbp (+ r12..r15 when they pin streams)
 //!           saved_csr = MXCSR; MXCSR = saved_csr | FTZ | DAZ
@@ -39,7 +40,7 @@
 //! row:      rcx = 0
 //!           while rcx+8U <= n: U interleaved 8-wide strips, rcx += 8U
 //!           while rcx+8  <= n: one 8-wide strip,            rcx += 8
-//!           while rcx    <  n: scalar body (ss ops),        rcx += 1
+//!           if    rcx    <  n: one partial strip (mask = tail_mask)
 //!           every stream pointer += row_step[s]; --rbx → row
 //!           every stream pointer += plane_step[s]; --rbp → plane
 //! epilogue: MXCSR = saved_csr; vzeroupper; pop; ret
@@ -54,11 +55,21 @@
 //! The *bank* is `[1.0, consts…, scalars…, params…]` — every
 //! point-invariant value at a compile-time-known offset.
 //!
+//! **Partial strip.** A row's last `n % 8` points run the 8-lane body
+//! once more with every stream load and store a `vmaskmovps` under
+//! `tail_mask` (built once per call from `n % 8`): masked-off lanes load
+//! zeros, compute on them, are never stored and never fault. A fused
+//! tap's memory operand becomes a masked load and a register multiply
+//! with the operands in the same order. Temporaries stay whole-strip
+//! moves of the call's own scratch memory.
+//!
 //! **Register plan.** A strip's stack slots live in consecutive ymm
 //! registers from `ymm0` (the deepest shipped solver stack is 6; the
 //! JIT accepts up to 12). Counting down from `ymm15` come
-//! `1.0` (only when `Pow` needs it), the product scratch and, when
-//! strips interleave, a separate splat scratch. The registers left
+//! `1.0` (only when `Pow` needs it), the product scratch, the splat
+//! scratch and, when strips do not interleave, the partial strip's lane
+//! mask (otherwise it borrows strip 1's first register, which the
+//! one-strip tail leaves free). The registers left
 //! between hold the bank values used most often — constant, scalar and
 //! parameter pushes and the coefficients of fused `LoadMul*` taps — each
 //! broadcast once per call. A push of a pinned value costs nothing: the
@@ -141,6 +152,9 @@ struct BoxArgs {
     /// | FTZ | DAZ) in `kernel_csr`; the epilogue reloads `saved_csr`.
     saved_csr: u64,
     kernel_csr: u64,
+    /// Lane mask of each row's partial strip: all ones on its first
+    /// `n % 8` lanes, zero on the rest.
+    tail_mask: [i32; 8],
 }
 
 /// `BoxArgs` field offset as an addressing displacement.
@@ -206,9 +220,12 @@ struct JitPlan {
     one: Option<Ymm>,
     /// Product scratch (fused multiply-adds, `LoadMulAdd` taps).
     prod: Ymm,
-    /// Splat scratch for unpinned coefficients; `prod` itself when no
-    /// strips interleave.
+    /// Splat scratch for unpinned coefficients.
     splat: Ymm,
+    /// The partial strip's lane mask: strip 1's first stack register,
+    /// which the one-strip tail leaves free, or one more register from
+    /// the top when strips do not interleave.
+    mask: Ymm,
     /// `(bank byte offset, register)` of the pinned bank values.
     pins: Vec<(i32, Ymm)>,
 }
@@ -248,10 +265,10 @@ impl JitPlan {
         order.sort_by_key(|&s| std::cmp::Reverse(refs[s]));
         order.truncate(HOT.len());
 
-        // Registers from the top: 1.0, the product scratch, then the
-        // splat scratch when strips interleave.
+        // Registers from the top: 1.0, the product and splat scratches,
+        // then the tail's lane mask when no second strip lends it one.
         let stack = cc.max_stack.max(1);
-        let reserved = |strips: usize| usize::from(needs_one) + if strips > 1 { 2 } else { 1 };
+        let reserved = |strips: usize| usize::from(needs_one) + 2 + usize::from(strips == 1);
         let strips = (1..=MAX_STRIPS)
             .rev()
             .find(|&u| u * stack + reserved(u) <= NUM_YMM)
@@ -263,7 +280,8 @@ impl JitPlan {
         };
         let one = needs_one.then(&mut take);
         let prod = take();
-        let splat = if strips > 1 { take() } else { prod };
+        let splat = take();
+        let mask = if strips > 1 { Ymm(stack as u8) } else { take() };
         // The registers between the strips' stack slots and the
         // scratches pin the most-used bank values.
         uses.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
@@ -277,6 +295,7 @@ impl JitPlan {
             one,
             prod,
             splat,
+            mask,
             pins,
         }
     }
@@ -472,7 +491,7 @@ fn run_box(
     bank.extend_from_slice(l.scalars);
     bank.extend_from_slice(l.params);
     // 8-lane memory slots for temporaries, one per interleaved strip
-    // (the scalar tail uses lane 0 of strip 0's).
+    // (the partial strip uses strip 0's).
     let mut temps = vec![0.0f32; cc.num_temps * 8 * plan.strips];
 
     // The generated code walks rows (dimension nd-2) and planes (nd-3);
@@ -490,6 +509,8 @@ fn run_box(
         }
         let extent = |d: Option<usize>| d.map_or(1, |d| tile[d].len());
         let (rows, planes) = (extent(row_d), extent(plane_d));
+        let n = tile[nd - 1].len();
+        let tail_mask = std::array::from_fn(|l| -i32::from(l < n % 8));
         for s in 0..nstreams {
             plane_step[s] = byte_step(s, plane_d) - rows as isize * row_step[s];
         }
@@ -503,7 +524,7 @@ fn run_box(
             }
             let mut args = BoxArgs {
                 ptrs: ptrs.as_mut_ptr(),
-                n: tile[nd - 1].len() as u64,
+                n: n as u64,
                 bank: bank.as_ptr(),
                 temps: temps.as_mut_ptr(),
                 row_step: row_step.as_ptr(),
@@ -512,12 +533,14 @@ fn run_box(
                 planes: planes as u64,
                 saved_csr: 0,
                 kernel_csr: 0,
+                tail_mask,
             };
             // SAFETY: the generated function implements the
-            // `extern "C" fn(*mut u8)` box ABI; every address it forms
-            // is `row pointer + (i + resolved[off]) * 4` for `i < n` on
-            // one of the tile's rows, inside the stream's binding
-            // (`assert_in_bounds`, checked by the caller).
+            // `extern "C" fn(*mut u8)` box ABI; every stream element it
+            // touches is `row pointer + (i + resolved[off]) * 4` for
+            // `i < n` on one of the tile's rows, inside the stream's
+            // binding (`assert_in_bounds`, checked by the caller). The
+            // partial strip's masked-off lanes are never accessed.
             unsafe { module.call(&mut args as *mut BoxArgs as *mut u8) };
             // Odometer over the dimensions outside the native loops.
             let mut d = odometer;
@@ -601,18 +624,16 @@ fn codegen_box_fn(cc: &CompiledCluster, resolved: &[isize], plan: &JitPlan) -> O
         a.lea(Reg::Rax, Reg::Rcx, 8 * u as i32);
         a.cmp_r_r(Reg::Rax, Reg::Rdx);
         a.jcc(Cc::A, next);
-        emit_body(&mut a, cc, resolved, plan, u, true);
+        emit_body(&mut a, cc, resolved, plan, u, None);
         a.add_r_imm(Reg::Rcx, 8 * u as i32);
         a.jmp(top);
         a.bind(next);
     }
-    let tail = a.new_label();
-    a.bind(tail);
+    // The row's last `n % 8` points: one strip under the lane mask.
     a.cmp_r_r(Reg::Rcx, Reg::Rdx);
     a.jcc(Cc::Ae, row_end);
-    emit_body(&mut a, cc, resolved, plan, 1, false);
-    a.inc_r(Reg::Rcx);
-    a.jmp(tail);
+    a.vmovups_load(plan.mask, Reg::Rdi, None, arg!(tail_mask));
+    emit_body(&mut a, cc, resolved, plan, 1, Some(plan.mask));
 
     a.bind(row_end);
     emit_advance(&mut a, cc, plan, arg!(row_step));
@@ -670,87 +691,58 @@ fn bank_src(op: &Op) -> Option<CoeffSrc> {
     }
 }
 
-/// Packed (8-lane) or scalar (lane 0) forms of the ops a body emits.
+/// Stream accesses of one body: whole 8-lane strips, or (under `mask`)
+/// the partial strip's live lanes. Masked-off lanes load zeros, are
+/// never stored and never fault.
 struct Lanes<'a> {
     a: &'a mut Asm,
-    wide: bool,
+    mask: Option<Ymm>,
 }
 
 impl Lanes<'_> {
-    fn load(&mut self, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
-        if self.wide {
-            self.a.vmovups_load(dst, base, index, disp);
-        } else {
-            self.a.vmovss_load(dst, base, index, disp);
+    fn load(&mut self, dst: Ymm, base: Reg, disp: i32) {
+        match self.mask {
+            Some(m) => self.a.vmaskmovps_load(dst, m, base, Some(Reg::Rcx), disp),
+            None => self.a.vmovups_load(dst, base, Some(Reg::Rcx), disp),
         }
     }
 
-    fn store(&mut self, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
-        if self.wide {
-            self.a.vmovups_store(base, index, disp, src);
-        } else {
-            self.a.vmovss_store(base, index, disp, src);
+    fn store(&mut self, base: Reg, disp: i32, src: Ymm) {
+        match self.mask {
+            Some(m) => self.a.vmaskmovps_store(base, Some(Reg::Rcx), disp, m, src),
+            None => self.a.vmovups_store(base, Some(Reg::Rcx), disp, src),
         }
     }
 
-    /// Splat (or scalar-load) the bank value at `off` into `dst`.
-    fn bank(&mut self, dst: Ymm, off: i32) {
-        if self.wide {
-            self.a.vbroadcastss(dst, Reg::R8, off);
-        } else {
-            self.a.vmovss_load(dst, Reg::R8, None, off);
-        }
-    }
-
-    fn add(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        if self.wide {
-            self.a.vaddps_rr(d, x, y);
-        } else {
-            self.a.vaddss_rr(d, x, y);
-        }
-    }
-
-    fn mul(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        if self.wide {
-            self.a.vmulps_rr(d, x, y);
-        } else {
-            self.a.vmulss_rr(d, x, y);
-        }
-    }
-
-    fn div(&mut self, d: Ymm, x: Ymm, y: Ymm) {
-        if self.wide {
-            self.a.vdivps_rr(d, x, y);
-        } else {
-            self.a.vdivss_rr(d, x, y);
-        }
-    }
-
-    fn mul_m(&mut self, d: Ymm, x: Ymm, base: Reg, disp: i32) {
-        if self.wide {
-            self.a.vmulps_rm(d, x, base, Some(Reg::Rcx), disp);
-        } else {
-            self.a.vmulss_rm(d, x, base, Some(Reg::Rcx), disp);
+    /// `d ← c · strip`: a memory operand, or under the mask a masked
+    /// load into `d` (never `c`) and a register multiply.
+    fn mul_m(&mut self, d: Ymm, c: Ymm, base: Reg, disp: i32) {
+        match self.mask {
+            Some(_) => {
+                self.load(d, base, disp);
+                self.a.vmulps_rr(d, c, d);
+            }
+            None => self.a.vmulps_rm(d, c, base, Some(Reg::Rcx), disp),
         }
     }
 }
 
-/// Emit the cluster body once over `u` interleaved strips, 8-wide
-/// (`wide`) or scalar (`u` = 1). Every op is emitted for strip 0, 1, …
-/// in turn; strip `k`'s stack slot `j` is `ymm(k·stack + j)` unless a
-/// push aliased the slot to a pinned bank register. The scalar body
-/// swaps packed ops for their `ss` forms and broadcasts for lane-0
-/// loads, so the tail computes exactly what the interpreter's scalar
-/// remainder does.
+/// Emit the cluster body once over `u` interleaved 8-lane strips, or
+/// once as the row's partial strip when `mask` is set (`u` = 1). Every
+/// op is emitted for strip 0, 1, … in turn; strip `k`'s stack slot `j`
+/// is `ymm(k·stack + j)` unless a push aliased the slot to a pinned bank
+/// register. The partial strip runs the same ops on every lane and only
+/// its stream accesses are masked, so its live lanes compute exactly
+/// what a full strip computes for them.
 fn emit_body(
     a: &mut Asm,
     cc: &CompiledCluster,
     resolved: &[isize],
     plan: &JitPlan,
     u: usize,
-    wide: bool,
+    mask: Option<Ymm>,
 ) {
-    let mut e = Lanes { a, wide };
+    let mut e = Lanes { a, mask };
     let slot = |k: usize, j: usize| Ymm((k * plan.stack + j) as u8);
     // Where stack slot `j` lives when a push left it in a pinned register.
     let mut alias: Vec<Option<Ymm>> = vec![None; plan.stack];
@@ -773,7 +765,7 @@ fn emit_body(
                 let off = bank_off(cc, bank_src(op).unwrap());
                 alias[sp] = plan.pinned(off);
                 if alias[sp].is_none() {
-                    e.bank(slot(0, sp), off);
+                    e.a.vbroadcastss(slot(0, sp), Reg::R8, off);
                     for k in 1..u {
                         e.a.vmovups_rr(slot(k, sp), slot(0, sp));
                     }
@@ -783,21 +775,21 @@ fn emit_body(
             Op::Temp(t) => {
                 alias[sp] = None;
                 for k in 0..u {
-                    e.load(slot(k, sp), Reg::R9, None, temp(t, k));
+                    e.a.vmovups_load(slot(k, sp), Reg::R9, None, temp(t, k));
                 }
                 sp += 1;
             }
             Op::SetTemp(t) => {
                 sp -= 1;
                 for k in 0..u {
-                    e.store(Reg::R9, None, temp(t, k), src(&alias, k, sp));
+                    e.a.vmovups_store(Reg::R9, None, temp(t, k), src(&alias, k, sp));
                 }
             }
             Op::Load { stream, off } => {
                 let p = stream_ptr(e.a, stream);
                 alias[sp] = None;
                 for k in 0..u {
-                    e.load(slot(k, sp), p, Some(Reg::Rcx), disp(off, k));
+                    e.load(slot(k, sp), p, disp(off, k));
                 }
                 sp += 1;
             }
@@ -805,7 +797,7 @@ fn emit_body(
                 sp -= 1;
                 let p = stream_ptr(e.a, stream);
                 for k in 0..u {
-                    e.store(p, Some(Reg::Rcx), 32 * k as i32, src(&alias, k, sp));
+                    e.store(p, 32 * k as i32, src(&alias, k, sp));
                 }
             }
             Op::Add | Op::Mul => {
@@ -813,9 +805,9 @@ fn emit_body(
                 for k in 0..u {
                     let (x, y) = (src(&alias, k, sp - 1), src(&alias, k, sp));
                     if *op == Op::Add {
-                        e.add(slot(k, sp - 1), x, y);
+                        e.a.vaddps_rr(slot(k, sp - 1), x, y);
                     } else {
-                        e.mul(slot(k, sp - 1), x, y);
+                        e.a.vmulps_rr(slot(k, sp - 1), x, y);
                     }
                 }
                 alias[sp - 1] = None;
@@ -827,11 +819,11 @@ fn emit_body(
                     let (t, x) = (slot(k, j), src(&alias, k, j));
                     match n {
                         0 => e.a.vmovups_rr(t, one()),
-                        2 => e.mul(t, x, x),
-                        -1 => e.div(t, one(), x),
+                        2 => e.a.vmulps_rr(t, x, x),
+                        -1 => e.a.vdivps_rr(t, one(), x),
                         -2 => {
-                            e.mul(t, x, x);
-                            e.div(t, one(), t);
+                            e.a.vmulps_rr(t, x, x);
+                            e.a.vdivps_rr(t, one(), t);
                         }
                         other => unreachable!("unsupported Pow({other}) reached codegen"),
                     }
@@ -844,13 +836,13 @@ fn emit_body(
                 sp -= 2;
                 for k in 0..u {
                     let (x, y) = (src(&alias, k, sp), src(&alias, k, sp + 1));
-                    e.mul(plan.prod, x, y);
-                    e.add(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
+                    e.a.vmulps_rr(plan.prod, x, y);
+                    e.a.vaddps_rr(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
                 }
                 alias[sp - 1] = None;
             }
             Op::LoadMul { coeff, stream, off } => {
-                let c = coeff_reg(&mut e, cc, plan, coeff);
+                let c = coeff_reg(e.a, cc, plan, coeff);
                 let p = stream_ptr(e.a, stream);
                 alias[sp] = None;
                 for k in 0..u {
@@ -859,11 +851,11 @@ fn emit_body(
                 sp += 1;
             }
             Op::LoadMulAdd { coeff, stream, off } => {
-                let c = coeff_reg(&mut e, cc, plan, coeff);
+                let c = coeff_reg(e.a, cc, plan, coeff);
                 let p = stream_ptr(e.a, stream);
                 for k in 0..u {
                     e.mul_m(plan.prod, c, p, disp(off, k));
-                    e.add(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
+                    e.a.vaddps_rr(slot(k, sp - 1), src(&alias, k, sp - 1), plan.prod);
                 }
                 alias[sp - 1] = None;
             }
@@ -874,10 +866,10 @@ fn emit_body(
 
 /// The register holding a fused tap's coefficient: its pinned register,
 /// or the splat scratch after one broadcast shared by all strips.
-fn coeff_reg(e: &mut Lanes<'_>, cc: &CompiledCluster, plan: &JitPlan, coeff: CoeffSrc) -> Ymm {
+fn coeff_reg(a: &mut Asm, cc: &CompiledCluster, plan: &JitPlan, coeff: CoeffSrc) -> Ymm {
     let off = bank_off(cc, coeff);
     plan.pinned(off).unwrap_or_else(|| {
-        e.bank(plan.splat, off);
+        a.vbroadcastss(plan.splat, Reg::R8, off);
         plan.splat
     })
 }
@@ -1002,10 +994,15 @@ mod tests {
         assert_eq!(plan.one, Some(Ymm(15)));
         assert_ne!(plan.prod, plan.splat);
         assert_eq!(plan.pins, vec![(4, Ymm(8))]);
-        // Deep stack: one strip, product and splat share a register.
+        // The partial strip's mask borrows strip 1's first register.
+        assert_eq!(plan.mask, Ymm(4));
+        // Deep stack: one strip; the mask takes the last free register.
         let plan = JitPlan::analyze(&cluster(&[], MAX_JIT_STACK, false));
         assert_eq!(plan.strips, 1);
-        assert_eq!(plan.prod, plan.splat);
+        assert_eq!(
+            (plan.prod, plan.splat, plan.mask),
+            (Ymm(15), Ymm(14), Ymm(13))
+        );
         assert_eq!(plan.pins, vec![(4, Ymm(MAX_JIT_STACK as u8))]);
     }
 }

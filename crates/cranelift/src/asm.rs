@@ -9,9 +9,9 @@
 //!   index is an f32 *element* counter, hence the fixed ×4 scale) or
 //!   `[base + disp32]` without one. One form, no special cases for
 //!   RBP/R12-class registers.
-//! * Vector instructions always use the 3-byte `C4` VEX prefix, 256-bit
-//!   (`L=1`) for the packed `ps` forms and `L=0` for the scalar `ss`
-//!   forms. No legacy-SSE register ops are emitted (`stmxcsr`/`ldmxcsr`
+//! * Vector instructions always use the 3-byte `C4` VEX prefix and are
+//!   all 256-bit (`L=1`): packed `ps` arithmetic, full-width moves, and
+//!   `vmaskmovps` for a strip's live lanes. No legacy-SSE register ops are emitted (`stmxcsr`/`ldmxcsr`
 //!   touch only MXCSR), so `vzeroupper` before `ret` is the only
 //!   transition-penalty concern.
 //! * Three-operand AVX ops follow the VEX convention
@@ -355,19 +355,37 @@ impl Asm {
         self.mem(dst.0, base.num(), None, disp);
     }
 
-    /// `vmovss dst, dword [base + index*4 + disp]`.
-    pub fn vmovss_load(&mut self, dst: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
+    /// `vmaskmovps dst, mask, ymmword [base + index*4 + disp]`: load
+    /// the lanes whose `mask` sign bit is set and zero the rest. Masked-off
+    /// lanes never fault, so the operand may run past the mapping.
+    pub fn vmaskmovps_load(
+        &mut self,
+        dst: Ymm,
+        mask: Ymm,
+        base: Reg,
+        index: Option<Reg>,
+        disp: i32,
+    ) {
         let x = index.map_or(0, Reg::num);
-        self.vex3(dst.0, x, base.num(), 1, 0, 0, 2);
-        self.code.push(0x10);
+        self.vex3(dst.0, x, base.num(), 2, mask.0, 1, 1);
+        self.code.push(0x2C);
         self.mem(dst.0, base.num(), index.map(Reg::num), disp);
     }
 
-    /// `vmovss dword [base + index*4 + disp], src`.
-    pub fn vmovss_store(&mut self, base: Reg, index: Option<Reg>, disp: i32, src: Ymm) {
+    /// `vmaskmovps ymmword [base + index*4 + disp], mask, src`: store
+    /// the lanes whose `mask` sign bit is set; the others stay untouched
+    /// and never fault.
+    pub fn vmaskmovps_store(
+        &mut self,
+        base: Reg,
+        index: Option<Reg>,
+        disp: i32,
+        mask: Ymm,
+        src: Ymm,
+    ) {
         let x = index.map_or(0, Reg::num);
-        self.vex3(src.0, x, base.num(), 1, 0, 0, 2);
-        self.code.push(0x11);
+        self.vex3(src.0, x, base.num(), 2, mask.0, 1, 1);
+        self.code.push(0x2E);
         self.mem(src.0, base.num(), index.map(Reg::num), disp);
     }
 
@@ -393,11 +411,6 @@ impl Asm {
         self.ps_rm(0x59, dst, a, base, index, disp);
     }
 
-    /// `vsubps dst, a, b` (computes `a - b`).
-    pub fn vsubps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ps_rr(0x5C, dst, a, b);
-    }
-
     /// `vdivps dst, a, b` (computes `a / b`).
     pub fn vdivps_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
         self.ps_rr(0x5E, dst, a, b);
@@ -412,51 +425,6 @@ impl Asm {
     fn ps_rm(&mut self, op: u8, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
         let x = index.map_or(0, Reg::num);
         self.vex3(dst.0, x, base.num(), 1, a.0, 1, 0);
-        self.code.push(op);
-        self.mem(dst.0, base.num(), index.map(Reg::num), disp);
-    }
-
-    // ---- AVX: scalar arithmetic -------------------------------------
-
-    /// `vaddss dst, a, b`.
-    pub fn vaddss_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ss_rr(0x58, dst, a, b);
-    }
-
-    /// `vaddss dst, a, dword [base + index*4 + disp]`.
-    pub fn vaddss_rm(&mut self, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
-        self.ss_rm(0x58, dst, a, base, index, disp);
-    }
-
-    /// `vmulss dst, a, b`.
-    pub fn vmulss_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ss_rr(0x59, dst, a, b);
-    }
-
-    /// `vmulss dst, a, dword [base + index*4 + disp]`.
-    pub fn vmulss_rm(&mut self, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
-        self.ss_rm(0x59, dst, a, base, index, disp);
-    }
-
-    /// `vsubss dst, a, b` (computes `a - b`).
-    pub fn vsubss_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ss_rr(0x5C, dst, a, b);
-    }
-
-    /// `vdivss dst, a, b` (computes `a / b`).
-    pub fn vdivss_rr(&mut self, dst: Ymm, a: Ymm, b: Ymm) {
-        self.ss_rr(0x5E, dst, a, b);
-    }
-
-    fn ss_rr(&mut self, op: u8, dst: Ymm, a: Ymm, b: Ymm) {
-        self.vex3(dst.0, 0, b.0, 1, a.0, 0, 2);
-        self.code.push(op);
-        self.modrm_rr(dst.0, b.0);
-    }
-
-    fn ss_rm(&mut self, op: u8, dst: Ymm, a: Ymm, base: Reg, index: Option<Reg>, disp: i32) {
-        let x = index.map_or(0, Reg::num);
-        self.vex3(dst.0, x, base.num(), 1, a.0, 0, 2);
         self.code.push(op);
         self.mem(dst.0, base.num(), index.map(Reg::num), disp);
     }
@@ -505,6 +473,22 @@ mod tests {
         assert_eq!(
             a.finish(),
             vec![0xC4, 0xE1, 0x6C, 0x58, 0xCB, 0xC5, 0xF8, 0x77, 0xC3]
+        );
+
+        // vmaskmovps ymm0, ymm1, [rax + rcx*4 + 16]
+        let mut a = Asm::new();
+        a.vmaskmovps_load(Ymm(0), Ymm(1), Reg::Rax, Some(Reg::Rcx), 16);
+        assert_eq!(
+            a.finish(),
+            vec![0xC4, 0xE2, 0x75, 0x2C, 0x84, 0x88, 16, 0, 0, 0]
+        );
+
+        // vmaskmovps [r10 + rcx*4 + 32], ymm9, ymm2
+        let mut a = Asm::new();
+        a.vmaskmovps_store(Reg::R10, Some(Reg::Rcx), 32, Ymm(9), Ymm(2));
+        assert_eq!(
+            a.finish(),
+            vec![0xC4, 0xC2, 0x35, 0x2E, 0x94, 0x8A, 32, 0, 0, 0]
         );
 
         // mov rdx, [rdi + 24]

@@ -14,9 +14,9 @@
 //! * [`TargetInfo`] — host architecture/feature probe; JIT is gated on
 //!   `x86_64-linux` with AVX.
 //! * [`asm::Asm`] — instruction builder: GP moves/arithmetic, rel32
-//!   branches with labels, and the 256-bit/scalar AVX ops a
-//!   finite-difference kernel body needs (`vmovups`, `vbroadcastss`,
-//!   `vaddps`/`vmulps`/`vdivps` and their `ss` forms), plus
+//!   branches with labels, and the 256-bit AVX ops a finite-difference
+//!   kernel body needs (`vmovups`, masked `vmaskmovps`, `vbroadcastss`,
+//!   `vaddps`/`vmulps`/`vdivps`), plus
 //!   `stmxcsr`/`ldmxcsr` to switch the rounding/flush mode.
 //! * [`memory::ExecMem`] — `mmap`(RW) → copy → `mprotect`(RX) via raw
 //!   syscalls (no libc dependency), unmapped on drop.
@@ -160,9 +160,16 @@ impl CompiledModule {
 mod tests {
     use super::*;
 
+    /// `[-1; live] ++ [0; 8 - live]`: the lane mask of a strip's first
+    /// `live` lanes.
+    fn lane_mask(live: usize) -> [i32; 8] {
+        std::array::from_fn(|l| if l < live { -1 } else { 0 })
+    }
+
     /// JIT `out[i] = a[i] + 2.0 * b[i]` over n floats (8-wide strips +
-    /// scalar tail) and check it end to end — the whole stack in one
-    /// test: assembler, W^X memory, ABI, AVX encodings, label fixups.
+    /// one masked strip for the tail) and check it end to end — the
+    /// whole stack in one test: assembler, W^X memory, ABI, AVX
+    /// encodings, label fixups. Points past `n` keep their values.
     #[test]
     fn jit_axpy_roundtrip() {
         let ctx = JitContext::new();
@@ -170,7 +177,7 @@ mod tests {
             return; // nothing to test on non-x86-64 hosts
         }
         // args layout: [out: *mut f32, a: *const f32, b: *const f32,
-        //               n: u64, k: *const f32]
+        //               n: u64, k: *const f32, mask: [i32; 8]]
         let mut a = Asm::new();
         use asm::Reg::*;
         a.mov_r_m(R8, Rdi, 0); // out
@@ -196,12 +203,12 @@ mod tests {
         a.bind(tail);
         a.cmp_r_r(Rcx, Rdx);
         a.jcc(Cc::Ae, done);
-        a.vmovss_load(Ymm(0), R10, Some(Rcx), 0);
-        a.vmulss_rm(Ymm(0), Ymm(0), R11, None, 0);
-        a.vaddss_rm(Ymm(0), Ymm(0), R9, Some(Rcx), 0);
-        a.vmovss_store(R8, Some(Rcx), 0, Ymm(0));
-        a.inc_r(Rcx);
-        a.jmp(tail);
+        a.vmovups_load(Ymm(2), Rdi, None, 40); // the tail's lane mask
+        a.vmaskmovps_load(Ymm(0), Ymm(2), R10, Some(Rcx), 0);
+        a.vmulps_rr(Ymm(0), Ymm(1), Ymm(0));
+        a.vmaskmovps_load(Ymm(3), Ymm(2), R9, Some(Rcx), 0);
+        a.vaddps_rr(Ymm(0), Ymm(0), Ymm(3));
+        a.vmaskmovps_store(R8, Some(Rcx), 0, Ymm(2), Ymm(0));
         a.bind(done);
         a.vzeroupper();
         a.ret();
@@ -210,7 +217,7 @@ mod tests {
         let n = 13usize; // one full strip + 5-point tail
         let av: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
         let bv: Vec<f32> = (0..n).map(|i| (i as f32) - 3.0).collect();
-        let mut out = vec![0.0f32; n];
+        let mut out = vec![-1.0f32; 16];
         let k = 2.0f32;
         #[repr(C)]
         struct Args {
@@ -219,6 +226,7 @@ mod tests {
             b: *const f32,
             n: u64,
             k: *const f32,
+            mask: [i32; 8],
         }
         let mut args = Args {
             out: out.as_mut_ptr(),
@@ -226,11 +234,12 @@ mod tests {
             b: bv.as_ptr(),
             n: n as u64,
             k: &k,
+            mask: lane_mask(n % 8),
         };
         unsafe { m.call(&mut args as *mut Args as *mut u8) };
-        for i in 0..n {
-            let want = av[i] + k * bv[i];
-            assert_eq!(out[i].to_bits(), want.to_bits(), "i={i}");
+        for (i, &got) in out.iter().enumerate() {
+            let want = if i < n { av[i] + k * bv[i] } else { -1.0 };
+            assert_eq!(got.to_bits(), want.to_bits(), "i={i}");
         }
     }
 
@@ -246,7 +255,7 @@ mod tests {
             return;
         }
         // args layout: [out: *mut f32, a: *const f32, n: u64, rows: u64,
-        //               step: i64 (bytes), k: *const f32]
+        //               step: i64 (bytes), k: *const f32, mask: [i32; 8]]
         let mut a = Asm::new();
         use asm::Reg::*;
         a.push_r(Rbx);
@@ -274,10 +283,10 @@ mod tests {
         a.bind(tail);
         a.cmp_r_r(Rcx, Rdx);
         a.jcc(Cc::Ae, row_end);
-        a.vaddss_rm(Ymm(0), Ymm(1), R12, Some(Rcx), 0);
-        a.vmovss_store(R8, Some(Rcx), 0, Ymm(0));
-        a.inc_r(Rcx);
-        a.jmp(tail);
+        a.vmovups_load(Ymm(2), Rdi, None, 48);
+        a.vmaskmovps_load(Ymm(0), Ymm(2), R12, Some(Rcx), 0);
+        a.vaddps_rr(Ymm(0), Ymm(1), Ymm(0));
+        a.vmaskmovps_store(R8, Some(Rcx), 0, Ymm(2), Ymm(0));
         a.bind(row_end);
         a.add_r_m(R8, Rdi, 32);
         a.add_r_m(R12, Rdi, 32);
@@ -302,6 +311,7 @@ mod tests {
             rows: u64,
             step: i64,
             k: *const f32,
+            mask: [i32; 8],
         }
         let mut args = Args {
             out: out.as_mut_ptr(),
@@ -310,6 +320,7 @@ mod tests {
             rows: rows as u64,
             step: (pitch * 4) as i64,
             k: &k,
+            mask: lane_mask(n % 8),
         };
         unsafe { m.call(&mut args as *mut Args as *mut u8) };
         for r in 0..rows {
@@ -328,29 +339,30 @@ mod tests {
         if !ctx.target().supports_jit() {
             return;
         }
-        // out[0] = 1.0 / x  — args: [out, x, one]
+        // out[..8] = 1.0 / x[..8]  — args: [out, x, one]
         let mut a = Asm::new();
         use asm::Reg::*;
         a.mov_r_m(R8, Rdi, 0);
         a.mov_r_m(R9, Rdi, 8);
         a.mov_r_m(R10, Rdi, 16);
-        a.vmovss_load(Ymm(0), R9, None, 0);
-        a.vmovss_load(Ymm(1), R10, None, 0);
-        a.vdivss_rr(Ymm(0), Ymm(1), Ymm(0)); // 1.0 / x
-        a.vmovss_store(R8, None, 0, Ymm(0));
+        a.vmovups_load(Ymm(0), R9, None, 0);
+        a.vbroadcastss(Ymm(1), R10, 0);
+        a.vdivps_rr(Ymm(0), Ymm(1), Ymm(0)); // 1.0 / x
+        a.vmovups_store(R8, None, 0, Ymm(0));
         a.vzeroupper();
         a.ret();
         let m = ctx.finalize(a).unwrap();
-        for x in [3.0f32, 0.1, -7.25, 1e-20] {
-            let mut out = 0.0f32;
-            let one = 1.0f32;
-            let mut args = [
-                &mut out as *mut f32 as usize,
-                &x as *const f32 as usize,
-                &one as *const f32 as usize,
-            ];
-            unsafe { m.call(args.as_mut_ptr() as *mut u8) };
-            assert_eq!(out.to_bits(), (1.0f32 / x).to_bits(), "x={x}");
+        let x = [3.0f32, 0.1, -7.25, 1e-20, 0.0, -0.0, 1e30, f32::INFINITY];
+        let mut out = [0.0f32; 8];
+        let one = 1.0f32;
+        let mut args = [
+            out.as_mut_ptr() as usize,
+            x.as_ptr() as usize,
+            &one as *const f32 as usize,
+        ];
+        unsafe { m.call(args.as_mut_ptr() as *mut u8) };
+        for (o, x) in out.iter().zip(x) {
+            assert_eq!(o.to_bits(), (1.0f32 / x).to_bits(), "x={x}");
         }
     }
 }

@@ -178,12 +178,13 @@ fn all_kernels_all_orders_bitwise_equal() {
     }
 }
 
-/// The JIT's loop nest at every inner extent from a lone scalar tail to
-/// past one interleaved pass, one single strip and a tail (1 ..= 8·U + 9
-/// for U = `MAX_STRIPS` strips; a grid needs two points per axis, so
-/// extent 1 is the ragged 2-D tile at 17 + 1): acoustic SDO 8 in 2-D
-/// and 3-D and the deep-stack elastic kernel in 3-D, plain, blocked
-/// with ragged tiles and threaded (the slab path). Each geometry
+/// The JIT's loop nest at every inner extent from a lone partial strip
+/// to past one interleaved pass, one single strip and a partial strip
+/// (1 ..= 8·U + 9 for U = `MAX_STRIPS` strips; a grid needs two points
+/// per axis, so extent 1 is the ragged 2-D tile at 17 + 1): acoustic
+/// SDO 8 in 2-D and 3-D, the deep-stack elastic kernel and the
+/// viscoelastic kernel (which loads streams it stores) in 3-D, plain,
+/// blocked with ragged tiles and threaded (the slab path). Each geometry
 /// encodes exactly one module per natively-run cluster, whatever the
 /// blocking and threading (counted on the executable: the process-wide
 /// `jit_modules_built` also counts other tests' modules).
@@ -193,12 +194,15 @@ fn jit_inner_extent_sweep_bitwise() {
         return;
     }
     let max_inner = 8 * mpix::codegen::jit::MAX_STRIPS + 9;
-    let cases: [(KernelKind, &[usize], usize); 3] = [
+    let cases: [(KernelKind, &[usize], usize); 4] = [
         // 2-D tiles block the inner dimension too: 17 leaves room for
         // the interleaved body in the first tile and a ragged second.
         (KernelKind::Acoustic, &[7], 17),
         (KernelKind::Acoustic, &[5, 4], 3),
         (KernelKind::Elastic, &[5, 4], 3),
+        // Loads streams it stores: a partial strip's dead lanes must
+        // never be stored.
+        (KernelKind::Viscoelastic, &[5, 4], 3),
     ];
     for (kind, outer, block) in cases {
         for inner in 2..=max_inner {

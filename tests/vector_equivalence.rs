@@ -11,6 +11,7 @@
 //! rounding (no FMA contraction).
 
 use mpix::prelude::*;
+use mpix::solvers::{KernelKind, ModelSpec, Propagator};
 use proptest::prelude::*;
 
 /// Diffusion-style operator `u.dt = laplace(u)` over an arbitrary grid.
@@ -24,6 +25,51 @@ fn laplace_op(shape: &[usize], so: u32) -> Operator {
     Operator::build(ctx, grid, vec![st]).unwrap()
 }
 
+/// Fill field `name` (time buffer 0) with a deterministic non-uniform
+/// seed, so every stencil tap matters.
+fn fill_pattern(ws: &mut Workspace, name: &str, shape: &[usize]) {
+    let u = ws.field_data_mut(name, 0);
+    let mut i = 0usize;
+    let mut idx = vec![0usize; shape.len()];
+    loop {
+        u.set_global(&idx, ((i * 7 + 3) % 23) as f32 * 0.25);
+        i += 1;
+        let mut d = shape.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            idx[d] += 1;
+            if idx[d] < shape[d] {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+}
+
+/// Run `op` on the bytecode backend with `opts` — on the scalar oracle
+/// when `oracle` is set — and return rank 0's extracted result.
+fn run_bytecode<R: Send>(
+    op: &Operator,
+    opts: ApplyOptions,
+    oracle: bool,
+    init: impl Fn(&mut Workspace) + Send + Sync,
+    extract: impl Fn(&mut Workspace) -> R + Send + Sync,
+) -> R {
+    let opts = opts.with_backend(Backend::Bytecode);
+    let exec = op.executable_for(&opts);
+    let exec = if oracle {
+        std::sync::Arc::new(exec.scalar_oracle())
+    } else {
+        exec
+    };
+    op.run_with_exec(&exec, &opts, init, extract)
+        .results
+        .remove(0)
+}
+
 /// Run `nt` steps of the bytecode backend with the given execution
 /// knobs — on the scalar oracle when `oracle` is set — and gather the
 /// full global field, bit-exact.
@@ -35,46 +81,18 @@ fn run_config(
     threads: usize,
 ) -> Vec<f32> {
     let opts = ApplyOptions::default()
-        .with_backend(Backend::Bytecode)
         .with_dt(0.001)
         .with_nt(3)
         .with_block(block)
         .with_threads(threads);
-    let exec = op.executable_for(&opts);
-    let exec = if oracle {
-        std::sync::Arc::new(exec.scalar_oracle())
-    } else {
-        exec
-    };
     let shape = shape.to_vec();
-    let applied = op.run_with_exec(
-        &exec,
-        &opts,
-        move |ws: &mut Workspace| {
-            let u = ws.field_data_mut("u", 0);
-            // Deterministic non-uniform seed so every tap matters.
-            let mut i = 0usize;
-            let mut idx = vec![0usize; shape.len()];
-            loop {
-                u.set_global(&idx, ((i * 7 + 3) % 23) as f32 * 0.25);
-                i += 1;
-                let mut d = shape.len();
-                loop {
-                    if d == 0 {
-                        return;
-                    }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < shape[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
-        },
+    run_bytecode(
+        op,
+        opts,
+        oracle,
+        move |ws: &mut Workspace| fill_pattern(ws, "u", &shape),
         |ws| ws.gather("u"),
-    );
-    applied.results.into_iter().next().unwrap()
+    )
 }
 
 fn assert_lanes_match_scalar_oracle(shape: &[usize], so: u32) {
@@ -95,9 +113,44 @@ fn assert_lanes_match_scalar_oracle(shape: &[usize], so: u32) {
 
 #[test]
 fn vectorized_matches_scalar_1d() {
-    // 13 and 40: remainder-only and strip+remainder inner extents.
+    // 13 and 40: partial-strip-only and strips + partial strip.
     assert_lanes_match_scalar_oracle(&[13], 4);
     assert_lanes_match_scalar_oracle(&[40], 8);
+}
+
+/// The viscoelastic kernel loads streams it stores, so a partial
+/// strip's dead lanes must never be stored: inner extent 13 is one
+/// partial strip per row, 40 two strips and a partial one.
+#[test]
+fn viscoelastic_partial_strips_match_scalar() {
+    for inner in [13, 40] {
+        let shape = [5, 4, inner];
+        let spec = ModelSpec::new(&shape).with_nbl(0);
+        let prop = Propagator::build(KernelKind::Viscoelastic, spec, 8);
+        let field = prop.main_field();
+        let run = |oracle: bool, block: usize, threads: usize| {
+            let opts = prop
+                .apply_options(3)
+                .with_block(block)
+                .with_threads(threads);
+            let init = |ws: &mut Workspace| {
+                prop.init(ws);
+                fill_pattern(ws, field, &shape);
+            };
+            run_bytecode(&prop.op, opts, oracle, init, |ws| ws.gather(field))
+        };
+        let scalar = run(true, 0, 1);
+        for (block, threads) in [(0usize, 1usize), (4, 1), (0, 2)] {
+            let out = run(false, block, threads);
+            for (k, (a, b)) in scalar.iter().zip(&out).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "inner={inner} block={block} threads={threads} idx={k}: {a} vs {b}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
