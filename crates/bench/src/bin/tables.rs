@@ -10,19 +10,22 @@
 //! cargo run -p mpix-bench --release --bin tables -- trends
 //! cargo run -p mpix-bench --release --bin tables -- validate   # real multi-rank runs
 //! cargo run -p mpix-bench --release --bin tables -- perf       # per-rank PerfSummary
-//! cargo run -p mpix-bench --release --bin tables -- bench-kernels [--quick] [--baseline=FILE]
-//! #   scalar vs vectorized interpreter vs jit GPts/s -> BENCH_kernels.json
-//! #   --baseline adds each row's ratio to an earlier record's
-//! cargo run -p mpix-bench --release --bin tables -- bench-build [--quick] [--arm=LABEL] [--baseline=FILE]
+//! cargo run -p mpix-bench --release --bin tables -- bench-kernels
+//! #   bytecode vs jit GPts/s, blocking on/off, trace levels -> BENCH_kernels.json
+//! cargo run -p mpix-bench --release --bin tables -- bench-build
 //! #   Operator::build time per phase, every kernel x SDO 2..16 -> BENCH_build.json
-//! #   --arm labels the record; --baseline adds each row's ratio to an earlier one
-//! cargo run -p mpix-bench --release --bin tables -- bench-verify [--quick] [--arm=LABEL] [--baseline=FILE]
+//! cargo run -p mpix-bench --release --bin tables -- bench-verify
 //! #   Operator::run's verify gate (jit), kernel x SDO {4,8,16} x {basic,diagonal}
-//! #   x ranks {1,2} -> BENCH_verify.json; --arm/--baseline as for bench-build
-//! cargo run -p mpix-bench --release --bin tables -- bench-halo [--quick] [--ranks-sweep]
-//! #   persistent-plan vs legacy halo exchange latency -> BENCH_comm.json
-//! #   --ranks-sweep adds weak-scaled P in {8,32,128,256,512}: diagonal
-//! #   exchange µs, receive parks, steady-state allocations (asserted 0)
+//! #   x ranks {1,2} -> BENCH_verify.json
+//! cargo run -p mpix-bench --release --bin tables -- bench-halo [--ranks-sweep]
+//! #   halo exchange latency per mode x radius, substrate ops, the sanitizer
+//! #   overhead gate -> BENCH_comm.json; --ranks-sweep adds weak-scaled
+//! #   P in {8,32,128,256,512}: diagonal exchange µs, receive parks,
+//! #   steady-state allocations (asserted 0)
+//! #
+//! # Every bench-* takes [--quick] (CI smoke size), [--arm=LABEL] (the
+//! # record's label, default `current`) and [--baseline=FILE] (an earlier
+//! # record: each row with the same key gains its ratio to that row).
 //! ```
 
 use mpix_bench::tables;
@@ -53,10 +56,6 @@ fn main() {
         }
         "validate" => validate(),
         "perf" => tables::print_perf(),
-        "bench-kernels" => bench_kernels(&args),
-        "bench-halo" => bench_halo(&args),
-        "bench-build" => bench_build(&args),
-        "bench-verify" => bench_verify(&args),
         "json" => println!("{}", tables::json_dump()),
         "crossovers" => tables::print_crossovers(),
         "all" => {
@@ -74,82 +73,54 @@ fn main() {
             tables::print_perf();
         }
         other => {
-            eprintln!("unknown experiment {other:?}; see the header comment");
-            std::process::exit(1);
+            if !bench(other, &args) {
+                eprintln!("unknown experiment {other:?}; see the header comment");
+                std::process::exit(1);
+            }
         }
     }
 }
 
-/// Measure per-backend kernel throughput (bytecode vs jit) and write the JSON
-/// record to `BENCH_kernels.json` (`--quick` = CI smoke size;
-/// `--baseline=FILE` compares every row against an earlier record).
-fn bench_kernels(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let baseline = baseline_arg(args);
-    let json = tables::bench_kernels_json_vs(quick, baseline.as_ref());
-    let path = "BENCH_kernels.json";
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
-    println!("\nwrote {path}");
-}
-
-/// Measure `Operator::build` per phase for every kernel × SDO and write
-/// the record to `BENCH_build.json` (`--quick` = one build per row;
-/// `--arm=LABEL` names the record, default `current`;
-/// `--baseline=FILE` compares every row against an earlier record).
-fn bench_build(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let arm = arm_arg(args);
-    let baseline = baseline_arg(args);
-    let json = tables::bench_build_json(quick, arm, baseline.as_ref());
-    let path = "BENCH_build.json";
-    std::fs::write(path, &json).expect("write BENCH_build.json");
-    println!("\nwrote {path}");
-}
-
-/// Measure the verify gate for every kernel × SDO × mode × ranks and
-/// write the record to `BENCH_verify.json` (`--quick` = one gate call
-/// per row; `--arm=LABEL` names the record, default `current`;
-/// `--baseline=FILE` compares every row against an earlier record).
-fn bench_verify(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let arm = arm_arg(args);
-    let baseline = baseline_arg(args);
-    let json = tables::bench_verify_json(quick, arm, baseline.as_ref());
-    let path = "BENCH_verify.json";
-    std::fs::write(path, &json).expect("write BENCH_verify.json");
-    println!("\nwrote {path}");
-}
-
-/// The record label named by `--arm=LABEL`, default `current`.
-fn arm_arg(args: &[String]) -> &str {
-    args.iter()
+/// Run the `bench-*` subcommand `what` into its record file; `false` if
+/// there is none. Every one takes `--quick` (CI smoke size), `--arm=LABEL`
+/// (the record's label, default `current`) and `--baseline=FILE` (an
+/// earlier record whose rows this one joins).
+fn bench(what: &str, args: &[String]) -> bool {
+    let ranks_sweep = args.iter().any(|a| a == "--ranks-sweep");
+    let halo = |ledger: &mut tables::Ledger| tables::bench_halo(ledger, ranks_sweep);
+    type Bench<'a> = &'a dyn Fn(&mut tables::Ledger);
+    let benches: [(&str, &str, Bench); 4] = [
+        (
+            "bench-kernels",
+            "BENCH_kernels.json",
+            &tables::bench_kernels,
+        ),
+        ("bench-build", "BENCH_build.json", &tables::bench_build),
+        ("bench-verify", "BENCH_verify.json", &tables::bench_verify),
+        ("bench-halo", "BENCH_comm.json", &halo),
+    ];
+    let Some((_, path, run)) = benches.iter().find(|(name, ..)| *name == what) else {
+        return false;
+    };
+    let arm = args
+        .iter()
         .find_map(|a| a.strip_prefix("--arm="))
-        .unwrap_or("current")
-}
-
-/// The record named by `--baseline=FILE`, if given.
-fn baseline_arg(args: &[String]) -> Option<mpix_json::Value> {
-    args.iter()
+        .unwrap_or("current");
+    let baseline = args
+        .iter()
         .find_map(|a| a.strip_prefix("--baseline="))
         .map(|path| {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("--baseline={path}: cannot read: {e}"));
             mpix_json::Value::parse(&text)
                 .unwrap_or_else(|e| panic!("--baseline={path}: not a JSON record: {e:?}"))
-        })
-}
-
-/// Measure persistent-plan vs legacy halo-exchange latency per mode and
-/// radius and write the record to `BENCH_comm.json` (`--quick` = CI
-/// smoke size; `--ranks-sweep` adds the weak-scaling P ∈ {8..512} axis
-/// comparing the sharded substrate against the single-shard baseline).
-fn bench_halo(args: &[String]) {
+        });
     let quick = args.iter().any(|a| a == "--quick");
-    let ranks_sweep = args.iter().any(|a| a == "--ranks-sweep");
-    let json = tables::bench_halo_json_opts(quick, ranks_sweep);
-    let path = "BENCH_comm.json";
-    std::fs::write(path, &json).expect("write BENCH_comm.json");
+    let mut ledger = tables::Ledger::new(arm, baseline, quick);
+    run(&mut ledger);
+    std::fs::write(path, ledger.finish()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("\nwrote {path}");
+    true
 }
 
 fn sdo_filter(args: &[String]) -> Vec<u32> {

@@ -435,127 +435,272 @@ pub fn print_perf() {
     }
 }
 
-/// Measured per-backend throughput: run each kernel for real on one
-/// rank at SDO 4/8/12/16 under every execution backend — the
-/// interpreter (strips of [`LANES`](mpix_codegen::LANES)) and the
-/// native JIT where the host supports it — and return the per-kernel
-/// GPts/s comparison as pretty JSON with one row per
-/// `(kernel, sdo, backend)`. Speedups are relative to the bytecode row.
-/// The `tables bench-kernels` subcommand writes this to
-/// `BENCH_kernels.json`, the perf-trajectory record for the repo.
+/// One measured record, the shape every `tables bench-*` subcommand
+/// writes: named arrays of rows, one row per configuration.
 ///
-/// Each row is the median of `reps` timed runs (5; 1 when `quick`).
-/// `quick` shrinks the grid and step count to a CI smoke size (schema
-/// identical; numbers not meaningful for trend tracking).
-pub fn bench_kernels_json(quick: bool) -> String {
-    bench_kernels_json_vs(quick, None)
+/// A row holds its key fields, the median of its main metric over the
+/// record's `reps` timed runs, that metric's interquartile range
+/// (`<metric>_iqr`, nearest-rank quartiles) and any further fields.
+/// Where the baseline record (an earlier `BENCH_*.json`, typically the
+/// parent's, taken on the same host) holds a row of the same array with
+/// equal key fields, the row gains `baseline_<metric>` and `vs_baseline`:
+/// this median over the baseline's, in the metric's own direction (above
+/// 1 is faster for `gpts`, slower for a time). Keys and metric names are
+/// the ones earlier records used, so old records join too.
+pub struct Ledger {
+    arm: String,
+    baseline: Option<mpix_json::Value>,
+    quick: bool,
+    reps: usize,
+    fields: Vec<(String, mpix_json::Value)>,
+    arrays: Vec<(String, Vec<mpix_json::Value>)>,
 }
 
-/// [`bench_kernels_json`] with every row compared against `baseline`, a
-/// record the same subcommand wrote earlier (typically at the parent
-/// commit, on the same host): rows that match a baseline row by
-/// `(kernel, sdo, backend)` gain `baseline_gpts` and `vs_baseline`
-/// (this run's GPts/s over the baseline's).
-pub fn bench_kernels_json_vs(quick: bool, baseline: Option<&mpix_json::Value>) -> String {
-    use mpix_core::{available_backends, Backend};
-    use mpix_json::{json, Value};
+impl Ledger {
+    /// An empty record labelled `arm` that joins the rows of `baseline`.
+    /// `quick` asks for CI smoke sizes: one timed run per row and an
+    /// identical schema, with numbers not meant for trend tracking.
+    pub fn new(arm: &str, baseline: Option<mpix_json::Value>, quick: bool) -> Ledger {
+        Ledger {
+            arm: arm.to_string(),
+            baseline,
+            quick,
+            reps: 1,
+            fields: Vec::new(),
+            arrays: Vec::new(),
+        }
+    }
+
+    /// Whether this is a smoke-size record.
+    pub fn quick(&self) -> bool {
+        self.quick
+    }
+
+    /// Sets and returns the timed runs per row: `full`, or 1 when quick.
+    pub fn reps(&mut self, full: usize) -> usize {
+        self.reps = if self.quick { 1 } else { full };
+        self.reps
+    }
+
+    /// Adds a record-level field (grid, step count, ...).
+    pub fn field(&mut self, name: &str, value: impl Into<mpix_json::Value>) {
+        self.fields.push((name.to_string(), value.into()));
+    }
+
+    /// Stores and prints one row of `array`: `key`, `metric` as the median
+    /// of `samples` with its interquartile range, then `extra`, then the
+    /// baseline join.
+    pub fn row(
+        &mut self,
+        array: &str,
+        key: &[(&str, mpix_json::Value)],
+        metric: &str,
+        samples: &[f64],
+        extra: &[(&str, mpix_json::Value)],
+    ) {
+        use mpix_json::Value;
+        let mut xs = samples.to_vec();
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        let (med, iqr) = (xs[n / 2], xs[3 * n / 4] - xs[n / 4]);
+        let owned = |fields: &[(&str, Value)]| -> Vec<(String, Value)> {
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect()
+        };
+        let mut row = owned(key);
+        row.push((metric.to_string(), Value::from(med)));
+        row.push((format!("{metric}_iqr"), Value::from(iqr)));
+        row.extend(owned(extra));
+        let shown: Vec<String> = key
+            .iter()
+            .map(|(k, v)| format!("{k}={}", v.as_str().map_or(v.to_string(), str::to_string)))
+            .collect();
+        let mut line = format!(
+            "{array:<12} {:<48} {metric} {med:.4} (iqr {iqr:.4})",
+            shown.join(" ")
+        );
+        let base = self
+            .baseline
+            .as_ref()
+            .and_then(|b| b.get(array)?.as_array())
+            .and_then(|rows| {
+                rows.iter()
+                    .find(|r| key.iter().all(|(k, v)| r.get(k) == Some(v)))
+            })
+            .and_then(|r| r.get(metric)?.as_f64());
+        if let Some(b) = base {
+            row.push((format!("baseline_{metric}"), Value::from(b)));
+            row.push(("vs_baseline".to_string(), Value::from(med / b)));
+            line += &format!("  {:.2}x baseline", med / b);
+        }
+        println!("{line}");
+        match self.arrays.iter_mut().find(|(name, _)| name == array) {
+            Some((_, rows)) => rows.push(Value::Obj(row)),
+            None => self.arrays.push((array.to_string(), vec![Value::Obj(row)])),
+        }
+    }
+
+    /// The record as pretty JSON: the shared envelope (`arm`,
+    /// `baseline_arm`, `quick`, `reps`, `nproc`), the record-level fields,
+    /// then every row array.
+    pub fn finish(self) -> String {
+        use mpix_json::Value;
+        let baseline_arm = self.baseline.as_ref().map_or(Value::Null, |b| {
+            Value::from(b.get("arm").and_then(Value::as_str).unwrap_or("unlabelled"))
+        });
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let envelope = [
+            ("arm".to_string(), Value::from(self.arm)),
+            ("baseline_arm".to_string(), baseline_arm),
+            ("quick".to_string(), Value::from(self.quick)),
+            ("reps".to_string(), Value::from(self.reps)),
+            ("nproc".to_string(), Value::from(nproc)),
+        ];
+        let arrays = self.arrays.into_iter().map(|(k, v)| (k, Value::Arr(v)));
+        Value::Obj(
+            envelope
+                .into_iter()
+                .chain(self.fields)
+                .chain(arrays)
+                .collect(),
+        )
+        .pretty()
+    }
+}
+
+/// Median of a non-empty sample.
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Measured per-backend throughput, written by `tables bench-kernels` to
+/// `BENCH_kernels.json`. Every row times whole `Operator::run`s after an
+/// untimed warm-up and reports GPts/s (5 timed runs; quick: 1, on a
+/// 12³ + 2 grid for 2 steps instead of 32³ + 4 for 8). Three arrays:
+///
+/// * `kernels`: each kernel at SDO 4/8/12/16 on one rank under every
+///   backend the host runs (the interpreter's strips of
+///   [`LANES`](mpix_codegen::LANES), and the native JIT where
+///   supported); `speedup` is over the bytecode row.
+/// * `blocking`: each kernel at SDO 8 on the fastest backend with
+///   `block` 0 (off) and 16; `vs_unblocked` is over the block-0 row.
+/// * `trace`: acoustic SDO 4 on 4 ranks at each `TraceLevel`;
+///   `vs_off` is the run's GPts/s over the `off` row's. The levels share
+///   one build, so `off` is not compared with an untraced binary.
+pub fn bench_kernels(ledger: &mut Ledger) {
+    use mpix_core::{available_backends, ApplyOptions, Backend, Workspace};
+    use mpix_json::json;
     use mpix_solvers::{ModelSpec, Propagator};
+    use mpix_trace::TraceLevel;
     use std::time::Instant;
 
-    let (edge, nbl, nt, reps) = if quick {
-        (12usize, 2usize, 2i64, 1usize)
+    let reps = ledger.reps(5);
+    let (edge, nbl, nt) = if ledger.quick() {
+        (12usize, 2usize, 2i64)
     } else {
-        (32, 4, 8, 5)
+        (32, 4, 8)
     };
-    let have_jit = available_backends().contains(&Backend::Jit);
+    let mut backends = vec![Backend::Bytecode];
+    if available_backends().contains(&Backend::Jit) {
+        backends.push(Backend::Jit);
+    }
+    let fastest = *backends.last().unwrap();
+    ledger.field("grid", vec![edge, edge, edge]);
+    ledger.field("nbl", nbl);
+    ledger.field("nt", nt);
+    ledger.field("lanes", mpix_codegen::LANES);
+    ledger.field("jit_available", fastest == Backend::Jit);
 
-    let mut rows = Vec::new();
+    let build = |kind: KernelKind, sdo: u32| {
+        Propagator::build(kind, ModelSpec::new(&[edge, edge, edge]).with_nbl(nbl), sdo)
+    };
+    // GPts/s of `reps` timed runs of `opts`.
+    let gpts = |p: &Propagator, opts: ApplyOptions| -> Vec<f64> {
+        let init = |ws: &mut Workspace| {
+            p.init(ws);
+            p.add_ricker_source(ws, 18.0, nt as usize);
+        };
+        // Untimed warm-up amortizes first-touch and compilation.
+        p.op.run(&opts, init, |_| ());
+        let pts = p.points_per_step() as f64 * nt as f64;
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                p.op.run(&opts, init, |_| ());
+                pts / t0.elapsed().as_secs_f64() / 1e9
+            })
+            .collect()
+    };
+
     println!("\n## Backend throughput: bytecode vs jit, {edge}\u{b3}+{nbl} ABC, nt={nt}, 1 rank");
-    println!(
-        "{:<14} {:>4} {:<9} {:>12} {:>9}",
-        "kernel", "sdo", "backend", "GPts/s", "speedup"
-    );
     for kind in KernelKind::all() {
         for sdo in [4u32, 8, 12, 16] {
-            let spec = ModelSpec::new(&[edge, edge, edge]).with_nbl(nbl);
-            let p = Propagator::build(kind, spec, sdo);
-            let pref = &p;
-            let init = move |ws: &mut mpix_core::Workspace| {
-                pref.init(ws);
-                pref.add_ricker_source(ws, 18.0, nt as usize);
-            };
-            let time_run = |backend: Backend| -> f64 {
+            let p = build(kind, sdo);
+            // The bytecode row comes first: the interpreter is the
+            // baseline every speedup is measured against.
+            let mut bytecode = None;
+            for &backend in &backends {
                 let opts = p.apply_options(nt).with_backend(backend).with_ranks(1);
-                // Untimed warm-up amortizes first-touch and compilation.
-                p.op.run(&opts, init, |_| ());
-                median(
-                    (0..reps)
-                        .map(|_| {
-                            let t0 = Instant::now();
-                            p.op.run(&opts, init, |_| ());
-                            t0.elapsed().as_secs_f64()
-                        })
-                        .collect(),
-                )
-            };
-            let pts = p.points_per_step() as f64 * nt as f64;
-            // The interpreter is the baseline every speedup is measured
-            // against.
-            let mut backends = vec![Backend::Bytecode];
-            if have_jit {
-                backends.push(Backend::Jit);
-            }
-            let mut bytecode = 0.0f64;
-            for backend in backends {
-                let gpts = pts / time_run(backend) / 1e9;
-                if backend == Backend::Bytecode {
-                    bytecode = gpts;
-                }
-                let speedup = gpts / bytecode;
-                let label = backend.to_string();
+                let samples = gpts(&p, opts);
+                let speedup = median(&samples) / *bytecode.get_or_insert(median(&samples));
                 let key = [
                     ("kernel", json!(kind.name())),
                     ("sdo", json!(sdo)),
-                    ("backend", json!(label.as_str())),
+                    ("backend", json!(backend.to_string())),
                 ];
-                let base =
-                    baseline_row(baseline, "kernels", &key).and_then(|r| r.get("gpts")?.as_f64());
-                println!(
-                    "{:<14} {:>4} {:<9} {:>12.4} {:>8.2}x{}",
-                    kind.name(),
-                    sdo,
-                    label,
-                    gpts,
-                    speedup,
-                    base.map_or(String::new(), |b| format!(" {:>8.2}x baseline", gpts / b))
+                ledger.row(
+                    "kernels",
+                    &key,
+                    "gpts",
+                    &samples,
+                    &[("speedup", json!(speedup))],
                 );
-                let mut row = vec![
-                    ("kernel".to_string(), json!(kind.name())),
-                    ("sdo".to_string(), json!(sdo)),
-                    ("backend".to_string(), json!(label)),
-                    ("gpts".to_string(), json!(gpts)),
-                    ("speedup".to_string(), json!(speedup)),
-                ];
-                if let Some(b) = base {
-                    row.push(("baseline_gpts".to_string(), json!(b)));
-                    row.push(("vs_baseline".to_string(), json!(gpts / b)));
-                }
-                rows.push(Value::Obj(row));
             }
         }
     }
-    json!({
-        "grid": vec![edge, edge, edge],
-        "nbl": nbl,
-        "nt": nt,
-        "lanes": mpix_codegen::LANES,
-        "jit_available": have_jit,
-        "quick": quick,
-        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "reps": reps,
-        "kernels": rows,
-    })
-    .pretty()
+
+    println!("\n## Loop blocking on {fastest}, SDO 8, 1 rank");
+    for kind in KernelKind::all() {
+        let p = build(kind, 8);
+        let mut unblocked = None;
+        for block in [0usize, 16] {
+            let opts = p.apply_options(nt).with_backend(fastest).with_ranks(1);
+            let samples = gpts(&p, opts.with_block(block));
+            let vs = median(&samples) / *unblocked.get_or_insert(median(&samples));
+            let key = [
+                ("kernel", json!(kind.name())),
+                ("sdo", json!(8)),
+                ("backend", json!(fastest.to_string())),
+                ("block", json!(block)),
+            ];
+            ledger.row(
+                "blocking",
+                &key,
+                "gpts",
+                &samples,
+                &[("vs_unblocked", json!(vs))],
+            );
+        }
+    }
+
+    println!("\n## Trace level cost: acoustic SDO 4, 4 ranks");
+    let p = build(KernelKind::Acoustic, 4);
+    let mut off = None;
+    for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Full] {
+        let samples = gpts(&p, p.apply_options(nt).with_ranks(4).with_trace(level));
+        let vs = median(&samples) / *off.get_or_insert(median(&samples));
+        let key = [
+            ("kernel", json!("acoustic")),
+            ("sdo", json!(4)),
+            ("ranks", json!(4)),
+            ("trace", json!(level.name())),
+        ];
+        ledger.row("trace", &key, "gpts", &samples, &[("vs_off", json!(vs))]);
+    }
 }
 
 /// A shipped solver's equation builder (`acoustic::equations`, …).
@@ -579,131 +724,54 @@ fn equations_of(kind: KernelKind) -> Equations {
     }
 }
 
-/// Median of a non-empty sample.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// The row of `baseline`'s `array` whose fields equal every `(key,
-/// value)` pair of `key`: the row a `--baseline` record holds for the
-/// same configuration.
-fn baseline_row<'a>(
-    baseline: Option<&'a mpix_json::Value>,
-    array: &str,
-    key: &[(&str, mpix_json::Value)],
-) -> Option<&'a mpix_json::Value> {
-    let rows = baseline?.get(array)?.as_array()?;
-    rows.iter()
-        .find(|r| key.iter().all(|(k, v)| r.get(k) == Some(v)))
-}
-
-/// The `arm` label of a baseline record, `null` without one.
-fn baseline_arm(baseline: Option<&mpix_json::Value>) -> mpix_json::Value {
-    baseline.map_or(mpix_json::Value::Null, |b| {
-        let arm = b.get("arm").and_then(mpix_json::Value::as_str);
-        mpix_json::Value::from(arm.unwrap_or("unlabelled"))
-    })
-}
-
 /// Space orders `tables bench-build` compiles every kernel at.
 pub const BUILD_SDOS: [u32; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 
-/// Measured compile time: build every kernel at each of [`BUILD_SDOS`]
-/// through [`Operator::build_profile`](mpix_core::Operator::build_profile)
-/// and return one row per `(kernel, sdo)` as pretty JSON — the median
-/// build time in ms, the median of each phase and CSE's share. The
-/// `tables bench-build` subcommand writes this to `BENCH_build.json`.
+/// Measured compile time, written by `tables bench-build` to
+/// `BENCH_build.json`: one `builds` row per kernel × [`BUILD_SDOS`] with
+/// the median `build_ms` of
+/// [`Operator::build_profile`](mpix_core::Operator::build_profile) over
+/// 7 builds (quick: 1), the median of each phase and CSE's share. The
+/// equations are constructed outside the timed region.
 ///
 /// Each row also records the layout the build chose: `workspace_bytes`,
 /// the field buffers of a 1-rank `Workspace` built from the operator's
 /// context (stencil-reach halos), and `space_order_bytes`, the same
 /// fields at the pre-build default of a halo of `space_order` per side.
-///
-/// Each row is the median of `reps` builds (7; 1 when `quick`, with an
-/// identical schema). The equations are constructed outside the timed
-/// region. `arm` labels this record. With `baseline` (a record the same
-/// subcommand wrote earlier, typically with the parent's compiler on the
-/// same host) rows that match a baseline row by `(kernel, sdo)` gain
-/// `baseline_build_ms`, `baseline_cse_share` and `speedup_vs_baseline`
-/// (baseline build time over this one), and the record names the
-/// baseline's arm.
-pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Value>) -> String {
+pub fn bench_build(ledger: &mut Ledger) {
     use mpix_core::{BuildProfile, Operator};
-    use mpix_json::{json, Value};
+    use mpix_json::json;
     use mpix_solvers::ModelSpec;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
-    let reps = if quick { 1 } else { 7 };
+    let reps = ledger.reps(7);
     let spec = ModelSpec::new(&[16, 16, 16]).with_nbl(2);
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    ledger.field("grid", vec![16, 16, 16]);
+    ledger.field("nbl", 2);
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let configs: Vec<(KernelKind, u32)> = KernelKind::all()
+        .into_iter()
+        .flat_map(|k| BUILD_SDOS.map(|so| (k, so)))
+        .collect();
 
-    let mut rows = Vec::new();
-    let mut max_build_ms = 0.0f64;
-    println!("\n## Operator::build time per phase ({arm}), median of {reps}");
-    println!(
-        "{:<14} {:>4} {:>10} {:>10} {:>9}",
-        "kernel", "sdo", "build ms", "cse ms", "cse share"
-    );
-    for kind in KernelKind::all() {
-        let equations = equations_of(kind);
-        for sdo in BUILD_SDOS {
-            let runs: Vec<(f64, BuildProfile)> = (0..reps)
+    let timed: Vec<Vec<(f64, BuildProfile)>> = configs
+        .iter()
+        .map(|&(kind, sdo)| {
+            (0..reps)
                 .map(|_| {
-                    let (ctx, grid, eqs) = equations(&spec, sdo);
+                    let (ctx, grid, eqs) = equations_of(kind)(&spec, sdo);
                     let t0 = Instant::now();
                     let (_, profile) =
                         Operator::build_profile(ctx, grid, eqs).expect("shipped operator builds");
                     (ms(t0.elapsed()), profile)
                 })
-                .collect();
-            let phase = |f: fn(&BuildProfile) -> std::time::Duration| {
-                median(runs.iter().map(|(_, p)| ms(f(p))).collect())
-            };
-            let build_ms = median(runs.iter().map(|(t, _)| *t).collect());
-            let cse_ms = phase(|p| p.cse);
-            let cse_share = cse_ms / build_ms;
-            max_build_ms = max_build_ms.max(build_ms);
-            let mut row = vec![
-                ("kernel".to_string(), json!(kind.name())),
-                ("sdo".to_string(), json!(sdo)),
-                ("build_ms".to_string(), json!(build_ms)),
-                ("lowering_ms".to_string(), json!(phase(|p| p.lowering))),
-                ("clusterize_ms".to_string(), json!(phase(|p| p.clusterize))),
-                ("cse_ms".to_string(), json!(cse_ms)),
-                ("halo_ms".to_string(), json!(phase(|p| p.halo))),
-                ("op_counts_ms".to_string(), json!(phase(|p| p.op_counts))),
-                ("iet_ms".to_string(), json!(phase(|p| p.iet))),
-                ("cse_share".to_string(), json!(cse_share)),
-            ];
-            let mut line = format!(
-                "{:<14} {:>4} {:>10.3} {:>10.3} {:>9.3}",
-                kind.name(),
-                sdo,
-                build_ms,
-                cse_ms,
-                cse_share
-            );
-            let key = [("kernel", json!(kind.name())), ("sdo", json!(sdo))];
-            let base = baseline_row(baseline, "builds", &key);
-            let base_ms = base.and_then(|r| r.get("build_ms")?.as_f64());
-            let base_share = base.and_then(|r| r.get("cse_share")?.as_f64());
-            if let (Some(b), Some(share)) = (base_ms, base_share) {
-                row.push(("baseline_build_ms".to_string(), json!(b)));
-                row.push(("baseline_cse_share".to_string(), json!(share)));
-                row.push(("speedup_vs_baseline".to_string(), json!(b / build_ms)));
-                line += &format!("   baseline {b:>9.3} ms {:>7.1}x", b / build_ms);
-            }
-            println!("{line}");
-            rows.push(row);
-        }
-    }
+                .collect()
+        })
+        .collect();
     // Layouts are measured after every timed build: allocating and
     // dropping workspaces between builds slows the builds that follow.
-    let configs = KernelKind::all()
-        .into_iter()
-        .flat_map(|k| BUILD_SDOS.map(|so| (k, so)));
-    for (row, (kind, sdo)) in rows.iter_mut().zip(configs) {
+    println!("\n## Operator::build time per phase, 16\u{b3}+2 ABC");
+    for (&(kind, sdo), runs) in configs.iter().zip(timed) {
         let (ctx, grid, eqs) = equations_of(kind)(&spec, sdo);
         let op = Operator::build(ctx, grid, eqs).expect("shipped operator builds");
         let workspace_bytes = mpix_comm::Universe::run(1, |comm| {
@@ -720,22 +788,29 @@ pub fn bench_build_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Val
                 f.time_buffers() * points * std::mem::size_of::<f32>()
             })
             .sum();
-        row.push(("workspace_bytes".to_string(), json!(workspace_bytes)));
-        row.push(("space_order_bytes".to_string(), json!(space_order_bytes)));
+        let phase = |f: fn(&BuildProfile) -> Duration| {
+            median(&runs.iter().map(|(_, p)| ms(f(p))).collect::<Vec<_>>())
+        };
+        let build_ms: Vec<f64> = runs.iter().map(|(t, _)| *t).collect();
+        let cse_ms = phase(|p| p.cse);
+        ledger.row(
+            "builds",
+            &[("kernel", json!(kind.name())), ("sdo", json!(sdo))],
+            "build_ms",
+            &build_ms,
+            &[
+                ("lowering_ms", json!(phase(|p| p.lowering))),
+                ("clusterize_ms", json!(phase(|p| p.clusterize))),
+                ("cse_ms", json!(cse_ms)),
+                ("halo_ms", json!(phase(|p| p.halo))),
+                ("op_counts_ms", json!(phase(|p| p.op_counts))),
+                ("iet_ms", json!(phase(|p| p.iet))),
+                ("cse_share", json!(cse_ms / median(&build_ms))),
+                ("workspace_bytes", json!(workspace_bytes)),
+                ("space_order_bytes", json!(space_order_bytes)),
+            ],
+        );
     }
-    let rows: Vec<Value> = rows.into_iter().map(Value::Obj).collect();
-    json!({
-        "arm": arm,
-        "baseline_arm": baseline_arm(baseline),
-        "grid": vec![16, 16, 16],
-        "nbl": 2,
-        "quick": quick,
-        "reps": reps,
-        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "max_build_ms": max_build_ms,
-        "builds": rows,
-    })
-    .pretty()
 }
 
 /// Space orders `tables bench-verify` gates every kernel at.
@@ -746,44 +821,32 @@ pub const VERIFY_MODES: [mpix_dmp::HaloMode; 2] =
 /// Rank counts `tables bench-verify` gates every operator on.
 pub const VERIFY_RANKS: [usize; 2] = [1, 2];
 
-/// Measured verify-gate time: the gate `Operator::run` applies with
-/// `verify` on ([`AnalysisConfig::for_run`](mpix_analysis::AnalysisConfig::for_run)
+/// Measured verify-gate time, written by `tables bench-verify` to
+/// `BENCH_verify.json`: the gate `Operator::run` applies with `verify`
+/// on ([`AnalysisConfig::for_run`](mpix_analysis::AnalysisConfig::for_run)
 /// on `jit`), for every kernel × [`VERIFY_SDOS`] × [`VERIFY_MODES`] ×
 /// [`VERIFY_RANKS`] on the largest `serve-mixed` grid (24³ + 4-cell
-/// absorbing layer). Returns one row per configuration as pretty JSON:
-/// the number of exchange keys and the median gate time in ms. The
-/// `tables bench-verify` subcommand writes this to `BENCH_verify.json`.
-///
-/// Each row is the median of `reps` gate calls (7; 1 when `quick`, with
-/// an identical schema); operators are built outside the timed region.
-/// `arm` labels this record. With `baseline` (a record the same
-/// subcommand wrote earlier, typically against the parent's analysis
-/// crate on the same host) rows that match a baseline row by
-/// `(kernel, sdo, mode, ranks)` gain `baseline_verify_ms` and
-/// `speedup_vs_baseline` (baseline time over this one), and the record
-/// names the baseline's arm.
-pub fn bench_verify_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Value>) -> String {
+/// absorbing layer). One `gates` row per configuration: the median
+/// `verify_ms` of 7 gate calls (quick: 1) and the number of exchange
+/// `keys`. Operators are built outside the timed region.
+pub fn bench_verify(ledger: &mut Ledger) {
     use mpix_analysis::AnalysisConfig;
     use mpix_codegen::Backend;
     use mpix_core::Operator;
-    use mpix_json::{json, Value};
+    use mpix_json::json;
     use mpix_solvers::ModelSpec;
     use std::time::Instant;
 
-    let reps = if quick { 1 } else { 7 };
+    let reps = ledger.reps(7);
     let spec = ModelSpec::new(&[24, 24, 24]).with_nbl(4);
+    ledger.field("grid", vec![24, 24, 24]);
+    ledger.field("nbl", 4);
+    ledger.field("backend", "jit");
 
-    let mut rows = Vec::new();
-    let mut max_verify_ms = 0.0f64;
-    println!("\n## verify gate time ({arm}, jit), median of {reps}");
-    println!(
-        "{:<14} {:>4} {:<9} {:>5} {:>5} {:>10}",
-        "kernel", "sdo", "mode", "ranks", "keys", "verify ms"
-    );
+    println!("\n## verify gate time (jit)");
     for kind in KernelKind::all() {
-        let equations = equations_of(kind);
         for sdo in VERIFY_SDOS {
-            let (ctx, grid, eqs) = equations(&spec, sdo);
+            let (ctx, grid, eqs) = equations_of(kind)(&spec, sdo);
             let op = Operator::build(ctx, grid, eqs).expect("shipped operator builds");
             let keys = mpix_analysis::comm_schedule::exchange_keys(op.halo_plan()).len();
             for mode in VERIFY_MODES {
@@ -798,81 +861,45 @@ pub fn bench_verify_json(quick: bool, arm: &str, baseline: Option<&mpix_json::Va
                             ms
                         })
                         .collect();
-                    let verify_ms = median(times);
-                    max_verify_ms = max_verify_ms.max(verify_ms);
-                    let mode = format!("{mode:?}").to_lowercase();
-                    let mut row = vec![
-                        ("kernel".to_string(), json!(kind.name())),
-                        ("sdo".to_string(), json!(sdo)),
-                        ("mode".to_string(), json!(mode.as_str())),
-                        ("ranks".to_string(), json!(ranks)),
-                        ("keys".to_string(), json!(keys)),
-                        ("verify_ms".to_string(), json!(verify_ms)),
-                    ];
-                    let mut line = format!(
-                        "{:<14} {:>4} {:<9} {:>5} {:>5} {:>10.3}",
-                        kind.name(),
-                        sdo,
-                        mode,
-                        ranks,
-                        keys,
-                        verify_ms
-                    );
                     let key = [
                         ("kernel", json!(kind.name())),
                         ("sdo", json!(sdo)),
-                        ("mode", json!(mode.as_str())),
+                        ("mode", json!(format!("{mode:?}").to_lowercase())),
                         ("ranks", json!(ranks)),
                     ];
-                    let base = baseline_row(baseline, "gates", &key)
-                        .and_then(|r| r.get("verify_ms")?.as_f64());
-                    if let Some(b) = base {
-                        row.push(("baseline_verify_ms".to_string(), json!(b)));
-                        row.push(("speedup_vs_baseline".to_string(), json!(b / verify_ms)));
-                        line += &format!("   baseline {b:>9.3} ms {:>6.2}x", b / verify_ms);
-                    }
-                    println!("{line}");
-                    rows.push(Value::Obj(row));
+                    ledger.row("gates", &key, "verify_ms", &times, &[("keys", json!(keys))]);
                 }
             }
         }
     }
-    json!({
-        "arm": arm,
-        "baseline_arm": baseline_arm(baseline),
-        "grid": vec![24, 24, 24],
-        "nbl": 4,
-        "backend": "jit",
-        "quick": quick,
-        "reps": reps,
-        "nproc": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "max_verify_ms": max_verify_ms,
-        "gates": rows,
-    })
-    .pretty()
 }
 
-/// Measure per-exchange halo latency on a 2×2×2 rank grid for every
-/// mode and radius, comparing the persistent-plan path against a
-/// faithful reproduction of the pre-plan cost model (per-call box
-/// computation, fresh pack vector, `f32`→bytes conversion, byte-envelope
-/// send, bytes→`f32` conversion on receive — four copies and three
-/// allocations per message). Returns the `BENCH_comm.json` payload.
-pub fn bench_halo_json(quick: bool) -> String {
-    bench_halo_json_opts(quick, false)
-}
-
-/// [`bench_halo_json`] plus an optional ranks-sweep axis (`--ranks-sweep`):
-/// weak-scaled diagonal exchanges at P ∈ {8, 32, 128, 256, 512}.
-pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
-    use mpix_comm::comm::{bytes_to_f32, f32_to_bytes};
-    use mpix_comm::{CartComm, RecvRequest, Universe};
-    use mpix_dmp::{BoxNd, Decomposition, DistArray, HaloExchanger, HaloMode, HaloPlan};
+/// Measured communication costs, written by `tables bench-halo` to
+/// `BENCH_comm.json`. The timed arrays take 7 repetitions (quick: 1);
+/// each exchange repetition is the slowest rank's time for a block of
+/// exchanges.
+///
+/// * `exchanges`: per-exchange latency on a 2×2×2 rank grid (16³ global)
+///   for every mode and radius, with messages, bytes and steady-state
+///   buffer allocations per exchange.
+/// * `dmp`: single-rank substrate ops per call: packing and unpacking a
+///   radius-4 face slab of a 64³ subdomain, and one step of 64-point
+///   sparse injection and sampling.
+/// * `ranks_sweep` (with `ranks_sweep`): weak-scaled diagonal exchanges
+///   at P ∈ {8, 32, 128, 256, 512} (quick: {8, 32}), asserting zero
+///   steady-state allocations at every P.
+///
+/// The record also carries the sanitizer-overhead gate's figures.
+pub fn bench_halo(ledger: &mut Ledger, ranks_sweep: bool) {
+    use mpix_comm::{CartComm, Universe};
+    use mpix_dmp::{Decomposition, DistArray, HaloExchanger, HaloMode};
     use mpix_json::json;
     use mpix_trace::Tracer;
     use std::sync::Arc;
     use std::time::Instant;
 
+    let quick = ledger.quick();
+    let reps = ledger.reps(7);
     let dims = vec![2usize, 2, 2];
     let nranks: usize = dims.iter().product();
     let edge = 16usize; // 8³ points per rank: small, alloc-dominated messages
@@ -882,49 +909,12 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
     } else {
         (20u32, 250u32)
     };
-    // Each timed block repeats `reps` times; the fastest repetition is
-    // reported. OS scheduling noise only ever adds time, so the minimum
-    // is the least-noise estimate of the true exchange cost. Both arms
-    // get identical treatment.
-    let reps = if quick { 1u32 } else { 7u32 };
+    ledger.field("grid", vec![edge, edge, edge]);
+    ledger.field("rank_dims", dims.clone());
+    ledger.field("ranks", nranks);
+    ledger.field("iters", iters);
 
-    // One exchange the way the pre-plan path did it: geometry re-derived
-    // per call, byte-typed envelopes, fresh buffers everywhere.
-    fn legacy_exchange(cart: &CartComm, arr: &mut DistArray, plan: &HaloPlan) {
-        for step in 0..plan.num_steps() {
-            let rows = plan.step_view(step);
-            let mut reqs: Vec<(RecvRequest, BoxNd)> = Vec::with_capacity(rows.len());
-            for (peer, _, recv_tag, _, recv_box) in &rows {
-                reqs.push((cart.comm().irecv(*peer, *recv_tag), recv_box.clone()));
-            }
-            for (peer, send_tag, _, send_box, _) in &rows {
-                let mut buf = Vec::new();
-                arr.pack_box(send_box, &mut buf);
-                cart.comm().isend(*peer, *send_tag, &f32_to_bytes(&buf));
-            }
-            for (req, recv_box) in reqs {
-                let data = req.wait();
-                arr.unpack_box(&recv_box, &bytes_to_f32(&data));
-            }
-        }
-    }
-
-    let mut rows = Vec::new();
-    println!(
-        "\n## Halo exchange latency: persistent plan vs pre-plan path, \
-         {nranks} ranks (2×2×2), {edge}³ global, {iters} iters"
-    );
-    println!(
-        "{:<10} {:>6} {:>12} {:>12} {:>9} {:>6} {:>10} {:>11}",
-        "mode",
-        "radius",
-        "plan µs/ex",
-        "legacy µs/ex",
-        "speedup",
-        "msgs",
-        "bytes/ex",
-        "steady-alloc"
-    );
+    println!("\n## Halo exchange latency, {nranks} ranks (2×2×2), {edge}³ global, {iters} iters");
     for mode in [HaloMode::Basic, HaloMode::Diagonal, HaloMode::Full] {
         for &radius in &radii {
             let dims_c = dims.clone();
@@ -934,8 +924,6 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
                 let coords = cart.coords().to_vec();
                 let mut arr = DistArray::new(dc, &coords, radius.max(2));
                 arr.fill_global_slice(&[0..edge, 0..edge, 0..edge], 1.0);
-
-                // Plan arm: build + prime during warm-up, then time.
                 let mut ex = HaloExchanger::new(mode);
                 let mut tracer = Tracer::off();
                 for _ in 0..warmup {
@@ -943,76 +931,45 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
                 }
                 cart.comm().barrier();
                 cart.comm().reset_stats();
-                let mut plan_secs = f64::INFINITY;
-                for _ in 0..reps {
-                    cart.comm().barrier();
-                    let t0 = Instant::now();
+                let secs = timed_blocks(&cart, reps, || {
                     for _ in 0..iters {
                         ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                     }
-                    cart.comm().barrier();
-                    plan_secs = plan_secs.min(t0.elapsed().as_secs_f64());
-                }
-                let stats = cart.comm().stats();
-
-                // Legacy arm: same geometry (taken from a plan), pre-plan
-                // cost model. Distinct tag base so arms can't cross-match.
-                let geo = HaloPlan::build(&cart, &arr, mode, radius, 4096);
-                for _ in 0..warmup {
-                    legacy_exchange(&cart, &mut arr, &geo);
-                }
-                let mut legacy_secs = f64::INFINITY;
-                for _ in 0..reps {
-                    cart.comm().barrier();
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        legacy_exchange(&cart, &mut arr, &geo);
-                    }
-                    cart.comm().barrier();
-                    legacy_secs = legacy_secs.min(t0.elapsed().as_secs_f64());
-                }
-                (
-                    plan_secs,
-                    legacy_secs,
-                    stats.msgs_sent,
-                    stats.bytes_sent,
-                    stats.bufs_allocated,
-                )
+                });
+                (secs, cart.comm().stats())
             });
-            // Slowest rank defines the exchange latency; allocations are
-            // summed (the steady-state contract is zero everywhere).
-            let plan_secs = out.iter().map(|r| r.0).fold(0.0, f64::max);
-            let legacy_secs = out.iter().map(|r| r.1).fold(0.0, f64::max);
-            let timed_exchanges = (iters * reps) as u64;
-            let msgs_per_ex: u64 = out.iter().map(|r| r.2).sum::<u64>() / timed_exchanges;
-            let bytes_per_ex: u64 = out.iter().map(|r| r.3).sum::<u64>() / timed_exchanges;
-            let steady_allocs: u64 = out.iter().map(|r| r.4).sum();
-            let plan_us = plan_secs / iters as f64 * 1e6;
-            let legacy_us = legacy_secs / iters as f64 * 1e6;
-            let speedup = legacy_us / plan_us;
-            println!(
-                "{:<10} {:>6} {:>12.2} {:>12.2} {:>8.2}x {:>6} {:>10} {:>11}",
-                format!("{mode:?}").to_lowercase(),
-                radius,
-                plan_us,
-                legacy_us,
-                speedup,
-                msgs_per_ex,
-                bytes_per_ex,
-                steady_allocs,
+            let timed_exchanges = u64::from(iters) * reps as u64;
+            let total =
+                |f: fn(&mpix_comm::CommStats) -> u64| out.iter().map(|r| f(&r.1)).sum::<u64>();
+            let us = slowest_rank(out.iter().map(|r| &r.0), f64::from(iters));
+            let key = [
+                ("mode", json!(format!("{mode:?}").to_lowercase())),
+                ("radius", json!(radius)),
+            ];
+            ledger.row(
+                "exchanges",
+                &key,
+                "plan_us_per_exchange",
+                &us,
+                &[
+                    (
+                        "msgs_per_exchange",
+                        json!(total(|s| s.msgs_sent) / timed_exchanges),
+                    ),
+                    (
+                        "bytes_per_exchange",
+                        json!(total(|s| s.bytes_sent) / timed_exchanges),
+                    ),
+                    (
+                        "steady_state_bufs_allocated",
+                        json!(total(|s| s.bufs_allocated)),
+                    ),
+                ],
             );
-            rows.push(json!({
-                "mode": format!("{mode:?}").to_lowercase(),
-                "radius": radius,
-                "plan_us_per_exchange": plan_us,
-                "legacy_us_per_exchange": legacy_us,
-                "speedup": speedup,
-                "msgs_per_exchange": msgs_per_ex,
-                "bytes_per_exchange": bytes_per_ex,
-                "steady_state_bufs_allocated": steady_allocs,
-            }));
         }
     }
+    dmp_rows(ledger);
+
     // Sanitizer-overhead smoke. `mpix-san` is always compiled in, so the
     // claim to defend is that the *disabled* path costs nothing: every
     // hook site reduces to one `Option` branch. Measure the plan-arm
@@ -1091,7 +1048,11 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
     let enabled_us = mean(&enabled);
     let disabled_after_us = mean(&disabled_after);
     let ratios = disabled_after.iter().zip(&disabled_before);
-    let ratio = median(ratios.map(|(after, before)| after / before).collect());
+    let ratio = median(
+        &ratios
+            .map(|(after, before)| after / before)
+            .collect::<Vec<_>>(),
+    );
     let overhead_pct = (ratio - 1.0) * 100.0;
     println!(
         "\n## mpix-san overhead (basic, radius {san_radius}): disabled {disabled_before_us:.2} \
@@ -1115,63 +1076,144 @@ pub fn bench_halo_json_opts(quick: bool, ranks_sweep: bool) -> String {
          ({disabled_before_us:.2}µs -> {disabled_after_us:.2}µs mean)",
         (tolerance - 1.0) * 100.0
     );
-
-    let sweep_rows = if ranks_sweep {
-        ranks_sweep_rows(quick)
-    } else {
-        Vec::new()
-    };
-
-    json!({
-        "grid": vec![edge, edge, edge],
-        "rank_dims": dims,
-        "ranks": nranks,
-        "iters": iters,
-        "quick": quick,
-        "exchanges": rows,
-        "ranks_sweep": sweep_rows,
-        "sanitizer": json!({
+    ledger.field(
+        "sanitizer",
+        json!({
             "disabled_us_per_exchange": disabled_before_us,
             "enabled_us_per_exchange": enabled_us,
             "disabled_after_us_per_exchange": disabled_after_us,
             "disabled_overhead_pct": overhead_pct,
         }),
-    })
-    .pretty()
+    );
+
+    if ranks_sweep {
+        ranks_sweep_rows(ledger);
+    }
 }
 
-/// Weak-scaling ranks sweep: 8³ points per rank, diagonal (26-neighbour)
-/// exchange at radius 2, swept over P ∈ {8, 32, 128, 256, 512} (quick:
-/// {8, 32}). Reports the slowest rank's µs per exchange and the
-/// receive parks per exchange (futex round-trips after the yield
-/// budget ran out — the contention signal), and asserts the
+/// Seconds of each of `reps` runs of `block`, every run between two
+/// barriers so all ranks time the same work.
+fn timed_blocks(cart: &mpix_comm::CartComm, reps: usize, mut block: impl FnMut()) -> Vec<f64> {
+    (0..reps)
+        .map(|_| {
+            cart.comm().barrier();
+            let t0 = std::time::Instant::now();
+            block();
+            cart.comm().barrier();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect()
+}
+
+/// µs per exchange of each repetition on its slowest rank, from every
+/// rank's [`timed_blocks`] of `iters` exchanges.
+fn slowest_rank<'a>(ranks: impl Iterator<Item = &'a Vec<f64>>, iters: f64) -> Vec<f64> {
+    let mut slowest: Vec<f64> = Vec::new();
+    for secs in ranks {
+        slowest.resize(secs.len(), 0.0);
+        for (s, &t) in slowest.iter_mut().zip(secs) {
+            *s = s.max(t / iters * 1e6);
+        }
+    }
+    slowest
+}
+
+/// The `dmp` rows of [`bench_halo`]: µs per call of the per-step
+/// substrate ops on rank 0 of a 128³ grid split 2×2×2.
+fn dmp_rows(ledger: &mut Ledger) {
+    use mpix_dmp::{Decomposition, DistArray, SparsePlan, SparsePoints};
+    use mpix_json::json;
+    use std::hint::black_box;
+    use std::sync::Arc;
+
+    let reps = ledger.reps;
+    let calls = if ledger.quick() { 20 } else { 500 };
+    // Every repetition times `calls` calls after one untimed call.
+    let per_call = |f: &mut dyn FnMut()| -> Vec<f64> {
+        f();
+        (0..reps)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    f();
+                }
+                t0.elapsed().as_secs_f64() / calls as f64 * 1e6
+            })
+            .collect()
+    };
+    let dc = Arc::new(Decomposition::new(&[128, 128, 128], &[2, 2, 2]));
+    let mut arr = DistArray::new(dc, &[0, 0, 0], 4);
+    let local = arr.local_shape().to_vec();
+    let slab: Vec<std::ops::Range<usize>> = vec![4..8, 4..4 + local[1], 4..4 + local[2]];
+    let pts = SparsePoints::new(
+        (0..64)
+            .map(|i| vec![1.0 + i as f64 * 0.9, 20.5, 30.25])
+            .collect(),
+        vec![1.0, 1.0, 1.0],
+    );
+    let mut plan = SparsePlan::build(&pts, &arr);
+    let mut buf = Vec::new();
+    let mut row = vec![f32::NAN; pts.len()];
+
+    println!("\n## Decomposition and sparse ops, rank 0 of 128³ on 2×2×2");
+    let pack = per_call(&mut || {
+        arr.pack_box(&slab, &mut buf);
+        black_box(buf.len());
+    });
+    let unpack = per_call(&mut || arr.unpack_box(&slab, &buf));
+    let inject = per_call(&mut || plan.inject(arr.raw_mut(), |_| 1.0));
+    // Sampling one step of a long run; the end-of-run combine is message
+    // traffic, which the end-to-end benchmark measures.
+    plan.begin_run(1);
+    let sample = per_call(&mut || {
+        plan.sample(arr.raw(), 0, &mut row);
+        black_box(row[0]);
+    });
+    let elems = slab.iter().map(|r| r.len()).product::<usize>();
+    for (op, samples, elems) in [
+        ("pack_face_slab", pack, elems),
+        ("unpack_face_slab", unpack, elems),
+        ("sparse_inject", inject, pts.len()),
+        ("sparse_sample", sample, pts.len()),
+    ] {
+        let key = [("op", json!(op))];
+        ledger.row(
+            "dmp",
+            &key,
+            "us_per_call",
+            &samples,
+            &[("elems", json!(elems))],
+        );
+    }
+}
+
+/// The `ranks_sweep` rows of [`bench_halo`]: 8³ points per rank,
+/// diagonal (26-neighbour) exchange at radius 2, swept over P ∈ {8, 32,
+/// 128, 256, 512} (quick: {8, 32}). Reports the slowest rank's µs per
+/// exchange and the receive parks per exchange (futex round-trips after
+/// the yield budget ran out — the contention signal), and asserts the
 /// machine-independent contract: zero steady-state buffer allocations
 /// at every P. Ranks are threads, so on a host with few cores the
 /// wall-clock column measures scheduling and copy cost, not a
 /// cluster's network.
-fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
+fn ranks_sweep_rows(ledger: &mut Ledger) {
     use mpix_comm::{dims_create, CartComm, Universe};
     use mpix_dmp::{Decomposition, DistArray, HaloExchanger, HaloMode};
     use mpix_json::json;
     use mpix_trace::Tracer;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    let plist: &[usize] = if quick {
+    let plist: &[usize] = if ledger.quick() {
         &[8, 32]
     } else {
         &[8, 32, 128, 256, 512]
     };
     let radius = 2usize;
     let per_rank_edge = 8usize;
-    let reps = if quick { 1u32 } else { 3u32 };
+    let reps = ledger.reps;
 
-    let mut rows = Vec::new();
     println!("\n## Ranks sweep: diagonal radius-{radius} exchange, {per_rank_edge}³ points/rank");
-    println!(
-        "{:>6} {:>12} {:>10} {:>10} {:>13}",
-        "ranks", "dims", "µs/ex", "parks/ex", "steady-alloc"
-    );
     for &p in plist {
         let dims = dims_create(p, 3);
         // Fixed per-rank work; shrink the iteration count as thread counts
@@ -1200,60 +1242,98 @@ fn ranks_sweep_rows(quick: bool) -> Vec<mpix_json::Value> {
             }
             cart.comm().barrier();
             cart.comm().reset_stats();
-            // Fastest of `reps` timed blocks: scheduling noise only ever
-            // adds time.
-            let mut secs = f64::INFINITY;
-            for _ in 0..reps {
-                cart.comm().barrier();
-                let t0 = Instant::now();
+            let secs = timed_blocks(&cart, reps, || {
                 for _ in 0..iters {
                     ex.exchange(&cart, &mut arr, radius, 0, &mut tracer);
                 }
-                cart.comm().barrier();
-                secs = secs.min(t0.elapsed().as_secs_f64());
-            }
+            });
             let stats = cart.comm().stats();
             (secs, stats.recv_parks, stats.bufs_allocated)
         });
-        let secs = out.iter().map(|r| r.0).fold(0.0, f64::max);
+        let us = slowest_rank(out.iter().map(|r| &r.0), f64::from(iters));
         let parks: u64 = out.iter().map(|r| r.1).sum();
         let allocs: u64 = out.iter().map(|r| r.2).sum();
-        let us = secs / iters as f64 * 1e6;
-        let parks_ex = parks as f64 / (iters * reps) as f64;
-        println!(
-            "{:>6} {:>12} {:>10.1} {:>10.1} {:>13}",
-            p,
-            format!("{dims:?}"),
-            us,
-            parks_ex,
-            allocs
-        );
         assert_eq!(
             allocs, 0,
             "halo exchange allocated in steady state at P={p}"
         );
-        rows.push(json!({
-            "ranks": p,
-            "rank_dims": dims,
-            "points_per_rank": per_rank_edge * per_rank_edge * per_rank_edge,
-            "radius": radius,
-            "us_per_exchange": us,
-            "recv_parks_per_exchange": parks_ex,
-            "steady_state_bufs_allocated": allocs,
-        }));
+        ledger.row(
+            "ranks_sweep",
+            &[("ranks", json!(p))],
+            "us_per_exchange",
+            &us,
+            &[
+                ("rank_dims", json!(dims)),
+                ("points_per_rank", json!(per_rank_edge.pow(3))),
+                ("radius", json!(radius)),
+                (
+                    "recv_parks_per_exchange",
+                    json!(parks as f64 / (f64::from(iters) * reps as f64)),
+                ),
+                ("steady_state_bufs_allocated", json!(allocs)),
+            ],
+        );
     }
-    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpix_json::Value;
 
     /// Held by the halo bench's timing gate and by every other test that
     /// times work (the kernel, build and verify benches), whose rank
     /// threads and JIT compiles would otherwise share the cores with the
     /// gate's two timed arms.
     static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The quick record `bench` writes as `arm`, joined to `baseline`.
+    fn quick_record(bench: &dyn Fn(&mut Ledger), arm: &str, baseline: Option<Value>) -> Value {
+        let mut ledger = Ledger::new(arm, baseline, true);
+        bench(&mut ledger);
+        let out = ledger.finish();
+        let v = Value::parse(&out).unwrap_or_else(|e| panic!("invalid JSON {e:?}:\n{out}"));
+        assert_envelope(&v, arm);
+        v
+    }
+
+    /// `record` carries the envelope every record shares.
+    fn assert_envelope(record: &Value, what: &str) {
+        let has = |field: &str, ok: fn(&Value) -> bool| {
+            assert!(record.get(field).is_some_and(ok), "{what}: {field}");
+        };
+        has("arm", |a| a.as_str().is_some());
+        has("baseline_arm", |a| {
+            a.as_str().is_some() || *a == Value::Null
+        });
+        has("quick", |q| q.as_bool().is_some());
+        has("reps", |r| r.as_u64().is_some_and(|r| r >= 1));
+        has("nproc", |n| n.as_u64().is_some_and(|n| n >= 1));
+    }
+
+    /// The rows of `record`'s `array`.
+    fn rows<'a>(record: &'a Value, array: &str) -> &'a [Value] {
+        record
+            .get(array)
+            .and_then(Value::as_array)
+            .unwrap_or_else(|| panic!("no {array} array in {record}"))
+    }
+
+    /// The sorted field names of `row`.
+    fn field_names(row: &Value) -> Vec<&str> {
+        let mut keys: Vec<&str> = row
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    fn f64_of(row: &Value, field: &str) -> f64 {
+        row.get(field).and_then(Value::as_f64).unwrap()
+    }
 
     #[test]
     fn cpu_rows_are_positive_and_grow() {
@@ -1277,45 +1357,41 @@ mod tests {
     /// per `(kernel, sdo, backend)`, and on a JIT-capable host the
     /// native rows must beat the vectorized interpreter somewhere —
     /// if the JIT never wins even once, the backend is mislinked (e.g.
-    /// silently falling back to the interpreter everywhere).
+    /// silently falling back to the interpreter everywhere). Also pins
+    /// the `blocking` and `trace` row counts.
     #[test]
     fn bench_kernels_has_backend_rows_and_jit_wins_somewhere() {
         use mpix_core::{available_backends, Backend};
         let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
 
-        let out = bench_kernels_json(true);
-        let v = mpix_json::Value::parse(&out).expect("valid JSON");
-        let rows = v
-            .get("kernels")
-            .and_then(mpix_json::Value::as_array)
-            .unwrap();
+        let v = quick_record(&bench_kernels, "current", None);
+        let kernels = rows(&v, "kernels");
         let have_jit = available_backends().contains(&Backend::Jit);
         let backends_per_group = if have_jit { 2 } else { 1 };
         // 4 kernels × 4 SDOs × backends.
-        assert_eq!(rows.len(), 16 * backends_per_group, "{out}");
-        for row in rows {
-            assert!(row
-                .get("backend")
-                .and_then(mpix_json::Value::as_str)
-                .is_some());
-            assert!(row.get("gpts").and_then(mpix_json::Value::as_f64).unwrap() > 0.0);
+        assert_eq!(kernels.len(), 16 * backends_per_group, "{v}");
+        for row in kernels {
+            assert!(row.get("backend").and_then(Value::as_str).is_some());
+            assert!(f64_of(row, "gpts") > 0.0);
         }
         if have_jit {
             let gpts_of = |backend: &str| -> Vec<f64> {
-                rows.iter()
-                    .filter(|r| {
-                        r.get("backend").and_then(mpix_json::Value::as_str) == Some(backend)
-                    })
-                    .map(|r| r.get("gpts").and_then(mpix_json::Value::as_f64).unwrap())
+                kernels
+                    .iter()
+                    .filter(|r| r.get("backend").and_then(Value::as_str) == Some(backend))
+                    .map(|r| f64_of(r, "gpts"))
                     .collect()
             };
             let jit = gpts_of("jit");
             let bytecode = gpts_of("bytecode");
             assert!(
                 jit.iter().zip(&bytecode).any(|(j, b)| j > b),
-                "jit never beat the vectorized interpreter:\n{out}"
+                "jit never beat the vectorized interpreter:\n{v}"
             );
         }
+        // 4 kernels × block {0, 16}; 3 trace levels.
+        assert_eq!(rows(&v, "blocking").len(), 8, "{v}");
+        assert_eq!(rows(&v, "trace").len(), 3, "{v}");
     }
 
     /// Schema of the quick build bench: one row per kernel × SDO with
@@ -1324,34 +1400,19 @@ mod tests {
     #[test]
     fn bench_build_quick_rows_and_schema() {
         let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
-        let first = bench_build_json(true, "first", None);
-        let v = mpix_json::Value::parse(&first).expect("valid JSON");
-        assert_eq!(v.get("baseline_arm"), Some(&mpix_json::Value::Null));
-        let out = bench_build_json(true, "second", Some(&v));
-        let v = mpix_json::Value::parse(&out).expect("valid JSON");
-        assert_eq!(
-            v.get("baseline_arm").and_then(mpix_json::Value::as_str),
-            Some("first")
-        );
-        let rows = v
-            .get("builds")
-            .and_then(mpix_json::Value::as_array)
-            .unwrap();
-        assert_eq!(rows.len(), 4 * BUILD_SDOS.len(), "{out}");
+        let first = quick_record(&bench_build, "first", None);
+        assert_eq!(first.get("baseline_arm"), Some(&Value::Null));
+        let v = quick_record(&bench_build, "second", Some(first));
+        assert_eq!(v.get("baseline_arm").and_then(Value::as_str), Some("first"));
+        let rows = rows(&v, "builds");
+        assert_eq!(rows.len(), 4 * BUILD_SDOS.len(), "{v}");
         for row in rows {
-            let mut keys: Vec<&str> = row
-                .as_object()
-                .unwrap()
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect();
-            keys.sort_unstable();
             assert_eq!(
-                keys,
+                field_names(row),
                 [
                     "baseline_build_ms",
-                    "baseline_cse_share",
                     "build_ms",
+                    "build_ms_iqr",
                     "clusterize_ms",
                     "cse_ms",
                     "cse_share",
@@ -1362,30 +1423,18 @@ mod tests {
                     "op_counts_ms",
                     "sdo",
                     "space_order_bytes",
-                    "speedup_vs_baseline",
+                    "vs_baseline",
                     "workspace_bytes",
                 ],
-                "{out}"
+                "{v}"
             );
-            let bytes = |k: &str| row.get(k).and_then(mpix_json::Value::as_u64).unwrap();
+            let bytes = |k: &str| row.get(k).and_then(Value::as_u64).unwrap();
             // Every shipped stencil reads at most `so / 2` points out, so
             // the reach-sized layout is always the smaller.
-            assert!(bytes("workspace_bytes") > 0, "{out}");
-            assert!(
-                bytes("workspace_bytes") < bytes("space_order_bytes"),
-                "{out}"
-            );
-            let share = row
-                .get("cse_share")
-                .and_then(mpix_json::Value::as_f64)
-                .unwrap();
-            assert!((0.0..=1.0).contains(&share), "{out}");
-            assert!(
-                row.get("build_ms")
-                    .and_then(mpix_json::Value::as_f64)
-                    .unwrap()
-                    > 0.0
-            );
+            assert!(bytes("workspace_bytes") > 0, "{v}");
+            assert!(bytes("workspace_bytes") < bytes("space_order_bytes"), "{v}");
+            assert!((0.0..=1.0).contains(&f64_of(row, "cse_share")), "{v}");
+            assert!(f64_of(row, "build_ms") > 0.0);
         }
     }
 
@@ -1395,31 +1444,19 @@ mod tests {
     #[test]
     fn bench_verify_quick_rows_and_schema() {
         let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
-        let first = bench_verify_json(true, "first", None);
-        let v = mpix_json::Value::parse(&first).expect("valid JSON");
-        assert_eq!(v.get("baseline_arm"), Some(&mpix_json::Value::Null));
-        let out = bench_verify_json(true, "second", Some(&v));
-        let v = mpix_json::Value::parse(&out).expect("valid JSON");
-        assert_eq!(
-            v.get("baseline_arm").and_then(mpix_json::Value::as_str),
-            Some("first")
-        );
-        let rows = v.get("gates").and_then(mpix_json::Value::as_array).unwrap();
+        let first = quick_record(&bench_verify, "first", None);
+        assert_eq!(first.get("baseline_arm"), Some(&Value::Null));
+        let v = quick_record(&bench_verify, "second", Some(first));
+        assert_eq!(v.get("baseline_arm").and_then(Value::as_str), Some("first"));
+        let rows = rows(&v, "gates");
         assert_eq!(
             rows.len(),
             4 * VERIFY_SDOS.len() * VERIFY_MODES.len() * VERIFY_RANKS.len(),
-            "{out}"
+            "{v}"
         );
         for row in rows {
-            let mut keys: Vec<&str> = row
-                .as_object()
-                .unwrap()
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect();
-            keys.sort_unstable();
             assert_eq!(
-                keys,
+                field_names(row),
                 [
                     "baseline_verify_ms",
                     "kernel",
@@ -1427,57 +1464,45 @@ mod tests {
                     "mode",
                     "ranks",
                     "sdo",
-                    "speedup_vs_baseline",
                     "verify_ms",
+                    "verify_ms_iqr",
+                    "vs_baseline",
                 ],
-                "{out}"
+                "{v}"
             );
-            let get = |k: &str| row.get(k).and_then(mpix_json::Value::as_f64).unwrap();
-            assert!(get("keys") >= 1.0 && get("verify_ms") > 0.0, "{out}");
+            assert!(
+                f64_of(row, "keys") >= 1.0 && f64_of(row, "verify_ms") > 0.0,
+                "{v}"
+            );
         }
     }
 
     /// Smoke for the ranks-sweep axis: the quick sweep must emit one row
-    /// per swept P in the single-arm schema, each with the
-    /// zero-allocation steady state. Also pins the mode×radius row count
-    /// so `--ranks-sweep` cannot silently drop the existing axis.
+    /// per swept P, each with the zero-allocation steady state. Also pins
+    /// the mode×radius and `dmp` row counts so `--ranks-sweep` cannot
+    /// silently drop the other axes.
     #[test]
     fn bench_halo_quick_emits_exchange_and_ranks_sweep_rows() {
         let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
-        let out = bench_halo_json_opts(true, true);
-        let v = mpix_json::Value::parse(&out).expect("valid JSON");
-        let rows = v
-            .get("exchanges")
-            .and_then(mpix_json::Value::as_array)
-            .unwrap();
+        let v = quick_record(&|l| bench_halo(l, true), "current", None);
         // Quick mode: 3 modes × 2 radii.
-        assert_eq!(rows.len(), 6, "{out}");
-        for row in rows {
-            let plan = row
-                .get("plan_us_per_exchange")
-                .and_then(mpix_json::Value::as_f64)
-                .unwrap();
-            assert!(plan > 0.0, "{out}");
+        let exchanges = rows(&v, "exchanges");
+        assert_eq!(exchanges.len(), 6, "{v}");
+        for row in exchanges {
+            assert!(f64_of(row, "plan_us_per_exchange") > 0.0, "{v}");
         }
-        let sweep = v
-            .get("ranks_sweep")
-            .and_then(mpix_json::Value::as_array)
-            .unwrap();
+        let dmp = rows(&v, "dmp");
+        assert_eq!(dmp.len(), 4, "{v}");
+        assert!(dmp.iter().all(|r| f64_of(r, "us_per_call") > 0.0), "{v}");
+        let sweep = rows(&v, "ranks_sweep");
         let ranks: Vec<u64> = sweep
             .iter()
-            .map(|r| r.get("ranks").and_then(mpix_json::Value::as_u64).unwrap())
+            .map(|r| r.get("ranks").and_then(Value::as_u64).unwrap())
             .collect();
-        assert_eq!(ranks, vec![8, 32], "{out}");
+        assert_eq!(ranks, vec![8, 32], "{v}");
         for row in sweep {
-            let mut keys: Vec<&str> = row
-                .as_object()
-                .unwrap()
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect();
-            keys.sort_unstable();
             assert_eq!(
-                keys,
+                field_names(row),
                 [
                     "points_per_rank",
                     "radius",
@@ -1486,20 +1511,109 @@ mod tests {
                     "recv_parks_per_exchange",
                     "steady_state_bufs_allocated",
                     "us_per_exchange",
+                    "us_per_exchange_iqr",
                 ],
-                "{out}"
+                "{v}"
             );
-            let us = row
-                .get("us_per_exchange")
-                .and_then(mpix_json::Value::as_f64)
-                .unwrap();
-            assert!(us > 0.0, "{out}");
+            assert!(f64_of(row, "us_per_exchange") > 0.0, "{v}");
             assert_eq!(
                 row.get("steady_state_bufs_allocated")
-                    .and_then(mpix_json::Value::as_u64),
+                    .and_then(Value::as_u64),
                 Some(0),
-                "{out}"
+                "{v}"
             );
+        }
+    }
+
+    /// A committed record: its file, the bench that regenerates it, and
+    /// each of its row arrays with that array's key fields.
+    struct Record {
+        file: &'static str,
+        bench: fn(&mut Ledger),
+        arrays: &'static [(&'static str, &'static [&'static str])],
+    }
+
+    const RECORDS: [Record; 4] = [
+        Record {
+            file: "BENCH_kernels.json",
+            bench: bench_kernels,
+            arrays: &[
+                ("kernels", &["kernel", "sdo", "backend"]),
+                ("blocking", &["kernel", "sdo", "backend", "block"]),
+                ("trace", &["kernel", "sdo", "ranks", "trace"]),
+            ],
+        },
+        Record {
+            file: "BENCH_build.json",
+            bench: bench_build,
+            arrays: &[("builds", &["kernel", "sdo"])],
+        },
+        Record {
+            file: "BENCH_verify.json",
+            bench: bench_verify,
+            arrays: &[("gates", &["kernel", "sdo", "mode", "ranks"])],
+        },
+        Record {
+            file: "BENCH_comm.json",
+            bench: |l| bench_halo(l, true),
+            arrays: &[
+                ("exchanges", &["mode", "radius"]),
+                ("dmp", &["op"]),
+                ("ranks_sweep", &["ranks"]),
+            ],
+        },
+    ];
+
+    fn committed(file: &str) -> Value {
+        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e:?}"))
+    }
+
+    /// Every committed record carries the shared envelope.
+    #[test]
+    fn bench_records_carry_the_envelope() {
+        for Record { file, arrays, .. } in RECORDS {
+            let v = committed(file);
+            assert_envelope(&v, file);
+            for (array, _) in arrays {
+                assert!(!rows(&v, array).is_empty(), "{file}: {array}");
+            }
+        }
+    }
+
+    /// A quick run given each committed record as its baseline joins every
+    /// row whose key fields the baseline shares, so records written by
+    /// earlier schemas stay readable as `--baseline`.
+    #[test]
+    fn bench_quick_runs_join_every_committed_record() {
+        let _timed = TIMED.lock().unwrap_or_else(|e| e.into_inner());
+        for Record {
+            file,
+            bench,
+            arrays,
+        } in RECORDS
+        {
+            let baseline = committed(file);
+            let v = quick_record(&bench, "current", Some(baseline.clone()));
+            for (array, key) in arrays {
+                let Some(base_rows) = baseline.get(array).and_then(Value::as_array) else {
+                    continue;
+                };
+                let mut joined = 0;
+                for row in rows(&v, array) {
+                    let shared = base_rows
+                        .iter()
+                        .any(|b| key.iter().all(|k| b.get(k) == row.get(k)));
+                    assert_eq!(
+                        row.get("vs_baseline").is_some(),
+                        shared,
+                        "{file} {array}: {row}"
+                    );
+                    joined += usize::from(shared);
+                }
+                assert!(joined > 0, "{file} {array}: no row joined");
+            }
         }
     }
 }
